@@ -36,7 +36,7 @@
 #include "hermes/engine/engine.hpp"
 #include "hermes/engine/time.hpp"
 #include "hermes/harness/scenario.hpp"
-#include "hermes/net/dre.hpp"
+#include "hermes/engine/rate.hpp"
 #include "hermes/net/topology.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/records.hpp"
@@ -421,13 +421,13 @@ bool bench_engine_decide(int n) {
 }
 
 void bench_dre(int n) {
-  net::Dre dre{sim::usec(50), 0.1};
-  sim::SimTime t{};
+  engine::Dre dre{engine::usec(50), 0.1};
+  engine::TimeNs t = 0;
   const auto t0 = Clock::now();
   for (int i = 0; i < n; ++i) {
     dre.add(1500, t);
     g_sink += static_cast<std::uint64_t>(dre.rate_bps(t));
-    t += sim::nsec(1200);
+    t += engine::nsec(1200);
   }
   const double dt = seconds_since(t0);
   record("dre_add_read", "ns_per_op", dt * 1e9 / n);

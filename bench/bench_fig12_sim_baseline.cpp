@@ -12,7 +12,7 @@
 //
 // The (setup, load, scheme) grid is a pure map — every cell owns its
 // Scenario/EventQueue/RNG — so cells run concurrently on a
-// ParallelRunner and the tables are assembled from the index-ordered
+// ThreadPool and the tables are assembled from the index-ordered
 // results: output is byte-identical to a serial run.
 
 #include <cstddef>
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hermes/harness/parallel_runner.hpp"
+#include "hermes/sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     for (double load : loads)
       for (Scheme scheme : schemes) cells.push_back({&setup, load, scheme});
 
-  const harness::ParallelRunner runner;
+  const sim::ThreadPool runner;
   const auto means = runner.map<double>(cells.size(), [&](std::size_t i) {
     const Cell& c = cells[i];
     harness::ScenarioConfig cfg;

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hermes/harness/parallel_runner.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/sim/thread_pool.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/stats/table.hpp"
 #include "hermes/workload/size_dist.hpp"
 
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   std::printf("\nmean flow size: web-search=%.2fMB data-mining=%.2fMB\n", ws.mean_bytes() / 1e6,
               dm.mean_bytes() / 1e6);
 
-  // Empirical skew check by sampling, fanned out over a ParallelRunner.
+  // Empirical skew check by sampling, fanned out over a ThreadPool.
   // The chunk count is fixed (not the thread count) and every chunk
   // draws from its own forked RNG stream, so the sampled numbers are
   // identical however many threads execute; partials are combined in
@@ -51,11 +51,11 @@ int main(int argc, char** argv) {
     double total = 0, big_bytes = 0;
     int big_flows = 0, samples = 0;
   };
-  const harness::ParallelRunner runner;
+  const sim::ThreadPool runner;
   const auto partials = runner.map<Partial>(kChunks, [&](std::size_t chunk) {
     const int begin = static_cast<int>(chunk) * n / kChunks;
     const int end = (static_cast<int>(chunk) + 1) * n / kChunks;
-    sim::Rng rng = sim::Rng{1}.fork(chunk);
+    engine::Rng rng = engine::Rng{1}.fork(chunk);
     Partial p;
     for (int i = begin; i < end; ++i) {
       const auto s = static_cast<double>(dm.sample(rng));

@@ -72,7 +72,7 @@ inline net::TopologyConfig sim_topology() {
 /// fixed seed so every scheme sees the identical asymmetry.
 inline net::TopologyConfig asym_sim_topology(std::uint64_t seed = 99) {
   auto c = sim_topology();
-  sim::Rng rng{seed};
+  engine::Rng rng{seed};
   for (int l = 0; l < c.num_leaves; ++l)
     for (int s = 0; s < c.num_spines; ++s)
       if (rng.chance(0.2)) c.fabric_overrides[{l, s, 0}] = 2e9;
@@ -95,7 +95,7 @@ inline net::TopologyConfig dm_sim_topology() {
 
 inline net::TopologyConfig dm_asym_sim_topology(std::uint64_t seed = 99) {
   auto c = dm_sim_topology();
-  sim::Rng rng{seed};
+  engine::Rng rng{seed};
   for (int l = 0; l < c.num_leaves; ++l)
     for (int s = 0; s < c.num_spines; ++s)
       if (rng.chance(0.2)) c.fabric_overrides[{l, s, 0}] = 2e9;

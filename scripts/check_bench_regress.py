@@ -118,14 +118,11 @@ def report_lint(baseline, current):
     if wall is None:
         print("lint report: no timing block in the hermeslint JSON (old binary?)")
         return
-    reused = int(timing.get("files_reused") or 0)
-    mode = "warm" if reused > 0 else "cold"
-    base = metric(baseline, "lint", f"{mode}_wall_ms")
-    vs = f" vs committed {mode} baseline {base:,.1f} ms" if base else ""
+    base = metric(baseline, "lint", "cold_wall_ms")
+    vs = f" vs committed baseline {base:,.1f} ms" if base else ""
     print(
-        f"lint report ({mode}): {wall:,.1f} ms for "
-        f"{int(current.get('files_scanned') or 0)} files "
-        f"({reused} from cache, {int(timing.get('files_linted') or 0)} linted){vs}"
+        f"lint report: {wall:,.1f} ms for "
+        f"{int(current.get('files_scanned') or 0)} files{vs}"
     )
 
 

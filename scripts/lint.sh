@@ -3,7 +3,7 @@
 #
 #   scripts/lint.sh                  human-readable findings, exit 1 if any
 #   scripts/lint.sh --json           findings as JSON on stdout (schema_version 2,
-#                                    includes a timing block: wall_ms + cache hits)
+#                                    includes a timing block: wall_ms)
 #   scripts/lint.sh --sarif=F.sarif  also write SARIF 2.1.0 to F.sarif (for
 #                                    GitHub code scanning upload)
 #
@@ -16,10 +16,6 @@
 # hygiene backed by a cross-file symbol index. See DESIGN.md "Static
 # analysis & invariants" for the rule catalogue and the suppression
 # syntax (`// hermeslint:allow(<rule>) <reason>[, expires(YYYY-MM-DD)]`).
-#
-# Incremental: findings are cached per content hash in
-# $BUILD_DIR/hermeslint.cache, so warm runs re-lint only edited files
-# (plus everything, cheaply, when the cross-file context changes).
 #
 # clang-tidy (config in .clang-tidy) runs as a second stage when the
 # binary exists; here it is advisory — the curated WarningsAsErrors
@@ -34,7 +30,7 @@ PATHS=(src bench tests examples tools)
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target hermeslint >/dev/null
 
-ARGS=(--root=. "--cache=$BUILD_DIR/hermeslint.cache" "--threads=$JOBS")
+ARGS=(--root=. "--threads=$JOBS")
 for arg in "$@"; do
   case "$arg" in
     --json) ARGS+=(--json) ;;

@@ -5,7 +5,6 @@
 #      (includes the hermeslint fixture tests and the tree-clean check).
 #   2. hermeslint over the whole tree — zero findings required; see
 #      DESIGN.md "Static analysis & invariants" for the rules. The run
-#      is incremental (content-hash cache in build/hermeslint.cache),
 #      writes SARIF to build/hermeslint.sarif, and its wall time is
 #      reported (informationally) against the metrics.lint entry in
 #      BENCH_core.json by check_bench_regress.py.
@@ -33,7 +32,7 @@
 #      hermes::engine) replays both shipped traces end-to-end — the
 #      fig17 blackhole trace additionally paced at 10x wall-clock —
 #      with every `expect` assertion holding.
-#   8. TSan build (HERMES_SANITIZE=thread) running the parallel-runner,
+#   8. TSan build (HERMES_SANITIZE=thread) running the thread-pool,
 #      determinism, sharded-executor, and engine conformance/determinism
 #      tests — every threaded path must be race-free. Skip with
 #      HERMES_TIER1_TSAN=0 (e.g. on machines without TSan).
@@ -49,9 +48,8 @@ cmake -B build -S . -DHERMES_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-echo "== [2/8] hermeslint (incremental, SARIF) =="
-./build/tools/hermeslint/hermeslint --root=. \
-  --cache=build/hermeslint.cache --threads="$JOBS" \
+echo "== [2/8] hermeslint (SARIF) =="
+./build/tools/hermeslint/hermeslint --root=. --threads="$JOBS" \
   --json=build/hermeslint.json --sarif=build/hermeslint.sarif \
   src bench tests examples tools
 python3 scripts/check_bench_regress.py BENCH_core.json build/hermeslint.json
@@ -91,7 +89,7 @@ if [[ "${HERMES_TIER1_TSAN:-1}" == "1" ]]; then
   cmake -B build-tsan -S . -DHERMES_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target hermes_tests
   ./build-tsan/tests/hermes_tests \
-    --gtest_filter='ParallelRunner.*:Determinism.ParallelSweepIsByteIdenticalToSerial:Sharded.ThreadCountIsInvisible_Ecmp:Sharded.FaultTrainIsThreadCountInvisible:EngineConformance.*:EngineDeterminism.*'
+    --gtest_filter='ThreadPool.*:Determinism.ParallelSweepIsByteIdenticalToSerial:Sharded.ThreadCountIsInvisible_Ecmp:Sharded.FaultTrainIsThreadCountInvisible:EngineConformance.*:EngineDeterminism.*'
 else
   echo "== [8/8] TSan stage skipped (HERMES_TIER1_TSAN=0) =="
 fi

@@ -7,12 +7,12 @@
 
 namespace hermes::engine {
 
-/// Discounting Rate Estimator (CONGA §4.3), the engine's sim-independent
-/// twin of net::Dre: a register X incremented by observed bytes that
-/// decays multiplicatively with time constant Tdre/alpha, decayed lazily
-/// on access. The floating-point expression order matches net::Dre
-/// operation for operation so r_p estimates — and every tie-break that
-/// compares them — survive the engine extraction bit for bit.
+/// Discounting Rate Estimator (CONGA §4.3): a register X incremented by
+/// observed bytes that decays multiplicatively with time constant
+/// Tdre/alpha, decayed lazily on access instead of by a periodic timer.
+/// The estimated rate is X * alpha / Tdre. One estimator serves the
+/// engine's path rates r_p, the simulator's flow rates r_f, and every
+/// port's link utilization (net::dre_quantized).
 class Dre {
  public:
   Dre() = default;

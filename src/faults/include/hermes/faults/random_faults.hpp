@@ -4,7 +4,7 @@
 
 #include "hermes/faults/fault_plan.hpp"
 #include "hermes/net/topology.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::faults {
@@ -34,12 +34,12 @@ struct RandomFaultConfig {
 };
 
 /// Deterministically expands a RandomFaultConfig into a concrete
-/// FaultPlan. All randomness comes from the supplied hermes::sim::Rng —
+/// FaultPlan. All randomness comes from the supplied hermes::engine::Rng —
 /// fork it from the scenario's seeded simulator (or construct from the
 /// scenario seed) so identical seeds replay identical fault timelines.
 class RandomFaultGenerator {
  public:
-  RandomFaultGenerator(const net::TopologyConfig& topo, RandomFaultConfig config, sim::Rng rng)
+  RandomFaultGenerator(const net::TopologyConfig& topo, RandomFaultConfig config, engine::Rng rng)
       : topo_{topo}, config_{config}, rng_{rng} {}
 
   /// Generate the timed onset/recovery events. Every onset gets a
@@ -50,7 +50,7 @@ class RandomFaultGenerator {
  private:
   net::TopologyConfig topo_;
   RandomFaultConfig config_;
-  sim::Rng rng_;
+  engine::Rng rng_;
 };
 
 }  // namespace hermes::faults

@@ -68,7 +68,7 @@ struct FuzzScenario {
 /// (leaf-spine dims, link speeds, asymmetry) × workload (web-search /
 /// data-mining mix, load point) × FaultPlan (MTBF/MTTR base plan plus
 /// overlapping and back-to-back edge patterns). Same seed ⇒ byte-
-/// identical scenario; all randomness flows from hermes::sim::Rng.
+/// identical scenario; all randomness flows from hermes::engine::Rng.
 class RandomScenarioGenerator {
  public:
   explicit RandomScenarioGenerator(FuzzLimits limits = {}) : limits_{limits} {}

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "hermes/faults/random_faults.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 
 namespace hermes::faults::fuzz {
 
@@ -77,7 +77,7 @@ FuzzScenario RandomScenarioGenerator::generate(std::uint64_t seed) const {
   // One master stream, drawn in a fixed documented order: topology,
   // workload, base fault plan (forked stream), edge patterns. Changing
   // this order changes every scenario — the golden-hash test will say so.
-  sim::Rng rng{seed};
+  engine::Rng rng{seed};
   FuzzScenario sc;
   sc.seed = seed;
   sc.max_sim_time = limits_.max_sim_time;

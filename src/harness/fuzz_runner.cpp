@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "hermes/engine/rng.hpp"
 #include "hermes/faults/fault_plan.hpp"
 #include "hermes/faults/scenario_fuzzer.hpp"
 #include "hermes/harness/sharded_scenario.hpp"
@@ -99,11 +100,9 @@ std::uint64_t fnv1a64(std::string_view s) {
 /// splitmix64 step: cheap, stateless seed expansion for scenario
 /// derivation (matches the per-shard seed derivation's generator family).
 std::uint64_t mix(std::uint64_t& z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t x = z;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  const std::uint64_t x = engine::mix64(z);
+  z += 0x9E3779B97F4A7C15ULL;  // the splitmix64 stream increment
+  return x;
 }
 
 std::uint64_t run_hash(const ShardedScenarioConfig& cfg) {

@@ -1,159 +1,34 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "hermes/lb/hermes.hpp"
-#include "hermes/faults/fault_plan.hpp"
-#include "hermes/faults/fault_scheduler.hpp"
 #include "hermes/harness/scenario.hpp"
-#include "hermes/lb/load_balancer.hpp"
 #include "hermes/net/fattree.hpp"
-#include "hermes/obs/flight_recorder.hpp"
-#include "hermes/obs/metrics.hpp"
-#include "hermes/obs/string_table.hpp"
-#include "hermes/sim/sharded_executor.hpp"
-#include "hermes/sim/simulator.hpp"
-#include "hermes/stats/fct.hpp"
-#include "hermes/transport/host_stack.hpp"
-#include "hermes/transport/tcp_config.hpp"
 
 namespace hermes::harness {
 
-/// Configuration of a sharded fat-tree run. Reuses the serial harness's
-/// Scheme and ObsConfig; the schemes that read global fabric congestion
-/// state through the concrete Topology (CONGA, DRILL) are not available
-/// sharded and are rejected at construction.
-struct ShardedScenarioConfig {
+/// A fat-tree run: the shared run settings plus the fabric and its shard
+/// plan. The schemes that read fabric-wide congestion state through the
+/// concrete Topology (CONGA, DRILL) are rejected at construction.
+struct ShardedScenarioConfig : RunConfig {
   net::FatTreeConfig fabric;
-  Scheme scheme = Scheme::kEcmp;
-  transport::TcpConfig tcp;
-
-  lb::HermesConfig hermes;
-  lb::CloveConfig clove;
-  lb::LetFlowConfig letflow;
-  lb::FlowBenderConfig flowbender;
-  bool presto_weighted = true;
-  std::uint32_t presto_cell_bytes = 0;
-
-  std::uint64_t seed = 1;
-  sim::SimTime max_sim_time = sim::sec(10);
-
   /// Topology partitions (clamped to [1, k pods]). This — not the thread
   /// count — is what determines simulation results: a fixed shard count
-  /// produces byte-identical output for every thread count.
+  /// produces byte-identical output for every thread count. One shard
+  /// runs exactly like a leaf-spine Scenario (no executor, no rounds).
   int num_shards = 1;
   /// Worker threads for the executor; 0 resolves via
   /// sim::resolve_threads() (HERMES_THREADS, then hardware concurrency)
   /// and is additionally capped at num_shards.
   unsigned threads = 0;
-
-  faults::FaultPlan fault_plan;
-  ObsConfig obs;
 };
 
-/// The sharded composition root: a FatTree partitioned across per-shard
-/// Simulators, per-shard load balancers / host stacks / fault schedulers,
-/// run under sim::ShardedExecutor with the fabric's mailbox exchange as
-/// the barrier. The division of state follows flow ownership: a flow
-/// lives entirely in the shard of its source host (sender, receiver-side
-/// bookkeeping callbacks, LB decisions and probe state are all keyed by
-/// source), so per-shard mutable state is only ever touched from that
-/// shard's event stream and rounds can run on parallel threads.
-///
-/// Determinism contract: for a fixed config (including num_shards), the
-/// merged results — FCT records, metrics, merged trace bytes — are
-/// identical for any thread count (pinned by ShardedDeterminism tests).
-/// Results for different *shard counts* are each self-consistent but not
-/// byte-comparable to one another (cross-switch arrival interleavings
-/// legitimately differ).
-class ShardedScenario {
+/// The fat-tree front door of Scenario: builds the FatTree over one
+/// Simulator per shard; everything else is the one composition root.
+class ShardedScenario final : public Scenario {
  public:
-  explicit ShardedScenario(ShardedScenarioConfig config);
-  ~ShardedScenario();
+  explicit ShardedScenario(const ShardedScenarioConfig& config)
+      : Scenario{config, config.fabric, config.num_shards, config.threads} {}
 
-  ShardedScenario(const ShardedScenario&) = delete;
-  ShardedScenario& operator=(const ShardedScenario&) = delete;
-
-  [[nodiscard]] net::FatTree& fabric() { return *fabric_; }
-  [[nodiscard]] sim::Simulator& shard_sim(int shard) { return *sims_[shard]; }
-  [[nodiscard]] int num_shards() const { return static_cast<int>(sims_.size()); }
-  [[nodiscard]] const ShardedScenarioConfig& config() const { return config_; }
-  [[nodiscard]] transport::HostStack& stack(int host_id) { return *stacks_[host_id]; }
-  /// The shard-local Hermes instance (null unless scheme is Hermes).
-  [[nodiscard]] lb::HermesLb* hermes(int shard) { return hermes_[shard]; }
-
-  /// Schedule flows; each is owned by (scheduled on, completed in) the
-  /// shard of its source host.
-  void add_flows(const std::vector<transport::FlowSpec>& flows);
-  std::uint64_t add_flow(std::int32_t src, std::int32_t dst, std::uint64_t size,
-                         sim::SimTime start);
-
-  /// Run to completion (all flows done) or max_sim_time; returns the
-  /// merged FCT collector with records in ascending flow-id order.
-  stats::FctCollector run();
-
-  /// Executor facts from the last run().
-  [[nodiscard]] const sim::ShardedExecutor::Stats& executor_stats() const { return exec_stats_; }
-  [[nodiscard]] unsigned threads_used() const { return threads_used_; }
-  /// Events processed across every shard.
-  [[nodiscard]] std::uint64_t events_processed() const;
-
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Per-shard recorder (null when obs is off).
-  [[nodiscard]] obs::FlightRecorder* recorder(int shard) {
-    return recorders_.empty() ? nullptr : recorders_[shard].get();
-  }
-  /// Dump all shards' rings as one merged schema-v2 trace (sorted by
-  /// (time, shard), shared string table). False when obs is off.
-  [[nodiscard]] bool dump_trace(const std::string& path) const;
-
- private:
-  struct ShardState {
-    std::size_t pending = 0;
-    stats::FctCollector collector;
-    std::unordered_map<std::uint64_t, transport::FlowSpec> live;
-    std::uint64_t timeouts = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_retransmitted = 0;
-    std::uint64_t reroutes = 0;
-    std::uint64_t flows_completed = 0;
-    std::uint64_t flows_unfinished = 0;
-  };
-
-  void build_balancers();
-  void wire_observability();
-  void absorb(int shard, const transport::FlowRecord& r);
-  [[nodiscard]] int fault_owner_shard(const faults::FaultEvent& e) const;
-  [[nodiscard]] std::vector<std::uint64_t> sorted_active_ids(int shard) const;
-
-  ShardedScenarioConfig config_;
-  // HERMES_SHARD_OWNED one Simulator per shard; index only by shard id
-  std::vector<std::unique_ptr<sim::Simulator>> sims_;
-  std::unique_ptr<net::FatTree> fabric_;
-  // HERMES_SHARD_OWNED one balancer per shard
-  std::vector<std::unique_ptr<lb::LoadBalancer>> lbs_;   ///< one per shard
-  // HERMES_SHARD_OWNED shard-local Hermes instances (owned by lbs_)
-  std::vector<lb::HermesLb*> hermes_;
-  std::vector<std::unique_ptr<transport::HostStack>> stacks_;  ///< per host
-  // HERMES_SHARD_OWNED per-shard fault scheduler, may be null
-  std::vector<std::unique_ptr<faults::FaultScheduler>> fault_scheds_;
-  obs::StringTable trace_names_;  ///< shared by every shard recorder
-  // HERMES_SHARD_OWNED per-shard flight recorder
-  std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
-  obs::MetricsRegistry metrics_;
-
-  // HERMES_SHARD_OWNED per-shard mutable run state; a wrong index here is
-  // a cross-shard data race under the parallel executor
-  std::vector<ShardState> shard_states_;
-  sim::ShardedExecutor::Stats exec_stats_;
-  unsigned threads_used_ = 0;
-  std::uint64_t next_flow_id_ = 1'000'000;
+  [[nodiscard]] net::FatTree& fabric() { return *fat_tree_; }
 };
 
 }  // namespace hermes::harness

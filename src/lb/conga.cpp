@@ -10,7 +10,7 @@ CongaLb::CongaLb(sim::Simulator& simulator, net::Topology& topo, CongaConfig con
     : simulator_{simulator},
       topo_{topo},
       config_{config},
-      rng_{simulator.rng_stream(0xC09624)},
+      rng_{simulator.rng_seed(0xC09624)},
       num_leaves_{topo.config().num_leaves} {
   to_leaf_.resize(static_cast<std::size_t>(num_leaves_) * num_leaves_);
   from_leaf_.resize(static_cast<std::size_t>(num_leaves_) * num_leaves_);

@@ -8,7 +8,7 @@
 
 #include "hermes/lb/load_balancer.hpp"
 #include "hermes/net/fabric.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::lb {
@@ -33,7 +33,7 @@ class CloveLb final : public LoadBalancer {
       : simulator_{simulator},
         topo_{topo},
         config_{config},
-        rng_{simulator.rng_stream(0xC10FE)} {
+        rng_{simulator.rng_seed(0xC10FE)} {
     // Keyed by (src host, dst leaf): bounded by hosts x leaves, typically
     // a few thousand entries — reserve once, never rehash on the hot path.
     state_.reserve(static_cast<std::size_t>(topo.num_hosts()) *
@@ -111,7 +111,7 @@ class CloveLb final : public LoadBalancer {
   sim::Simulator& simulator_;
   net::Fabric& topo_;
   CloveConfig config_;
-  sim::Rng rng_;
+  engine::Rng rng_;
   std::unordered_map<std::uint64_t, State> state_;
 };
 

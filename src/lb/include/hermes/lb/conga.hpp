@@ -7,7 +7,7 @@
 
 #include "hermes/lb/load_balancer.hpp"
 #include "hermes/net/topology.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::lb {
@@ -70,7 +70,7 @@ class CongaLb final : public LoadBalancer {
   sim::Simulator& simulator_;
   net::Topology& topo_;
   CongaConfig config_;
-  sim::Rng rng_;
+  engine::Rng rng_;
   int num_leaves_;
   std::vector<PairTable> to_leaf_;
   std::vector<PairTable> from_leaf_;

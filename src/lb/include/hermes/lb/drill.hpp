@@ -7,7 +7,7 @@
 
 #include "hermes/lb/load_balancer.hpp"
 #include "hermes/net/topology.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::lb {
@@ -28,7 +28,7 @@ class DrillLb final : public LoadBalancer {
   DrillLb(sim::Simulator& simulator, net::Topology& topo, DrillConfig config = {})
       : topo_{topo},
         config_{config},
-        rng_{simulator.rng_stream(0xD811)},
+        rng_{simulator.rng_seed(0xD811)},
         best_(static_cast<std::size_t>(topo.config().num_leaves) * topo.config().num_leaves, 0) {}
 
   int select_path(FlowCtx& flow, const net::Packet&) override {
@@ -62,7 +62,7 @@ class DrillLb final : public LoadBalancer {
 
   net::Topology& topo_;
   DrillConfig config_;
-  sim::Rng rng_;
+  engine::Rng rng_;
   std::vector<std::size_t> best_;
 };
 

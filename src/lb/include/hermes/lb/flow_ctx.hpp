@@ -2,7 +2,8 @@
 
 #include <cstdint>
 
-#include "hermes/net/dre.hpp"
+#include "hermes/engine/rate.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::lb {
@@ -35,19 +36,12 @@ struct FlowCtx {
   sim::SimTime last_reroute{};
   bool has_rerouted = false;
 
-  net::Dre rate_dre{sim::usec(100), 0.2};  ///< flow sending rate r_f
+  engine::Dre rate_dre{engine::usec(100), 0.2};  ///< flow sending rate r_f
 
   [[nodiscard]] bool intra_rack() const { return src_leaf == dst_leaf; }
-  [[nodiscard]] double rate_bps(sim::SimTime now) const { return rate_dre.rate_bps(now); }
+  [[nodiscard]] double rate_bps(sim::SimTime now) const { return rate_dre.rate_bps(now.ns()); }
 };
 
-/// 64-bit mix used wherever a stable hash of an id is needed (ECMP,
-/// blackhole predicates, seed derivation).
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+using engine::mix64;
 
 }  // namespace hermes::lb

@@ -4,7 +4,7 @@
 
 #include "hermes/lb/load_balancer.hpp"
 #include "hermes/net/fabric.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::lb {
@@ -24,7 +24,7 @@ class LetFlowLb final : public LoadBalancer {
       : simulator_{simulator},
         topo_{topo},
         config_{config},
-        rng_{simulator.rng_stream(0x1E7F10F)} {}
+        rng_{simulator.rng_seed(0x1E7F10F)} {}
 
   int select_path(FlowCtx& flow, const net::Packet&) override {
     if (flow.intra_rack()) return -1;
@@ -44,7 +44,7 @@ class LetFlowLb final : public LoadBalancer {
   sim::Simulator& simulator_;
   net::Fabric& topo_;
   LetFlowConfig config_;
-  sim::Rng rng_;
+  engine::Rng rng_;
 };
 
 }  // namespace hermes::lb

@@ -86,8 +86,6 @@ class FatTree final : public Fabric {
   [[nodiscard]] int shard_of_host(int host_id) const { return shard_of_leaf(leaf_of(host_id)); }
   [[nodiscard]] int shard_of_core(int core) const { return core % num_shards(); }
   [[nodiscard]] std::vector<int> leaves_of_shard(int shard) const;
-  [[nodiscard]] sim::Simulator& shard_sim(int shard) { return *sims_[shard]; }
-  [[nodiscard]] PacketArena& shard_arena(int shard) { return *arenas_[shard]; }
   /// The conservative lookahead: minimum simulated time any packet needs
   /// to cross a shard boundary (= link_delay; agg->core is one hop).
   [[nodiscard]] sim::SimTime lookahead() const { return config_.link_delay; }

@@ -5,19 +5,35 @@
 #include <string>
 #include <utility>
 
+#include "hermes/engine/rate.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/net/buffer_pool.hpp"
 #include "hermes/net/device.hpp"
-#include "hermes/net/dre.hpp"
 #include "hermes/net/packet.hpp"
 #include "hermes/net/packet_arena.hpp"
 #include "hermes/net/packet_ring.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/records.hpp"
 #include "hermes/sim/inline_function.hpp"
-#include "hermes/sim/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::net {
+
+/// Utilization in [0, ~1+] of a link of `link_bps` whose traffic `dre`
+/// measures.
+[[nodiscard]] inline double dre_utilization(const engine::Dre& dre, double link_bps,
+                                            sim::SimTime now) {
+  return link_bps > 0 ? dre.rate_bps(now.ns()) / link_bps : 0.0;
+}
+
+/// CONGA's 3-bit quantized congestion metric of that link.
+[[nodiscard]] inline std::uint8_t dre_quantized(const engine::Dre& dre, double link_bps,
+                                                sim::SimTime now) {
+  double u = dre_utilization(dre, link_bps, now);
+  if (u < 0) u = 0;
+  if (u > 1) u = 1;
+  return static_cast<std::uint8_t>(u * 7.0 + 0.5);
+}
 
 /// ECN marking disciplines.
 enum class EcnMode : std::uint8_t {
@@ -94,10 +110,7 @@ class Port {
 
   /// CONGA congestion metric of this link, quantized to 3 bits.
   [[nodiscard]] std::uint8_t conga_metric() const {
-    return dre_.quantized(config_.rate_bps, simulator_.now());
-  }
-  [[nodiscard]] double utilization() const {
-    return dre_.utilization(config_.rate_bps, simulator_.now());
+    return dre_quantized(dre_, config_.rate_bps, simulator_.now());
   }
 
   /// Serialization delay of `bytes` on this link.
@@ -187,9 +200,9 @@ class Port {
   std::uint32_t tx_cache_bytes_[2] = {0, 0};
   sim::SimTime tx_cache_time_[2] = {};
 
-  Dre dre_;
+  engine::Dre dre_;
   PortStats stats_;
-  sim::Rng red_rng_;
+  engine::Rng red_rng_;
   BufferPool* pool_ = nullptr;
   obs::FlightRecorder* rec_ = nullptr;  ///< null when observability is off
   std::uint32_t name_id_ = 0;           ///< interned name, valid while rec_ set

@@ -10,7 +10,7 @@
 #include "hermes/net/device.hpp"
 #include "hermes/net/packet.hpp"
 #include "hermes/net/port.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::net {
@@ -99,7 +99,7 @@ class Switch : public Device {
   std::vector<std::unique_ptr<Port>> ports_;
   SwitchFailureConfig failure_;
   bool failure_active_ = false;
-  sim::Rng drop_rng_;
+  engine::Rng drop_rng_;
   std::uint64_t blackhole_drops_ = 0;
   std::uint64_t blackhole_drop_bytes_ = 0;
   std::uint64_t random_drops_ = 0;

@@ -17,7 +17,7 @@ Port::Port(sim::Simulator& simulator, PacketArena& arena, std::string name, Port
       config_{config},
       peer_{peer},
       peer_in_port_{peer_in_port},
-      red_rng_{simulator.rng_stream(0x2ED0 ^ std::hash<std::string>{}(name_))} {}
+      red_rng_{simulator.rng_seed(0x2ED0 ^ std::hash<std::string>{}(name_))} {}
 
 bool Port::should_mark() {
   if (backlog_bytes_ < config_.ecn_threshold_bytes) return false;
@@ -119,7 +119,7 @@ void Port::try_transmit() {
   q.pop();
   backlog_bytes_ -= bytes;
   if (pool_) pool_->release(bytes);
-  dre_.add(bytes, simulator_.now());
+  dre_.add(bytes, simulator_.now().ns());
   ++stats_.tx_packets;
   stats_.tx_bytes += bytes;
   if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kTransmit, arena_[h]);

@@ -13,7 +13,7 @@ Switch::Switch(sim::Simulator& simulator, PacketArena& arena, int id, std::strin
       arena_{arena},
       id_{id},
       name_{std::move(name)},
-      drop_rng_{simulator.rng_stream(0x5117C4 + static_cast<std::uint64_t>(id))} {}
+      drop_rng_{simulator.rng_seed(0x5117C4 + static_cast<std::uint64_t>(id))} {}
 
 void Switch::use_shared_buffer(std::uint64_t total_bytes, double alpha) {
   pool_ = std::make_unique<DynamicThresholdPool>(total_bytes, alpha);

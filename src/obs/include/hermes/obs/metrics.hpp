@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace hermes::obs {
 
@@ -31,6 +32,10 @@ class Histogram {
   [[nodiscard]] std::uint64_t min() const { return count_ ? min_ : 0; }
   [[nodiscard]] std::uint64_t max() const { return max_; }
   [[nodiscard]] std::uint64_t bucket_count(int i) const { return counts_[i]; }
+
+  /// Fold `other`'s samples into this histogram, as if each had been
+  /// observed here.
+  void merge(const Histogram& other);
 
   /// Index of the highest non-empty bucket, or -1 when empty.
   [[nodiscard]] int highest_bucket() const;
@@ -80,6 +85,13 @@ class MetricsRegistry {
   /// Find-or-create a histogram. The reference is stable for the
   /// registry's lifetime (std::map node stability).
   Histogram& histogram(std::string_view name);
+
+  /// Expose every metric of `parts` under its own name, summed across the
+  /// parts (per-shard registries of one run; they must outlive this one).
+  /// Counters and gauges become pull readers over the parts' readers;
+  /// histograms, being push, are merged as they stand now — call again to
+  /// refresh them.
+  void sum_of(const std::vector<MetricsRegistry>& parts);
 
   [[nodiscard]] std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();

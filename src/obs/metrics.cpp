@@ -1,5 +1,6 @@
 #include "hermes/obs/metrics.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstddef>
@@ -9,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace hermes::obs {
 
@@ -17,6 +19,15 @@ int Histogram::highest_bucket() const {
     if (counts_[i] != 0) return i;
   }
   return -1;
+}
+
+void Histogram::merge(const Histogram& other) {
+  if (other.count_ == 0) return;
+  for (int i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
 std::uint64_t Histogram::bucket_upper(int i) {
@@ -30,6 +41,35 @@ void MetricsRegistry::counter_fn(std::string_view name, CounterFn fn) {
 
 void MetricsRegistry::gauge_fn(std::string_view name, GaugeFn fn) {
   gauges_.insert_or_assign(std::string(name), std::move(fn));
+}
+
+void MetricsRegistry::sum_of(const std::vector<MetricsRegistry>& parts) {
+  for (const MetricsRegistry& part : parts) {
+    for (const auto& entry : part.counters_) {
+      counter_fn(entry.first, [all = &parts, name = entry.first] {
+        std::uint64_t total = 0;
+        for (const MetricsRegistry& p : *all) {
+          const auto it = p.counters_.find(name);
+          if (it != p.counters_.end()) total += it->second();
+        }
+        return total;
+      });
+    }
+    for (const auto& entry : part.gauges_) {
+      gauge_fn(entry.first, [all = &parts, name = entry.first] {
+        double total = 0;
+        for (const MetricsRegistry& p : *all) {
+          const auto it = p.gauges_.find(name);
+          if (it != p.gauges_.end()) total += it->second();
+        }
+        return total;
+      });
+    }
+    for (const auto& entry : part.histograms_) histograms_[entry.first] = Histogram{};
+  }
+  for (const MetricsRegistry& part : parts) {
+    for (const auto& [name, h] : part.histograms_) histograms_[name].merge(h);
+  }
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {

@@ -1,25 +1,15 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "hermes/sim/event_queue.hpp"
+#include "hermes/sim/thread_pool.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::sim {
-
-/// Thread-count policy shared by shard-level (ShardedExecutor) and
-/// sweep-level (harness::ParallelRunner) parallelism so the two layers
-/// compose predictably: `requested` if positive, else the HERMES_THREADS
-/// environment variable if set to a positive integer, else
-/// std::thread::hardware_concurrency() (at least 1). HERMES_THREADS=0,
-/// empty, or non-numeric all mean "unset" and take the hardware fallback.
-[[nodiscard]] unsigned resolve_threads(unsigned requested = 0);
 
 /// Conservative parallel discrete-event executor over fixed shards.
 ///
@@ -42,10 +32,9 @@ namespace hermes::sim {
 /// thread count. HERMES_THREADS=1 and =N produce byte-identical
 /// simulations (pinned by the sharded golden-hash test).
 ///
-/// Threading: a persistent worker pool (created once, condvar-paced
-/// barrier generations) claims shards from an atomic-free round-robin
-/// cursor under the round mutex; with `threads <= 1` rounds run inline
-/// on the caller's thread through the exact same code path.
+/// Threading: each round is one ThreadPool job with one index per shard;
+/// the pool's workers persist across rounds. With `threads <= 1` rounds
+/// run inline on the caller's thread through the same claim loop.
 class ShardedExecutor {
  public:
   struct Stats {
@@ -59,9 +48,6 @@ class ShardedExecutor {
   /// is additionally capped at the shard count. `lookahead` must be
   /// positive when more than one shard exists.
   ShardedExecutor(std::vector<EventQueue*> shards, SimTime lookahead, unsigned threads = 0);
-  ~ShardedExecutor();
-  ShardedExecutor(const ShardedExecutor&) = delete;
-  ShardedExecutor& operator=(const ShardedExecutor&) = delete;
 
   /// Run barrier rounds until every shard's next event is at or beyond
   /// `t_end`, or `barrier` returns false. `barrier` runs single-threaded
@@ -70,34 +56,14 @@ class ShardedExecutor {
   /// termination (e.g. "all flows complete").
   void run_until(SimTime t_end, const std::function<bool()>& barrier);
 
-  [[nodiscard]] unsigned threads() const { return threads_; }
-  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
-  [[nodiscard]] SimTime lookahead() const { return lookahead_; }
+  [[nodiscard]] unsigned threads() const { return pool_.threads(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  void worker_loop();
-  void run_round(SimTime h);
-
   std::vector<EventQueue*> shards_;
   SimTime lookahead_;
-  unsigned threads_;
   Stats stats_;
-
-  // Round coordination (idle-cold: touched once per barrier round, never
-  // per event). Workers wait for a new generation, claim shard indices
-  // from next_shard_, and report completion; the coordinating thread
-  // waits until all workers finished the round.
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::vector<std::thread> pool_;
-  std::uint64_t generation_ = 0;
-  SimTime horizon_{};
-  std::size_t next_shard_ = 0;
-  std::size_t workers_done_ = 0;
-  std::exception_ptr round_error_;
-  bool shutdown_ = false;
+  ThreadPool pool_;
 };
 
 }  // namespace hermes::sim

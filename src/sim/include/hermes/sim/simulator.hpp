@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <random>
 
 #include "hermes/sim/event_queue.hpp"
-#include "hermes/sim/rng.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::sim {
@@ -13,7 +13,7 @@ namespace hermes::sim {
 /// independent deterministic streams.
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1) : master_{seed} {}
+  explicit Simulator(std::uint64_t seed = 1) : salt_{std::mt19937_64{seed}()} {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -37,18 +37,21 @@ class Simulator {
   void run_until(SimTime t) { queue_.run_until(t); }
   void stop() { queue_.stop(); }
 
-  /// Independent deterministic random stream for a named component.
-  [[nodiscard]] Rng rng_stream(std::uint64_t salt) { return master_.fork(salt); }
-  /// The seed rng_stream(salt) constructs its stream from — hand this to
-  /// sim-independent components (hermes::engine::Rng) so their draws match
-  /// a fork of the same salt bit for bit.
+  /// Seed of the independent deterministic random stream of a named
+  /// component: `engine::Rng{sim.rng_seed(salt)}`. Fixed for a given
+  /// (scenario seed, salt), and equal to what `engine::Rng{seed}.fork(salt)`
+  /// seeds its child with.
   [[nodiscard]] std::uint64_t rng_seed(std::uint64_t salt) const {
-    return master_.fork_seed(salt);
+    std::uint64_t x = salt_ ^ (salt * 0x9E3779B97F4A7C15ULL);
+    x += 0x9E3779B97F4A7C15ULL;  // splitmix64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
   }
 
  private:
   EventQueue queue_;
-  Rng master_;
+  std::uint64_t salt_;  ///< first draw of the seed's generator
 };
 
 }  // namespace hermes::sim

@@ -1,8 +1,8 @@
 #include "hermes/sim/sharded_executor.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -10,82 +10,22 @@
 
 namespace hermes::sim {
 
-unsigned resolve_threads(unsigned requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("HERMES_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-    // 0, negative, empty or non-numeric: treated as unset, fall through.
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+namespace {
+
+std::vector<EventQueue*> checked(std::vector<EventQueue*> shards, SimTime lookahead) {
+  if (shards.empty()) throw std::invalid_argument("ShardedExecutor needs at least one shard");
+  if (shards.size() > 1 && lookahead <= SimTime::zero())
+    throw std::invalid_argument("ShardedExecutor lookahead must be positive");
+  return shards;
 }
+
+}  // namespace
 
 ShardedExecutor::ShardedExecutor(std::vector<EventQueue*> shards, SimTime lookahead,
                                  unsigned threads)
-    : shards_{std::move(shards)}, lookahead_{lookahead} {
-  if (shards_.empty()) throw std::invalid_argument("ShardedExecutor needs at least one shard");
-  if (shards_.size() > 1 && lookahead_ <= SimTime::zero())
-    throw std::invalid_argument("ShardedExecutor lookahead must be positive");
-  threads_ = std::min<unsigned>(resolve_threads(threads),
-                                static_cast<unsigned>(shards_.size()));
-  if (threads_ > 1) {
-    pool_.reserve(threads_);
-    for (unsigned t = 0; t < threads_; ++t) pool_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ShardedExecutor::~ShardedExecutor() {
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    shutdown_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& th : pool_) th.join();
-}
-
-void ShardedExecutor::worker_loop() {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock{mu_};
-  for (;;) {
-    cv_work_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-    if (shutdown_) return;
-    seen = generation_;
-    const SimTime h = horizon_;
-    for (;;) {
-      if (next_shard_ >= shards_.size()) break;
-      EventQueue* q = shards_[next_shard_++];
-      lock.unlock();
-      try {
-        q->run_until_before(h);
-      } catch (...) {
-        lock.lock();
-        if (!round_error_) round_error_ = std::current_exception();
-        continue;
-      }
-      lock.lock();
-    }
-    if (++workers_done_ == pool_.size()) cv_done_.notify_one();
-  }
-}
-
-void ShardedExecutor::run_round(SimTime h) {
-  if (pool_.empty()) {
-    // Single-threaded: same shard visit order (0..S-1) the pool's claim
-    // cursor produces, minus the synchronization.
-    for (EventQueue* q : shards_) q->run_until_before(h);
-    return;
-  }
-  std::unique_lock<std::mutex> lock{mu_};
-  horizon_ = h;
-  next_shard_ = 0;
-  workers_done_ = 0;
-  round_error_ = nullptr;
-  ++generation_;
-  cv_work_.notify_all();
-  cv_done_.wait(lock, [&] { return workers_done_ == pool_.size(); });
-  if (round_error_) std::rethrow_exception(round_error_);
-}
+    : shards_{checked(std::move(shards), lookahead)},
+      lookahead_{lookahead},
+      pool_{std::min<unsigned>(resolve_threads(threads), static_cast<unsigned>(shards_.size()))} {}
 
 void ShardedExecutor::run_until(SimTime t_end, const std::function<bool()>& barrier) {
   for (;;) {
@@ -96,7 +36,7 @@ void ShardedExecutor::run_until(SimTime t_end, const std::function<bool()>& barr
     const SimTime h = std::min(t_min + lookahead_, t_end);
     ++stats_.rounds;
     stats_.horizon_ns_total += static_cast<std::uint64_t>((h - t_min).ns());
-    run_round(h);
+    pool_.for_each_index(shards_.size(), [&](std::size_t i) { shards_[i]->run_until_before(h); });
   }
 }
 

@@ -64,7 +64,7 @@ class UdpSource {
     ctx_.has_sent = true;
     ctx_.last_send = simulator_.now();
     ctx_.bytes_sent += payload_;
-    ctx_.rate_dre.add(p.size, simulator_.now());
+    ctx_.rate_dre.add(p.size, simulator_.now().ns());
     p.path_id = path;
     p.route = topo_.forward_route(src_, dst_, path);
     if (path >= 0) p.conga_lbtag = static_cast<std::uint8_t>(topo_.path(path).local_index);

@@ -92,7 +92,7 @@ void TcpSender::transmit_segment(std::uint64_t seq, std::uint32_t len) {
 
   ctx_.has_sent = true;
   ctx_.last_send = now;
-  ctx_.rate_dre.add(p.size, now);
+  ctx_.rate_dre.add(p.size, now.ns());
   if (seq + len > max_sent_) {
     ctx_.bytes_sent += seq + len - std::max(seq, max_sent_);
     max_sent_ = seq + len;

@@ -15,7 +15,7 @@ std::vector<transport::FlowSpec> generate_poisson_traffic(const net::Fabric& top
   if (topo.num_leaves() < 2 && cfg.inter_rack_only)
     throw std::invalid_argument("inter-rack traffic needs at least two leaves");
 
-  sim::Rng rng{cfg.seed};
+  engine::Rng rng{cfg.seed};
   const double lambda = cfg.load * topo.bisection_bps() / 8.0 / dist.mean_bytes();
   const double mean_gap_sec = 1.0 / lambda;
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "hermes/net/fabric.hpp"
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 #include "hermes/transport/flow.hpp"
 #include "hermes/workload/size_dist.hpp"
 

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "hermes/sim/rng.hpp"
+#include "hermes/engine/rng.hpp"
 
 namespace hermes::workload {
 
@@ -19,7 +19,7 @@ class SizeDist {
   SizeDist(std::string name, std::vector<Point> points);
 
   /// Draw one flow size in bytes.
-  [[nodiscard]] std::uint64_t sample(sim::Rng& rng) const;
+  [[nodiscard]] std::uint64_t sample(engine::Rng& rng) const;
   /// Analytic mean of the distribution in bytes.
   [[nodiscard]] double mean_bytes() const { return mean_; }
   /// CDF value at `bytes` (for reproducing Fig. 7).

@@ -31,7 +31,7 @@ SizeDist::SizeDist(std::string name, std::vector<Point> points)
   }
 }
 
-std::uint64_t SizeDist::sample(sim::Rng& rng) const {
+std::uint64_t SizeDist::sample(engine::Rng& rng) const {
   const double u = rng.uniform();
   auto it = std::lower_bound(points_.begin(), points_.end(), u,
                              [](const Point& p, double v) { return p.second < v; });

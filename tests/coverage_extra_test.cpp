@@ -8,11 +8,12 @@
 #include <map>
 #include <vector>
 
+#include "hermes/engine/rate.hpp"
 #include "hermes/harness/scenario.hpp"
 #include "hermes/lb/clove.hpp"
 #include "hermes/lb/conga.hpp"
 #include "hermes/lb/spray.hpp"
-#include "hermes/net/dre.hpp"
+#include "hermes/net/port.hpp"
 #include "hermes/transport/udp_source.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
@@ -240,14 +241,14 @@ class DreQuantSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DreQuantSweep, QuantizationTracksUtilization) {
   const double util = GetParam();
-  net::Dre dre{usec(50), 0.1};
+  engine::Dre dre{usec(50).ns(), 0.1};
   sim::SimTime t{};
   const auto gap = sim::SimTime::from_seconds(1500 * 8 / (util * 10e9));
   for (int i = 0; i < 6000; ++i) {
-    dre.add(1500, t);
+    dre.add(1500, t.ns());
     t += gap;
   }
-  const int q = dre.quantized(10e9, t);
+  const int q = net::dre_quantized(dre, 10e9, t);
   EXPECT_NEAR(q, util * 7, 1.01) << "util=" << util;
 }
 

@@ -4,7 +4,7 @@
 // scheduling sequence); as long as that holds, a fixed-seed scenario
 // produces byte-identical per-flow FCT output no matter how the queue
 // is implemented (binary heap, time wheel, ...) or whether sweep cells
-// run serially or on the ParallelRunner. The golden hash below was
+// run serially or on the ThreadPool. The golden hash below was
 // recorded against the original binary-heap EventQueue; the time-wheel
 // replacement must — and does — reproduce it exactly. If an intentional
 // behaviour change (transport logic, RNG consumption order, CSV format)
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "hermes/harness/parallel_runner.hpp"
+#include "hermes/sim/thread_pool.hpp"
 #include "hermes/harness/scenario.hpp"
 #include "hermes/stats/csv.hpp"
 #include "hermes/workload/flow_gen.hpp"
@@ -150,7 +150,7 @@ TEST(Determinism, ParallelSweepIsByteIdenticalToSerial) {
   std::string serial;
   for (const Cell& c : cells()) serial += run_cell_csv(c);
 
-  const harness::ParallelRunner runner{4};
+  const sim::ThreadPool runner{4};
   const auto parts = runner.map<std::string>(
       cells().size(), [](std::size_t i) { return run_cell_csv(cells()[i]); });
   std::string parallel;

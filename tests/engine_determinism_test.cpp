@@ -3,7 +3,7 @@
 // synthetic event sequence (decides, ACKs, timeouts, retransmissions,
 // probe samples — no simulator, no wall clock) must produce a
 // byte-identical decision log on every run, whether script instances
-// execute serially or on the ParallelRunner. The engine's only
+// execute serially or on the ThreadPool. The engine's only
 // nondeterminism budget is its seeded RNG stream.
 //
 // The pinned hash ties the engine's decision sequence to this exact
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "hermes/engine/engine.hpp"
-#include "hermes/harness/parallel_runner.hpp"
+#include "hermes/sim/thread_pool.hpp"
 
 namespace hermes::engine {
 namespace {
@@ -141,7 +141,7 @@ TEST(EngineDeterminism, ParallelRunnerMatchesSerialExecution) {
   serial.reserve(seeds.size());
   for (const std::uint64_t s : seeds) serial.push_back(run_script(s));
 
-  const harness::ParallelRunner runner{4};
+  const sim::ThreadPool runner{4};
   const auto parallel = runner.map<std::string>(
       seeds.size(), [&](std::size_t i) { return run_script(seeds[i]); });
 

@@ -284,7 +284,7 @@ TEST(RandomFaultGenerator, SameSeedSamePlan) {
   cfg.horizon = sim::sec(2);
   cfg.mtbf = msec(50);
   auto gen = [&](std::uint64_t seed) {
-    return RandomFaultGenerator{topo, cfg, sim::Rng{seed}}.generate().sorted();
+    return RandomFaultGenerator{topo, cfg, engine::Rng{seed}}.generate().sorted();
   };
   const auto a = gen(7);
   const auto b = gen(7);
@@ -306,7 +306,7 @@ TEST(RandomFaultGenerator, EveryOnsetHasRecovery) {
   RandomFaultConfig cfg;
   cfg.horizon = sim::sec(2);
   cfg.mtbf = msec(40);
-  const auto plan = RandomFaultGenerator{small_topo(), cfg, sim::Rng{3}}.generate();
+  const auto plan = RandomFaultGenerator{small_topo(), cfg, engine::Rng{3}}.generate();
   EXPECT_FALSE(plan.empty());
   std::map<FaultAction, int> count;
   for (const auto& e : plan.events()) ++count[e.action];
@@ -327,7 +327,7 @@ TEST(RandomFaultGenerator, GeneratedPlanRunsCleanly) {
   harness::ScenarioConfig cfg;
   cfg.topo = small_topo();
   cfg.scheme = harness::Scheme::kHermes;
-  cfg.fault_plan = RandomFaultGenerator{cfg.topo, fcfg, sim::Rng{cfg.seed}}.generate();
+  cfg.fault_plan = RandomFaultGenerator{cfg.topo, fcfg, engine::Rng{cfg.seed}}.generate();
   cfg.check_invariants = true;
   cfg.max_sim_time = sim::sec(5);
   harness::Scenario s{cfg};

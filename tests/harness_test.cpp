@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
+#include <string>
 
 #include "hermes/harness/experiment.hpp"
 #include "hermes/harness/scenario.hpp"
@@ -99,8 +100,12 @@ TEST(Scenario, MaxSimTimeCapsRun) {
   cfg.max_sim_time = msec(1);
   Scenario s{cfg};
   s.add_flow(0, 2, 100'000'000, usec(0));  // cannot finish in 1ms
+  s.add_flow(1, 3, 1'000, msec(5));         // never starts before the cap
   auto fct = s.run();
-  EXPECT_EQ(fct.unfinished_flows(), 1u);
+  EXPECT_EQ(fct.total_flows(), 2u);
+  EXPECT_EQ(fct.unfinished_flows(), 2u);
+  EXPECT_NE(s.metrics().snapshot_text().find("transport.flows_unfinished 2\n"),
+            std::string::npos);
   EXPECT_LE(s.simulator().now(), msec(1) + usec(1));
 }
 

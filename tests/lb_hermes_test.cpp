@@ -145,7 +145,7 @@ TEST_F(HermesLbTest, HighRateGateBlocksFastFlows) {
   f.has_sent = true;
   f.bytes_sent = cfg.sent_threshold_bytes + 1;
   // Drive r_f above R = 30% of 10G.
-  for (int i = 0; i < 2000; ++i) f.rate_dre.add(1500, simulator.now());
+  for (int i = 0; i < 2000; ++i) f.rate_dre.add(1500, simulator.now().ns());
   EXPECT_GT(f.rate_bps(simulator.now()), cfg.rate_threshold_frac * 10e9);
   EXPECT_EQ(h.select_path(f, data_packet()), paths[0].id);
 }

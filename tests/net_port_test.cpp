@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "hermes/net/dre.hpp"
+#include "hermes/engine/rate.hpp"
 #include "hermes/net/port.hpp"
 #include "hermes/sim/simulator.hpp"
 
@@ -174,43 +174,43 @@ TEST_F(PortTest, TxTimeMatchesRate) {
 }
 
 TEST(DreTest, RateTracksSteadyInput) {
-  Dre dre{usec(50), 0.1};
+  engine::Dre dre{usec(50).ns(), 0.1};
   sim::SimTime t{};
   // 1500B every 1.2us == 10Gbps.
   for (int i = 0; i < 2000; ++i) {
-    dre.add(1500, t);
+    dre.add(1500, t.ns());
     t += sim::nsec(1200);
   }
-  EXPECT_NEAR(dre.rate_bps(t), 10e9, 1.5e9);
+  EXPECT_NEAR(dre.rate_bps(t.ns()), 10e9, 1.5e9);
 }
 
 TEST(DreTest, DecaysToZeroWhenIdle) {
-  Dre dre{usec(50), 0.1};
-  dre.add(150'000, sim::SimTime::zero());
-  EXPECT_GT(dre.rate_bps(usec(1)), 0.0);
-  EXPECT_LT(dre.rate_bps(msec(50)), 1e3);
+  engine::Dre dre{usec(50).ns(), 0.1};
+  dre.add(150'000, 0);
+  EXPECT_GT(dre.rate_bps(usec(1).ns()), 0.0);
+  EXPECT_LT(dre.rate_bps(msec(50).ns()), 1e3);
 }
 
 TEST(DreTest, QuantizedSaturatesAtSeven) {
-  Dre dre{usec(50), 0.1};
+  engine::Dre dre{usec(50).ns(), 0.1};
   sim::SimTime t{};
   for (int i = 0; i < 5000; ++i) {
-    dre.add(1500, t);
+    dre.add(1500, t.ns());
     t += sim::nsec(1200);
   }
-  EXPECT_EQ(dre.quantized(10e9, t), 7);  // fully utilized
-  EXPECT_EQ(dre.quantized(1e12, t), 0);  // negligible on a huge link
+  EXPECT_EQ(dre_quantized(dre, 10e9, t), 7);  // fully utilized
+  EXPECT_EQ(dre_quantized(dre, 1e12, t), 0);  // negligible on a huge link
 }
 
 TEST(DreTest, UtilizationProportionalToRate) {
-  Dre slow{usec(50), 0.1}, fast{usec(50), 0.1};
+  engine::Dre slow{usec(50).ns(), 0.1}, fast{usec(50).ns(), 0.1};
   sim::SimTime t{};
   for (int i = 0; i < 4000; ++i) {
-    fast.add(1500, t);
-    if (i % 2 == 0) slow.add(1500, t);
+    fast.add(1500, t.ns());
+    if (i % 2 == 0) slow.add(1500, t.ns());
     t += sim::nsec(1200);
   }
-  EXPECT_NEAR(slow.utilization(10e9, t) / fast.utilization(10e9, t), 0.5, 0.1);
+  EXPECT_NEAR(dre_utilization(slow, 10e9, t) / dre_utilization(fast, 10e9, t), 0.5, 0.1);
 }
 
 }  // namespace

@@ -321,6 +321,31 @@ TEST(Sharded, ShardingMetricsAreRegistered) {
   EXPECT_GT(metric_value(snap, "sharding.rounds"), 0.0);
   EXPECT_GT(metric_value(snap, "sharding.boundary_packets"), 0.0);
   EXPECT_GT(metric_value(snap, "sharding.shard0.events"), 0.0);
+
+  // Hermes: each shard's instance registers its own series; the root
+  // sums them by name.
+  harness::ShardedScenario h{base_config(harness::Scheme::kHermes, 4, 2)};
+  h.add_flows(test_traffic(h.fabric(), 20));
+  (void)h.run();
+  std::uint64_t probes = 0;
+  for (int s = 0; s < h.num_shards(); ++s) probes += h.hermes(s)->probe_stats().probes_sent;
+  const std::string hsnap = h.metrics().snapshot_text();
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(metric_value(hsnap, "lb.probes_sent"), static_cast<double>(probes));
+  EXPECT_NE(hsnap.find("lb.latch_lifetime_us "), std::string::npos) << hsnap;
+}
+
+TEST(Sharded, FlowsStartingAfterTheCapCountAsUnfinished) {
+  auto cfg = base_config(harness::Scheme::kEcmp, 4, 2);
+  cfg.max_sim_time = sim::msec(1);
+  harness::ShardedScenario s{cfg};
+  const int far = s.fabric().num_hosts() - 1;  // another pod, so another shard
+  s.add_flow(0, far, 100'000'000, sim::SimTime::zero());  // cannot finish in 1ms
+  s.add_flow(far, 0, 1'000, sim::msec(5));                // never starts before the cap
+  const auto fct = s.run();
+  EXPECT_EQ(fct.total_flows(), 2u);
+  EXPECT_EQ(fct.unfinished_flows(), 2u);
+  EXPECT_EQ(metric_value(s.metrics().snapshot_text(), "transport.flows_unfinished"), 2.0);
 }
 
 }  // namespace

@@ -6,13 +6,15 @@
 
 #include <vector>
 
+#include "hermes/engine/rng.hpp"
 #include "hermes/sim/event_queue.hpp"
-#include "hermes/sim/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::sim {
 namespace {
+
+using engine::Rng;
 
 TEST(SimTime, ConstructorsAgree) {
   EXPECT_EQ(usec(1).ns(), 1000);
@@ -204,7 +206,7 @@ TEST(Simulator, SchedulingHelpers) {
 
 TEST(Simulator, RngStreamsDeterministic) {
   Simulator a{5}, b{5};
-  Rng ra = a.rng_stream(9), rb = b.rng_stream(9);
+  Rng ra{a.rng_seed(9)}, rb{b.rng_seed(9)};
   for (int i = 0; i < 10; ++i) EXPECT_EQ(ra.next(100), rb.next(100));
 }
 

@@ -25,7 +25,7 @@ TEST(SizeDist, RejectsMalformedCdf) {
 
 TEST(SizeDist, SampleMeanMatchesAnalyticMean) {
   const auto ws = SizeDist::web_search();
-  sim::Rng rng{5};
+  engine::Rng rng{5};
   double sum = 0;
   const int n = 200'000;
   for (int i = 0; i < n; ++i) sum += static_cast<double>(ws.sample(rng));
@@ -34,7 +34,7 @@ TEST(SizeDist, SampleMeanMatchesAnalyticMean) {
 
 TEST(SizeDist, SamplesWithinSupport) {
   const auto dm = SizeDist::data_mining();
-  sim::Rng rng{5};
+  engine::Rng rng{5};
   for (int i = 0; i < 10'000; ++i) {
     const auto s = dm.sample(rng);
     EXPECT_GE(s, 1u);
@@ -44,7 +44,7 @@ TEST(SizeDist, SamplesWithinSupport) {
 
 TEST(SizeDist, SampleQuantilesMatchCdf) {
   const auto ws = SizeDist::web_search();
-  sim::Rng rng{9};
+  engine::Rng rng{9};
   int below_100k = 0;
   const int n = 100'000;
   for (int i = 0; i < n; ++i) below_100k += ws.sample(rng) < 100'000 ? 1 : 0;

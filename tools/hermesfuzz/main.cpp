@@ -25,7 +25,7 @@
 
 #include "hermes/faults/scenario_fuzzer.hpp"
 #include "hermes/harness/fuzz_runner.hpp"
-#include "hermes/harness/parallel_runner.hpp"
+#include "hermes/sim/thread_pool.hpp"
 #include "hermes/harness/scenario.hpp"
 
 namespace {
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const harness::ParallelRunner runner{static_cast<unsigned>(threads)};
+  const sim::ThreadPool runner{static_cast<unsigned>(threads)};
 
   if (sharded) {
     // Each seed already runs its scenario twice (1 and 2 executor

@@ -7,13 +7,11 @@
 
 namespace hermes::lint {
 
-/// One lint drive: discover files under root, reuse what the incremental
-/// cache proves unchanged, lex/summarize/lint the rest (fanned out over
-/// `threads`), and persist the refreshed cache.
+/// One lint drive: discover files under root, then lex, summarize and
+/// lint every one of them (fanned out over `threads`).
 struct DriveOptions {
   std::string root = ".";           ///< tree root; result paths are relative to it
   std::vector<std::string> paths;   ///< files or directories, relative to root
-  std::string cache_path;           ///< incremental cache file; empty = no cache
   int threads = 1;                  ///< worker threads for lex+lint fan-out
   std::string today;                ///< ISO date for expires() checks; empty = off
 };
@@ -24,10 +22,9 @@ struct DriveResult {
   bool io_error = false;  ///< an input file could not be read
 };
 
-/// Runs the full pipeline. Summaries are reusable per content hash;
-/// findings additionally require the whole-tree context hash and the
-/// rule-set fingerprint to match the cache — cross-file rules can change
-/// a file's findings without the file itself changing.
+/// Runs the full pipeline: per-file summaries fold into one whole-tree
+/// context, and every file is linted under it, so a cross-file fact (an
+/// unordered container declared elsewhere) reaches every file that uses it.
 DriveResult drive(const DriveOptions& options);
 
 }  // namespace hermes::lint

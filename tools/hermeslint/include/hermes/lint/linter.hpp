@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,11 +36,10 @@ struct LintResult {
   int files_scanned = 0;
 };
 
-/// Wall-time and cache accounting for one lint drive; reported in the
-/// JSON output so the warm/cold lint budgets are machine-checkable.
+/// Wall-time accounting for one lint drive; reported in the JSON output
+/// so the lint budget is machine-checkable.
 struct LintTiming {
   double wall_ms = 0.0;
-  int files_reused = 0;  ///< findings served from the incremental cache
   int files_linted = 0;  ///< files lexed and rule-passed this run
 };
 
@@ -54,14 +52,9 @@ struct RuleInfo {
 const std::vector<RuleInfo>& rule_catalogue();
 bool is_known_rule(std::string_view id);
 
-/// Fingerprint of the rule set (ids + summaries). Cached findings are
-/// only reusable while this matches the cache's recorded value.
-std::uint64_t rules_version();
-
 /// Project-specific static analysis over a set of C++ sources.
 ///
-/// v2 is two-phase so the incremental driver can cache each phase by
-/// content hash: summarize() collects a file's cross-TU facts (includes,
+/// v2 is two-phase: summarize() collects a file's cross-TU facts (includes,
 /// unordered names, shard-owned members, exported symbols) from its
 /// lexed lines; build_context() folds all summaries into the
 /// GlobalContext; lint_file() runs every rule pass for one file under
@@ -102,7 +95,7 @@ void sort_result(LintResult& result);
 /// Serialize a result as the machine-readable report (schema v2):
 /// {"tool","schema_version":2,"findings":[{file,line,rule,message,snippet}],
 ///  "suppressed":[{file,line,rule,reason,expires}],"files_scanned","clean",
-///  "timing":{wall_ms,files_reused,files_linted}} — timing only when given.
+///  "timing":{wall_ms,files_linted}} — timing only when given.
 std::string to_json(const LintResult& result, const LintTiming* timing = nullptr);
 
 }  // namespace hermes::lint

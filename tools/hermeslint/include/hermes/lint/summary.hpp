@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace hermes::lint {
@@ -19,8 +17,7 @@ struct SymbolDef {
 };
 
 /// Everything a single file contributes to cross-translation-unit
-/// analysis. Summaries are cheap, position-free, and cacheable by content
-/// hash: the whole-tree context (unordered names, shard-owned state, the
+/// analysis. Summaries are cheap and position-free: the whole-tree context (unordered names, shard-owned state, the
 /// symbol index, the include graph) is rebuilt from summaries alone.
 struct FileSummary {
   std::string path;
@@ -32,9 +29,7 @@ struct FileSummary {
   std::vector<SymbolDef> symbols;            ///< exported namespace-scope symbols
 };
 
-/// Whole-tree facts shared by every per-file rule pass. `hash()` feeds
-/// the incremental cache: per-file findings are only reusable while the
-/// global context they were computed under is unchanged.
+/// Whole-tree facts shared by every per-file rule pass.
 struct GlobalContext {
   std::vector<std::string> unordered_names;  ///< sorted, unique
   std::vector<std::string> shard_owned;      ///< sorted, unique
@@ -43,11 +38,6 @@ struct GlobalContext {
   /// ISO date (YYYY-MM-DD) used to judge suppression expiry; empty
   /// disables the expiry check.
   std::string today;
-
-  [[nodiscard]] std::uint64_t hash() const;
 };
-
-/// FNV-1a over a byte string; the cache's content hash.
-std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed = 0xcbf29ce484222325ULL);
 
 }  // namespace hermes::lint

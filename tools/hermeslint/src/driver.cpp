@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -14,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "hermes/lint/cache.hpp"
 #include "hermes/lint/summary.hpp"
 
 namespace hermes::lint {
@@ -54,17 +52,12 @@ void collect(const fs::path& root, const fs::path& arg, std::vector<fs::path>& o
   }
 }
 
-/// Per-file pipeline state. `lines` is lazily populated: a file whose
-/// summary AND findings both come from the cache is never lexed at all.
+/// Per-file pipeline state.
 struct Work {
-  std::string rel;       ///< repo-relative path (used in findings)
-  std::string content;   ///< raw bytes
-  std::uint64_t hash = 0;
-  bool summary_reused = false;
-  bool findings_reused = false;
+  std::string rel;      ///< repo-relative path (used in findings)
+  std::string content;  ///< raw bytes
   FileSummary summary;
   std::vector<Line> lines;
-  bool lexed = false;
   LintResult local;  ///< findings/suppressions for this file only
 };
 
@@ -99,13 +92,6 @@ DriveResult drive(const DriveOptions& options) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  Cache cache;
-  if (!options.cache_path.empty()) cache = load_cache(options.cache_path);
-  const std::uint64_t rules = rules_version();
-  // A rule-set change invalidates everything: summaries and findings are
-  // both products of this binary's pass logic.
-  if (cache.rules_version != rules) cache = Cache{};
-
   std::vector<Work> work(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
     Work& w = work[i];
@@ -118,20 +104,12 @@ DriveResult drive(const DriveOptions& options) {
     std::ostringstream ss;
     ss << in.rdbuf();
     w.content = std::move(ss).str();
-    w.hash = fnv1a(w.content);
-    const auto it = cache.files.find(w.rel);
-    if (it != cache.files.end() && it->second.content_hash == w.hash) {
-      w.summary = it->second.summary;
-      w.summary_reused = true;
-    }
   }
 
-  // Phase 1 (parallel): lex + summarize files the cache cannot cover.
+  // Phase 1 (parallel): lex + summarize every file.
   fan_out(work.size(), options.threads, [&](std::size_t i) {
     Work& w = work[i];
-    if (w.summary_reused) return;
     w.lines = Lexer::scan(w.content);
-    w.lexed = true;
     w.summary = Linter::summarize(w.rel, w.lines);
   });
 
@@ -140,62 +118,23 @@ DriveResult drive(const DriveOptions& options) {
   sums.reserve(work.size());
   for (const Work& w : work) sums.push_back(&w.summary);
   const GlobalContext ctx = Linter::build_context(sums, options.today);
-  const std::uint64_t global = ctx.hash();
 
-  // Findings are reusable only when the file, the whole-tree context, and
-  // the rule set all match what the cache recorded.
-  const bool context_matches = cache.global_hash == global && cache.rules_version == rules;
-  for (Work& w : work) {
-    if (!w.summary_reused || !context_matches) continue;
-    const auto it = cache.files.find(w.rel);
-    if (it == cache.files.end()) continue;
-    w.local.findings = it->second.findings;
-    w.local.suppressed = it->second.suppressions;
-    w.findings_reused = true;
-  }
-
-  // Phase 3 (parallel): lint everything not served from the cache.
+  // Phase 3 (parallel): lint every file under that context.
   fan_out(work.size(), options.threads, [&](std::size_t i) {
     Work& w = work[i];
-    if (w.findings_reused) return;
-    if (!w.lexed) {
-      w.lines = Lexer::scan(w.content);
-      w.lexed = true;
-    }
     Linter::lint_file(w.rel, w.lines, w.summary, ctx, w.local);
   });
 
   // Deterministic merge in sorted-path order, then canonical sort.
   out.result.files_scanned = static_cast<int>(work.size());
+  out.timing.files_linted = out.result.files_scanned;
   for (Work& w : work) {
     std::move(w.local.findings.begin(), w.local.findings.end(),
               std::back_inserter(out.result.findings));
     std::move(w.local.suppressed.begin(), w.local.suppressed.end(),
               std::back_inserter(out.result.suppressed));
-    out.timing.files_reused += w.findings_reused ? 1 : 0;
-    out.timing.files_linted += w.findings_reused ? 0 : 1;
   }
   sort_result(out.result);
-
-  if (!options.cache_path.empty()) {
-    Cache fresh;
-    fresh.global_hash = global;
-    fresh.rules_version = rules;
-    for (Work& w : work) {
-      fresh.files.emplace(w.rel, CachedFile{w.hash, std::move(w.summary), {}, {}});
-    }
-    // Per-file results were moved into the merged result above; route each
-    // finding back to its file's cache slot from there.
-    for (const Finding& f : out.result.findings) {
-      const auto it = fresh.files.find(f.file);
-      if (it != fresh.files.end()) it->second.findings.push_back(f);
-    }
-    for (const Suppression& s : out.result.suppressed) {
-      const auto it = fresh.files.find(s.file);
-      if (it != fresh.files.end()) it->second.suppressions.push_back(s);
-    }
-    save_cache(options.cache_path, fresh);
-  }
 
   out.timing.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();

@@ -57,7 +57,7 @@ constexpr std::string_view kMetaSuppression = "meta.suppression";
 
 const std::vector<RuleInfo> kCatalogue = {
     {kDetRand,
-     "rand()/srand()/random_device and friends banned; use hermes::sim::Rng streams"},
+     "rand()/srand()/random_device and friends banned; use hermes::engine::Rng streams"},
     {kDetClock,
      "wall clocks (system/steady/high_resolution_clock, time()) banned; use "
      "sim::Simulator::now() / SimTime"},
@@ -573,17 +573,6 @@ bool is_known_rule(std::string_view id) {
                      [&](const RuleInfo& r) { return r.id == id; });
 }
 
-std::uint64_t rules_version() {
-  std::uint64_t h = fnv1a("hermeslint-rules");
-  for (const RuleInfo& r : kCatalogue) {
-    h = fnv1a(r.id, h);
-    h = fnv1a("\x1f", h);
-    h = fnv1a(r.summary, h);
-    h = fnv1a("\x1e", h);
-  }
-  return h;
-}
-
 void Linter::add_file(std::string path, std::string source) {
   File f;
   f.path = std::move(path);
@@ -792,13 +781,13 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
         if ((q == Qualifier::kNone || q == Qualifier::kStd) && followed_by_call(code, pos + fn.size())) {
           emit(kDetRand, i,
                std::string(fn) + "() draws from global wall entropy; use a "
-               "hermes::sim::Rng stream (sim::Simulator::rng_stream)");
+               "hermes::engine::Rng stream (seeded from sim::Simulator::rng_seed)");
         }
       }
     }
     if (find_identifier(code, "random_device") != std::string_view::npos) {
       emit(kDetRand, i,
-           "std::random_device is nondeterministic; seed a hermes::sim::Rng stream instead");
+           "std::random_device is nondeterministic; seed a hermes::engine::Rng stream instead");
     }
 
     // ---- determinism.clock ----
@@ -1046,7 +1035,6 @@ std::string to_json(const LintResult& r, const LintTiming* timing) {
   s += "  \"clean\": " + std::string(r.findings.empty() ? "true" : "false") + ",\n";
   if (timing != nullptr) {
     s += "  \"timing\": {\"wall_ms\": " + std::to_string(timing->wall_ms) +
-         ", \"files_reused\": " + std::to_string(timing->files_reused) +
          ", \"files_linted\": " + std::to_string(timing->files_linted) + "},\n";
   }
   s += "  \"findings\": [";

@@ -5,8 +5,8 @@
 // freedom, header hygiene, the layering DAG, shard-race and
 // arena-lifetime dataflow. Token/AST-lite pass; no libclang.
 //
-//   hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE] [--cache=FILE]
-//              [--threads=N] [--today=YYYY-MM-DD] [--list-rules]
+//   hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE] [--threads=N]
+//              [--today=YYYY-MM-DD] [--list-rules]
 //              [--suppressions] [paths...]
 //
 // Paths default to src bench tests examples tools; directories are walked
@@ -53,8 +53,6 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--sarif=", 0) == 0) {
       want_sarif = true;
       sarif_path = a.substr(8);
-    } else if (a.rfind("--cache=", 0) == 0) {
-      opts.cache_path = a.substr(8);
     } else if (a.rfind("--threads=", 0) == 0) {
       opts.threads = std::atoi(a.c_str() + 10);
       if (opts.threads < 1) opts.threads = 1;
@@ -69,8 +67,8 @@ int main(int argc, char** argv) {
       return 0;
     } else if (a == "--help" || a == "-h") {
       std::printf(
-          "usage: hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE] [--cache=FILE]\n"
-          "                  [--threads=N] [--today=YYYY-MM-DD] [--list-rules]\n"
+          "usage: hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE] [--threads=N]\n"
+          "                  [--today=YYYY-MM-DD] [--list-rules]\n"
           "                  [--suppressions] [paths...]\n");
       return 0;
     } else if (a.rfind("--", 0) == 0) {
@@ -110,9 +108,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(report,
                "hermeslint: %zu finding(s), %zu suppression(s), %d file(s) scanned "
-               "(%d linted, %d from cache, %.1f ms)\n",
+               "(%.1f ms)\n",
                result.findings.size(), result.suppressed.size(), result.files_scanned,
-               drive.timing.files_linted, drive.timing.files_reused, drive.timing.wall_ms);
+               drive.timing.wall_ms);
 
   if (want_json) {
     const std::string json = hermes::lint::to_json(result, &drive.timing);
