@@ -1,6 +1,7 @@
 // Microbenchmarks of the simulator substrate: event-queue throughput
-// with packet-hop-sized callback captures, cancellable-timer churn, DRE
-// updates, route construction, and the end-to-end packet pipeline rate.
+// with packet-hop-sized callback captures, cancellable-timer churn, the
+// event queue's retained memory under bursty probe ticks, DRE updates,
+// route construction, and the end-to-end packet pipeline rate.
 // These bound how much simulated traffic the experiment harness can push
 // per wall-clock second.
 //
@@ -15,6 +16,7 @@
 //   --smoke: tiny iteration counts — a CI liveness check, not a
 //   measurement.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -23,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -191,6 +194,47 @@ void bench_timer_churn(int reps, int n) {
   record("timer_churn", "allocs_per_timer_steady", static_cast<double>(allocs) / events);
   std::printf("timer_churn           %10.0f timers/s  %6.1f ns/timer  %.4f allocs/timer (steady)\n",
               events / dt, dt * 1e9 / events, static_cast<double>(allocs) / events);
+}
+
+/// Retained event-queue memory under the Hermes probe-tick pattern: a
+/// tick every 500us posts four 512-event bursts a few microseconds
+/// ahead, each filling one 256ns level-0 bucket (a k=16 shard's probe
+/// tick puts up to ~500 events in one bucket). 500us is not a multiple
+/// of the 262us level-0 lap, so the bursts drift through every bucket.
+/// Reports the heap the queue still holds after the run per peak stored
+/// event: wheel storage must follow the live events, not keep each
+/// bucket's high water. Allocation accounting is deterministic, so
+/// check_bench_regress.py gates the figure tightly.
+void bench_event_queue_bursty(int ticks) {
+  struct Ticker {
+    sim::EventQueue q;
+    int ticks_left = 0;
+    std::size_t peak = 0;
+    std::uint64_t fired = 0;
+    void tick() {
+      for (int b = 1; b <= 4; ++b) {
+        for (int i = 0; i < 512; ++i) q.post_in(sim::usec(2 * b), [this] { ++fired; });
+      }
+      peak = std::max(peak, q.stored_events());
+      if (--ticks_left > 0) q.post_in(sim::usec(500), [this] { tick(); });
+    }
+  };
+  const std::size_t heap0 = heap_in_use_bytes();
+  auto t = std::make_unique<Ticker>();
+  t->ticks_left = ticks;
+  const auto t0 = Clock::now();
+  t->q.post_at(sim::SimTime::zero(), [tk = t.get()] { tk->tick(); });
+  t->q.run();
+  const double dt = seconds_since(t0);
+  const double retained = static_cast<double>(heap_in_use_bytes() - heap0);
+  const double per_peak = retained / static_cast<double>(t->peak);
+  g_sink += t->fired;
+  record("event_queue_bursty", "ns_per_event", dt * 1e9 / static_cast<double>(t->fired));
+  record("event_queue_bursty", "peak_stored_events", static_cast<double>(t->peak));
+  record("event_queue_bursty", "retained_heap_bytes_per_peak_event", per_peak);
+  std::printf("event_queue_bursty    %6.1f ns/event  peak %zu stored  %.0f retained heap "
+              "bytes/peak event\n",
+              dt * 1e9 / static_cast<double>(t->fired), t->peak, per_peak);
 }
 
 /// End-to-end packet pipeline: one 10MB Hermes flow across a 2x2 fabric,
@@ -506,6 +550,9 @@ int main(int argc, char** argv) {
   // (~10s total); --smoke only proves the paths run.
   bench_event_queue_hot(smoke ? 1 : 40, smoke ? 2000 : 100'000);
   bench_timer_churn(smoke ? 1 : 40, smoke ? 2000 : 100'000);
+  // Same size in --smoke: the retained-bytes figure is gated from the
+  // smoke JSON too, and it depends on the burst shape, not on timing.
+  bench_event_queue_bursty(2000);
   bench_packet_pipeline(smoke ? 1 : 30);
   bool ok = bench_packet_pipeline_steady(smoke ? 2 : 30);
   ok = bench_recorder_append(smoke ? 10'000 : 5'000'000) && ok;

@@ -12,6 +12,10 @@ packet pipeline regresses:
   * engine_decide.allocs_per_decision_steady must stay <= 0.01 (the
     extracted decision engine's HERMES_HOT decide() path is
     allocation-free; the binary asserts literal zero internally), and
+  * event_queue_bursty.retained_heap_bytes_per_peak_event must stay
+    <= 200 (wheel storage follows the peak number of stored events:
+    169 bytes per event at the bench's 2048-event peak, where per-bucket
+    high-water storage retained 29,129), and
   * packet_pipeline_10mb.packets_per_sec and engine_decide.decisions_per_sec
     must not drop more than 50% below the committed baseline, judged on
     the better of the raw ratio and a machine-speed-normalized ratio.
@@ -53,6 +57,7 @@ import json
 import sys
 
 ALLOC_BUDGET = 0.01
+BURSTY_BYTES_BUDGET = 200
 MAX_REGRESSION = 0.50
 MIN_SPEEDUP = 1.5
 
@@ -172,6 +177,24 @@ def main(argv):
             f"engine decide() allocates {eng_allocs:.4f} per decision "
             f"(budget {ALLOC_BUDGET}) — the HERMES_HOT allocation-free "
             "decision path regressed"
+        )
+
+    bursty = metric(current, "event_queue_bursty", "retained_heap_bytes_per_peak_event")
+    if bursty is None:
+        failures.append(
+            "current run has no event_queue_bursty.retained_heap_bytes_per_peak_event "
+            "metric — bench binary predates the pooled wheel storage?"
+        )
+    elif bursty > BURSTY_BYTES_BUDGET:
+        failures.append(
+            f"event queue retains {bursty:,.0f} heap bytes per peak stored event "
+            f"under bursty probe ticks (budget {BURSTY_BYTES_BUDGET}) — wheel "
+            "storage no longer follows the live events"
+        )
+    else:
+        print(
+            f"perf guard: event_queue_bursty retains {bursty:,.0f} heap bytes per "
+            f"peak stored event (budget {BURSTY_BYTES_BUDGET})"
         )
 
     base_dps = metric(baseline, "engine_decide", "decisions_per_sec")

@@ -17,7 +17,9 @@
 #   4. Release (-O2, NDEBUG) build + `bench_core_micro --smoke`, proving
 #      the perf-measurement path itself stays alive, followed by the
 #      perf-regression guard: steady-state allocs/packet and engine
-#      allocs/decision must stay <= 0.01, and packet_pipeline_10mb /
+#      allocs/decision must stay <= 0.01, the event queue must retain
+#      <= 200 heap bytes per peak stored event under bursty probe
+#      ticks, and packet_pipeline_10mb /
 #      engine_decide throughput within 50% of the committed
 #      BENCH_core.json baseline (full numbers live there; see
 #      EXPERIMENTS.md).

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -68,7 +69,7 @@ class SprayLb final : public LoadBalancer {
     std::uint32_t cell_fill = 0;
   };
 
-  void init_state(State& st, const std::vector<net::FabricPath>& paths, std::uint64_t flow_id) {
+  void init_state(State& st, std::span<const net::FabricPath> paths, std::uint64_t flow_id) {
     double min_cap = paths[0].capacity_bps;
     for (const auto& p : paths) min_cap = std::min(min_cap, p.capacity_bps);
     st.weights.reserve(paths.size());

@@ -214,29 +214,25 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   const std::size_t intra = static_cast<std::size_t>(pods) * half_ * (half_ - 1) * half_;
   const std::size_t inter = static_cast<std::size_t>(pods) * (pods - 1) * half_ * half_ *
                             static_cast<std::size_t>(half_) * half_;
-  all_paths_.reserve(intra + inter);
-  pair_paths_.resize(static_cast<std::size_t>(L) * L);
+  paths_.reserve(intra + inter);
   for (int src = 0; src < L; ++src) {
     for (int dst = 0; dst < L; ++dst) {
       if (src == dst) continue;
-      auto& list = pair_paths_[static_cast<std::size_t>(src) * L + dst];
       const bool same_pod = pod_of_leaf(src) == pod_of_leaf(dst);
       const int n = same_pod ? half_ : half_ * half_;
-      list.reserve(static_cast<std::size_t>(n));
       for (int i = 0; i < n; ++i) {
         FabricPath p;
-        p.id = static_cast<int>(all_paths_.size());
         p.src_leaf = src;
         p.dst_leaf = dst;
         p.spine = i;
         p.link_idx = same_pod ? kIntraPodPath : kInterPodPath;
         p.local_index = i;
         p.capacity_bps = config_.fabric_rate_bps;
-        all_paths_.push_back(p);
-        list.push_back(p);
+        paths_.push_back(p);
       }
     }
   }
+  index_paths();
 }
 
 FatTree::~FatTree() = default;
@@ -248,11 +244,6 @@ std::vector<int> FatTree::leaves_of_shard(int shard) const {
   return out;
 }
 
-const std::vector<FabricPath>& FatTree::paths_between_leaves(int src_leaf, int dst_leaf) const {
-  if (src_leaf == dst_leaf) return empty_;
-  return pair_paths_[static_cast<std::size_t>(src_leaf) * num_leaves_ + dst_leaf];
-}
-
 Route FatTree::forward_route(int src_host, int dst_host, int path_id) const {
   Route r;
   const int src_leaf = leaf_of(src_host);
@@ -261,7 +252,7 @@ Route FatTree::forward_route(int src_host, int dst_host, int path_id) const {
     r.push(static_cast<std::uint8_t>(local_index(dst_host)));
     return r;
   }
-  const FabricPath& p = all_paths_.at(static_cast<std::size_t>(path_id));
+  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
   assert(p.src_leaf == src_leaf && p.dst_leaf == dst_leaf);
   const int dst_el = dst_leaf % half_;
   if (p.link_idx == kIntraPodPath) {
@@ -290,7 +281,7 @@ Route FatTree::reverse_route(int src_host, int dst_host, int path_id) const {
     r.push(static_cast<std::uint8_t>(local_index(src_host)));
     return r;
   }
-  const FabricPath& p = all_paths_.at(static_cast<std::size_t>(path_id));
+  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
   const int src_el = src_leaf % half_;
   if (p.link_idx == kIntraPodPath) {
     r.push(static_cast<std::uint8_t>(uplink_port(p.spine)));

@@ -1,5 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hermes/net/packet.hpp"
@@ -33,11 +38,12 @@ struct FabricPath {
 /// structure. Concrete builders are the 2-tier `Topology` (leaf-spine)
 /// and the 3-tier `FatTree` (k-ary Clos, possibly sharded).
 ///
-/// Host-id geometry (leaf_of, local_index, ...) is concrete and
-/// non-virtual: every Hermes fabric numbers hosts leaf-major, and these
-/// run on per-packet paths where a vtable dispatch would be waste. The
-/// builder fills the protected dimension members before handing the
-/// fabric to any consumer.
+/// Host-id geometry (leaf_of, local_index, ...) and the path table are
+/// concrete and non-virtual: every Hermes fabric numbers hosts
+/// leaf-major and stores each path once, pair-major, and these run on
+/// per-packet paths where a vtable dispatch would be waste. The builder
+/// fills the protected dimension members and the path table before
+/// handing the fabric to any consumer.
 class Fabric {
  public:
   virtual ~Fabric() = default;
@@ -63,16 +69,24 @@ class Fabric {
   [[nodiscard]] virtual Switch& spine(int i) = 0;
 
   // --- explicit paths (the XPath substitute) ---------------------------
-  /// All usable (non-cut) paths from src_leaf to dst_leaf. Empty for
-  /// src_leaf == dst_leaf (intra-rack traffic needs no fabric choice).
-  [[nodiscard]] virtual const std::vector<FabricPath>& paths_between_leaves(
-      int src_leaf, int dst_leaf) const = 0;
-  [[nodiscard]] const std::vector<FabricPath>& paths_between_hosts(int src_host,
-                                                                   int dst_host) const {
+  /// All usable (non-cut) paths from src_leaf to dst_leaf, in local-index
+  /// order. Empty for src_leaf == dst_leaf (intra-rack traffic needs no
+  /// fabric choice). A view into the fabric's one path table.
+  [[nodiscard]] std::span<const FabricPath> paths_between_leaves(int src_leaf,
+                                                                 int dst_leaf) const {
+    const auto pair = static_cast<std::size_t>(src_leaf) * static_cast<std::size_t>(num_leaves_) +
+                      static_cast<std::size_t>(dst_leaf);
+    return std::span<const FabricPath>{paths_}.subspan(pair_begin_[pair],
+                                                       pair_begin_[pair + 1] - pair_begin_[pair]);
+  }
+  [[nodiscard]] std::span<const FabricPath> paths_between_hosts(int src_host,
+                                                                int dst_host) const {
     return paths_between_leaves(leaf_of(src_host), leaf_of(dst_host));
   }
-  [[nodiscard]] virtual const FabricPath& path(int path_id) const = 0;
-  [[nodiscard]] virtual int num_paths() const = 0;
+  [[nodiscard]] const FabricPath& path(int path_id) const {
+    return paths_[static_cast<std::size_t>(path_id)];
+  }
+  [[nodiscard]] int num_paths() const { return static_cast<int>(paths_.size()); }
 
   /// Source route for a data packet from src to dst over fabric path
   /// `path_id` (-1 for intra-rack). Entries are switch egress ports.
@@ -109,11 +123,39 @@ class Fabric {
  protected:
   Fabric() = default;
 
+  /// Builders append every path to paths_ pair-major (ascending
+  /// src_leaf * L + dst_leaf), then call this to number the paths by
+  /// position and build the per-pair offsets (num_leaves_ must be set).
+  void index_paths() {
+    assert(std::is_sorted(paths_.begin(), paths_.end(),
+                          [](const FabricPath& a, const FabricPath& b) {
+                            return a.src_leaf != b.src_leaf ? a.src_leaf < b.src_leaf
+                                                            : a.dst_leaf < b.dst_leaf;
+                          }) &&
+           "paths must be appended pair-major");
+    const auto leaves = static_cast<std::size_t>(num_leaves_);
+    pair_begin_.assign(leaves * leaves + 1, 0);
+    for (std::size_t i = 0; i < paths_.size(); ++i) {
+      FabricPath& p = paths_[i];
+      p.id = static_cast<int>(i);
+      ++pair_begin_[static_cast<std::size_t>(p.src_leaf) * leaves +
+                    static_cast<std::size_t>(p.dst_leaf) + 1];
+    }
+    for (std::size_t i = 0; i < leaves * leaves; ++i) pair_begin_[i + 1] += pair_begin_[i];
+  }
+
   int num_leaves_ = 0;
   int num_spines_ = 0;
   int hosts_per_leaf_ = 0;
   double host_rate_bps_ = 0;
   double bisection_bps_ = 0;
+  /// Every path once; a leaf pair's paths are one contiguous run.
+  std::vector<FabricPath> paths_;
+
+ private:
+  /// paths_between_leaves(a, b) is paths_[pair_begin_[p], pair_begin_[p + 1])
+  /// with p = a * L + b; L * L + 1 entries.
+  std::vector<std::uint32_t> pair_begin_;
 };
 
 }  // namespace hermes::net

@@ -108,10 +108,6 @@ class FatTree final : public Fabric {
   /// The aggregation switch at (pod, local index a).
   [[nodiscard]] Switch& agg(int pod, int a) { return *aggs_[pod * half_ + a]; }
 
-  [[nodiscard]] const std::vector<FabricPath>& paths_between_leaves(int src_leaf,
-                                                                    int dst_leaf) const override;
-  [[nodiscard]] const FabricPath& path(int path_id) const override { return all_paths_[path_id]; }
-  [[nodiscard]] int num_paths() const override { return static_cast<int>(all_paths_.size()); }
   [[nodiscard]] Route forward_route(int src_host, int dst_host, int path_id) const override;
   [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path_id) const override;
 
@@ -204,11 +200,6 @@ class FatTree final : public Fabric {
   // HERMES_SHARD_OWNED per destination shard
   std::vector<Inbox> inboxes_;
   std::uint64_t boundary_packets_ = 0;
-
-  std::vector<FabricPath> all_paths_;
-  // pair_paths_[src_leaf * L + dst_leaf] -> usable paths
-  std::vector<std::vector<FabricPath>> pair_paths_;
-  std::vector<FabricPath> empty_;
 };
 
 }  // namespace hermes::net

@@ -63,11 +63,6 @@ class Topology : public Fabric {
   [[nodiscard]] Switch& leaf(int i) override { return *leaves_[i]; }
   [[nodiscard]] Switch& spine(int i) override { return *spines_[i]; }
 
-  [[nodiscard]] const std::vector<FabricPath>& paths_between_leaves(int src_leaf,
-                                                                    int dst_leaf) const override;
-  [[nodiscard]] const FabricPath& path(int path_id) const override { return all_paths_[path_id]; }
-  [[nodiscard]] int num_paths() const override { return static_cast<int>(all_paths_.size()); }
-
   [[nodiscard]] Route forward_route(int src_host, int dst_host, int path_id) const override;
   [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path_id) const override;
 
@@ -117,10 +112,6 @@ class Topology : public Fabric {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> leaves_;
   std::vector<std::unique_ptr<Switch>> spines_;
-  std::vector<FabricPath> all_paths_;
-  // pair_paths_[src_leaf * L + dst_leaf] -> usable paths
-  std::vector<std::vector<FabricPath>> pair_paths_;
-  std::vector<FabricPath> empty_;
 };
 
 }  // namespace hermes::net

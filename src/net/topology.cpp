@@ -115,41 +115,34 @@ Topology::Topology(sim::Simulator& simulator, TopologyConfig config)
   }
 
   // Enumerate usable paths per ordered leaf pair.
-  pair_paths_.resize(static_cast<std::size_t>(L) * L);
   for (int a = 0; a < L; ++a) {
     for (int b = 0; b < L; ++b) {
       if (a == b) continue;
-      auto& list = pair_paths_[static_cast<std::size_t>(a) * L + b];
+      const std::size_t first = paths_.size();
       for (int s = 0; s < S; ++s) {
         for (int k = 0; k < M; ++k) {
           const double up_rate = link_rate(a, s, k);
           const double down_rate = link_rate(b, s, k);
           if (up_rate <= 0 || down_rate <= 0) continue;  // cut link
           FabricPath p;
-          p.id = static_cast<int>(all_paths_.size());
           p.src_leaf = a;
           p.dst_leaf = b;
           p.spine = s;
           p.link_idx = k;
-          p.local_index = static_cast<int>(list.size());
+          p.local_index = static_cast<int>(paths_.size() - first);
           p.capacity_bps = std::min(up_rate, down_rate);
-          all_paths_.push_back(p);
-          list.push_back(p);
+          paths_.push_back(p);
         }
       }
-      if (list.empty()) throw std::invalid_argument("leaf pair disconnected by overrides");
+      if (paths_.size() == first) throw std::invalid_argument("leaf pair disconnected by overrides");
     }
   }
+  index_paths();
 
   bisection_bps_ = 0;
   for (int l = 0; l < L; ++l)
     for (int s = 0; s < S; ++s)
       for (int k = 0; k < M; ++k) bisection_bps_ += std::max(0.0, link_rate(l, s, k));
-}
-
-const std::vector<FabricPath>& Topology::paths_between_leaves(int src_leaf, int dst_leaf) const {
-  if (src_leaf == dst_leaf) return empty_;
-  return pair_paths_[static_cast<std::size_t>(src_leaf) * config_.num_leaves + dst_leaf];
 }
 
 Route Topology::forward_route(int src_host, int dst_host, int path_id) const {
@@ -160,7 +153,7 @@ Route Topology::forward_route(int src_host, int dst_host, int path_id) const {
     r.push(static_cast<std::uint8_t>(local_index(dst_host)));
     return r;
   }
-  const FabricPath& p = all_paths_.at(path_id);
+  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
   assert(p.src_leaf == src_leaf && p.dst_leaf == dst_leaf);
   r.push(static_cast<std::uint8_t>(uplink_port_index(p.spine, p.link_idx)));
   r.push(static_cast<std::uint8_t>(downlink_port_index(dst_leaf, p.link_idx)));
@@ -176,7 +169,7 @@ Route Topology::reverse_route(int src_host, int dst_host, int path_id) const {
     r.push(static_cast<std::uint8_t>(local_index(src_host)));
     return r;
   }
-  const FabricPath& p = all_paths_.at(path_id);
+  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
   r.push(static_cast<std::uint8_t>(uplink_port_index(p.spine, p.link_idx)));
   r.push(static_cast<std::uint8_t>(downlink_port_index(src_leaf, p.link_idx)));
   r.push(static_cast<std::uint8_t>(local_index(src_host)));

@@ -9,51 +9,31 @@
 
 namespace hermes::sim {
 
-EventQueue::EventQueue()
-    : l0_(static_cast<std::size_t>(kNumBuckets)), l1_(static_cast<std::size_t>(kNumBuckets)) {}
-
 // HERMES_HOT: one call per scheduled event; the bucket push must stay O(1)
 // and allocation-free in steady state.
 void EventQueue::place(Event&& ev) {
-  // Record where a live timer event lands so cancel_slot can remove it.
-  // Guarded on generation: a stale record being cascaded must not clobber
-  // the location of the slot's current (re-armed) incarnation.
-  const auto note = [this](const Event& e, std::uint8_t where, std::uint32_t bucket,
-                           std::size_t pos) {
-    if (e.slot != kNoSlot && slots_[e.slot].gen == e.gen) {
-      slots_[e.slot].where = where;
-      slots_[e.slot].bucket = bucket;
-      slots_[e.slot].pos = static_cast<std::uint32_t>(pos);
-    }
-  };
   const std::int64_t i0 = ev.time.ns() >> kL0Shift;
   if (i0 <= cur_) {
     // The wheel already drained past this bucket (the event is due now or
     // nearly now): merge into the sorted due run.
     const auto it = std::upper_bound(due_.begin() + static_cast<std::ptrdiff_t>(due_head_),
                                      due_.end(), ev, Earlier{});
-    note(ev, TimerSlot::kInDue, 0, 0);
+    if (TimerSlot* ts = live_slot(ev)) ts->where = TimerSlot::kInDue;
     // hermeslint:reserve-audited(due_ keeps its high-water capacity across laps; the sorted insert shifts records but reallocates only until the run's working-set peak)
     due_.insert(it, std::move(ev));
     return;
   }
   if (i0 - cur_ <= kNumBuckets) {
-    auto& bucket = l0_[static_cast<std::size_t>(i0 & kBucketMask)];
-    if (bucket.capacity() == 0) bucket.reserve(kBucketReserve);
-    note(ev, TimerSlot::kInL0, static_cast<std::uint32_t>(i0 & kBucketMask), bucket.size());
-    // hermeslint:reserve-audited(first touch reserves kBucketReserve; beyond that buckets keep their high-water capacity lap over lap)
-    bucket.push_back(std::move(ev));
+    const auto b = static_cast<std::uint32_t>(i0 & kBucketMask);
+    push(l0_[b], TimerSlot::kInL0, b, std::move(ev));
     ++l0_count_;
     return;
   }
   const std::int64_t i1 = ev.time.ns() >> kL1Shift;
   const std::int64_t cur1 = cur_ >> kLevelBits;
   if (i1 - cur1 < kNumBuckets) {
-    auto& bucket = l1_[static_cast<std::size_t>(i1 & kBucketMask)];
-    if (bucket.capacity() == 0) bucket.reserve(kBucketReserve);
-    note(ev, TimerSlot::kInL1, static_cast<std::uint32_t>(i1 & kBucketMask), bucket.size());
-    // hermeslint:reserve-audited(same recycling argument as level 0; level-1 buckets keep their high-water capacity)
-    bucket.push_back(std::move(ev));
+    const auto b = static_cast<std::uint32_t>(i1 & kBucketMask);
+    push(l1_[b], TimerSlot::kInL1, b, std::move(ev));
     ++l1_count_;
     return;
   }
@@ -62,9 +42,84 @@ void EventQueue::place(Event&& ev) {
   // insert is an O(1) append at the back.
   const auto it = std::upper_bound(overflow_.begin() + static_cast<std::ptrdiff_t>(overflow_head_),
                                    overflow_.end(), ev, Earlier{});
-  note(ev, TimerSlot::kInOverflow, 0, 0);
+  if (TimerSlot* ts = live_slot(ev)) ts->where = TimerSlot::kInOverflow;
   // hermeslint:reserve-audited(overflow is the >268ms cold tail — flow-arrival preloading, not the per-packet path; appends are O(1) at the back)
   overflow_.insert(it, std::move(ev));
+}
+
+// HERMES_HOT: append to a bucket's tail block, opening a new block from
+// the pool when the tail is full.
+void EventQueue::push(Bucket& b, std::uint8_t where, std::uint32_t bucket_index, Event&& ev) {
+  const std::uint32_t index = b.size & kBlockMask;
+  if (index == 0) {
+    // hermeslint:reserve-audited(the block pool grows by one chunk only when its LIFO free list is empty, i.e. to the peak number of stored events; drained and emptied blocks return to the free list)
+    const ArenaHandle fresh = blocks_.alloc();
+    blocks_[fresh].prev = b.tail;
+    if (b.tail) {
+      blocks_[b.tail].next = fresh;
+    } else {
+      b.head = fresh;
+    }
+    b.tail = fresh;
+  }
+  // Record where a live timer event lands so cancel_slot can remove it.
+  // Guarded on generation: a stale record being cascaded must not clobber
+  // the location of the slot's current (re-armed) incarnation.
+  if (TimerSlot* ts = live_slot(ev)) {
+    ts->where = where;
+    ts->bucket = bucket_index;
+    ts->block = b.tail;
+    ts->index = static_cast<std::uint8_t>(index);
+  }
+  blocks_[b.tail].ev[index] = std::move(ev);
+  ++b.size;
+}
+
+// HERMES_HOT: O(1) removal for timer cancel (and purge_cancelled).
+void EventQueue::remove_at(Bucket& b, ArenaHandle block, std::uint32_t index) {
+  Block& tail = blocks_[b.tail];
+  Event& last = tail.ev[(b.size - 1) & kBlockMask];
+  Event& victim = blocks_[block].ev[index];
+  if (&victim != &last) {
+    victim = std::move(last);
+    // The swapped-in record changed position; keep its slot's hint live.
+    if (TimerSlot* ts = live_slot(victim)) {
+      ts->block = block;
+      ts->index = static_cast<std::uint8_t>(index);
+    }
+  } else {
+    victim.cb.reset();  // release the capture now, as destroying the record would
+  }
+  if ((--b.size & kBlockMask) == 0) {
+    const ArenaHandle prev = tail.prev;
+    blocks_.free(b.tail);
+    b.tail = prev;
+    if (!prev) b.head = ArenaHandle{};
+  }
+}
+
+// HERMES_HOT: bucket hand-off (drain and level-1 cascade). `f` may push
+// into other buckets; each block goes back to the pool only after its
+// records have been handed over.
+template <typename F>
+void EventQueue::take_all(Bucket& b, F&& f) {
+  ArenaHandle h = b.head;
+  for (std::uint32_t left = b.size; left > 0;) {
+    Block& blk = blocks_[h];
+    const std::uint32_t n = left < kBlockEvents ? left : kBlockEvents;
+    if (left > kBlockEvents) {
+      // A long bucket's blocks lie apart in the pool, out of the hardware
+      // prefetcher's reach: fetch the next block while this one drains.
+      const auto* ahead = reinterpret_cast<const char*>(&blocks_[blk.next]);
+      for (std::size_t off = 0; off < sizeof(Block); off += 64) __builtin_prefetch(ahead + off);
+    }
+    for (std::uint32_t i = 0; i < n; ++i) f(blk.ev[i]);
+    left -= n;
+    const ArenaHandle next = blk.next;
+    blocks_.free(h);
+    h = next;
+  }
+  b = Bucket{};
 }
 
 // HERMES_HOT: the fire-and-forget fast path (one call per packet hop).
@@ -101,19 +156,11 @@ void EventQueue::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   // lazily instead and reclaimed when the cursor reaches them.
   const TimerSlot& loc = slots_[slot];
   if (loc.where == TimerSlot::kInL0 || loc.where == TimerSlot::kInL1) {
-    auto& bucket = loc.where == TimerSlot::kInL0 ? l0_[loc.bucket] : l1_[loc.bucket];
-    assert(loc.pos < bucket.size() && bucket[loc.pos].slot == slot &&
-           bucket[loc.pos].gen == gen && "timer-slot location out of sync");
-    Event& victim = bucket[loc.pos];
-    if (&victim != &bucket.back()) {
-      victim = std::move(bucket.back());
-      // The swapped-in record changed position; keep its slot's hint live.
-      if (victim.slot != kNoSlot && slots_[victim.slot].gen == victim.gen) {
-        slots_[victim.slot].pos = loc.pos;
-      }
-    }
-    bucket.pop_back();
+    Bucket& b = loc.where == TimerSlot::kInL0 ? l0_[loc.bucket] : l1_[loc.bucket];
+    assert(blocks_[loc.block].ev[loc.index].slot == slot &&
+           blocks_[loc.block].ev[loc.index].gen == gen && "timer-slot location out of sync");
     (loc.where == TimerSlot::kInL0 ? l0_count_ : l1_count_) -= 1;
+    remove_at(b, loc.block, loc.index);
   }
   slots_[slot].where = TimerSlot::kNowhere;
   ++slots_[slot].gen;  // invalidates the stored event record and all handle copies
@@ -132,22 +179,19 @@ bool EventQueue::consume_slot(const Event& ev) {
   return true;
 }
 
-// HERMES_HOT: bucket hand-off into the due run; capacity recycles per lap.
-void EventQueue::drain_to_due(std::vector<Event>& bucket) {
-  l0_count_ -= bucket.size();
+// HERMES_HOT: bucket hand-off into the due run; its blocks return to the pool.
+void EventQueue::drain_to_due(Bucket& bucket) {
+  l0_count_ -= bucket.size;
   if (due_head_ == due_.size()) {
     due_.clear();
     due_head_ = 0;
   }
   const auto base = static_cast<std::ptrdiff_t>(due_.size());
-  for (auto& ev : bucket) {
-    if (ev.slot != kNoSlot && slots_[ev.slot].gen == ev.gen) {
-      slots_[ev.slot].where = TimerSlot::kInDue;
-    }
+  take_all(bucket, [this](Event& ev) {
+    if (TimerSlot* ts = live_slot(ev)) ts->where = TimerSlot::kInDue;
     // hermeslint:reserve-audited(due_ retains high-water capacity; the clear and head reset above reuse it without shrinking)
     due_.push_back(std::move(ev));
-  }
-  bucket.clear();  // keeps capacity: the bucket is reused next lap
+  });
   // A bucket spans 256ns of simulated time, so it can hold events at
   // different instants; restore the (time, seq) total order. When the
   // due run already had entries (same-instant inserts made during the
@@ -168,8 +212,8 @@ void EventQueue::advance() {
     const std::int64_t span_end = ((cur_ >> kLevelBits) + 1) << kLevelBits;
     if (l0_count_ > 0) {
       for (std::int64_t i = cur_ + 1; i < span_end; ++i) {
-        auto& bucket = l0_[static_cast<std::size_t>(i & kBucketMask)];
-        if (!bucket.empty()) {
+        Bucket& bucket = l0_[static_cast<std::size_t>(i & kBucketMask)];
+        if (bucket.size != 0) {
           cur_ = i;
           drain_to_due(bucket);
           return;
@@ -200,14 +244,13 @@ void EventQueue::advance() {
       overflow_.clear();
       overflow_head_ = 0;
     }
-    auto& b1 = l1_[static_cast<std::size_t>(cur1 & kBucketMask)];
-    if (!b1.empty()) {
-      l1_count_ -= b1.size();
-      for (auto& ev : b1) place(std::move(ev));  // all land in level 0 or due_
-      b1.clear();
+    Bucket& b1 = l1_[static_cast<std::size_t>(cur1 & kBucketMask)];
+    if (b1.size != 0) {
+      l1_count_ -= b1.size;
+      take_all(b1, [this](Event& ev) { place(std::move(ev)); });  // all land in level 0 or due_
     }
-    auto& b0 = l0_[static_cast<std::size_t>(cur_ & kBucketMask)];
-    if (!b0.empty()) drain_to_due(b0);
+    Bucket& b0 = l0_[static_cast<std::size_t>(cur_ & kBucketMask)];
+    if (b0.size != 0) drain_to_due(b0);
     if (due_head_ < due_.size()) return;
   }
 }
@@ -227,6 +270,10 @@ std::size_t EventQueue::stored_events() const {
   return (due_.size() - due_head_) + l0_count_ + l1_count_ + (overflow_.size() - overflow_head_);
 }
 
+std::size_t EventQueue::reserved_events() const {
+  return blocks_.capacity() * kBlockEvents + due_.capacity() + overflow_.capacity();
+}
+
 void EventQueue::purge_cancelled() {
   const auto stale = [this](const Event& ev) {
     return ev.slot != kNoSlot && slots_[ev.slot].gen != ev.gen;
@@ -234,28 +281,27 @@ void EventQueue::purge_cancelled() {
   due_.erase(std::remove_if(due_.begin() + static_cast<std::ptrdiff_t>(due_head_), due_.end(),
                             stale),
              due_.end());
-  // Compacting a bucket shifts the surviving records, so every live
-  // timer's position hint must be refreshed afterwards.
-  const auto refresh = [this](std::vector<Event>& bucket) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const Event& ev = bucket[i];
-      if (ev.slot != kNoSlot && slots_[ev.slot].gen == ev.gen) {
-        slots_[ev.slot].pos = static_cast<std::uint32_t>(i);
+  // Swap-remove keeps every live timer's position hint current, so a
+  // bucket is compacted with the same primitive cancel uses. A removal
+  // moves the last record into the hole, which is then checked again.
+  const auto purge = [&](Bucket& b, std::size_t& count) {
+    ArenaHandle h = b.head;
+    std::uint32_t i = 0;
+    for (std::uint32_t k = 0; k < b.size;) {
+      if (stale(blocks_[h].ev[i])) {
+        remove_at(b, h, i);
+        --count;
+        continue;
+      }
+      ++k;
+      if (++i == kBlockEvents) {
+        i = 0;
+        h = blocks_[h].next;
       }
     }
   };
-  for (auto& bucket : l0_) {
-    const auto n = bucket.size();
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), stale), bucket.end());
-    if (bucket.size() != n) refresh(bucket);
-    l0_count_ -= n - bucket.size();
-  }
-  for (auto& bucket : l1_) {
-    const auto n = bucket.size();
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), stale), bucket.end());
-    if (bucket.size() != n) refresh(bucket);
-    l1_count_ -= n - bucket.size();
-  }
+  for (Bucket& b : l0_) purge(b, l0_count_);
+  for (Bucket& b : l1_) purge(b, l1_count_);
   overflow_.erase(
       std::remove_if(overflow_.begin() + static_cast<std::ptrdiff_t>(overflow_head_),
                      overflow_.end(), stale),

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "hermes/sim/inline_function.hpp"
+#include "hermes/sim/slot_arena.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::sim {
@@ -22,9 +24,17 @@ namespace hermes::sim {
 /// Implementation: a two-level bucketed time wheel (calendar queue)
 /// keyed on SimTime, with a sorted overflow list for the far future.
 /// Steady state is allocation-free: callbacks live inline in the event
-/// record (InlineFunction, no heap), buckets recycle their capacity
-/// lap over lap, and cancellable-timer slots come from a pooled
-/// free-list with generation counters instead of shared_ptr state.
+/// record (InlineFunction, no heap), and cancellable-timer slots come
+/// from a pooled free-list with generation counters instead of
+/// shared_ptr state. Wheel buckets own no storage of their own: each is
+/// a chain of fixed 8-event blocks drawn from one per-queue SlotArena
+/// with a LIFO free list, and a drained bucket hands its blocks straight
+/// back. Wheel memory therefore follows the peak number of stored
+/// events, not 2048 buckets times each bucket's own high water: a
+/// periodic burst that drifts through every bucket (a Hermes probe tick
+/// puts ~500 events in one) costs one burst's worth of blocks. Blocks of
+/// 8 keep drains sequential; the chunked arena never relocates a block,
+/// so a pool that grows costs no copies.
 ///
 ///   level 0:  1024 buckets x 256ns   -> horizon ~262us
 ///   level 1:  1024 buckets x ~262us  -> horizon ~268ms
@@ -53,7 +63,7 @@ class EventQueue {
   static constexpr std::size_t kInlineCallbackBytes = 64;
   using Callback = InlineFunction<kInlineCallbackBytes>;
 
-  EventQueue() ;
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -98,6 +108,10 @@ class EventQueue {
   /// Event records physically stored (including cancelled ones awaiting
   /// lazy reclamation) — a diagnostics/test observer.
   [[nodiscard]] std::size_t stored_events() const;
+  /// Event records the queue can hold without allocating: the block
+  /// pool's capacity plus the due run's and overflow list's. A
+  /// diagnostics/test observer; it tracks the peak of stored_events().
+  [[nodiscard]] std::size_t reserved_events() const;
 
   /// Eagerly drop cancelled event records from every bucket. Never
   /// needed for correctness (cancelled records are skipped and reclaimed
@@ -132,11 +146,10 @@ class EventQueue {
   static constexpr std::int64_t kNumBuckets = std::int64_t{1} << kLevelBits;
   static constexpr std::int64_t kBucketMask = kNumBuckets - 1;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  /// First-touch bucket capacity. With cancelled timers removed eagerly,
-  /// live bucket occupancy is small; reserving on first use keeps a long
-  /// run from paying a fresh geometric-growth chain for every 262us-span
-  /// level-1 bucket its sim-time range touches.
-  static constexpr std::size_t kBucketReserve = 8;
+  /// Events per pool block. One is too few: a drain would chase a
+  /// pointer per event.
+  static constexpr std::uint32_t kBlockEvents = 8;
+  static constexpr std::uint32_t kBlockMask = kBlockEvents - 1;
 
   struct Event {
     SimTime time;
@@ -145,18 +158,36 @@ class EventQueue {
     std::uint32_t gen = 0;          ///< slot generation at scheduling time
     Callback cb;
   };
+  /// A pool block: a run of a bucket's records in push order, doubly
+  /// linked so the tail can be returned to the pool when it empties. The
+  /// links share a cache line with ev[0], the record a tail block holds
+  /// last; the tail's `next` is stale (walks stop by record count).
+  struct Block {
+    ArenaHandle next;  ///< toward the bucket's tail
+    ArenaHandle prev;  ///< toward the bucket's head
+    Event ev[kBlockEvents];
+  };
+  /// A wheel bucket: a chain of pool blocks; only the tail is partly full.
+  /// Record order within a bucket is arbitrary (cancel swap-removes) —
+  /// the bucket is (time, seq)-sorted when it drains.
+  struct Bucket {
+    ArenaHandle head;
+    ArenaHandle tail;
+    std::uint32_t size = 0;
+  };
   /// One pooled record per in-flight cancellable timer. The generation
   /// counter invalidates stale Handles and stale queue entries when the
   /// slot is recycled through the free-list. The location fields track
   /// which wheel structure currently stores the slot's live event, so
   /// cancel() can physically remove the record: per-packet RTO re-arms
   /// would otherwise pile thousands of stale 112-byte records into far
-  /// level-1 buckets, to be allocated, cascaded and sorted for nothing.
+  /// level-1 buckets, to be cascaded and sorted for nothing.
   struct TimerSlot {
     enum Where : std::uint8_t { kNowhere = 0, kInL0, kInL1, kInDue, kInOverflow };
     std::uint32_t gen = 0;
     std::uint32_t bucket = 0;  ///< bucket index when where is kInL0/kInL1
-    std::uint32_t pos = 0;     ///< element index within that bucket (O(1) cancel)
+    ArenaHandle block;         ///< pool position of the record (O(1) cancel):
+    std::uint8_t index = 0;    ///< its block and index within that block
     std::uint8_t where = kNowhere;
   };
   /// The total event order: nondecreasing time, FIFO (sequence) within a
@@ -169,9 +200,21 @@ class EventQueue {
     }
   };
 
+  /// The slot of the timer whose live record `ev` is; null for a post or
+  /// a stale record (its timer fired, was cancelled, or was re-armed).
+  [[nodiscard]] TimerSlot* live_slot(const Event& ev) {
+    return ev.slot != kNoSlot && slots_[ev.slot].gen == ev.gen ? &slots_[ev.slot] : nullptr;
+  }
   void place(Event&& ev);
+  void push(Bucket& b, std::uint8_t where, std::uint32_t bucket_index, Event&& ev);
+  /// Swap-remove the record at (block, index) with the bucket's last one,
+  /// returning the tail block to the pool when it empties.
+  void remove_at(Bucket& b, ArenaHandle block, std::uint32_t index);
+  /// Hand every record of `b` to `f` in push order, returning the blocks.
+  template <typename F>
+  void take_all(Bucket& b, F&& f);
   void advance();
-  void drain_to_due(std::vector<Event>& bucket);
+  void drain_to_due(Bucket& bucket);
   /// Ensure due_ holds the globally next events; false if storage empty.
   bool peek_due();
   [[nodiscard]] bool consume_slot(const Event& ev);
@@ -184,8 +227,9 @@ class EventQueue {
   // due_head_ indexes the next one to fire.
   std::vector<Event> due_;
   std::size_t due_head_ = 0;
-  std::vector<std::vector<Event>> l0_;
-  std::vector<std::vector<Event>> l1_;
+  SlotArena<Block> blocks_;
+  std::array<Bucket, kNumBuckets> l0_{};
+  std::array<Bucket, kNumBuckets> l1_{};
   std::size_t l0_count_ = 0;  ///< events stored across level-0 buckets
   std::size_t l1_count_ = 0;  ///< events stored across level-1 buckets
   // Far-future events, sorted ascending by (time, seq); overflow_head_

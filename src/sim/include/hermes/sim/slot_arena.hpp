@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -54,11 +56,18 @@ class ArenaHandle {
 /// holds a reference across the egress-port enqueue). Steady state is
 /// allocation-free: once the high-water mark is reached, alloc/free is a
 /// vector pop/push and a generation bump.
+///
+/// A chunk holds about 32 KB (a power-of-two slot count, at least one):
+/// 256 packets, or 32 of the event queue's 904-byte blocks. Every slot
+/// is constructed when its chunk is, so a chunk sized in slots alone
+/// would have a small run construct (and fault in) hundreds of kilobytes
+/// of blocks it never uses.
 template <typename T>
 class SlotArena {
  public:
   using Handle = ArenaHandle;
-  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkShift =
+      static_cast<std::uint32_t>(std::bit_width(std::max<std::size_t>(1, 32768 / sizeof(T)))) - 1;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSlots - 1;
 
@@ -69,10 +78,19 @@ class SlotArena {
   /// Take a slot and move `v` into it. Grows by one chunk when the
   /// free-list is empty; otherwise allocation-free.
   [[nodiscard]] Handle alloc(T&& v) {
+    const Handle h = alloc();
+    slot_ref(h.slot()) = std::move(v);
+    return h;
+  }
+
+  /// Take a slot without assigning it: it holds whatever its last user
+  /// left there (a value-initialized T on first use). For pooled storage
+  /// whose user overwrites the parts it reads, such as the event queue's
+  /// blocks, where moving a whole T in would be wasted work.
+  [[nodiscard]] Handle alloc() {
     if (free_.empty()) grow();
     const std::uint32_t slot = free_.back();
     free_.pop_back();
-    slot_ref(slot) = std::move(v);
     ++live_;
     return Handle{slot, gens_[slot]};
   }

@@ -1,8 +1,9 @@
 // Tests targeting the time-wheel internals of EventQueue through its
 // public API: equal-time FIFO across bucket boundaries, cancellation
 // surviving wheel rollover, far-future overflow handling, clock
-// semantics of run_until across empty spans, and a randomized stress
-// test against a sorted reference model.
+// semantics of run_until across empty spans, randomized stress tests
+// against sorted reference models (scheduling from outside and from
+// inside callbacks), and wheel storage that follows live events.
 //
 // Wheel geometry (see event_queue.hpp): level-0 buckets are 256ns, the
 // level-0 horizon is ~262us, the level-1 horizon is ~268ms, and
@@ -14,7 +15,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "hermes/sim/event_queue.hpp"
@@ -212,6 +216,116 @@ TEST(TimeWheel, StressMatchesReferenceModel) {
     if (!r.cancelled) expected.push_back(r.id);
   ASSERT_EQ(fired.size(), expected.size());
   EXPECT_EQ(fired, expected);
+}
+
+// Lock-step reference model for scheduling from inside callbacks:
+// `pending` holds every armed, uncancelled timer as (time, id), ids in
+// scheduling order, so its minimum is the timer the wheel must fire next.
+struct RearmModel {
+  EventQueue q;
+  std::set<std::pair<std::int64_t, int>> pending;
+  std::vector<EventQueue::Handle> handles;  // by id
+  std::vector<std::int64_t> times;          // by id
+  std::vector<int> fired;
+  std::vector<int> expected;
+  std::function<void(int)> on_fire;
+
+  int arm(std::int64_t t_ns) {
+    const int id = static_cast<int>(times.size());
+    times.push_back(t_ns);
+    pending.emplace(t_ns, id);
+    handles.push_back(q.schedule_at(nsec(t_ns), [this, id] { fire(id); }));
+    return id;
+  }
+  void cancel(int id) {
+    handles[static_cast<std::size_t>(id)].cancel();
+    pending.erase({times[static_cast<std::size_t>(id)], id});
+  }
+  void fire(int id) {
+    expected.push_back(pending.empty() ? -1 : pending.begin()->second);
+    if (!pending.empty()) pending.erase(pending.begin());
+    fired.push_back(id);
+    if (on_fire) on_fire(id);
+  }
+};
+
+// The RTO re-arm pattern: every firing arms new timers and cancels
+// others while the wheel is mid-drain, across all storage tiers. The
+// scripted part cancels a bucket's last record, a non-last record, a
+// drained record whose block the pool has since handed to another
+// bucket, and a record in that recycled block.
+TEST(TimeWheel, CallbackRearmAndCancelMatchReferenceModel) {
+  RearmModel m;
+  std::mt19937 rng{20261017};
+  // Nine timers in one 256ns level-0 bucket: two pool blocks.
+  constexpr std::int64_t kT = 100'000;
+  std::vector<int> x;
+  for (int i = 0; i < 9; ++i) x.push_back(m.arm(kT + i));
+  m.cancel(x[8]);  // the bucket's last record, alone in the tail block
+  m.cancel(x[2]);  // a non-last record: x[7] moves into its place
+  int recycled = -1;
+  int recycled_kept = -1;
+  m.on_fire = [&](int id) {
+    const std::int64_t now = m.q.now().ns();
+    if (id == x[0]) {
+      // Bucket kT has just drained into the due run and returned its
+      // block; the pool is LIFO, so the next empty bucket opened gets it.
+      recycled = m.arm(kT + 50'000);
+      recycled_kept = m.arm(kT + 50'001);
+      m.cancel(x[5]);      // drained: must not touch the block's new records
+      m.cancel(recycled);  // non-last record of the recycled block
+    }
+    if (m.times.size() >= 20'000) return;
+    // Re-arm 1-3 timers: same instant, same bucket, level 0, level 1,
+    // or overflow; then cancel one armed timer at random.
+    for (std::uint32_t n = 1 + rng() % 3; n > 0; --n) {
+      const std::int64_t spans[] = {1, 256, 262'144, 268'435'456, 1'000'000'000};
+      m.arm(now + static_cast<std::int64_t>(rng() % static_cast<std::uint32_t>(spans[rng() % 5])));
+    }
+    if (rng() % 2 == 0) m.cancel(static_cast<int>(rng() % m.times.size()));
+  };
+  m.q.run();
+  ASSERT_GE(recycled_kept, 0);
+  EXPECT_GT(m.fired.size(), 10'000u);
+  EXPECT_EQ(m.fired, m.expected);
+  EXPECT_TRUE(m.pending.empty());
+  EXPECT_TRUE(m.q.empty());
+  EXPECT_EQ(m.q.stored_events(), 0u);
+  EXPECT_NE(std::find(m.fired.begin(), m.fired.end(), recycled_kept), m.fired.end());
+  EXPECT_EQ(std::find(m.fired.begin(), m.fired.end(), recycled), m.fired.end());
+}
+
+// The probe-tick pattern: every 500us a tick drops a 512-event burst
+// into one level-0 bucket, the next bucket each tick, so over 1024 ticks
+// (~1950 laps of the 262us wheel) every bucket holds one burst. Storage
+// must follow the live events: the burst's pool blocks (rounded up to
+// whole 32-block chunks) plus the drained burst in the due run, a few
+// times the peak — not a burst's worth retained by each of 1024 buckets.
+TEST(TimeWheel, StorageBoundedByLiveEvents) {
+  constexpr int kBurst = 512;
+  constexpr int kTicks = 1024;
+  constexpr std::int64_t kLap = 1024 * 256;
+  struct Ticker {
+    EventQueue q;
+    int ticks = 0;
+    std::size_t fired = 0;
+    std::size_t peak = 0;
+    void tick() {
+      // First instant of level-0 bucket (ticks mod 1024) after now.
+      const std::int64_t now = q.now().ns();
+      std::int64_t t = now / kLap * kLap + (ticks % 1024) * 256;
+      if (t <= now) t += kLap;
+      for (int i = 0; i < kBurst; ++i) q.post_at(nsec(t), [this] { ++fired; });
+      peak = std::max(peak, q.stored_events());
+      if (++ticks < kTicks) q.post_in(usec(500), [this] { tick(); });
+    }
+  };
+  Ticker k;
+  k.q.post_at(SimTime::zero(), [&k] { k.tick(); });
+  k.q.run();
+  EXPECT_EQ(k.fired, static_cast<std::size_t>(kBurst) * kTicks);
+  EXPECT_GE(k.peak, static_cast<std::size_t>(kBurst));
+  EXPECT_LE(k.q.reserved_events(), 4 * k.peak);
 }
 
 }  // namespace

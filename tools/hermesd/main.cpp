@@ -28,7 +28,14 @@
 //   @<t_us> snapshot                    print a live metrics snapshot
 //   expect <counter> <==|>=|<=> <n>     post-run assertion (exit code)
 //   end                                 optional terminator
+//
+// Every statement is checked when the trace loads: its field count,
+// each number a decimal integer in [0, 2^31), 1 <= groups <= 1024 with
+// `groups` before any statement that names a group, every group index
+// in [0, groups), and at most 65536 paths per `paths` line. A malformed
+// trace exits 2 with a "trace line N" diagnostic before anything runs.
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +45,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <chrono>
@@ -112,6 +121,71 @@ Health parse_health(const std::string& s, int line_no) {
   die(line_no, "unknown health state '" + s + "'");
 }
 
+/// The engine holds a PathSet per ordered group pair.
+constexpr std::int64_t kMaxGroups = 1024;
+/// Engine::hole_key packs the path index into 16 bits.
+constexpr std::int64_t kMaxPaths = std::int64_t{1} << 16;
+
+/// Every numeric trace field (times, ids, counts, indices, thresholds):
+/// a decimal integer in [0, 2^31), or die().
+std::int64_t parse_uint(const std::string& s, int line_no) {
+  std::int64_t v = -1;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < 0 || v > INT32_MAX) {
+    die(line_no, "'" + s + "' is not an integer in [0, 2^31)");
+  }
+  return v;
+}
+
+/// The fields after each keyword: 'n' an integer (parse_uint), 'g' a
+/// group index, 'h' a health state, 'w' a word. Events are the
+/// '@'-timed statements.
+struct Statement {
+  std::string_view word;
+  std::string_view fields;
+  bool event;
+};
+constexpr Statement kStatements[] = {
+    {"groups", "n", false},   {"thresholds", "nnn", false}, {"paths", "ggn", false},
+    {"flow", "nnngg", false}, {"expect", "wwn", false},     {"decide", "nn", true},
+    {"ack", "nnn", true},     {"timeout", "n", true},       {"retx", "n", true},
+    {"probe", "ggnnn", true}, {"health", "ggnh", true},     {"weight", "ggnn", true},
+    {"snapshot", "", true},
+};
+
+/// Check a statement (tok[0] is its keyword) against kStatements, dying
+/// on any bad field; returns whether it names a group.
+bool check_statement(const std::vector<std::string>& tok, bool event, int num_groups,
+                     int line_no) {
+  const Statement* st = nullptr;
+  for (const Statement& s : kStatements) {
+    if (s.word == tok[0] && s.event == event) st = &s;
+  }
+  if (st == nullptr) {
+    die(line_no, (event ? "unknown event '" : "unknown statement '") + tok[0] + "'");
+  }
+  if (tok.size() - 1 != st->fields.size()) {
+    die(line_no, "'" + tok[0] + "' takes " + std::to_string(st->fields.size()) +
+                     " fields, got " + std::to_string(tok.size() - 1));
+  }
+  bool names_group = false;
+  for (std::size_t i = 0; i < st->fields.size(); ++i) {
+    const std::string& f = tok[i + 1];
+    if (st->fields[i] == 'n') {
+      parse_uint(f, line_no);
+    } else if (st->fields[i] == 'g') {
+      if (parse_uint(f, line_no) >= num_groups) {
+        die(line_no, "group " + f + " is outside [0, " + std::to_string(num_groups) + ")");
+      }
+      names_group = true;
+    } else if (st->fields[i] == 'h') {
+      parse_health(f, line_no);
+    }
+  }
+  return names_group;
+}
+
 double flow_rate_fn(const void* ctx, TimeNs now) {
   return static_cast<const Dre*>(ctx)->rate_bps(now);
 }
@@ -162,32 +236,40 @@ int main(int argc, char** argv) {
 
   std::string line;
   int line_no = 0;
+  bool group_named = false;
   while (std::getline(in, line)) {
     ++line_no;
     std::vector<std::string> tok = tokenize(line);
     if (tok.empty()) continue;
     if (tok[0] == "end") break;
-    if (tok[0] == "groups") {
-      num_groups = std::atoi(tok.at(1).c_str());
-    } else if (tok[0] == "thresholds") {
-      cfg.t_rtt_low = usec(std::atoll(tok.at(1).c_str()));
-      cfg.t_rtt_high = usec(std::atoll(tok.at(2).c_str()));
-      cfg.delta_rtt = usec(std::atoll(tok.at(3).c_str()));
-    } else if (tok[0] == "paths" || tok[0] == "flow") {
-      setup.push_back(tok);
-    } else if (tok[0] == "expect") {
-      if (tok.size() != 4) die(line_no, "expect <counter> <op> <n>");
-      expects.push_back({tok[1], tok[2],
-                         static_cast<std::uint64_t>(std::atoll(tok[3].c_str())), line_no});
-    } else if (tok[0][0] == '@') {
+    if (tok[0][0] == '@') {
       TraceEvent ev;
-      ev.t = usec(std::atoll(tok[0].c_str() + 1));
+      ev.t = usec(parse_uint(tok[0].substr(1), line_no));
       ev.line_no = line_no;
       ev.tok.assign(tok.begin() + 1, tok.end());
       if (ev.tok.empty()) die(line_no, "timestamp without an event");
+      group_named = check_statement(ev.tok, true, num_groups, line_no) || group_named;
       events.push_back(std::move(ev));
-    } else {
-      die(line_no, "unknown statement '" + tok[0] + "'");
+      continue;
+    }
+    group_named = check_statement(tok, false, num_groups, line_no) || group_named;
+    if (tok[0] == "groups") {
+      const std::int64_t n = parse_uint(tok[1], line_no);
+      if (n < 1 || n > kMaxGroups) die(line_no, "groups must be in [1, 1024]");
+      if (group_named) die(line_no, "groups must precede every statement that names a group");
+      num_groups = static_cast<int>(n);
+    } else if (tok[0] == "thresholds") {
+      cfg.t_rtt_low = usec(std::atoll(tok[1].c_str()));
+      cfg.t_rtt_high = usec(std::atoll(tok[2].c_str()));
+      cfg.delta_rtt = usec(std::atoll(tok[3].c_str()));
+    } else if (tok[0] == "paths" || tok[0] == "flow") {
+      if (tok[0] == "paths" && parse_uint(tok[3], line_no) > kMaxPaths) {
+        die(line_no, "at most 65536 paths per pair");
+      }
+      setup.push_back(tok);
+    } else {  // expect
+      expects.push_back({tok[1], tok[2],
+                         static_cast<std::uint64_t>(std::atoll(tok[3].c_str())), line_no});
     }
   }
 
