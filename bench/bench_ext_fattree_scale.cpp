@@ -41,15 +41,6 @@ using namespace hermes;
 // hermeslint:allow(determinism.clock) wall-clock throughput is the bench's product; sim results never read this clock
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct RunResult {
   double wall_s = 0;
   std::uint64_t events = 0;
@@ -96,7 +87,7 @@ RunResult run_once(const Config& c, unsigned threads) {
   r.flows = fct.total_flows();
   r.unfinished = fct.unfinished_flows();
   r.fct = fct.overall_with_unfinished();
-  r.csv_hash = fnv1a64(stats::to_csv(fct));
+  r.csv_hash = stats::fnv1a64(stats::to_csv(fct));
   return r;
 }
 

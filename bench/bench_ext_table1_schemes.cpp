@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
         harness::ScenarioConfig cfg;
         cfg.topo = topo;
         cfg.scheme = scheme;
-        auto fct = bench::run_cell(cfg, ws, load, flows, 1);
+        auto fct = harness::run_workload_experiment(cfg, ws, load, flows, 1);
         row.push_back(stats::Table::usec(fct.overall_with_unfinished().mean_us));
       }
       t.add_row(row);

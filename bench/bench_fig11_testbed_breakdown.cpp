@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
       cfg.topo = topo;
       cfg.scheme = scheme;
       cfg.clove.flowlet_timeout = sim::usec(800);
-      auto fct = bench::run_cell(cfg, ws, load_sym / 0.75, flows, 1);
+      auto fct = harness::run_workload_experiment(cfg, ws, load_sym / 0.75, flows, 1);
       const auto small = fct.small_flows();
       const auto large = fct.large_flows();
       cells.push_back({small.mean_us, small.p99_us, large.mean_us});

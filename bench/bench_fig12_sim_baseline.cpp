@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 #include "hermes/sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
@@ -66,9 +67,9 @@ int main(int argc, char** argv) {
     cfg.topo = c.setup->topo;
     cfg.scheme = c.scheme;
     cfg.max_sim_time = sim::sec(30);
-    const auto fct =
-        bench::skip_warmup(bench::run_cell(cfg, c.setup->dist, c.load, c.setup->flows, 1),
-                           static_cast<std::uint64_t>(c.setup->warmup));
+    const auto fct = bench::skip_warmup(
+        harness::run_workload_experiment(cfg, c.setup->dist, c.load, c.setup->flows, 1),
+        static_cast<std::uint64_t>(c.setup->warmup));
     return fct.overall_with_unfinished().mean_us;
   });
 

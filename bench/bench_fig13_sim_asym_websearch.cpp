@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
       harness::ScenarioConfig cfg;
       cfg.topo = topo;
       cfg.scheme = scheme;
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, ws, load, flows, 1),
+      auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, ws, load, flows, 1),
                                     static_cast<std::uint64_t>(warmup));
       Cell c{fct.overall_with_unfinished().mean_us, fct.small_flows().mean_us,
              fct.small_flows().p99_us, fct.large_flows().mean_us};

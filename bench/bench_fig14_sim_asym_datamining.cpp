@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
       cfg.topo = topo;
       cfg.scheme = scheme;
       cfg.max_sim_time = sim::sec(30);  // data-mining's giant flows need time
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, dm, load, flows, 1),
+      auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, dm, load, flows, 1),
                                     static_cast<std::uint64_t>(warmup));
       cells.emplace_back(fct.overall_with_unfinished().mean_us, fct.large_flows().mean_us);
       if (scheme == Scheme::kHermes) h_overall = cells.back().first;

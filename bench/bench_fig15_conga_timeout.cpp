@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
     cfg.conga.flowlet_timeout = sim::usec(us);
     // Mask reordering so the effect isolated is congestion mismatch.
     cfg.tcp.reorder_buffer = true;
-    auto fct = bench::skip_warmup(bench::run_cell(cfg, ws, 0.8, flows, 1),
+    auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, ws, 0.8, flows, 1),
                                   static_cast<std::uint64_t>(warmup));
     rows.push_back({us, fct.overall_with_unfinished().mean_us});
     if (us == 150) base150 = rows.back().mean;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -59,9 +60,9 @@ int main(int argc, char** argv) {
         rand_drops = s.topology().spine(failed_spine).random_drops();
         mj.add_cell(bench::short_name(scheme), load, s.metrics().snapshot_json());
       };
-      auto fct =
-          bench::skip_warmup(bench::run_cell(cfg, ws, load, flows, 1, install_failure, harvest),
-                             static_cast<std::uint64_t>(warmup));
+      auto fct = bench::skip_warmup(
+          harness::run_workload_experiment(cfg, ws, load, flows, 1, install_failure, harvest),
+          static_cast<std::uint64_t>(warmup));
       cells.push_back({fct.overall_with_unfinished().mean_us,
                        fct.summarize(stats::FctCollector::kLargeLimit, UINT64_MAX, true).mean_us,
                        rand_drops});

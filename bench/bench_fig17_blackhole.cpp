@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 #include "hermes/lb/flow_ctx.hpp"
 
 namespace {
@@ -103,8 +104,9 @@ int main(int argc, char** argv) {
           std::printf("wrote %s (load %.1f)\n", trace_path.c_str(), load);
         }
       };
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, ws, load, flows, 1, install, harvest),
-                                    static_cast<std::uint64_t>(warmup));
+      auto fct = bench::skip_warmup(
+          harness::run_workload_experiment(cfg, ws, load, flows, 1, install, harvest),
+          static_cast<std::uint64_t>(warmup));
       // Affected-pair breakdown: the collector has no src/dst, so
       // approximate the affected set by the slowest 2% of flows
       // (dominated by blackholed pairs).

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
       cfg.hermes.probing_enabled = v.probing;
       cfg.hermes.rerouting_enabled = v.rerouting;
       cfg.max_sim_time = sim::sec(30);
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, dm, load, flows, 1),
+      auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, dm, load, flows, 1),
                                     static_cast<std::uint64_t>(warmup));
       cells.push_back({fct.overall_with_unfinished().mean_us, fct.small_flows().mean_us,
                        fct.large_flows().mean_us});
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
       cfg.hermes.probing_enabled = us > 0;
       if (us > 0) cfg.hermes.probe_interval = sim::usec(us);
       cfg.max_sim_time = sim::sec(30);
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, dm, load, flows, 1),
+      auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, dm, load, flows, 1),
                                     static_cast<std::uint64_t>(warmup));
       cells.push_back({us == 0 ? "no probing" : std::to_string(us) + "us",
                        fct.overall_with_unfinished().mean_us});

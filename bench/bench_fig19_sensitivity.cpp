@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
       cfg.scheme = harness::Scheme::kHermes;
       cfg.hermes.t_rtt_high = sim::usec(us);
       cfg.max_sim_time = sim::sec(30);
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, w.dist, load, w.flows, 1),
+      auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, w.dist, load, w.flows, 1),
                                     static_cast<std::uint64_t>(w.warmup));
       t1.add_row({std::to_string(us), stats::Table::usec(fct.overall_with_unfinished().mean_us)});
     }
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
       cfg.scheme = harness::Scheme::kHermes;
       cfg.hermes.delta_rtt = sim::usec(us);
       cfg.max_sim_time = sim::sec(30);
-      auto fct = bench::skip_warmup(bench::run_cell(cfg, w.dist, load, w.flows, 1),
+      auto fct = bench::skip_warmup(harness::run_workload_experiment(cfg, w.dist, load, w.flows, 1),
                                     static_cast<std::uint64_t>(w.warmup));
       t2.add_row({std::to_string(us), stats::Table::usec(fct.overall_with_unfinished().mean_us)});
     }

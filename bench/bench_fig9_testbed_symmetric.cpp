@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
         cfg.scheme = scheme;
         // CLOVE-ECN testbed flowlet timeout: the paper picked 800us on 1G.
         cfg.clove.flowlet_timeout = sim::usec(800);
-        auto fct = bench::run_cell(cfg, w.dist, load, w.flows, 1);
+        auto fct = harness::run_workload_experiment(cfg, w.dist, load, w.flows, 1);
         const double mean = fct.overall_with_unfinished().mean_us;
         row.push_back(stats::Table::usec(mean));
         if (scheme == Scheme::kEcmp) ecmp = mean;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "hermes/harness/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace hermes;
@@ -66,8 +67,9 @@ int main(int argc, char** argv) {
                 sim::SimTime::nanoseconds(d.t_rtt_high.ns() * 3 / 2);
             cfg.hermes.delta_rtt = sim::SimTime::nanoseconds(d.delta_rtt.ns() * 3 / 2);
           }
-          auto fct = bench::skip_warmup(bench::run_cell(cfg, w.dist, load, w.flows, 1),
-                                        static_cast<std::uint64_t>(w.warmup));
+          auto fct = bench::skip_warmup(
+              harness::run_workload_experiment(cfg, w.dist, load, w.flows, 1),
+              static_cast<std::uint64_t>(w.warmup));
           const double mean = fct.overall_with_unfinished().mean_us;
           row.push_back(stats::Table::usec(mean));
           if (scheme == Scheme::kConga) conga = mean;

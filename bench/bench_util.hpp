@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -113,27 +112,6 @@ inline stats::FctCollector skip_warmup(const stats::FctCollector& in, std::uint6
     if (r.id == 0 || r.id > warmup) out.add(r);
   }
   return out;
-}
-
-/// Run one (scheme, workload, load) cell. `prepare` can install failures
-/// or traces on the built scenario before traffic starts; `finish` runs
-/// after the simulation so callers can harvest scenario-side state
-/// (e.g. per-reason drop counters) that dies with the Scenario.
-inline stats::FctCollector run_cell(harness::ScenarioConfig cfg, const workload::SizeDist& dist,
-                                    double load, int num_flows, std::uint64_t seed,
-                                    const std::function<void(harness::Scenario&)>& prepare = {},
-                                    const std::function<void(harness::Scenario&)>& finish = {}) {
-  cfg.seed = seed;
-  harness::Scenario s{std::move(cfg)};
-  if (prepare) prepare(s);
-  workload::TrafficConfig tc;
-  tc.load = load;
-  tc.num_flows = num_flows;
-  tc.seed = seed;
-  s.add_flows(workload::generate_poisson_traffic(s.topology(), dist, tc));
-  auto fct = s.run();
-  if (finish) finish(s);
-  return fct;
 }
 
 inline const char* short_name(harness::Scheme s) { return harness::to_string(s); }

@@ -35,7 +35,8 @@
 #      fig17 blackhole trace additionally paced at 10x wall-clock —
 #      with every `expect` assertion holding.
 #   8. TSan build (HERMES_SANITIZE=thread) running the thread-pool,
-#      determinism, sharded-executor, and engine conformance/determinism
+#      determinism, sharded-executor (ECMP, Hermes probing, and per-shard
+#      recorders with a merged trace), and engine conformance/determinism
 #      tests — every threaded path must be race-free. Skip with
 #      HERMES_TIER1_TSAN=0 (e.g. on machines without TSan).
 #
@@ -91,7 +92,7 @@ if [[ "${HERMES_TIER1_TSAN:-1}" == "1" ]]; then
   cmake -B build-tsan -S . -DHERMES_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target hermes_tests
   ./build-tsan/tests/hermes_tests \
-    --gtest_filter='ThreadPool.*:Determinism.ParallelSweepIsByteIdenticalToSerial:Sharded.ThreadCountIsInvisible_Ecmp:Sharded.FaultTrainIsThreadCountInvisible:EngineConformance.*:EngineDeterminism.*'
+    --gtest_filter='ThreadPool.*:Determinism.ParallelSweepIsByteIdenticalToSerial:Sharded.ThreadCountIsInvisible_Ecmp:Sharded.ThreadCountIsInvisible_Hermes:Sharded.ThreadCountIsInvisible_ObsOnWithMergedTrace:Sharded.FaultTrainIsThreadCountInvisible:EngineConformance.*:EngineDeterminism.*'
 else
   echo "== [8/8] TSan stage skipped (HERMES_TIER1_TSAN=0) =="
 fi

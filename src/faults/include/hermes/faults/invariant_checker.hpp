@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "hermes/faults/fault_plan.hpp"
-#include "hermes/net/topology.hpp"
+#include "hermes/net/fabric.hpp"
+#include "hermes/net/host.hpp"
+#include "hermes/net/port.hpp"
 #include "hermes/obs/metrics.hpp"
 #include "hermes/sim/simulator.hpp"
 
@@ -57,10 +59,11 @@ struct FlowProgress {
   std::uint64_t bytes_acked = 0;
 };
 
-/// Runtime invariant checking over a live fabric. Installed once after
-/// the topology and host stacks are built, it wraps the per-port and
-/// per-host observer hooks to maintain global packet/byte accounting and
-/// asserts, at every fault transition and periodically:
+/// Runtime invariant checking over a live fabric: host NICs plus every
+/// switch of every tier. Installed once after the fabric and host stacks
+/// are built, it wraps the per-port and per-host observer hooks to
+/// maintain global packet/byte accounting and asserts, at every fault
+/// transition and periodically:
 ///
 ///   1. Byte conservation — every byte a host NIC accepted is delivered
 ///      to a host, dropped (queue, link-down, or injected switch
@@ -77,7 +80,9 @@ struct FlowProgress {
 /// than chains) those hooks after installation breaks the accounting.
 class InvariantChecker {
  public:
-  InvariantChecker(sim::Simulator& simulator, net::Topology& topo,
+  /// `simulator` runs the periodic checks; every device of `fabric` must
+  /// run on it (a one-shard fabric).
+  InvariantChecker(sim::Simulator& simulator, net::Fabric& fabric,
                    InvariantCheckerConfig config = {});
 
   /// Wire the flow-progress source (the harness snapshots active senders).
@@ -132,7 +137,7 @@ class InvariantChecker {
                  std::uint64_t flow_id = InvariantViolation::kNoFlow);
 
   sim::Simulator& simulator_;
-  net::Topology& topo_;
+  net::Fabric& fabric_;
   InvariantCheckerConfig config_;
   std::function<std::vector<FlowProgress>()> snapshot_fn_;
 

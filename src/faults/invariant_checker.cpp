@@ -19,9 +19,9 @@ const char* to_string(Invariant inv) {
   return "?";
 }
 
-InvariantChecker::InvariantChecker(sim::Simulator& simulator, net::Topology& topo,
+InvariantChecker::InvariantChecker(sim::Simulator& simulator, net::Fabric& fabric,
                                    InvariantCheckerConfig config)
-    : simulator_{simulator}, topo_{topo}, config_{config} {
+    : simulator_{simulator}, fabric_{fabric}, config_{config} {
   install_hooks();
   if (config_.period > sim::SimTime::zero()) {
     simulator_.after(config_.period, [this] { tick(); });
@@ -30,15 +30,9 @@ InvariantChecker::InvariantChecker(sim::Simulator& simulator, net::Topology& top
 
 template <typename Fn>
 void InvariantChecker::for_each_port(Fn&& fn) const {
-  for (int h = 0; h < topo_.num_hosts(); ++h) fn(topo_.host(h).nic());
-  for (int l = 0; l < topo_.config().num_leaves; ++l) {
-    net::Switch& sw = topo_.leaf(l);
-    for (int p = 0; p < sw.num_ports(); ++p) fn(sw.port(p));
-  }
-  for (int s = 0; s < topo_.config().num_spines; ++s) {
-    net::Switch& sw = topo_.spine(s);
-    for (int p = 0; p < sw.num_ports(); ++p) fn(sw.port(p));
-  }
+  for (int h = 0; h < fabric_.num_hosts(); ++h) fn(fabric_.host(h).nic());
+  for (const auto& sw : fabric_.switches())
+    for (int p = 0; p < sw->num_ports(); ++p) fn(sw->port(p));
 }
 
 void InvariantChecker::install_hooks() {
@@ -48,12 +42,12 @@ void InvariantChecker::install_hooks() {
   // Predecessor hooks move into checker-owned vectors (the inline-storage
   // hook type cannot capture a same-sized predecessor); wrappers then
   // dispatch through `this` + index.
-  const int num_hosts = topo_.num_hosts();
+  const int num_hosts = fabric_.num_hosts();
   prev_nic_enqueue_.resize(static_cast<std::size_t>(num_hosts));
   prev_nic_drop_.resize(static_cast<std::size_t>(num_hosts));
   prev_host_rx_.resize(static_cast<std::size_t>(num_hosts));
   for (int h = 0; h < num_hosts; ++h) {
-    net::Port& nic = topo_.host(h).nic();
+    net::Port& nic = fabric_.host(h).nic();
     prev_nic_enqueue_[h] = std::move(nic.on_enqueue);
     nic.on_enqueue = [this, h](const net::Packet& p) {
       ++injected_packets_;
@@ -69,7 +63,7 @@ void InvariantChecker::install_hooks() {
       if (prev_nic_drop_[h]) prev_nic_drop_[h](p);
     };
     // Egress: delivery back to a host.
-    net::Host& host = topo_.host(h);
+    net::Host& host = fabric_.host(h);
     prev_host_rx_[h] = std::move(host.on_receive);
     host.on_receive = [this, h](net::Packet p, int in_port) {
       ++delivered_packets_;
@@ -79,9 +73,9 @@ void InvariantChecker::install_hooks() {
   }
   // Drops inside the fabric (queue overflow and link-down; injected
   // switch-failure drops are read from the per-switch counters).
-  auto hook_switch = [this](net::Switch& sw) {
-    for (int p = 0; p < sw.num_ports(); ++p) {
-      net::Port& port = sw.port(p);
+  for (const auto& sw : fabric_.switches()) {
+    for (int p = 0; p < sw->num_ports(); ++p) {
+      net::Port& port = sw->port(p);
       const std::size_t idx = prev_switch_drop_.size();
       prev_switch_drop_.push_back(std::move(port.on_drop));
       port.on_drop = [this, idx](const net::Packet& pkt) {
@@ -90,15 +84,12 @@ void InvariantChecker::install_hooks() {
         if (prev_switch_drop_[idx]) prev_switch_drop_[idx](pkt);
       };
     }
-  };
-  for (int l = 0; l < topo_.config().num_leaves; ++l) hook_switch(topo_.leaf(l));
-  for (int s = 0; s < topo_.config().num_spines; ++s) hook_switch(topo_.spine(s));
+  }
 }
 
 std::uint64_t InvariantChecker::dropped_bytes() const {
   std::uint64_t b = hook_dropped_bytes_;
-  for (int l = 0; l < topo_.config().num_leaves; ++l) b += topo_.leaf(l).failure_drop_bytes();
-  for (int s = 0; s < topo_.config().num_spines; ++s) b += topo_.spine(s).failure_drop_bytes();
+  for (const auto& sw : fabric_.switches()) b += sw->failure_drop_bytes();
   return b;
 }
 
@@ -161,16 +152,14 @@ void InvariantChecker::check_queue_bounds(const char* context) {
                     std::to_string(p.config().queue_capacity_bytes));
     }
   });
-  auto check_pool = [&](const net::Switch& sw) {
-    const net::DynamicThresholdPool* pool = sw.shared_buffer();
+  for (const auto& sw : fabric_.switches()) {
+    const net::DynamicThresholdPool* pool = sw->shared_buffer();
     if (pool && pool->used() > pool->total()) {
       violation(Invariant::kSharedBuffer,
-                std::string("overflow (") + context + "): " + sw.name() + " uses " +
+                std::string("overflow (") + context + "): " + sw->name() + " uses " +
                     std::to_string(pool->used()) + " > " + std::to_string(pool->total()));
     }
-  };
-  for (int l = 0; l < topo_.config().num_leaves; ++l) check_pool(topo_.leaf(l));
-  for (int s = 0; s < topo_.config().num_spines; ++s) check_pool(topo_.spine(s));
+  }
 }
 
 void InvariantChecker::update_watchdog() {

@@ -88,15 +88,6 @@ FuzzOutcome run_fuzz_scenario(const faults::fuzz::FuzzScenario& fs, Scheme schem
 
 namespace {
 
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// splitmix64 step: cheap, stateless seed expansion for scenario
 /// derivation (matches the per-shard seed derivation's generator family).
 std::uint64_t mix(std::uint64_t& z) {
@@ -126,7 +117,7 @@ std::uint64_t run_hash(const ShardedScenarioConfig& cfg) {
     metrics += line;
     metrics += '\n';
   }
-  return fnv1a64(stats::to_csv(fct) + metrics);
+  return stats::fnv1a64(stats::to_csv(fct) + metrics);
 }
 
 }  // namespace

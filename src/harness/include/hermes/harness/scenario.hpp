@@ -107,9 +107,10 @@ struct RunConfig {
 };
 
 /// A leaf-spine run (the paper's fabric) on one simulator, with the
-/// options that need the concrete net::Topology: CONGA and DRILL read
-/// fabric-wide switch state, and the invariant checker and balancer
-/// decorator are written against it.
+/// options only it offers. CONGA and DRILL read fabric-wide switch state
+/// through the concrete net::Topology, and the balancer decorator
+/// receives it. The invariant checker walks any net::Fabric, but its
+/// checks run on one simulator, so it is offered here only.
 struct ScenarioConfig : RunConfig {
   net::TopologyConfig topo;
   lb::CongaConfig conga;
@@ -233,7 +234,9 @@ class Scenario {
   /// the executor (0 = sim::resolve_threads, capped at the shard count).
   Scenario(const RunConfig& run, net::FatTreeConfig fabric, int num_shards, unsigned threads);
 
-  net::FatTree* fat_tree_ = nullptr;  ///< fat-tree runs: the fabric itself
+  /// Fat-tree runs: the fabric, for the executor (lookahead, boundary
+  /// exchange) and the sharding.* metrics.
+  net::FatTree* fat_tree_ = nullptr;
 
  private:
   /// One shard's flows: everything scheduled on it (in add order), which

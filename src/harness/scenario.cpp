@@ -124,13 +124,7 @@ void Scenario::build() {
   // In-band congestion stamping costs a DRE read per fabric hop; only
   // CONGA consumes it.
   if (config_.scheme != Scheme::kConga) {
-    for (int l = 0; l < fabric_->num_leaves(); ++l) fabric_->leaf(l).conga_stamping = false;
-    for (int c = 0; c < fabric_->num_spines(); ++c) fabric_->spine(c).conga_stamping = false;
-    if (fat_tree_ != nullptr) {
-      for (int p = 0; p < fat_tree_->num_pods(); ++p) {
-        for (int a = 0; a < fat_tree_->k() / 2; ++a) fat_tree_->agg(p, a).conga_stamping = false;
-      }
-    }
+    for (const auto& sw : fabric_->switches()) sw->conga_stamping = false;
   }
 
   stacks_.reserve(static_cast<std::size_t>(fabric_->num_hosts()));
@@ -147,9 +141,9 @@ void Scenario::build() {
   for (int s = 0; s < num_shards(); ++s) {
     lb::HermesLb* h = hermes_[s];
     if (h == nullptr) continue;
-    if (fat_tree_ != nullptr) h->set_probe_sources(fat_tree_->leaves_of_shard(s));
-    h->enable_probing(
-        [this](int src_host, net::Packet p) { stacks_[src_host]->send_raw(std::move(p)); });
+    h->enable_probing(fabric_->leaves_of_shard(s), [this](int src_host, net::Packet p) {
+      stacks_[src_host]->send_raw(std::move(p));
+    });
   }
   for (int l = 0; l < fabric_->num_leaves(); ++l) {
     const int agent = fabric_->first_host_of_leaf(l);
@@ -163,7 +157,7 @@ void Scenario::build() {
   // come after the stacks installed theirs; the fault schedulers are
   // wired last so every transition triggers a checker pass.
   if (config_.check_invariants) {
-    checker_ = std::make_unique<faults::InvariantChecker>(*sims_.front(), *topo_,
+    checker_ = std::make_unique<faults::InvariantChecker>(*sims_.front(), *fabric_,
                                                           config_.invariant_config);
     checker_->set_flow_snapshot([this] {
       std::vector<faults::FlowProgress> snap;
@@ -244,25 +238,23 @@ void Scenario::wire_faults() {
 }
 
 int Scenario::fault_owner_shard(const faults::FaultEvent& e) const {
-  if (fat_tree_ == nullptr) return 0;
   switch (e.action) {
     case faults::FaultAction::kBlackholeOn:
     case faults::FaultAction::kBlackholeOff:
     case faults::FaultAction::kRandomDropSet:
-      return e.tier == faults::SwitchTier::kLeaf ? fat_tree_->shard_of_leaf(e.switch_id)
-                                                 : fat_tree_->shard_of_core(e.switch_id);
+      return e.tier == faults::SwitchTier::kLeaf ? fabric_->shard_of_leaf(e.switch_id)
+                                                 : fabric_->shard_of_spine(e.switch_id);
     case faults::FaultAction::kLinkDown:
     case faults::FaultAction::kLinkUp:
     case faults::FaultAction::kLinkRate:
-      // Edge uplinks run edge<->agg, both endpoints inside the pod.
-      return fat_tree_->shard_of_leaf(e.link.leaf);
+      // A leaf uplink's far end is in the leaf's shard (a fat-tree edge
+      // uplink runs edge<->agg, both endpoints inside the pod).
+      return fabric_->shard_of_leaf(e.link.leaf);
   }
   return 0;
 }
 
-int Scenario::shard_of_host(int host_id) const {
-  return fat_tree_ == nullptr ? 0 : fat_tree_->shard_of_host(host_id);
-}
+int Scenario::shard_of_host(int host_id) const { return fabric_->shard_of_host(host_id); }
 
 void Scenario::wire_observability() {
   if (config_.obs.enabled) {
@@ -273,13 +265,7 @@ void Scenario::wire_observability() {
       recorders_.back()->set_shard(static_cast<std::uint8_t>(s));
       raw.push_back(recorders_.back().get());
     }
-    if (config_.obs.trace_packets) {
-      if (fat_tree_ != nullptr) {
-        fat_tree_->set_recorders(raw);
-      } else {
-        fabric_->set_recorder(raw.front());
-      }
-    }
+    if (config_.obs.trace_packets) fabric_->set_recorders(raw);
     for (int s = 0; s < num_shards(); ++s) {
       if (hermes_[s] != nullptr) hermes_[s]->set_recorder(recorders_[s].get());
       if (fault_scheds_[s]) fault_scheds_[s]->set_recorder(recorders_[s].get());

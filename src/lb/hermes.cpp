@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "hermes/obs/metrics.hpp"
 #include "hermes/obs/records.hpp"
@@ -105,7 +106,9 @@ void HermesLb::on_retransmit(FlowCtx& flow, int path_id) {
   engine_.on_retransmit(p.src_leaf, p.dst_leaf, p.local_index, simulator_.now().ns());
 }
 
-void HermesLb::enable_probing(std::function<void(int, net::Packet)> raw_send) {
+void HermesLb::enable_probing(std::vector<int> source_leaves,
+                              std::function<void(int, net::Packet)> raw_send) {
+  probe_sources_ = std::move(source_leaves);
   raw_send_ = std::move(raw_send);
   if (!config_.probing_enabled) return;
   simulator_.after(config_.probe_interval, [this] { probe_tick(); });
@@ -116,10 +119,7 @@ void HermesLb::probe_tick() {
   // probe two random paths plus the previously observed best path. Draws
   // come from the engine's RNG — the same stream its tie-breaking uses —
   // preserving the pre-extraction draw order.
-  const bool filtered = !probe_sources_.empty();
-  const int n_src = filtered ? static_cast<int>(probe_sources_.size()) : engine_.num_groups();
-  for (int ai = 0; ai < n_src; ++ai) {
-    const int a = filtered ? probe_sources_[static_cast<std::size_t>(ai)] : ai;
+  for (const int a : probe_sources_) {
     for (int b = 0; b < engine_.num_groups(); ++b) {
       if (a == b) continue;
       const auto& paths = topo_.paths_between_leaves(a, b);

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "hermes/engine/engine.hpp"
@@ -141,17 +140,17 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   [[nodiscard]] std::string_view name() const override { return "hermes"; }
 
   // --- probing ----------------------------------------------------------
-  /// Turn on active probing. `raw_send(src_host, packet)` must transmit
-  /// the packet from that host's NIC; the harness wires it to the rack
-  /// agents' HostStacks. Probing runs every config.probe_interval.
-  void enable_probing(std::function<void(int src_host, net::Packet)> raw_send);
+  /// Turn on active probing from the rack agents of `source_leaves`
+  /// (ascending). `raw_send(src_host, packet)` must transmit the packet
+  /// from that host's NIC; the harness wires it to the rack agents'
+  /// HostStacks. Probing runs every config.probe_interval. The harness
+  /// runs one HermesLb per shard and passes the leaves that shard owns
+  /// (every leaf of a one-shard run), so probes originate — and their
+  /// replies return — strictly shard-locally.
+  void enable_probing(std::vector<int> source_leaves,
+                      std::function<void(int src_host, net::Packet)> raw_send);
   /// Deliver a probe reply arriving at a rack agent.
   void on_probe_reply(const net::Packet& reply);
-  /// Restrict probing to these source leaves (default: all). The sharded
-  /// harness runs one HermesLb per shard and filters each instance to the
-  /// leaves whose rack agents that shard owns, so probes originate — and
-  /// their replies return — strictly shard-locally.
-  void set_probe_sources(std::vector<int> leaves) { probe_sources_ = std::move(leaves); }
   [[nodiscard]] const ProbeStats& probe_stats() const { return probe_stats_; }
 
   // --- observability ----------------------------------------------------
@@ -199,7 +198,7 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   engine::Engine engine_;
 
   std::function<void(int, net::Packet)> raw_send_;
-  std::vector<int> probe_sources_;  ///< empty = probe from every leaf
+  std::vector<int> probe_sources_;  ///< leaves whose rack agents probe
   ProbeStats probe_stats_;
   std::uint64_t next_probe_id_ = 1;
 

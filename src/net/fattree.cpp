@@ -11,39 +11,17 @@
 #include <vector>
 
 #include "hermes/net/device.hpp"
+#include "hermes/net/host.hpp"
+#include "hermes/net/packet_arena.hpp"
 #include "hermes/net/port.hpp"
-#include "hermes/obs/flight_recorder.hpp"
-#include "hermes/obs/metrics.hpp"
 
 namespace hermes::net {
 
 namespace {
-constexpr std::uint32_t kPacketWire = 1500;
 /// FabricPath::link_idx doubles as the path-kind marker on fat-trees.
 constexpr int kInterPodPath = 0;  ///< spine field = core switch id
 constexpr int kIntraPodPath = 1;  ///< spine field = agg local index
 }  // namespace
-
-std::uint32_t FatTreeConfig::ecn_bytes_for(double rate_bps) const {
-  if (ecn_threshold_bytes != 0) return ecn_threshold_bytes;
-  const double pkts = std::max(20.0, 65.0 * rate_bps / 10e9);
-  return static_cast<std::uint32_t>(pkts * kPacketWire);
-}
-
-std::uint32_t FatTreeConfig::queue_bytes_for(double rate_bps) const {
-  if (queue_capacity_bytes != 0) return queue_capacity_bytes;
-  return std::max<std::uint32_t>(6 * ecn_bytes_for(rate_bps), 150 * 1024);
-}
-
-PortConfig FatTreeConfig::port_config(double rate_bps, sim::SimTime prop_delay) const {
-  PortConfig pc;
-  pc.rate_bps = rate_bps;
-  pc.prop_delay = prop_delay;
-  pc.ecn_threshold_bytes = ecn_bytes_for(rate_bps);
-  pc.queue_capacity_bytes = queue_bytes_for(rate_bps);
-  pc.ecn_enabled = ecn_enabled;
-  return pc;
-}
 
 /// Internal peer of a cross-shard egress port. The port delivers with
 /// zero propagation delay into the portal (still inside the source
@@ -74,12 +52,11 @@ class FatTree::Portal final : public Device {
 };
 
 FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
-    : config_{config}, sims_{std::move(shard_sims)} {
+    : Fabric{std::move(shard_sims), config}, config_{config} {
   const int k = config_.k;
   if (k < 4 || k % 2 != 0) throw std::invalid_argument("fat-tree k must be even and >= 4");
-  if (sims_.empty()) throw std::invalid_argument("fat-tree needs at least one shard simulator");
   half_ = k / 2;
-  const int S = static_cast<int>(sims_.size());
+  const int S = num_shards();
   const int pods = k;
   const int num_edges = pods * half_;
   const int num_aggs = pods * half_;
@@ -88,52 +65,39 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   num_leaves_ = num_edges;
   num_spines_ = cores;
   hosts_per_leaf_ = half_;
-  host_rate_bps_ = config_.host_rate_bps;
+  max_hops_ = 6;  // host -> edge -> agg -> core -> agg -> edge -> host
   // Sustainable inter-rack load unit: total edge->agg uplink capacity
   // (the tier every inter-rack byte crosses exactly once upward).
   bisection_bps_ = static_cast<double>(num_edges) * half_ * config_.fabric_rate_bps;
 
-  arenas_.reserve(S);
-  for (int s = 0; s < S; ++s) arenas_.push_back(std::make_unique<PacketArena>());
   outboxes_.resize(static_cast<std::size_t>(S) * S);
   inboxes_.resize(static_cast<std::size_t>(S));
 
-  // Devices, each built against its owning shard's simulator and arena.
-  for (int h = 0; h < num_edges * half_; ++h) {
-    const int s = shard_of_host(h);
-    hosts_.push_back(std::make_unique<Host>(*sims_[s], *arenas_[s], h));
-  }
+  // Devices, each built against its owning shard's simulator and arena,
+  // switches in tier order: edges, aggs, cores.
+  for (int h = 0; h < num_edges * half_; ++h) add_host(shard_of_pod(pod_of_leaf(leaf_of(h))));
   for (int e = 0; e < num_edges; ++e) {
-    const int s = shard_of_leaf(e);
-    edges_.push_back(
-        std::make_unique<Switch>(*sims_[s], *arenas_[s], e, "edge" + std::to_string(e)));
+    add_switch(shard_of_pod(pod_of_leaf(e)), e, "edge" + std::to_string(e));
   }
   for (int a = 0; a < num_aggs; ++a) {
     const int pod = a / half_;
-    const int s = shard_of_pod(pod);
-    aggs_.push_back(std::make_unique<Switch>(
-        *sims_[s], *arenas_[s], a,
-        "agg" + std::to_string(pod) + "." + std::to_string(a % half_)));
+    add_switch(shard_of_pod(pod), a, "agg" + std::to_string(pod) + "." + std::to_string(a % half_));
   }
-  for (int c = 0; c < cores; ++c) {
-    const int s = shard_of_core(c);
-    cores_.push_back(
-        std::make_unique<Switch>(*sims_[s], *arenas_[s], c, "core" + std::to_string(c)));
-  }
+  for (int c = 0; c < cores; ++c) add_switch(shard_of_core(c), c, "core" + std::to_string(c));
 
-  const PortConfig host_pc = config_.port_config(config_.host_rate_bps, config_.link_delay);
-  const PortConfig fab_pc = config_.port_config(config_.fabric_rate_bps, config_.link_delay);
+  const PortConfig host_pc = config_.port_config(config_.host_rate_bps);
+  const PortConfig fab_pc = config_.port_config(config_.fabric_rate_bps);
   // Cross-shard egress: zero wire delay into the portal, which re-adds
   // the link delay when stamping the mailbox entry.
-  const PortConfig fab_portal_pc =
-      config_.port_config(config_.fabric_rate_bps, sim::SimTime::zero());
+  PortConfig fab_portal_pc = fab_pc;
+  fab_portal_pc.prop_delay = sim::SimTime::zero();
 
   // Host <-> edge. Edge ports [0, k/2) go down to hosts.
   for (int e = 0; e < num_edges; ++e) {
     for (int h = 0; h < half_; ++h) {
       const int host_id = e * half_ + h;
-      hosts_[host_id]->attach_uplink(host_pc, edges_[e].get(), h);
-      const int p = edges_[e]->add_port(host_pc, hosts_[host_id].get(), 0);
+      host(host_id).attach_uplink(host_pc, &leaf(e), h);
+      const int p = leaf(e).add_port(host_pc, &host(host_id), 0);
       assert(p == h);
       (void)p;
     }
@@ -144,17 +108,17 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   // down (port e to local edge e).
   for (int pod = 0; pod < pods; ++pod) {
     for (int el = 0; el < half_; ++el) {
-      Switch* edge = edges_[pod * half_ + el].get();
+      Switch* edge = &leaf(pod * half_ + el);
       for (int a = 0; a < half_; ++a) {
-        const int up = edge->add_port(fab_pc, aggs_[pod * half_ + a].get(), el);
+        const int up = edge->add_port(fab_pc, &agg(pod, a), el);
         assert(up == uplink_port(a));
         edge->port(up).is_fabric = true;
       }
     }
     for (int a = 0; a < half_; ++a) {
-      Switch* ag = aggs_[pod * half_ + a].get();
+      Switch* ag = &agg(pod, a);
       for (int el = 0; el < half_; ++el) {
-        const int down = ag->add_port(fab_pc, edges_[pod * half_ + el].get(), uplink_port(a));
+        const int down = ag->add_port(fab_pc, &leaf(pod * half_ + el), uplink_port(a));
         assert(down == el);
         ag->port(down).is_fabric = true;
       }
@@ -167,17 +131,17 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   // a-th agg of pod p).
   for (int pod = 0; pod < pods; ++pod) {
     for (int a = 0; a < half_; ++a) {
-      Switch* ag = aggs_[pod * half_ + a].get();
+      Switch* ag = &agg(pod, a);
       for (int j = 0; j < half_; ++j) {
         const int c = a * half_ + j;
         int up;
         if (shard_of_pod(pod) == shard_of_core(c)) {
-          up = ag->add_port(fab_pc, cores_[c].get(), pod);
+          up = ag->add_port(fab_pc, &spine(c), pod);
         } else {
           const int src = shard_of_pod(pod);
           portals_.push_back(std::make_unique<Portal>(
-              *arenas_[src], *sims_[src], outbox(src, shard_of_core(c)), config_.link_delay,
-              cores_[c].get(), static_cast<std::uint8_t>(pod)));
+              shard_arena(src), shard_sim(src), outbox(src, shard_of_core(c)), config_.link_delay,
+              &spine(c), static_cast<std::uint8_t>(pod)));
           up = ag->add_port(fab_portal_pc, portals_.back().get(), 0);
         }
         assert(up == uplink_port(j));
@@ -188,17 +152,17 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   for (int c = 0; c < cores; ++c) {
     const int a = c / half_;
     const int j = c % half_;
-    Switch* core = cores_[c].get();
+    Switch* core = &spine(c);
     for (int pod = 0; pod < pods; ++pod) {
-      Switch* ag = aggs_[pod * half_ + a].get();
+      Switch* ag = &agg(pod, a);
       int down;
       if (shard_of_core(c) == shard_of_pod(pod)) {
         down = core->add_port(fab_pc, ag, uplink_port(j));
       } else {
         const int src = shard_of_core(c);
         portals_.push_back(std::make_unique<Portal>(
-            *arenas_[src], *sims_[src], outbox(src, shard_of_pod(pod)), config_.link_delay, ag,
-            static_cast<std::uint8_t>(uplink_port(j))));
+            shard_arena(src), shard_sim(src), outbox(src, shard_of_pod(pod)), config_.link_delay,
+            ag, static_cast<std::uint8_t>(uplink_port(j))));
         down = core->add_port(fab_portal_pc, portals_.back().get(), 0);
       }
       assert(down == pod);
@@ -236,13 +200,6 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
 }
 
 FatTree::~FatTree() = default;
-
-std::vector<int> FatTree::leaves_of_shard(int shard) const {
-  std::vector<int> out;
-  for (int e = 0; e < num_leaves_; ++e)
-    if (shard_of_leaf(e) == shard) out.push_back(e);
-  return out;
-}
 
 Route FatTree::forward_route(int src_host, int dst_host, int path_id) const {
   Route r;
@@ -302,21 +259,17 @@ Route FatTree::reverse_route(int src_host, int dst_host, int path_id) const {
 Port& FatTree::leaf_uplink(int leaf_id, int spine, int k) {
   assert(k == 0 && "fat-tree has no parallel links");
   (void)k;
-  return edges_[static_cast<std::size_t>(leaf_id)]->port(uplink_port(spine));
+  return leaf(leaf_id).port(uplink_port(spine));
 }
 
 void FatTree::set_link_state(int leaf_id, int spine, bool up, int k) {
   leaf_uplink(leaf_id, spine, k).set_link_up(up);
-  aggs_[static_cast<std::size_t>(pod_of_leaf(leaf_id)) * half_ + spine]
-      ->port(leaf_id % half_)
-      .set_link_up(up);
+  agg(pod_of_leaf(leaf_id), spine).port(leaf_id % half_).set_link_up(up);
 }
 
 void FatTree::set_link_rate(int leaf_id, int spine, double rate_bps, int k) {
   leaf_uplink(leaf_id, spine, k).set_rate_bps(rate_bps);
-  aggs_[static_cast<std::size_t>(pod_of_leaf(leaf_id)) * half_ + spine]
-      ->port(leaf_id % half_)
-      .set_rate_bps(rate_bps);
+  agg(pod_of_leaf(leaf_id), spine).port(leaf_id % half_).set_rate_bps(rate_bps);
 }
 
 double FatTree::configured_link_rate(int /*leaf_id*/, int /*spine*/, int /*k*/) const {
@@ -377,94 +330,25 @@ void FatTree::arm_inbox(int shard) {
   Inbox& ib = inboxes_[static_cast<std::size_t>(shard)];
   ib.timer.cancel();
   if (ib.head < ib.pending.size()) {
-    ib.timer = sims_[static_cast<std::size_t>(shard)]->timer_at(
-        ib.pending[ib.head].deliver_at, [this, shard] { deliver_inbox(shard); });
+    ib.timer = shard_sim(shard).timer_at(ib.pending[ib.head].deliver_at,
+                                         [this, shard] { deliver_inbox(shard); });
   }
 }
 
 void FatTree::deliver_inbox(int shard) {
   Inbox& ib = inboxes_[static_cast<std::size_t>(shard)];
-  const sim::SimTime now = sims_[static_cast<std::size_t>(shard)]->now();
+  const sim::SimTime now = shard_sim(shard).now();
   while (ib.head < ib.pending.size() && ib.pending[ib.head].deliver_at == now) {
     Mail& m = ib.pending[ib.head++];
     m.dst_sw->receive(std::move(m.pkt), m.dst_port);
   }
   if (ib.head < ib.pending.size()) {
-    ib.timer = sims_[static_cast<std::size_t>(shard)]->timer_at(
-        ib.pending[ib.head].deliver_at, [this, shard] { deliver_inbox(shard); });
+    ib.timer = shard_sim(shard).timer_at(ib.pending[ib.head].deliver_at,
+                                         [this, shard] { deliver_inbox(shard); });
   } else {
     ib.pending.clear();
     ib.head = 0;
   }
-}
-
-void FatTree::set_recorder(obs::FlightRecorder* rec) {
-  for (auto& h : hosts_) h->nic().set_recorder(rec);
-  for (const auto* group : {&edges_, &aggs_, &cores_}) {
-    for (const auto& sw : *group)
-      for (int i = 0; i < sw->num_ports(); ++i) sw->port(i).set_recorder(rec);
-  }
-}
-
-void FatTree::set_recorders(const std::vector<obs::FlightRecorder*>& recs) {
-  assert(static_cast<int>(recs.size()) == num_shards());
-  for (int h = 0; h < num_hosts(); ++h) hosts_[h]->nic().set_recorder(recs[shard_of_host(h)]);
-  for (int e = 0; e < num_leaves_; ++e) {
-    Switch& sw = *edges_[e];
-    for (int i = 0; i < sw.num_ports(); ++i) sw.port(i).set_recorder(recs[shard_of_leaf(e)]);
-  }
-  for (std::size_t a = 0; a < aggs_.size(); ++a) {
-    Switch& sw = *aggs_[a];
-    const int shard = shard_of_pod(static_cast<int>(a) / half_);
-    for (int i = 0; i < sw.num_ports(); ++i) sw.port(i).set_recorder(recs[shard]);
-  }
-  for (int c = 0; c < num_cores(); ++c) {
-    Switch& sw = *cores_[c];
-    for (int i = 0; i < sw.num_ports(); ++i) sw.port(i).set_recorder(recs[shard_of_core(c)]);
-  }
-}
-
-void FatTree::register_metrics(obs::MetricsRegistry& reg) {
-  const auto sum = [this](std::uint64_t (*pick)(const PortStats&)) {
-    std::uint64_t total = 0;
-    for (const auto& h : hosts_) total += pick(h->nic().stats());
-    for (const auto* group : {&edges_, &aggs_, &cores_}) {
-      for (const auto& sw : *group)
-        for (int i = 0; i < sw->num_ports(); ++i) total += pick(sw->port(i).stats());
-    }
-    return total;
-  };
-  reg.counter_fn("net.tx_packets",
-                 [sum] { return sum([](const PortStats& s) { return s.tx_packets; }); });
-  reg.counter_fn("net.tx_bytes",
-                 [sum] { return sum([](const PortStats& s) { return s.tx_bytes; }); });
-  reg.counter_fn("net.drops", [sum] { return sum([](const PortStats& s) { return s.drops; }); });
-  reg.counter_fn("net.drop_bytes",
-                 [sum] { return sum([](const PortStats& s) { return s.drop_bytes; }); });
-  reg.counter_fn("net.link_down_drops",
-                 [sum] { return sum([](const PortStats& s) { return s.link_down_drops; }); });
-  reg.counter_fn("net.ecn_marks",
-                 [sum] { return sum([](const PortStats& s) { return s.ecn_marks; }); });
-  reg.counter_fn("net.failure_drops", [this] {
-    std::uint64_t total = 0;
-    for (const auto* group : {&edges_, &aggs_, &cores_})
-      for (const auto& sw : *group) total += sw->failure_drops();
-    return total;
-  });
-}
-
-sim::SimTime FatTree::one_hop_delay() const {
-  const double bytes = config_.ecn_bytes_for(config_.fabric_rate_bps);
-  return sim::SimTime::from_seconds(bytes * 8.0 / config_.fabric_rate_bps);
-}
-
-sim::SimTime FatTree::base_rtt() const {
-  // Worst case is inter-pod: 6 links each way (host-edge-agg-core-agg-
-  // edge-host), full-size data out, ACK back, serialization once per hop.
-  const double rate = std::min(config_.host_rate_bps, config_.fabric_rate_bps);
-  const double data_ser = 6 * kPacketWire * 8.0 / rate;
-  const double ack_ser = 6 * 64 * 8.0 / rate;
-  return 12 * config_.link_delay + sim::SimTime::from_seconds(data_ser + ack_ser);
 }
 
 }  // namespace hermes::net

@@ -4,19 +4,42 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "hermes/net/host.hpp"
 #include "hermes/net/packet.hpp"
+#include "hermes/net/packet_arena.hpp"
+#include "hermes/net/port.hpp"
+#include "hermes/net/switch.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/metrics.hpp"
+#include "hermes/sim/simulator.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::net {
 
-class Host;
-class Switch;
-class Port;
+/// Link parameters every fabric builder shares: rates, propagation, and
+/// the ECN/buffer sizing rules its ports are built with.
+struct LinkConfig {
+  double host_rate_bps = 10e9;
+  double fabric_rate_bps = 10e9;
+  sim::SimTime link_delay = sim::usec(2);  ///< per-hop propagation, one way
+
+  /// ECN marking threshold in bytes; 0 selects a rate-scaled default
+  /// (65 packets at 10G, clamped to >= 20 packets, CONGA/DCTCP practice).
+  std::uint32_t ecn_threshold_bytes = 0;
+  /// Per-port buffer in bytes; 0 selects 6x the ECN threshold (>= 150KB).
+  std::uint32_t queue_capacity_bytes = 0;
+  bool ecn_enabled = true;
+
+  [[nodiscard]] std::uint32_t ecn_bytes_for(double rate_bps) const;
+  [[nodiscard]] std::uint32_t queue_bytes_for(double rate_bps) const;
+  /// A port on a link of `rate_bps` with `link_delay` propagation.
+  [[nodiscard]] PortConfig port_config(double rate_bps) const;
+};
 
 /// One end-to-end fabric path between a leaf pair: (spine, parallel link
 /// index). The up and down parallel-link indices are paired, which matches
@@ -33,10 +56,19 @@ struct FabricPath {
   double capacity_bps = 0;  ///< min(uplink, downlink) rate
 };
 
-/// Abstract fabric: what transports, load balancers, workload generators
-/// and the fault scheduler need from a topology, independent of its tier
-/// structure. Concrete builders are the 2-tier `Topology` (leaf-spine)
-/// and the 3-tier `FatTree` (k-ary Clos, possibly sharded).
+/// The fabric device model: what transports, load balancers, workload
+/// generators, the fault scheduler and the invariant checker need from a
+/// topology, independent of its tier structure. Concrete builders are
+/// the 2-tier `Topology` (leaf-spine) and the 3-tier `FatTree` (k-ary
+/// Clos, possibly sharded); they add wiring, path enumeration, routes
+/// and the link-fault surface.
+///
+/// The fabric owns every device. Each shard has a simulator and a packet
+/// arena; every host and switch is built against its shard's pair
+/// through add_host/add_switch, so a leaf-spine fabric is the one-shard
+/// case. Switches are kept in tier order — leaves, then any middle tier,
+/// then spines — and every walk over the devices (recorder attach,
+/// metrics, invariant checks) goes hosts first, then that order.
 ///
 /// Host-id geometry (leaf_of, local_index, ...) and the path table are
 /// concrete and non-virtual: every Hermes fabric numbers hosts
@@ -46,7 +78,7 @@ struct FabricPath {
 /// handing the fabric to any consumer.
 class Fabric {
  public:
-  virtual ~Fabric() = default;
+  virtual ~Fabric();
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -55,7 +87,7 @@ class Fabric {
   [[nodiscard]] int num_spines() const { return num_spines_; }
   [[nodiscard]] int hosts_per_leaf() const { return hosts_per_leaf_; }
   [[nodiscard]] int num_hosts() const { return num_leaves_ * hosts_per_leaf_; }
-  [[nodiscard]] double host_rate_bps() const { return host_rate_bps_; }
+  [[nodiscard]] double host_rate_bps() const { return link_.host_rate_bps; }
   /// Aggregate leaf->spine capacity: the sustainable inter-rack load unit.
   [[nodiscard]] double bisection_bps() const { return bisection_bps_; }
   [[nodiscard]] int leaf_of(int host_id) const { return host_id / hosts_per_leaf_; }
@@ -64,9 +96,23 @@ class Fabric {
   [[nodiscard]] int first_host_of_leaf(int leaf_id) const { return leaf_id * hosts_per_leaf_; }
 
   // --- devices ---------------------------------------------------------
-  [[nodiscard]] virtual Host& host(int i) = 0;
-  [[nodiscard]] virtual Switch& leaf(int i) = 0;
-  [[nodiscard]] virtual Switch& spine(int i) = 0;
+  [[nodiscard]] Host& host(int i) { return *hosts_[static_cast<std::size_t>(i)]; }
+  [[nodiscard]] Switch& leaf(int i) { return *switches_[static_cast<std::size_t>(i)]; }
+  /// spine(i) is the top tier (the cores of a fat-tree).
+  [[nodiscard]] Switch& spine(int i) { return *switches_[spine_index(i)]; }
+  /// Every switch in tier order: leaves, any middle tier, spines.
+  [[nodiscard]] std::span<const std::unique_ptr<Switch>> switches() const { return switches_; }
+
+  // --- shards ----------------------------------------------------------
+  [[nodiscard]] int num_shards() const { return static_cast<int>(sims_.size()); }
+  [[nodiscard]] int shard_of_leaf(int leaf_id) const {
+    return switch_shard_[static_cast<std::size_t>(leaf_id)];
+  }
+  [[nodiscard]] int shard_of_spine(int spine) const { return switch_shard_[spine_index(spine)]; }
+  /// A host lives in its leaf's shard.
+  [[nodiscard]] int shard_of_host(int host_id) const { return shard_of_leaf(leaf_of(host_id)); }
+  /// The leaves `shard` owns, ascending (every leaf of a one-shard fabric).
+  [[nodiscard]] std::vector<int> leaves_of_shard(int shard) const;
 
   // --- explicit paths (the XPath substitute) ---------------------------
   /// All usable (non-cut) paths from src_leaf to dst_leaf, in local-index
@@ -107,21 +153,40 @@ class Fabric {
   [[nodiscard]] virtual double configured_link_rate(int leaf_id, int spine, int k = 0) const = 0;
 
   // --- observability ---------------------------------------------------
-  /// Attach (or with null, detach) a flight recorder to every port.
-  virtual void set_recorder(obs::FlightRecorder* rec) = 0;
-  /// Register fabric-wide pull counters under "net.*".
-  virtual void register_metrics(obs::MetricsRegistry& reg) = 0;
+  /// Attach the flight recorders, one per shard (null entries detach),
+  /// to every port: each device's ports record into its shard's ring.
+  /// Setup-time: interns every port name now, in walk order, so hot-path
+  /// appends carry ids only.
+  void set_recorders(std::span<obs::FlightRecorder* const> recs);
+  /// Register fabric-wide pull counters (tx/drops/ECN marks/failure
+  /// drops) under "net.*". Closures read the live PortStats, so the hot
+  /// path pays nothing beyond the counters it already maintained.
+  void register_metrics(obs::MetricsRegistry& reg);
 
   // --- timing guidelines -----------------------------------------------
   /// One-hop queueing delay at the ECN threshold (the paper's per-hop
   /// delay guideline used to derive T_RTT_high and Delta_RTT).
-  [[nodiscard]] virtual sim::SimTime one_hop_delay() const = 0;
+  [[nodiscard]] sim::SimTime one_hop_delay() const;
   /// Base RTT (propagation + serialization, empty queues) between hosts
-  /// under different leaves.
-  [[nodiscard]] virtual sim::SimTime base_rtt() const = 0;
+  /// on the longest path: max_hops_ links each way, a full-size data
+  /// packet out and an ACK back, serialization counted once per hop.
+  [[nodiscard]] sim::SimTime base_rtt() const;
 
  protected:
-  Fabric() = default;
+  /// One simulator per shard; each gets its own packet arena.
+  Fabric(std::vector<sim::Simulator*> shard_sims, const LinkConfig& link);
+
+  /// Build the next host (ids count up from 0) on `shard`.
+  Host& add_host(int shard);
+  /// Build the next switch on `shard`. Call in tier order: leaves, any
+  /// middle tier, spines.
+  Switch& add_switch(int shard, int id, std::string name);
+  [[nodiscard]] sim::Simulator& shard_sim(int shard) {
+    return *sims_[static_cast<std::size_t>(shard)];
+  }
+  [[nodiscard]] PacketArena& shard_arena(int shard) {
+    return *arenas_[static_cast<std::size_t>(shard)];
+  }
 
   /// Builders append every path to paths_ pair-major (ascending
   /// src_leaf * L + dst_leaf), then call this to number the paths by
@@ -147,12 +212,27 @@ class Fabric {
   int num_leaves_ = 0;
   int num_spines_ = 0;
   int hosts_per_leaf_ = 0;
-  double host_rate_bps_ = 0;
   double bisection_bps_ = 0;
+  int max_hops_ = 0;  ///< links one way on the longest host-to-host path
   /// Every path once; a leaf pair's paths are one contiguous run.
   std::vector<FabricPath> paths_;
 
  private:
+  [[nodiscard]] std::size_t spine_index(int spine) const {
+    return switches_.size() - static_cast<std::size_t>(num_spines_) +
+           static_cast<std::size_t>(spine);
+  }
+
+  LinkConfig link_;
+  // HERMES_SHARD_OWNED one simulator per shard; index only by shard id
+  std::vector<sim::Simulator*> sims_;
+  /// Declared before the devices: their ports keep references into the
+  /// arenas, so the arenas must outlive them (members destroy in reverse).
+  // HERMES_SHARD_OWNED one arena per shard; index only by shard id
+  std::vector<std::unique_ptr<PacketArena>> arenas_;
+  std::vector<std::unique_ptr<Host>> hosts_;
+  std::vector<std::unique_ptr<Switch>> switches_;  ///< tier order
+  std::vector<int> switch_shard_;                  ///< parallel to switches_
   /// paths_between_leaves(a, b) is paths_[pair_begin_[p], pair_begin_[p + 1])
   /// with p = a * L + b; L * L + 1 entries.
   std::vector<std::uint32_t> pair_begin_;

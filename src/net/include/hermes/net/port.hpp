@@ -139,11 +139,10 @@ class Port {
   /// static per-port capacity (invariant checker picks the right bound).
   [[nodiscard]] bool pooled() const { return pool_ != nullptr; }
 
-  /// Optional per-packet observers (tests, TraceLog, InvariantChecker).
-  /// Null by default; the hot path pays one branch each.
+  /// Optional per-packet observers (tests, InvariantChecker). Null by
+  /// default; the hot path pays one branch each.
   Hook on_drop;
   Hook on_enqueue;
-  Hook on_transmit;
 
   /// Current simulation time (for observers that only hold the port).
   [[nodiscard]] sim::SimTime now() const { return simulator_.now(); }

@@ -123,7 +123,6 @@ void Port::try_transmit() {
   ++stats_.tx_packets;
   stats_.tx_bytes += bytes;
   if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kTransmit, arena_[h]);
-  if (on_transmit) [[unlikely]] on_transmit(arena_[h]);
   const auto tx = tx_time_cached(bytes);
   // The packet rides "the wire" until tx + propagation. Its delivery
   // deadline is recorded with the wire entry; the serialization-done

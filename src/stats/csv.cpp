@@ -1,8 +1,10 @@
 #include "hermes/stats/csv.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace hermes::stats {
 
@@ -42,6 +44,15 @@ bool write_file(const std::string& path, const std::string& content) {
   const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
   std::fclose(f);
   return n == content.size();
+}
+
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 }  // namespace hermes::stats

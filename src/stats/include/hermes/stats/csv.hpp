@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "hermes/stats/fct.hpp"
 
@@ -20,5 +22,9 @@ namespace hermes::stats {
 
 /// Write `content` to `path`; returns false on I/O failure.
 bool write_file(const std::string& path, const std::string& content);
+
+/// 64-bit FNV-1a of rendered output (CSV, metrics snapshots, decision
+/// logs): the fingerprint the golden-hash determinism checks pin.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view text);
 
 }  // namespace hermes::stats

@@ -27,15 +27,6 @@
 namespace hermes {
 namespace {
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct Cell {
   harness::Scheme scheme;
   double load;
@@ -76,7 +67,7 @@ constexpr std::uint64_t kGoldenHash = 0xa490e4896445aaecull;
 TEST(Determinism, GoldenSeedFctHashMatchesHeapBaseline) {
   std::string all;
   for (const Cell& c : cells()) all += run_cell_csv(c);
-  EXPECT_EQ(fnv1a64(all), kGoldenHash)
+  EXPECT_EQ(stats::fnv1a64(all), kGoldenHash)
       << "fixed-seed per-flow FCT output changed (" << all.size()
       << " bytes) — scheduling-order regression, or an intentional "
          "change that must re-record the golden hash";
@@ -90,7 +81,7 @@ TEST(Determinism, GoldenSeedFctHashMatchesHeapBaseline) {
 TEST(Determinism, ObservabilityOnReproducesGoldenHash) {
   std::string all;
   for (const Cell& c : cells()) all += run_cell_csv(c, /*obs_enabled=*/true);
-  EXPECT_EQ(fnv1a64(all), kGoldenHash)
+  EXPECT_EQ(stats::fnv1a64(all), kGoldenHash)
       << "enabling the flight recorder changed simulation results — an "
          "instrumentation site is consuming RNG or mutating model state";
 }
@@ -157,7 +148,7 @@ TEST(Determinism, ParallelSweepIsByteIdenticalToSerial) {
   for (const auto& p : parts) parallel += p;
 
   EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(fnv1a64(parallel), kGoldenHash);
+  EXPECT_EQ(stats::fnv1a64(parallel), kGoldenHash);
 }
 
 }  // namespace

@@ -21,18 +21,10 @@
 
 #include "hermes/engine/engine.hpp"
 #include "hermes/sim/thread_pool.hpp"
+#include "hermes/stats/csv.hpp"
 
 namespace hermes::engine {
 namespace {
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Serializes every decision event plus every decide() return value.
 struct ScriptLog final : DecisionSink {
@@ -157,7 +149,7 @@ constexpr std::uint64_t kEngineGoldenHash = 0x2d0f8d52e3ca5439ull;  // 7696-byte
 
 TEST(EngineDeterminism, GoldenDecisionLogHashPinned) {
   const std::string log = run_script(7);
-  EXPECT_EQ(fnv1a64(log), kEngineGoldenHash)
+  EXPECT_EQ(stats::fnv1a64(log), kEngineGoldenHash)
       << "engine decision log changed (" << log.size()
       << " bytes) — RNG-order regression, or an intentional behavior "
          "change that must re-record this hash";

@@ -1,17 +1,23 @@
-// Tests for the library extensions: WCMP, CSV export, the packet-event
-// TraceLog, and shared-buffer (Dynamic Threshold) switches.
+// Tests for the library extensions: WCMP, CSV export, the per-port packet
+// trace log (a flight recorder attached to a port), and shared-buffer (Dynamic
+// Threshold) switches.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <gtest/gtest.h>
 #include <string>
+#include <vector>
 
 #include <map>
 
 #include "hermes/harness/scenario.hpp"
 #include "hermes/lb/wcmp.hpp"
 #include "hermes/net/buffer_pool.hpp"
-#include "hermes/net/trace_log.hpp"
+#include "hermes/obs/flight_recorder.hpp"
+#include "hermes/obs/records.hpp"
+#include "hermes/obs/trace_io.hpp"
 #include "hermes/stats/csv.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
@@ -150,7 +156,26 @@ TEST(Csv, WriteFileRoundTrip) {
   std::remove(path.c_str());
 }
 
-// --- TraceLog ---------------------------------------------------------------
+// --- Per-port packet trace log (a FlightRecorder on the port) ---------------
+
+std::size_t count_event(const std::vector<obs::TraceRecord>& recs, obs::PacketEvent ev) {
+  std::size_t n = 0;
+  for (const obs::TraceRecord& r : recs) {
+    if (r.kind == obs::RecordKind::kPacket && r.u.packet.event == static_cast<std::uint8_t>(ev)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+class NullDev : public net::Device {
+ public:
+  explicit NullDev(net::PacketArena& a) : arena_{a} {}
+  void receive(net::PacketHandle h, int) override { arena_.free(h); }
+
+ private:
+  net::PacketArena& arena_;
+};
 
 TEST(TraceLogTest, RecordsLifecycleOfEveryPacket) {
   harness::ScenarioConfig cfg;
@@ -158,18 +183,22 @@ TEST(TraceLogTest, RecordsLifecycleOfEveryPacket) {
   cfg.topo.num_spines = 1;
   cfg.topo.hosts_per_leaf = 1;
   harness::Scenario s{cfg};
-  net::TraceLog log;
-  log.attach(s.topology().host(0).nic());
+  obs::FlightRecorder rec;
+  s.topology().host(0).nic().set_recorder(&rec);
   const auto id = s.add_flow(0, 1, 100'000, usec(0));
   s.run();
+  const std::vector<obs::TraceRecord> recs = rec.snapshot();
   // Every data packet was enqueued and transmitted at the NIC.
-  EXPECT_EQ(log.count(net::TraceEvent::kEnqueue), log.count(net::TraceEvent::kTransmit));
-  EXPECT_GE(log.count(net::TraceEvent::kEnqueue), 100'000u / 1460u);
-  EXPECT_EQ(log.count(net::TraceEvent::kDrop), 0u);
-  const auto mine = log.entries_for_flow(id);
-  EXPECT_EQ(mine.size(), log.entries().size());  // only this flow ran
-  // Timestamps are nondecreasing.
-  for (std::size_t i = 1; i < mine.size(); ++i) EXPECT_GE(mine[i].time, mine[i - 1].time);
+  EXPECT_EQ(count_event(recs, obs::PacketEvent::kEnqueue),
+            count_event(recs, obs::PacketEvent::kTransmit));
+  EXPECT_GE(count_event(recs, obs::PacketEvent::kEnqueue), 100'000u / 1460u);
+  EXPECT_EQ(count_event(recs, obs::PacketEvent::kDrop), 0u);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].flow_id, id);  // only this flow ran
+    if (i > 0) {
+      EXPECT_GE(recs[i].time_ns, recs[i - 1].time_ns);
+    }
+  }
 }
 
 TEST(TraceLogTest, DropsAreRecorded) {
@@ -178,52 +207,64 @@ TEST(TraceLogTest, DropsAreRecorded) {
   pc.rate_bps = 1e9;
   pc.queue_capacity_bytes = 3'000;
   net::PacketArena arena;
-  class NullDev : public net::Device {
-   public:
-    explicit NullDev(net::PacketArena& a) : arena_{a} {}
-    void receive(net::PacketHandle h, int) override { arena_.free(h); }
-
-   private:
-    net::PacketArena& arena_;
-  } dev{arena};
-  net::Port port{simulator, arena, "p", pc, &dev, 0};
-  net::TraceLog log;
-  log.attach(port);
+  NullDev dev{arena};
+  net::Port port{simulator, arena, "leaf9:p3", pc, &dev, 0};
+  obs::FlightRecorder rec;
+  port.set_recorder(&rec);
   for (int i = 0; i < 10; ++i) {
     net::Packet p;
+    p.id = 40 + static_cast<std::uint64_t>(i);
     p.size = 1500;
     port.send(std::move(p));
   }
   simulator.run();
-  EXPECT_GT(log.count(net::TraceEvent::kDrop), 0u);
-  EXPECT_EQ(log.count(net::TraceEvent::kDrop) + log.count(net::TraceEvent::kEnqueue), 10u);
+  const std::vector<obs::TraceRecord> recs = rec.snapshot();
+  const std::size_t drops = count_event(recs, obs::PacketEvent::kDrop);
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(drops + count_event(recs, obs::PacketEvent::kEnqueue), 10u);
+  // The first three packets fit (one on the wire, two queued); the fourth
+  // is the first drop, and its record names the port and the packet.
+  const auto first_drop =
+      std::find_if(recs.begin(), recs.end(), [](const obs::TraceRecord& r) {
+        return r.u.packet.event == static_cast<std::uint8_t>(obs::PacketEvent::kDrop);
+      });
+  ASSERT_NE(first_drop, recs.end());
+  EXPECT_EQ(rec.names().name(first_drop->name), "leaf9:p3");
+  EXPECT_EQ(first_drop->u.packet.packet_id, 43u);
 }
 
+// hermestrace renders a dumped trace as text from the record's event, the
+// resolved port name and the packet and flow ids; check a dump carries all
+// four for one enqueued packet.
 TEST(TraceLogTest, TextRenderingContainsEvents) {
   sim::Simulator simulator{1};
   net::PortConfig pc;
   net::PacketArena arena;
-  class NullDev : public net::Device {
-   public:
-    explicit NullDev(net::PacketArena& a) : arena_{a} {}
-    void receive(net::PacketHandle h, int) override { arena_.free(h); }
-
-   private:
-    net::PacketArena& arena_;
-  } dev{arena};
+  NullDev dev{arena};
   net::Port port{simulator, arena, "leaf9:p3", pc, &dev, 0};
-  net::TraceLog log;
-  log.attach(port);
+  obs::FlightRecorder rec;
+  port.set_recorder(&rec);
   net::Packet p;
   p.id = 42;
   p.flow_id = 9;
   p.size = 1500;
   port.send(std::move(p));
   simulator.run();
-  const auto text = log.to_text();
-  EXPECT_NE(text.find("ENQ"), std::string::npos);
-  EXPECT_NE(text.find("leaf9:p3"), std::string::npos);
-  EXPECT_NE(text.find("pkt=42"), std::string::npos);
+  const std::string path = testing::TempDir() + "extensions_port_trace.htrc";
+  ASSERT_TRUE(obs::write_trace(path, rec));
+  obs::LoadedTrace t;
+  std::string err;
+  ASSERT_TRUE(obs::read_trace(path, t, &err)) << err;
+  std::remove(path.c_str());
+  const auto enq = std::find_if(t.records.begin(), t.records.end(), [](const obs::TraceRecord& r) {
+    return r.kind == obs::RecordKind::kPacket &&
+           r.u.packet.event == static_cast<std::uint8_t>(obs::PacketEvent::kEnqueue);
+  });
+  ASSERT_NE(enq, t.records.end());
+  EXPECT_STREQ(obs::to_string(static_cast<obs::PacketEvent>(enq->u.packet.event)), "ENQ");
+  EXPECT_EQ(t.name(enq->name), "leaf9:p3");
+  EXPECT_EQ(enq->u.packet.packet_id, 42u);
+  EXPECT_EQ(enq->flow_id, 9u);
 }
 
 // --- Dynamic Threshold shared buffer ---------------------------------------

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <map>
@@ -17,6 +18,10 @@
 #include "hermes/faults/invariant_checker.hpp"
 #include "hermes/faults/random_faults.hpp"
 #include "hermes/harness/scenario.hpp"
+#include "hermes/net/fabric.hpp"
+#include "hermes/net/fattree.hpp"
+#include "hermes/net/packet.hpp"
+#include "hermes/sim/simulator.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
 namespace hermes::faults {
@@ -422,6 +427,44 @@ TEST(InvariantChecker, RegistersPerInvariantCounters) {
   EXPECT_NE(snap.find("invariants.violations.shared_buffer 0"), std::string::npos);
   EXPECT_EQ(s.invariants()->violation_count(Invariant::kByteConservation), 0u);
   EXPECT_STREQ(to_string(Invariant::kQueueBound), "queue-bound");
+}
+
+TEST(InvariantChecker, WalksTheFatTreeMiddleTier) {
+  // A one-shard k=4 fat-tree with the (leaf 0, agg 0) link cut. Pod 1
+  // sends one packet over each of its four paths to a host under leaf 0:
+  // the paths through cores 0 and 1 reach agg(0, 0), whose downlink to
+  // leaf 0 is cut, so two drops land on a middle-tier port; the other
+  // two are delivered. A checker that skips the middle tier misses those
+  // drops and reports a conservation violation.
+  sim::Simulator simulator{1};
+  net::FatTreeConfig ftc;
+  ftc.k = 4;
+  net::FatTree ft{{&simulator}, ftc};
+  InvariantCheckerConfig icfg;
+  icfg.period = sim::SimTime::zero();
+  InvariantChecker checker{simulator, ft, icfg};
+  ft.set_link_state(/*leaf_id=*/0, /*agg=*/0, /*up=*/false);
+
+  const int src = ft.first_host_of_leaf(2);  // pod 1
+  const int dst = 0;                         // under leaf 0
+  for (const net::FabricPath& path : ft.paths_between_hosts(src, dst)) {
+    net::Packet p;
+    p.id = static_cast<std::uint64_t>(path.id);
+    p.src = src;
+    p.dst = dst;
+    p.size = 1500;
+    p.path_id = path.id;
+    p.route = ft.forward_route(src, dst, path.id);
+    ft.host(src).send(std::move(p));
+  }
+  simulator.run();
+  checker.check_now("end of test");
+
+  EXPECT_TRUE(checker.ok()) << checker.violations().front().what;
+  EXPECT_EQ(ft.agg(0, 0).port(0).stats().link_down_drops, 2u);
+  EXPECT_EQ(checker.dropped_bytes(), 2u * 1500u);
+  EXPECT_EQ(checker.delivered_bytes(), 2u * 1500u);
+  EXPECT_EQ(checker.injected_bytes(), 4u * 1500u);
 }
 
 // --- determinism regression ---------------------------------------------

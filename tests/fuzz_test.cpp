@@ -24,6 +24,7 @@
 #include "hermes/obs/records.hpp"
 #include "hermes/obs/trace_diff.hpp"
 #include "hermes/obs/trace_io.hpp"
+#include "hermes/stats/csv.hpp"
 
 namespace hermes {
 namespace {
@@ -32,15 +33,6 @@ using faults::fuzz::FuzzScenario;
 using faults::fuzz::RandomScenarioGenerator;
 using obs::DecisionKind;
 using obs::RecordKind;
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // --- RandomScenarioGenerator --------------------------------------------
 
@@ -62,7 +54,7 @@ TEST(ScenarioFuzzer, GoldenHashPinsSamplingOrder) {
   const RandomScenarioGenerator gen;
   std::string all;
   for (std::uint64_t s = 0; s < 32; ++s) all += gen.generate(s).describe();
-  EXPECT_EQ(fnv1a64(all), kFuzzGoldenHash)
+  EXPECT_EQ(stats::fnv1a64(all), kFuzzGoldenHash)
       << "generated scenarios changed (" << all.size()
       << " bytes of canonical text) — seed replay across versions is "
          "broken; re-record only for an intentional generator change";

@@ -5,8 +5,10 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 
+#include "hermes/net/fattree.hpp"
 #include "hermes/net/topology.hpp"
 #include "hermes/sim/simulator.hpp"
+#include "hermes/sim/time.hpp"
 
 namespace hermes::net {
 namespace {
@@ -184,6 +186,28 @@ TEST(TopologyTest, BaseRttIsSmallButPositive) {
   Topology topo{simulator, small_config()};
   EXPECT_GT(topo.base_rtt(), sim::usec(10));
   EXPECT_LT(topo.base_rtt(), sim::usec(50));
+}
+
+// Default link parameters: 10G everywhere, 2us per hop, a 65-packet
+// (97,500-byte) ECN threshold. HermesConfig::defaults_for derives its RTT
+// thresholds from these two values.
+TEST(FabricTiming, LeafSpineDefaultsToTheNanosecond) {
+  sim::Simulator simulator{1};
+  Topology topo{simulator, TopologyConfig{}};
+  // 97,500 B * 8 / 10G = 78us.
+  EXPECT_EQ(topo.one_hop_delay(), sim::nsec(78'000));
+  // 4 hops each way: 8 x 2us propagation, plus (1500 + 64) B x 4 hops
+  // serialized at 10G = 5004.8ns, rounded to 5005ns.
+  EXPECT_EQ(topo.base_rtt(), sim::nsec(21'005));
+}
+
+TEST(FabricTiming, FatTreeDefaultsToTheNanosecond) {
+  sim::Simulator simulator{1};
+  FatTree ft{{&simulator}, FatTreeConfig{}};
+  EXPECT_EQ(ft.one_hop_delay(), sim::nsec(78'000));
+  // 6 hops each way: 12 x 2us, plus (1500 + 64) B x 6 hops at 10G =
+  // 7507.2ns, rounded to 7507ns.
+  EXPECT_EQ(ft.base_rtt(), sim::nsec(31'507));
 }
 
 TEST(TopologyTest, FabricPortsAreFlagged) {

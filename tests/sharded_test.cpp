@@ -29,15 +29,6 @@
 namespace hermes {
 namespace {
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Value of `name` in a MetricsRegistry::snapshot_text() dump ("name
 /// value" lines), or -1 when absent.
 double metric_value(const std::string& text, const std::string& name) {
@@ -262,7 +253,8 @@ TEST(Sharded, ThreadCountIsInvisible_ObsOnWithMergedTrace) {
   const std::string b1 = file_bytes(p1);
   const std::string b2 = file_bytes(p2);
   ASSERT_FALSE(b1.empty());
-  EXPECT_EQ(fnv1a64(b1), fnv1a64(b2)) << "merged trace bytes differ across thread counts";
+  EXPECT_EQ(stats::fnv1a64(b1), stats::fnv1a64(b2))
+      << "merged trace bytes differ across thread counts";
   std::remove(p1.c_str());
   std::remove(p2.c_str());
 }
@@ -306,7 +298,7 @@ constexpr std::uint64_t kShardedGoldenHash = 0x070d2bf6e0098518ull;
 TEST(Sharded, GoldenHashPinned) {
   const std::string ecmp = run_sharded_csv(base_config(harness::Scheme::kEcmp, 4, 2));
   const std::string hermes = run_sharded_csv(base_config(harness::Scheme::kHermes, 4, 2));
-  EXPECT_EQ(fnv1a64(ecmp + hermes), kShardedGoldenHash)
+  EXPECT_EQ(stats::fnv1a64(ecmp + hermes), kShardedGoldenHash)
       << "fixed-seed sharded FCT output changed (" << (ecmp.size() + hermes.size())
       << " bytes) — mailbox/horizon ordering regression, or an intentional "
          "change that must re-record this hash";
