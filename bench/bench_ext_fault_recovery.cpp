@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
       cfg.max_sim_time = sim::sec(2);
       if (faulted) {
         cfg.fault_plan.transient_blackhole(
-            t1, t2, failed_spine,
+            t1, t2, topo.shape().spine(failed_spine),
             faults::rack_pair_blackhole(topo.hosts_per_leaf, src_leaf, dst_leaf));
         cfg.check_invariants = true;
       }

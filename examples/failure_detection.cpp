@@ -32,11 +32,12 @@ int main() {
   //   TCAM-corrupted switch; spine 5 silently drops 2% of everything.
   const sim::SimTime onset = msec(5);
   const sim::SimTime heal = msec(250);
+  const net::FabricShape shape = cfg.topo.shape();
   cfg.fault_plan
-      .transient_blackhole(onset, heal, /*switch_id=*/1,
+      .transient_blackhole(onset, heal, shape.spine(1),
                            faults::rack_pair_blackhole(cfg.topo.hosts_per_leaf, 0, 7,
                                                        /*half_pairs=*/true))
-      .transient_random_drop(onset, heal, /*switch_id=*/5, 0.02);
+      .transient_random_drop(onset, heal, shape.spine(5), 0.02);
   cfg.check_invariants = true;
 
   harness::Scenario s{cfg};

@@ -27,9 +27,11 @@
 #      fat-tree under the sharded executor at 1 and 2 threads, asserts
 #      byte-identical FCT output internally, and the regression guard
 #      re-checks determinism/completion from the emitted JSON.
-#   6. Fuzz smoke: 25 seeds through hermesfuzz. The nightly workflow
-#      (fuzz.yml) runs thousands; this is the per-change canary that the
-#      fuzz loop itself still works and the first seeds stay clean.
+#   6. Fuzz smoke: 25 seeds through hermesfuzz, then 5 sharded fat-tree
+#      seeds (faults on every tier, 1 vs 2 threads, every flow must
+#      finish). The nightly workflow (fuzz.yml) runs thousands; this is
+#      the per-change canary that both fuzz loops still work and the
+#      first seeds stay clean.
 #   7. hermesd smoke: the standalone decision daemon (links only
 #      hermes::engine) replays both shipped traces end-to-end — the
 #      fig17 blackhole trace additionally paced at 10x wall-clock —
@@ -77,10 +79,11 @@ cmake --build build-rel -j "$JOBS" --target bench_ext_fattree_scale
 (cd build-rel && ./bench/bench_ext_fattree_scale --smoke --json=BENCH_fattree_smoke.json)
 python3 scripts/check_bench_regress.py BENCH_core.json build-rel/BENCH_fattree_smoke.json
 
-echo "== [6/8] fuzz smoke (25 seeds) =="
+echo "== [6/8] fuzz smoke (25 seeds + 5 sharded) =="
 FUZZ_OUT="$(mktemp -d)"
 ./build/tools/hermesfuzz/hermesfuzz --seeds=25 --out="$FUZZ_OUT"
 rm -rf "$FUZZ_OUT"
+./build/tools/hermesfuzz/hermesfuzz --sharded --seeds=5
 
 echo "== [7/8] hermesd trace replay smoke =="
 ./build/tools/hermesd/hermesd tools/hermesd/traces/smoke.trace --speed=0

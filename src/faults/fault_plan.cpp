@@ -1,6 +1,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "hermes/faults/fault_plan.hpp"
 
@@ -33,104 +34,69 @@ std::function<bool(const net::Packet&)> rack_pair_blackhole(int hosts_per_leaf, 
   };
 }
 
-FaultPlan& FaultPlan::blackhole_on(sim::SimTime at, int switch_id,
+FaultPlan& FaultPlan::blackhole_on(sim::SimTime at, int sw,
                                    std::function<bool(const net::Packet&)> pred,
-                                   SwitchTier tier, std::string note) {
-  FaultEvent e;
-  e.at = at;
-  e.action = FaultAction::kBlackholeOn;
-  e.tier = tier;
-  e.switch_id = switch_id;
-  e.blackhole = std::move(pred);
-  e.note = std::move(note);
-  return add(std::move(e));
+                                   std::string note) {
+  return add({.at = at, .action = FaultAction::kBlackholeOn, .sw = sw,
+              .blackhole = std::move(pred), .note = std::move(note)});
 }
 
-FaultPlan& FaultPlan::blackhole_off(sim::SimTime at, int switch_id, SwitchTier tier,
-                                    std::string note) {
-  FaultEvent e;
-  e.at = at;
-  e.action = FaultAction::kBlackholeOff;
-  e.tier = tier;
-  e.switch_id = switch_id;
-  e.note = std::move(note);
-  return add(std::move(e));
+FaultPlan& FaultPlan::blackhole_off(sim::SimTime at, int sw, std::string note) {
+  return add({.at = at, .action = FaultAction::kBlackholeOff, .sw = sw, .note = std::move(note)});
 }
 
-FaultPlan& FaultPlan::random_drop(sim::SimTime at, int switch_id, double rate, SwitchTier tier,
-                                  std::string note) {
-  FaultEvent e;
-  e.at = at;
-  e.action = FaultAction::kRandomDropSet;
-  e.tier = tier;
-  e.switch_id = switch_id;
-  e.rate = rate;
-  e.note = std::move(note);
-  return add(std::move(e));
+FaultPlan& FaultPlan::random_drop(sim::SimTime at, int sw, double rate, std::string note) {
+  return add({.at = at, .action = FaultAction::kRandomDropSet, .sw = sw, .rate = rate,
+              .note = std::move(note)});
 }
 
-FaultPlan& FaultPlan::link_down(sim::SimTime at, int leaf, int spine, int k, std::string note) {
-  FaultEvent e;
-  e.at = at;
-  e.action = FaultAction::kLinkDown;
-  e.link = {leaf, spine, k};
-  e.note = std::move(note);
-  return add(std::move(e));
+FaultPlan& FaultPlan::link_down(sim::SimTime at, int sw, int uplink, std::string note) {
+  return add({.at = at, .action = FaultAction::kLinkDown, .sw = sw, .uplink = uplink,
+              .note = std::move(note)});
 }
 
-FaultPlan& FaultPlan::link_up(sim::SimTime at, int leaf, int spine, int k, std::string note) {
-  FaultEvent e;
-  e.at = at;
-  e.action = FaultAction::kLinkUp;
-  e.link = {leaf, spine, k};
-  e.note = std::move(note);
-  return add(std::move(e));
+FaultPlan& FaultPlan::link_up(sim::SimTime at, int sw, int uplink, std::string note) {
+  return add({.at = at, .action = FaultAction::kLinkUp, .sw = sw, .uplink = uplink,
+              .note = std::move(note)});
 }
 
-FaultPlan& FaultPlan::link_rate(sim::SimTime at, int leaf, int spine, double bps, int k,
+FaultPlan& FaultPlan::link_rate(sim::SimTime at, int sw, int uplink, double fraction,
                                 std::string note) {
-  FaultEvent e;
-  e.at = at;
-  e.action = FaultAction::kLinkRate;
-  e.link = {leaf, spine, k};
-  e.rate = bps;
-  e.note = std::move(note);
-  return add(std::move(e));
+  return add({.at = at, .action = FaultAction::kLinkRate, .sw = sw, .uplink = uplink,
+              .rate = fraction, .note = std::move(note)});
 }
 
-FaultPlan& FaultPlan::transient_blackhole(sim::SimTime on, sim::SimTime off, int switch_id,
-                                          std::function<bool(const net::Packet&)> pred,
-                                          SwitchTier tier) {
-  blackhole_on(on, switch_id, std::move(pred), tier, "transient onset");
-  return blackhole_off(off, switch_id, tier, "transient recovery");
+FaultPlan& FaultPlan::transient_blackhole(sim::SimTime on, sim::SimTime off, int sw,
+                                          std::function<bool(const net::Packet&)> pred) {
+  blackhole_on(on, sw, std::move(pred), "transient onset");
+  return blackhole_off(off, sw, "transient recovery");
 }
 
-FaultPlan& FaultPlan::transient_random_drop(sim::SimTime on, sim::SimTime off, int switch_id,
-                                            double rate, SwitchTier tier) {
-  random_drop(on, switch_id, rate, tier, "transient onset");
-  return random_drop(off, switch_id, 0.0, tier, "transient recovery");
+FaultPlan& FaultPlan::transient_random_drop(sim::SimTime on, sim::SimTime off, int sw,
+                                            double rate) {
+  random_drop(on, sw, rate, "transient onset");
+  return random_drop(off, sw, 0.0, "transient recovery");
 }
 
-FaultPlan& FaultPlan::flap_random_drop(sim::SimTime start, int switch_id, double rate,
-                                       sim::SimTime period, int count, double duty,
-                                       SwitchTier tier) {
+FaultPlan& FaultPlan::flap_random_drop(sim::SimTime start, int sw, double rate,
+                                       sim::SimTime period, int count, double duty) {
   for (int i = 0; i < count; ++i) {
     const sim::SimTime on = start + sim::SimTime::nanoseconds(period.ns() * i);
     const sim::SimTime off =
         on + sim::SimTime::nanoseconds(static_cast<std::int64_t>(period.ns() * duty));
-    transient_random_drop(on, off, switch_id, rate, tier);
+    transient_random_drop(on, off, sw, rate);
   }
   return *this;
 }
 
-FaultPlan& FaultPlan::flap_link(sim::SimTime start, int leaf, int spine, sim::SimTime period,
-                                int count, double duty, int k) {
+FaultPlan& FaultPlan::flap_link(sim::SimTime start, int sw, int uplink, sim::SimTime period,
+                                int count, double duty) {
   for (int i = 0; i < count; ++i) {
     const sim::SimTime down = start + sim::SimTime::nanoseconds(period.ns() * i);
     const sim::SimTime up =
         down + sim::SimTime::nanoseconds(static_cast<std::int64_t>(period.ns() * duty));
-    link_down(down, leaf, spine, k, "flap");
-    link_up(up, leaf, spine, k, "flap");
+    link_down(down, sw, uplink, "flap");
+    link_up(up, sw, uplink, "flap");
   }
   return *this;
 }

@@ -21,40 +21,34 @@ enum class FaultAction : std::uint8_t {
   kBlackholeOn,    ///< install a blackhole predicate on a switch
   kBlackholeOff,   ///< remove the switch's blackhole predicate
   kRandomDropSet,  ///< set the switch's silent random-drop rate (0 clears)
-  kLinkDown,       ///< cut a leaf<->spine link (both directions)
+  kLinkDown,       ///< cut a switch-to-switch link (both directions)
   kLinkUp,         ///< restore a cut link
   kLinkRate,       ///< set a link's capacity (degrade or restore)
 };
 
 [[nodiscard]] const char* to_string(FaultAction a);
 
-/// Which switch tier a switch-targeted event hits.
-enum class SwitchTier : std::uint8_t { kLeaf, kSpine };
-
-/// A leaf<->spine link, identified the same way TopologyConfig overrides
-/// are: (leaf, spine, parallel index).
-struct LinkRef {
-  int leaf = -1;
-  int spine = -1;
-  int k = 0;
-};
+/// True for the actions that target a link rather than a switch.
+[[nodiscard]] inline bool is_link_action(FaultAction a) {
+  return a == FaultAction::kLinkDown || a == FaultAction::kLinkUp || a == FaultAction::kLinkRate;
+}
 
 /// One timed fault transition. Built via the FaultPlan helpers below;
 /// executed by the FaultScheduler through the simulator's event queue.
+/// Targets use net::Fabric's names, so a plan can be written from the
+/// fabric's shape (net::FabricShape) before the fabric is built: a switch
+/// is its index in Fabric::switches() (tier order), and a link is its
+/// lower switch plus the ordinal of that uplink there.
 struct FaultEvent {
   sim::SimTime at{};
   FaultAction action = FaultAction::kRandomDropSet;
-
-  // Switch-targeted events (blackhole / random drop).
-  SwitchTier tier = SwitchTier::kSpine;
-  int switch_id = -1;
-  std::function<bool(const net::Packet&)> blackhole;  ///< kBlackholeOn only
-
-  // Link-targeted events.
-  LinkRef link;
-  double rate = 0.0;  ///< drop rate (kRandomDropSet) or bps (kLinkRate)
-
-  std::string note;  ///< free-form label carried into the scheduler log
+  int sw = -1;      ///< the switch, or a link's lower switch
+  int uplink = -1;  ///< link events: the uplink ordinal at `sw`; -1 otherwise
+  std::function<bool(const net::Packet&)> blackhole{};  ///< kBlackholeOn only
+  /// Drop rate (kRandomDropSet) or fraction of the link's build-time
+  /// rate (kLinkRate; 1 restores it).
+  double rate = 0.0;
+  std::string note{};  ///< free-form label carried into the scheduler log
 };
 
 /// Reusable blackhole predicate matching the paper's §5.3.3 setup: data
@@ -64,13 +58,16 @@ struct FaultEvent {
     int hosts_per_leaf, int src_leaf, int dst_leaf, bool half_pairs = false);
 
 /// An ordered list of timed FaultEvents. The builder methods return *this
-/// so plans read as a timeline:
+/// so plans read as a timeline (on a leaf-spine, `shape.spine(s)` names
+/// spine s, and leaf l's uplink s is its link to spine s):
 ///
+///   const net::FabricShape shape = topo_config.shape();
 ///   faults::FaultPlan plan;
-///   plan.random_drop(sim::msec(10), spine, 0.02)
-///       .random_drop(sim::msec(200), spine, 0.0)     // recovery
-///       .link_down(sim::msec(50), 1, 3)
-///       .link_up(sim::msec(120), 1, 3);
+///   plan.random_drop(sim::msec(10), shape.spine(2), 0.02)
+///       .random_drop(sim::msec(200), shape.spine(2), 0.0)  // recovery
+///       .link_down(sim::msec(50), /*leaf*/ 1, /*uplink*/ 3)
+///       .link_up(sim::msec(120), 1, 3)
+///       .link_rate(sim::msec(60), 0, 1, 0.25);             // quarter rate
 class FaultPlan {
  public:
   FaultPlan& add(FaultEvent e) {
@@ -78,37 +75,32 @@ class FaultPlan {
     return *this;
   }
 
-  /// Install `pred` as the switch's blackhole at `at`.
-  FaultPlan& blackhole_on(sim::SimTime at, int switch_id,
-                          std::function<bool(const net::Packet&)> pred,
-                          SwitchTier tier = SwitchTier::kSpine, std::string note = {});
+  /// Install `pred` as switch `sw`'s blackhole at `at`.
+  FaultPlan& blackhole_on(sim::SimTime at, int sw, std::function<bool(const net::Packet&)> pred,
+                          std::string note = {});
   /// Remove the switch's blackhole at `at`.
-  FaultPlan& blackhole_off(sim::SimTime at, int switch_id,
-                           SwitchTier tier = SwitchTier::kSpine, std::string note = {});
+  FaultPlan& blackhole_off(sim::SimTime at, int sw, std::string note = {});
   /// Set the switch's silent random-drop rate at `at` (0 heals it).
-  FaultPlan& random_drop(sim::SimTime at, int switch_id, double rate,
-                         SwitchTier tier = SwitchTier::kSpine, std::string note = {});
-  /// Cut / restore / re-rate a leaf<->spine link (both directions).
-  FaultPlan& link_down(sim::SimTime at, int leaf, int spine, int k = 0, std::string note = {});
-  FaultPlan& link_up(sim::SimTime at, int leaf, int spine, int k = 0, std::string note = {});
-  FaultPlan& link_rate(sim::SimTime at, int leaf, int spine, double bps, int k = 0,
+  FaultPlan& random_drop(sim::SimTime at, int sw, double rate, std::string note = {});
+  /// Cut / restore uplink `uplink` of switch `sw` (both directions).
+  FaultPlan& link_down(sim::SimTime at, int sw, int uplink, std::string note = {});
+  FaultPlan& link_up(sim::SimTime at, int sw, int uplink, std::string note = {});
+  /// Run the link at `fraction` of its build-time rate (1 restores it).
+  FaultPlan& link_rate(sim::SimTime at, int sw, int uplink, double fraction,
                        std::string note = {});
 
   /// Blackhole active on [on, off): the transient-failure scenario the
   /// resilience scorecard is built around.
-  FaultPlan& transient_blackhole(sim::SimTime on, sim::SimTime off, int switch_id,
-                                 std::function<bool(const net::Packet&)> pred,
-                                 SwitchTier tier = SwitchTier::kSpine);
+  FaultPlan& transient_blackhole(sim::SimTime on, sim::SimTime off, int sw,
+                                 std::function<bool(const net::Packet&)> pred);
   /// Random-drop rate active on [on, off).
-  FaultPlan& transient_random_drop(sim::SimTime on, sim::SimTime off, int switch_id,
-                                   double rate, SwitchTier tier = SwitchTier::kSpine);
+  FaultPlan& transient_random_drop(sim::SimTime on, sim::SimTime off, int sw, double rate);
   /// A flap train: `count` on/off cycles starting at `start`, each cycle
   /// `period` long with the fault active for the first `duty` fraction.
-  FaultPlan& flap_random_drop(sim::SimTime start, int switch_id, double rate,
-                              sim::SimTime period, int count, double duty = 0.5,
-                              SwitchTier tier = SwitchTier::kSpine);
-  FaultPlan& flap_link(sim::SimTime start, int leaf, int spine, sim::SimTime period,
-                       int count, double duty = 0.5, int k = 0);
+  FaultPlan& flap_random_drop(sim::SimTime start, int sw, double rate, sim::SimTime period,
+                              int count, double duty = 0.5);
+  FaultPlan& flap_link(sim::SimTime start, int sw, int uplink, sim::SimTime period, int count,
+                       double duty = 0.5);
 
   /// Append every event of another plan (composing generated + scripted).
   FaultPlan& merge(const FaultPlan& other);

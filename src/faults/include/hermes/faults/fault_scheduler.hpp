@@ -23,20 +23,32 @@ struct AppliedFault {
   std::string what;
 };
 
+/// The link a link event names (null for a switch event), once the event
+/// is checked against `fabric`. Throws std::invalid_argument naming the
+/// event when its switch or uplink does not exist, or when a link_rate
+/// fraction is not positive.
+[[nodiscard]] const net::FabricLink* resolve_target(const FaultEvent& e,
+                                                    const net::Fabric& fabric);
+
 /// Executes a FaultPlan against a live fabric: every event is posted on
-/// the simulator's event queue and, when it fires, drives the Switch /
-/// Topology runtime mutators. The scheduler is the single writer of
-/// injected-fault state, so experiments can ask it what is currently
-/// broken (`active_faults()`) and subscribe to transitions
+/// the shard's simulator and, when it fires, mutates the switch, or the
+/// ends of the link, that the shard owns. A link with ends in two shards
+/// (fat-tree agg<->core) is installed in both; only the shard owning the
+/// named switch `sw` logs, records and counts it. The scheduler is the
+/// single writer of injected-fault state, so experiments can ask it what
+/// is currently broken (`active_faults()`) and subscribe to transitions
 /// (`on_transition`, which the InvariantChecker uses to run its checks
 /// right after every fault boundary).
 class FaultScheduler {
  public:
-  FaultScheduler(sim::Simulator& simulator, net::Fabric& topo);
+  /// Applies faults to what shard `shard` of `fabric` owns (everything,
+  /// on a one-shard fabric).
+  FaultScheduler(sim::Simulator& simulator, net::Fabric& fabric, int shard = 0);
 
   /// Schedule every event of `plan`. Events timed in the past (relative
   /// to the simulator clock) fire on the next queue pop. May be called
-  /// multiple times; plans accumulate.
+  /// multiple times; plans accumulate. Throws (see resolve_target) before
+  /// scheduling anything if an event names a target the fabric lacks.
   void install(const FaultPlan& plan);
 
   /// Fired after each event has been applied to the fabric.
@@ -60,19 +72,25 @@ class FaultScheduler {
   void register_metrics(obs::MetricsRegistry& reg);
 
  private:
+  [[nodiscard]] bool owns(int sw) const { return fabric_.shard_of_switch(sw) == shard_; }
+  [[nodiscard]] net::Switch& switch_at(int sw) {
+    return *fabric_.switches()[static_cast<std::size_t>(sw)];
+  }
   void apply(const FaultEvent& e);
-  [[nodiscard]] static std::string describe(const FaultEvent& e);
+  void apply_link(const FaultEvent& e, const net::FabricLink& link);
+  [[nodiscard]] std::string describe(const FaultEvent& e) const;
   void record_fault(const FaultEvent& e, bool onset);
 
   sim::Simulator& simulator_;
-  net::Fabric& topo_;
+  net::Fabric& fabric_;
+  int shard_;
   obs::FlightRecorder* rec_ = nullptr;  ///< null when observability is off
   std::uint32_t name_id_ = 0;
   std::vector<AppliedFault> log_;
   /// Installed events, owned here; queued callbacks index into this
   /// (append-only, so indices stay stable across install() calls).
   std::deque<FaultEvent> installed_events_;
-  std::size_t installed_ = 0;
+  std::size_t installed_ = 0;  ///< events whose named switch this shard owns
   int active_ = 0;
 };
 

@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
-#include "hermes/faults/fault_plan.hpp"
-#include "hermes/net/topology.hpp"
 #include "hermes/engine/rng.hpp"
+#include "hermes/faults/fault_plan.hpp"
+#include "hermes/net/fabric.hpp"
 #include "hermes/sim/time.hpp"
 
 namespace hermes::faults {
@@ -13,8 +14,8 @@ namespace hermes::faults {
 /// the whole fabric (exponential inter-onset times with mean `mtbf`);
 /// each fault heals after an exponential repair time with mean `mttr`.
 /// The fault *kind* is drawn from the weights below, the target switch /
-/// link uniformly. Matches how switch-failure studies (Pingmesh, §2.1)
-/// summarize production incident traces.
+/// link uniformly over every tier. Matches how switch-failure studies
+/// (Pingmesh, §2.1) summarize production incident traces.
 struct RandomFaultConfig {
   sim::SimTime horizon = sim::sec(1);   ///< generate onsets in [start, start+horizon)
   sim::SimTime start = sim::msec(10);   ///< let the workload ramp up first
@@ -39,8 +40,8 @@ struct RandomFaultConfig {
 /// scenario seed) so identical seeds replay identical fault timelines.
 class RandomFaultGenerator {
  public:
-  RandomFaultGenerator(const net::TopologyConfig& topo, RandomFaultConfig config, engine::Rng rng)
-      : topo_{topo}, config_{config}, rng_{rng} {}
+  RandomFaultGenerator(net::FabricShape shape, RandomFaultConfig config, engine::Rng rng)
+      : shape_{std::move(shape)}, config_{config}, rng_{rng} {}
 
   /// Generate the timed onset/recovery events. Every onset gets a
   /// matching recovery event (possibly past the horizon — a fault near
@@ -48,7 +49,7 @@ class RandomFaultGenerator {
   [[nodiscard]] FaultPlan generate();
 
  private:
-  net::TopologyConfig topo_;
+  net::FabricShape shape_;
   RandomFaultConfig config_;
   engine::Rng rng_;
 };

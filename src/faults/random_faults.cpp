@@ -13,11 +13,10 @@ FaultPlan RandomFaultGenerator::generate() {
   const auto exp_time = [this](sim::SimTime mean) {
     return sim::SimTime::from_seconds(rng_.exponential(mean.to_seconds()));
   };
-  const auto pick_link = [this] {
-    return LinkRef{static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.num_leaves))),
-                   static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.num_spines))),
-                   static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.links_per_pair)))};
+  const auto pick = [this](int n) {
+    return static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
   };
+  const int num_switches = static_cast<int>(shape_.uplinks.size());
 
   sim::SimTime t = config_.start;
   const sim::SimTime end = config_.start + config_.horizon;
@@ -26,34 +25,30 @@ FaultPlan RandomFaultGenerator::generate() {
     if (t >= end) break;
     const sim::SimTime heal = t + exp_time(config_.mttr);
 
-    double pick = rng_.uniform() * wsum;
-    if ((pick -= config_.w_random_drop) < 0) {
-      const int spine = static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.num_spines)));
+    double weight = rng_.uniform() * wsum;
+    if ((weight -= config_.w_random_drop) < 0) {
+      const int sw = pick(num_switches);
       const double rate = rng_.uniform(config_.drop_rate_lo, config_.drop_rate_hi);
-      plan.random_drop(t, spine, rate, SwitchTier::kSpine, "mtbf onset");
-      plan.random_drop(heal, spine, 0.0, SwitchTier::kSpine, "mttr heal");
-    } else if ((pick -= config_.w_blackhole) < 0) {
-      const int spine = static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.num_spines)));
-      const int a = static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.num_leaves)));
-      int b = static_cast<int>(rng_.next(static_cast<std::uint64_t>(topo_.num_leaves)));
-      if (b == a) b = (b + 1) % topo_.num_leaves;
+      plan.random_drop(t, sw, rate, "mtbf onset");
+      plan.random_drop(heal, sw, 0.0, "mttr heal");
+    } else if ((weight -= config_.w_blackhole) < 0) {
+      const int sw = pick(num_switches);
+      const int a = pick(shape_.num_leaves);
+      int b = pick(shape_.num_leaves);
+      if (b == a) b = (b + 1) % shape_.num_leaves;
       if (b == a) continue;  // single-leaf fabric: nothing to blackhole
       plan.blackhole_on(
-          t, spine,
-          rack_pair_blackhole(topo_.hosts_per_leaf, a, b, config_.half_pair_blackholes),
-          SwitchTier::kSpine, "mtbf onset");
-      plan.blackhole_off(heal, spine, SwitchTier::kSpine, "mttr heal");
-    } else if ((pick -= config_.w_link_down) < 0) {
-      const LinkRef l = pick_link();
-      plan.link_down(t, l.leaf, l.spine, l.k, "mtbf onset");
-      plan.link_up(heal, l.leaf, l.spine, l.k, "mttr heal");
+          t, sw, rack_pair_blackhole(shape_.hosts_per_leaf, a, b, config_.half_pair_blackholes),
+          "mtbf onset");
+      plan.blackhole_off(heal, sw, "mttr heal");
+    } else if ((weight -= config_.w_link_down) < 0) {
+      const auto [sw, j] = shape_.link(pick(shape_.num_links()));
+      plan.link_down(t, sw, j, "mtbf onset");
+      plan.link_up(heal, sw, j, "mttr heal");
     } else {
-      const LinkRef l = pick_link();
-      auto it = topo_.fabric_overrides.find({l.leaf, l.spine, l.k});
-      const double nominal =
-          it != topo_.fabric_overrides.end() ? it->second : topo_.fabric_rate_bps;
-      plan.link_rate(t, l.leaf, l.spine, nominal * config_.degrade_factor, l.k, "mtbf onset");
-      plan.link_rate(heal, l.leaf, l.spine, nominal, l.k, "mttr heal");
+      const auto [sw, j] = shape_.link(pick(shape_.num_links()));
+      plan.link_rate(t, sw, j, config_.degrade_factor, "mtbf onset");
+      plan.link_rate(heal, sw, j, 1.0, "mttr heal");
     }
   }
   return plan;

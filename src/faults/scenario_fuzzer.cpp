@@ -43,7 +43,7 @@ const char* to_string(Workload w) {
 }
 
 std::string FuzzScenario::describe() const {
-  std::string s = "fuzz-scenario v1 seed=" + std::to_string(seed) + "\n";
+  std::string s = "fuzz-scenario v2 seed=" + std::to_string(seed) + "\n";
   s += "topo leaves=" + std::to_string(topo.num_leaves) +
        " spines=" + std::to_string(topo.num_spines) +
        " hosts_per_leaf=" + std::to_string(topo.hosts_per_leaf) +
@@ -59,16 +59,9 @@ std::string FuzzScenario::describe() const {
        " load=" + fmt(load) + " flows=" + std::to_string(num_flows) + "\n";
   s += "cap_ns=" + fmt_ns(max_sim_time) + "\n";
   for (const FaultEvent& e : plan.events()) {
-    s += "fault at_ns=" + fmt_ns(e.at) + " action=" + faults::to_string(e.action);
-    if (e.action == FaultAction::kBlackholeOn || e.action == FaultAction::kBlackholeOff ||
-        e.action == FaultAction::kRandomDropSet) {
-      s += std::string(" tier=") + (e.tier == SwitchTier::kLeaf ? "leaf" : "spine") +
-           " sw=" + std::to_string(e.switch_id);
-    } else {
-      s += " leaf=" + std::to_string(e.link.leaf) + " spine=" + std::to_string(e.link.spine) +
-           " k=" + std::to_string(e.link.k);
-    }
-    s += " rate=" + fmt(e.rate) + " note=" + e.note + "\n";
+    s += "fault at_ns=" + fmt_ns(e.at) + " action=" + faults::to_string(e.action) +
+         " sw=" + std::to_string(e.sw) + " uplink=" + std::to_string(e.uplink) +
+         " rate=" + fmt(e.rate) + " note=" + e.note + "\n";
   }
   return s;
 }
@@ -129,19 +122,23 @@ FuzzScenario RandomScenarioGenerator::generate(std::uint64_t seed) const {
   fc.mtbf = sim::msec(span(15, 75));
   fc.mttr = sim::msec(span(5, 45));
   fc.half_pair_blackholes = rng.chance(0.5);
-  sc.plan = RandomFaultGenerator(sc.topo, fc, rng.fork(0xFA5E)).generate();
+  const net::FabricShape shape = sc.topo.shape();
+  sc.plan = RandomFaultGenerator(shape, fc, rng.fork(0xFA5E)).generate();
 
   // --- fault plan: adversarial edge patterns ----------------------------
   // Overlapping and back-to-back transitions the MTBF process rarely
   // produces but real incident trains do (CAFT's three-tier fault model).
+  // Like the base plan, they target any switch and any link.
   if (rng.chance(limits_.edge_pattern_prob)) {
-    const int spine = static_cast<int>(rng.next(static_cast<std::uint64_t>(sc.topo.num_spines)));
+    const int sw = static_cast<int>(rng.next(shape.uplinks.size()));
+    const auto any_link = [&] {
+      return shape.link(static_cast<int>(rng.next(static_cast<std::uint64_t>(shape.num_links()))));
+    };
     const sim::SimTime t1 = sim::msec(span(20, 60));
     const sim::SimTime d = sim::msec(span(10, 30));
     switch (rng.next(4)) {
       case 0:  // flap train: repeated onset/heal on one switch
-        sc.plan.flap_random_drop(t1, spine, rng.uniform(0.01, 0.04), d, span(2, 4), 0.5,
-                                 SwitchTier::kSpine);
+        sc.plan.flap_random_drop(t1, sw, rng.uniform(0.01, 0.04), d, span(2, 4), 0.5);
         break;
       case 1: {  // back-to-back blackholes: heal and immediate re-onset
         const int a = static_cast<int>(rng.next(static_cast<std::uint64_t>(sc.topo.num_leaves)));
@@ -150,31 +147,27 @@ FuzzScenario RandomScenarioGenerator::generate(std::uint64_t seed) const {
         if (b == a) break;  // single-leaf fabric: nothing to blackhole
         const bool half = rng.chance(0.5);
         sc.plan
-            .blackhole_on(t1, spine,
-                          rack_pair_blackhole(sc.topo.hosts_per_leaf, a, b, half),
-                          SwitchTier::kSpine, blackhole_note(a, b, half))
-            .blackhole_off(t1 + d, spine, SwitchTier::kSpine, "b2b heal")
-            .blackhole_on(t1 + d, spine,
-                          rack_pair_blackhole(sc.topo.hosts_per_leaf, b, a, half),
-                          SwitchTier::kSpine, blackhole_note(b, a, half))
-            .blackhole_off(t1 + d + d, spine, SwitchTier::kSpine, "b2b heal 2");
+            .blackhole_on(t1, sw, rack_pair_blackhole(sc.topo.hosts_per_leaf, a, b, half),
+                          blackhole_note(a, b, half))
+            .blackhole_off(t1 + d, sw, "b2b heal")
+            .blackhole_on(t1 + d, sw, rack_pair_blackhole(sc.topo.hosts_per_leaf, b, a, half),
+                          blackhole_note(b, a, half))
+            .blackhole_off(t1 + d + d, sw, "b2b heal 2");
         break;
       }
       case 2: {  // overlapping cuts of the same link (redundant re-onset)
-        const int leaf = static_cast<int>(rng.next(static_cast<std::uint64_t>(sc.topo.num_leaves)));
-        const int k =
-            static_cast<int>(rng.next(static_cast<std::uint64_t>(sc.topo.links_per_pair)));
-        sc.plan.link_down(t1, leaf, spine, k, "overlap onset")
-            .link_down(t1 + d, leaf, spine, k, "overlap re-onset")
-            .link_up(t1 + d + d, leaf, spine, k, "overlap heal");
+        const auto [lower, j] = any_link();
+        sc.plan.link_down(t1, lower, j, "overlap onset")
+            .link_down(t1 + d, lower, j, "overlap re-onset")
+            .link_up(t1 + d + d, lower, j, "overlap heal");
         break;
       }
       default: {  // zero-duration faults: onset and heal at the same tick
-        sc.plan.random_drop(t1, spine, rng.uniform(0.01, 0.04), SwitchTier::kSpine, "zero-dur on")
-            .random_drop(t1, spine, 0.0, SwitchTier::kSpine, "zero-dur off");
-        const int leaf = static_cast<int>(rng.next(static_cast<std::uint64_t>(sc.topo.num_leaves)));
-        sc.plan.link_down(t1 + d, leaf, spine, 0, "zero-dur cut")
-            .link_up(t1 + d, leaf, spine, 0, "zero-dur restore");
+        sc.plan.random_drop(t1, sw, rng.uniform(0.01, 0.04), "zero-dur on")
+            .random_drop(t1, sw, 0.0, "zero-dur off");
+        const auto [lower, j] = any_link();
+        sc.plan.link_down(t1 + d, lower, j, "zero-dur cut")
+            .link_up(t1 + d, lower, j, "zero-dur restore");
         break;
       }
     }

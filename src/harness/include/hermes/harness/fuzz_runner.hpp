@@ -46,29 +46,29 @@ struct FuzzOutcome {
 /// "CONGA", "CLOVE-ECN", ...), case-insensitively.
 [[nodiscard]] std::optional<Scheme> parse_scheme(std::string_view name);
 
-/// Result of one sharded-determinism fuzz seed: the same derived
-/// fat-tree scenario (topology shards, workload, fault flap train) run
-/// twice, with 1 and 2 worker threads. The pass criterion is
-/// `deterministic()` — byte-identical FCT records and metrics — not
-/// cleanliness: fault trains legitimately strand flows under schemes
-/// with no blackhole escape, and that must strand them *identically*.
+/// Result of one sharded fuzz seed: the same derived fat-tree scenario
+/// (topology shards, workload, faults on every tier) run twice, with 1
+/// and 2 worker threads. The pass criterion is `clean()`: byte-identical
+/// FCT records and metrics, and no stranded flow — every generated fault
+/// heals, and the transport retries through any blackhole window.
 struct ShardedFuzzOutcome {
   std::uint64_t seed = 0;
   Scheme scheme = Scheme::kHermes;
   int num_shards = 0;
   std::uint64_t hash_t1 = 0;  ///< FNV-1a of (FCT csv + metrics), 1 thread
   std::uint64_t hash_t2 = 0;  ///< same scenario, 2 threads
-  std::size_t unfinished_flows = 0;
-  std::string repro;  ///< one-line replay command, set on mismatch
+  std::size_t unfinished_flows = 0;  ///< flows stranded by the 1-thread run
+  std::string repro;  ///< one-line replay command, set unless clean
 
   [[nodiscard]] bool deterministic() const { return hash_t1 == hash_t2; }
+  [[nodiscard]] bool clean() const { return deterministic() && unfinished_flows == 0; }
 };
 
 /// Expand `seed` into a small sharded fat-tree scenario (k=4; 2..4
-/// shards, load, workload mix and a fault flap train all derived from the
-/// seed) and run it at 1 and 2 executor threads. Throws
-/// std::invalid_argument for schemes the sharded harness rejects
-/// (CONGA, DRILL).
+/// shards, load, workload mix and a RandomFaultGenerator plan over every
+/// tier, all derived from the seed) and run it at 1 and 2 executor
+/// threads. Throws std::invalid_argument for schemes the sharded harness
+/// rejects (CONGA, DRILL).
 [[nodiscard]] ShardedFuzzOutcome run_sharded_fuzz_seed(std::uint64_t seed, Scheme scheme);
 
 }  // namespace hermes::harness

@@ -175,7 +175,7 @@ class Scenario {
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   /// The shard-local Hermes instance; null unless the scheme is Hermes.
   [[nodiscard]] lb::HermesLb* hermes(int shard = 0) { return hermes_[shard]; }
-  /// Null unless the fault plan targets a device this shard owns.
+  /// Null unless the fault plan touches a switch or link end this shard owns.
   [[nodiscard]] faults::FaultScheduler* fault_scheduler(int shard = 0) {
     return fault_scheds_[shard].get();
   }
@@ -261,7 +261,6 @@ class Scenario {
   void harvest(int shard);
   void maybe_dump_triage();
   [[nodiscard]] int shard_of_host(int host_id) const;
-  [[nodiscard]] int fault_owner_shard(const faults::FaultEvent& e) const;
 
   ScenarioConfig config_;
   unsigned threads_ = 1;  ///< executor threads requested by a fat-tree run

@@ -215,19 +215,24 @@ std::unique_ptr<lb::LoadBalancer> Scenario::make_balancer(int shard) {
 }
 
 void Scenario::wire_faults() {
-  // Split the plan by the single shard whose event stream owns the
-  // targeted device, so every mutation happens inside that shard's rounds
-  // (edge switch / edge<->agg link -> the pod's shard; core switch -> the
-  // core's shard). A one-shard run keeps the plan whole.
+  // Each event goes to the shard owning its named switch, so every
+  // mutation happens inside that shard's rounds; a link whose far end
+  // lives in another shard (fat-tree agg<->core) also goes to that shard,
+  // which mutates only its own port. A one-shard run keeps the plan whole.
   fault_scheds_.resize(sims_.size());
   if (config_.fault_plan.empty()) return;
   std::vector<faults::FaultPlan> sub(sims_.size());
   for (const faults::FaultEvent& e : config_.fault_plan.events()) {
-    sub[static_cast<std::size_t>(fault_owner_shard(e))].add(e);
+    const net::FabricLink* link = faults::resolve_target(e, *fabric_);
+    const int owner = fabric_->shard_of_switch(e.sw);
+    sub[static_cast<std::size_t>(owner)].add(e);
+    if (link != nullptr && fabric_->shard_of_switch(link->upper) != owner) {
+      sub[static_cast<std::size_t>(fabric_->shard_of_switch(link->upper))].add(e);
+    }
   }
   for (int s = 0; s < num_shards(); ++s) {
     if (sub[s].empty()) continue;
-    fault_scheds_[s] = std::make_unique<faults::FaultScheduler>(*sims_[s], *fabric_);
+    fault_scheds_[s] = std::make_unique<faults::FaultScheduler>(*sims_[s], *fabric_, s);
     if (checker_) {
       fault_scheds_[s]->on_transition = [this](const faults::FaultEvent& e) {
         checker_->on_fault_transition(e);
@@ -235,23 +240,6 @@ void Scenario::wire_faults() {
     }
     fault_scheds_[s]->install(sub[s]);
   }
-}
-
-int Scenario::fault_owner_shard(const faults::FaultEvent& e) const {
-  switch (e.action) {
-    case faults::FaultAction::kBlackholeOn:
-    case faults::FaultAction::kBlackholeOff:
-    case faults::FaultAction::kRandomDropSet:
-      return e.tier == faults::SwitchTier::kLeaf ? fabric_->shard_of_leaf(e.switch_id)
-                                                 : fabric_->shard_of_spine(e.switch_id);
-    case faults::FaultAction::kLinkDown:
-    case faults::FaultAction::kLinkUp:
-    case faults::FaultAction::kLinkRate:
-      // A leaf uplink's far end is in the leaf's shard (a fat-tree edge
-      // uplink runs edge<->agg, both endpoints inside the pod).
-      return fabric_->shard_of_leaf(e.link.leaf);
-  }
-  return 0;
 }
 
 int Scenario::shard_of_host(int host_id) const { return fabric_->shard_of_host(host_id); }

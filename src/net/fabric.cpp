@@ -42,6 +42,14 @@ PortConfig LinkConfig::port_config(double rate_bps) const {
   return pc;
 }
 
+std::pair<int, int> FabricShape::link(int n) const {
+  for (std::size_t sw = 0; sw < uplinks.size(); ++sw) {
+    if (n < uplinks[sw]) return {static_cast<int>(sw), n};
+    n -= uplinks[sw];
+  }
+  throw std::out_of_range("FabricShape::link: no link " + std::to_string(n));
+}
+
 Fabric::Fabric(std::vector<sim::Simulator*> shard_sims, const LinkConfig& link)
     : link_{link}, sims_{std::move(shard_sims)} {
   if (sims_.empty()) throw std::invalid_argument("fabric needs at least one shard simulator");
@@ -64,10 +72,18 @@ Switch& Fabric::add_switch(int shard, int id, std::string name) {
   return *switches_.back();
 }
 
+const FabricLink& Fabric::uplink(int sw, int j) const {
+  if (j < 0 || j >= num_uplinks(sw)) {
+    throw std::out_of_range("switch " + std::to_string(sw) + " has no uplink " +
+                            std::to_string(j));
+  }
+  return std::ranges::lower_bound(links_, sw, {}, &FabricLink::lower)[j];
+}
+
 std::vector<int> Fabric::leaves_of_shard(int shard) const {
   std::vector<int> out;
   for (int l = 0; l < num_leaves_; ++l)
-    if (shard_of_leaf(l) == shard) out.push_back(l);
+    if (shard_of_switch(l) == shard) out.push_back(l);
   return out;
 }
 

@@ -51,6 +51,14 @@ class FatTree::Portal final : public Device {
   std::uint8_t dst_port_;
 };
 
+FabricShape FatTreeConfig::shape() const {
+  const int half = k / 2;
+  FabricShape s{k * half, half * half, half, {}};
+  s.uplinks.assign(static_cast<std::size_t>(2 * k * half), half);  // edges, then aggs
+  s.uplinks.resize(s.uplinks.size() + static_cast<std::size_t>(half * half), 0);  // cores
+  return s;
+}
+
 FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
     : Fabric{std::move(shard_sims), config}, config_{config} {
   const int k = config_.k;
@@ -106,6 +114,8 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   // Edge <-> agg, always intra-pod (and therefore intra-shard). Edge
   // ports [k/2, k) go up (port k/2+a to agg a); agg ports [0, k/2) go
   // down (port e to local edge e).
+  const int first_agg = num_edges;
+  const int first_core = num_edges + num_aggs;
   for (int pod = 0; pod < pods; ++pod) {
     for (int el = 0; el < half_; ++el) {
       Switch* edge = &leaf(pod * half_ + el);
@@ -113,6 +123,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
         const int up = edge->add_port(fab_pc, &agg(pod, a), el);
         assert(up == uplink_port(a));
         edge->port(up).is_fabric = true;
+        add_link({pod * half_ + el, up, first_agg + pod * half_ + a, el, config_.fabric_rate_bps});
       }
     }
     for (int a = 0; a < half_; ++a) {
@@ -146,6 +157,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
         }
         assert(up == uplink_port(j));
         ag->port(up).is_fabric = true;
+        add_link({first_agg + pod * half_ + a, up, first_core + c, pod, config_.fabric_rate_bps});
       }
     }
   }
@@ -254,26 +266,6 @@ Route FatTree::reverse_route(int src_host, int dst_host, int path_id) const {
     r.push(static_cast<std::uint8_t>(local_index(src_host)));
   }
   return r;
-}
-
-Port& FatTree::leaf_uplink(int leaf_id, int spine, int k) {
-  assert(k == 0 && "fat-tree has no parallel links");
-  (void)k;
-  return leaf(leaf_id).port(uplink_port(spine));
-}
-
-void FatTree::set_link_state(int leaf_id, int spine, bool up, int k) {
-  leaf_uplink(leaf_id, spine, k).set_link_up(up);
-  agg(pod_of_leaf(leaf_id), spine).port(leaf_id % half_).set_link_up(up);
-}
-
-void FatTree::set_link_rate(int leaf_id, int spine, double rate_bps, int k) {
-  leaf_uplink(leaf_id, spine, k).set_rate_bps(rate_bps);
-  agg(pod_of_leaf(leaf_id), spine).port(leaf_id % half_).set_rate_bps(rate_bps);
-}
-
-double FatTree::configured_link_rate(int /*leaf_id*/, int /*spine*/, int /*k*/) const {
-  return config_.fabric_rate_bps;
 }
 
 // HERMES_SHARDED: the one barrier-time routine allowed to move state

@@ -5,8 +5,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hermes/net/host.hpp"
@@ -41,6 +43,35 @@ struct LinkConfig {
   [[nodiscard]] PortConfig port_config(double rate_bps) const;
 };
 
+/// A fabric's device counts, known before it is built: enough to name
+/// every fault target. A switch is its index in Fabric::switches() (tier
+/// order: leaves, any middle tier, spines); `uplinks[sw]` counts the
+/// links going up from switch `sw`, and a link is named by its lower
+/// switch and the ordinal of that uplink there.
+struct FabricShape {
+  int num_leaves = 0;
+  int num_spines = 0;
+  int hosts_per_leaf = 0;
+  std::vector<int> uplinks;  ///< per switch, tier order
+
+  /// The switch index of spine `s` (the top tier).
+  [[nodiscard]] int spine(int s) const { return static_cast<int>(uplinks.size()) - num_spines + s; }
+  [[nodiscard]] int num_links() const { return std::accumulate(uplinks.begin(), uplinks.end(), 0); }
+  /// The n-th link in (switch, uplink) order, as {switch, uplink}.
+  [[nodiscard]] std::pair<int, int> link(int n) const;
+};
+
+/// One switch-to-switch link, recorded once as the builder wires it: the
+/// lower switch's port up to the upper switch and the upper switch's port
+/// back down (switches by tier-order index), at its build-time rate.
+struct FabricLink {
+  int lower = -1;
+  int lower_port = -1;
+  int upper = -1;
+  int upper_port = -1;
+  double rate_bps = 0;
+};
+
 /// One end-to-end fabric path between a leaf pair: (spine, parallel link
 /// index). The up and down parallel-link indices are paired, which matches
 /// how ECMP groups are built on 2-tier Clos fabrics. Three-tier fabrics
@@ -60,15 +91,16 @@ struct FabricPath {
 /// generators, the fault scheduler and the invariant checker need from a
 /// topology, independent of its tier structure. Concrete builders are
 /// the 2-tier `Topology` (leaf-spine) and the 3-tier `FatTree` (k-ary
-/// Clos, possibly sharded); they add wiring, path enumeration, routes
-/// and the link-fault surface.
+/// Clos, possibly sharded); they add wiring, path enumeration and routes.
 ///
 /// The fabric owns every device. Each shard has a simulator and a packet
 /// arena; every host and switch is built against its shard's pair
 /// through add_host/add_switch, so a leaf-spine fabric is the one-shard
 /// case. Switches are kept in tier order — leaves, then any middle tier,
 /// then spines — and every walk over the devices (recorder attach,
-/// metrics, invariant checks) goes hosts first, then that order.
+/// metrics, invariant checks) goes hosts first, then that order. Every
+/// switch-to-switch link is in one table, so a fault can reach both ends
+/// of any link on any tier.
 ///
 /// Host-id geometry (leaf_of, local_index, ...) and the path table are
 /// concrete and non-virtual: every Hermes fabric numbers hosts
@@ -105,12 +137,12 @@ class Fabric {
 
   // --- shards ----------------------------------------------------------
   [[nodiscard]] int num_shards() const { return static_cast<int>(sims_.size()); }
-  [[nodiscard]] int shard_of_leaf(int leaf_id) const {
-    return switch_shard_[static_cast<std::size_t>(leaf_id)];
+  /// The shard owning switches()[sw] (leaf l is switch l).
+  [[nodiscard]] int shard_of_switch(int sw) const {
+    return switch_shard_[static_cast<std::size_t>(sw)];
   }
-  [[nodiscard]] int shard_of_spine(int spine) const { return switch_shard_[spine_index(spine)]; }
   /// A host lives in its leaf's shard.
-  [[nodiscard]] int shard_of_host(int host_id) const { return shard_of_leaf(leaf_of(host_id)); }
+  [[nodiscard]] int shard_of_host(int host_id) const { return shard_of_switch(leaf_of(host_id)); }
   /// The leaves `shard` owns, ascending (every leaf of a one-shard fabric).
   [[nodiscard]] std::vector<int> leaves_of_shard(int shard) const;
 
@@ -140,17 +172,13 @@ class Fabric {
   /// Route for the reverse direction (ACKs retrace the same path).
   [[nodiscard]] virtual Route reverse_route(int src_host, int dst_host, int path_id) const = 0;
 
-  /// The leaf-side egress port of fabric link (leaf, spine, k) — what
-  /// congestion-aware schemes and the fault scheduler poke at.
-  [[nodiscard]] virtual Port& leaf_uplink(int leaf_id, int spine, int k = 0) = 0;
-
-  // --- runtime fault mutators (FaultScheduler) -------------------------
-  /// Cut (up=false) or restore (up=true) both directions of a link.
-  virtual void set_link_state(int leaf_id, int spine, bool up, int k = 0) = 0;
-  /// Degrade or restore both directions of a link to `rate_bps`.
-  virtual void set_link_rate(int leaf_id, int spine, double rate_bps, int k = 0) = 0;
-  /// The build-time capacity of a link (what restore should return to).
-  [[nodiscard]] virtual double configured_link_rate(int leaf_id, int spine, int k = 0) const = 0;
+  // --- links (fault targets) ------------------------------------------
+  /// Uplink `j` of switch `sw`, in wiring order; throws std::out_of_range
+  /// if there is no such uplink.
+  [[nodiscard]] const FabricLink& uplink(int sw, int j) const;
+  [[nodiscard]] int num_uplinks(int sw) const {
+    return static_cast<int>(std::ranges::count(links_, sw, &FabricLink::lower));
+  }
 
   // --- observability ---------------------------------------------------
   /// Attach the flight recorders, one per shard (null entries detach),
@@ -181,6 +209,12 @@ class Fabric {
   /// Build the next switch on `shard`. Call in tier order: leaves, any
   /// middle tier, spines.
   Switch& add_switch(int shard, int id, std::string name);
+  /// Record a switch-to-switch link as it is wired. Call in (lower switch,
+  /// uplink ordinal) order.
+  void add_link(const FabricLink& link) {
+    assert((links_.empty() || links_.back().lower <= link.lower) && "lower-switch order");
+    links_.push_back(link);
+  }
   [[nodiscard]] sim::Simulator& shard_sim(int shard) {
     return *sims_[static_cast<std::size_t>(shard)];
   }
@@ -233,6 +267,7 @@ class Fabric {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;  ///< tier order
   std::vector<int> switch_shard_;                  ///< parallel to switches_
+  std::vector<FabricLink> links_;                  ///< sorted by lower switch
   /// paths_between_leaves(a, b) is paths_[pair_begin_[p], pair_begin_[p + 1])
   /// with p = a * L + b; L * L + 1 entries.
   std::vector<std::uint32_t> pair_begin_;

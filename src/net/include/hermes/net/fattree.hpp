@@ -21,6 +21,10 @@ namespace hermes::net {
 /// The link parameters come from LinkConfig.
 struct FatTreeConfig : LinkConfig {
   int k = 8;  ///< even, >= 4
+
+  /// Edge uplink a goes to its pod's agg a; agg a's uplink j goes to core
+  /// a * k/2 + j.
+  [[nodiscard]] FabricShape shape() const;
 };
 
 /// Three-tier fat-tree fabric, optionally partitioned into shards for
@@ -29,7 +33,7 @@ struct FatTreeConfig : LinkConfig {
 /// Sharding plan (fixed and deterministic, applied as the devices are
 /// built): pod p -> shard p % S, core c -> shard c % S, where S is the
 /// number of Simulators handed to the constructor; Fabric answers
-/// shard_of_leaf/host/spine from it afterwards. A pod is atomic — its
+/// shard_of_switch/host from it afterwards. A pod is atomic — its
 /// hosts, edge and agg switches, and every host-edge / edge-agg link
 /// live in one shard — so the only cross-shard links are agg<->core.
 /// Each shard owns a private PacketArena; a packet crossing shards is
@@ -50,11 +54,7 @@ struct FatTreeConfig : LinkConfig {
 ///
 /// Fabric-interface mapping: "leaf" = edge switch (global id, pod-major),
 /// the middle tier = aggregation switches (pod-major), "spine" = core
-/// switch for leaf(i)/spine(i), but in the *link* fault
-/// surface (leaf_uplink, set_link_state, ...) the `spine` argument is the
-/// aggregation-switch local index within the leaf's pod — the k/2 uplinks
-/// an edge switch actually has. agg<->core links have no single-shard
-/// owner and are not individually faultable (use core switch faults).
+/// switch.
 class FatTree final : public Fabric {
  public:
   FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config);
@@ -89,13 +89,6 @@ class FatTree final : public Fabric {
   // --- Fabric interface ------------------------------------------------
   [[nodiscard]] Route forward_route(int src_host, int dst_host, int path_id) const override;
   [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path_id) const override;
-
-  /// `spine` here is the agg local index in [0, k/2): the edge switch's
-  /// uplink ports. `k` (parallel link index) must be 0.
-  [[nodiscard]] Port& leaf_uplink(int leaf_id, int spine, int k = 0) override;
-  void set_link_state(int leaf_id, int spine, bool up, int k = 0) override;
-  void set_link_rate(int leaf_id, int spine, double rate_bps, int k = 0) override;
-  [[nodiscard]] double configured_link_rate(int leaf_id, int spine, int k = 0) const override;
 
  private:
   class Portal;

@@ -28,6 +28,9 @@ struct TopologyConfig : LinkConfig {
   /// Per-link rate overrides keyed by (leaf, spine, parallel index);
   /// applied to both directions. A rate of 0 cuts the link.
   std::map<std::tuple<int, int, int>, double> fabric_overrides;
+
+  /// Leaf l's uplink s * links_per_pair + k is link (l, s, k).
+  [[nodiscard]] FabricShape shape() const;
 };
 
 /// Builds the leaf-spine fabric on one simulator: wires hosts, leaf and
@@ -43,20 +46,8 @@ class Topology : public Fabric {
   [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path_id) const override;
 
   /// Fabric ports, for congestion-aware schemes that read switch state.
-  [[nodiscard]] Port& leaf_uplink(int leaf_id, int spine, int k = 0) override;
+  [[nodiscard]] Port& leaf_uplink(int leaf_id, int spine, int k = 0);
   [[nodiscard]] Port& spine_downlink(int spine, int leaf_id, int k = 0);
-
-  // --- runtime fault mutators (FaultScheduler) --------------------------
-  // These change *link behaviour* mid-run without touching the enumerated
-  // path set: a load balancer keeps seeing the path and must sense the
-  // failure itself, exactly like a silent fault in a real fabric. (The
-  // build-time `fabric_overrides` with rate 0, by contrast, remove paths
-  // from enumeration — a fault every scheme knows about up front.)
-  void set_link_state(int leaf_id, int spine, bool up, int k = 0) override;
-  void set_link_rate(int leaf_id, int spine, double rate_bps, int k = 0) override;
-  [[nodiscard]] double configured_link_rate(int leaf_id, int spine, int k = 0) const override {
-    return link_rate(leaf_id, spine, k);
-  }
 
  private:
   [[nodiscard]] double link_rate(int leaf_id, int spine, int k) const;

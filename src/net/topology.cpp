@@ -13,6 +13,13 @@
 
 namespace hermes::net {
 
+FabricShape TopologyConfig::shape() const {
+  FabricShape s{num_leaves, num_spines, hosts_per_leaf, {}};
+  s.uplinks.assign(static_cast<std::size_t>(num_leaves), num_spines * links_per_pair);
+  s.uplinks.resize(static_cast<std::size_t>(num_leaves + num_spines), 0);
+  return s;
+}
+
 double Topology::link_rate(int leaf_id, int spine, int k) const {
   auto it = config_.fabric_overrides.find({leaf_id, spine, k});
   return it != config_.fabric_overrides.end() ? it->second : config_.fabric_rate_bps;
@@ -59,6 +66,7 @@ Topology::Topology(sim::Simulator& simulator, TopologyConfig config)
             leaf(l).add_port(config_.port_config(effective), &spine(s), downlink_port_index(l, k));
         assert(up == uplink_port_index(s, k));
         leaf(l).port(up).is_fabric = true;
+        add_link({l, up, L + s, downlink_port_index(l, k), effective});
       }
     }
   }
@@ -150,16 +158,6 @@ Port& Topology::leaf_uplink(int leaf_id, int spine_id, int k) {
 
 Port& Topology::spine_downlink(int spine_id, int leaf_id, int k) {
   return spine(spine_id).port(downlink_port_index(leaf_id, k));
-}
-
-void Topology::set_link_state(int leaf_id, int spine, bool up, int k) {
-  leaf_uplink(leaf_id, spine, k).set_link_up(up);
-  spine_downlink(spine, leaf_id, k).set_link_up(up);
-}
-
-void Topology::set_link_rate(int leaf_id, int spine, double rate_bps, int k) {
-  leaf_uplink(leaf_id, spine, k).set_rate_bps(rate_bps);
-  spine_downlink(spine, leaf_id, k).set_rate_bps(rate_bps);
 }
 
 }  // namespace hermes::net

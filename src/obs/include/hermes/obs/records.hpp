@@ -101,10 +101,10 @@ struct QueuePayload {
 /// Payload of a RecordKind::kFault record. `action` mirrors
 /// faults::FaultAction's numeric value; `onset` is 1 for a fault turning
 /// on (blackhole install, link cut, drop-rate set) and 0 for recovery.
+/// The target is named as in faults::FaultEvent.
 struct FaultPayload {
-  std::int32_t switch_id;  ///< -1 for link-targeted events
-  std::int16_t leaf;
-  std::int16_t spine;
+  std::int32_t sw;      ///< switch index in tier order; a link's lower switch
+  std::int32_t uplink;  ///< uplink ordinal at `sw`; -1 for switch events
   std::uint8_t action;
   std::uint8_t onset;
 };

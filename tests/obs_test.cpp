@@ -280,7 +280,8 @@ TEST(ScenarioObs, FaultTransitionsAreRecorded) {
   cfg.obs.enabled = true;
   cfg.obs.trace_packets = false;
   cfg.max_sim_time = sim::msec(100);
-  cfg.fault_plan.transient_random_drop(sim::msec(10), sim::msec(40), /*switch_id=*/1, 0.05);
+  const int spine1 = cfg.topo.shape().spine(1);
+  cfg.fault_plan.transient_random_drop(sim::msec(10), sim::msec(40), spine1, 0.05);
   harness::Scenario s{cfg};
   // Long enough (~40ms at 10G) that the run is still going when both
   // fault transitions fire; the run would otherwise end at flow finish.
@@ -292,7 +293,8 @@ TEST(ScenarioObs, FaultTransitionsAreRecorded) {
   for (const auto& r : s.recorder()->snapshot()) {
     if (r.kind != RecordKind::kFault) continue;
     (r.u.fault.onset != 0 ? onsets : recoveries)++;
-    EXPECT_EQ(r.u.fault.switch_id, 1);
+    EXPECT_EQ(r.u.fault.sw, spine1);
+    EXPECT_EQ(r.u.fault.uplink, -1);
   }
   EXPECT_EQ(onsets, 1);
   EXPECT_EQ(recoveries, 1);

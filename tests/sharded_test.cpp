@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -165,8 +166,8 @@ TEST(FatTree, ShardPlanKeepsPodsAtomic) {
   net::FatTree ft{{&s0, &s1}, fc};
   EXPECT_EQ(ft.num_shards(), 2);
   for (int h = 0; h < ft.num_hosts(); ++h) {
-    EXPECT_EQ(ft.shard_of_host(h), ft.shard_of_leaf(ft.leaf_of(h)));
-    EXPECT_EQ(ft.shard_of_leaf(ft.leaf_of(h)), ft.pod_of_leaf(ft.leaf_of(h)) % 2);
+    EXPECT_EQ(ft.shard_of_host(h), ft.shard_of_switch(ft.leaf_of(h)));
+    EXPECT_EQ(ft.shard_of_switch(ft.leaf_of(h)), ft.pod_of_leaf(ft.leaf_of(h)) % 2);
   }
   EXPECT_EQ(ft.leaves_of_shard(0), (std::vector<int>{0, 1, 4, 5}));
   EXPECT_EQ(ft.leaves_of_shard(1), (std::vector<int>{2, 3, 6, 7}));
@@ -269,12 +270,18 @@ TEST(Sharded, ObservabilityOnDoesNotPerturbResults) {
 
 TEST(Sharded, FaultTrainIsThreadCountInvisible) {
   auto cfg = base_config(harness::Scheme::kHermes, 4, 1);
-  // Faults across both tiers and several owner shards: a core drop flap,
-  // an edge uplink flap, and a transient blackhole on another core.
-  cfg.fault_plan.flap_random_drop(sim::msec(5), 1, 0.05, sim::msec(20), 3);
+  // Faults on every tier and several owner shards: a core drop flap, an
+  // edge uplink flap, a transient blackhole on another core, an agg drop,
+  // and a flap of an agg<->core link whose ends live in different shards.
+  const net::FabricShape shape = cfg.fabric.shape();
+  const int agg_1_0 = shape.num_leaves + 2;  // aggs follow the 8 edges, pod-major
+  const int agg_0_1 = shape.num_leaves + 1;  // pod 0 (shard 0); uplink 0 -> core 2 (shard 2)
+  cfg.fault_plan.flap_random_drop(sim::msec(5), shape.spine(1), 0.05, sim::msec(20), 3);
   cfg.fault_plan.flap_link(sim::msec(10), 2, 0, sim::msec(30), 2);
-  cfg.fault_plan.transient_blackhole(sim::msec(8), sim::msec(60), 2,
+  cfg.fault_plan.transient_blackhole(sim::msec(8), sim::msec(60), shape.spine(2),
                                      faults::rack_pair_blackhole(2, 0, 2));
+  cfg.fault_plan.transient_random_drop(sim::msec(6), sim::msec(40), agg_1_0, 0.03);
+  cfg.fault_plan.flap_link(sim::msec(12), agg_0_1, 0, sim::msec(20), 2);
   const std::string t1 = run_sharded_csv(cfg);
   cfg.threads = 2;
   const std::string t2 = run_sharded_csv(cfg);
@@ -282,8 +289,22 @@ TEST(Sharded, FaultTrainIsThreadCountInvisible) {
 
   harness::ShardedScenario s{cfg};
   s.add_flows(test_traffic(s.fabric()));
-  (void)s.run();
-  EXPECT_GT(metric_value(s.metrics().snapshot_text(), "faults.applied"), 0.0);
+  s.add_flow(0, 15, 100'000'000, sim::SimTime::zero());  // keeps the run alive past every event
+  const net::FabricLink& cut = s.fabric().uplink(agg_0_1, 0);
+  const auto port_up = [&s](int sw, int port) {
+    return s.fabric().switches()[static_cast<std::size_t>(sw)]->port(port).link_up();
+  };
+  EXPECT_NE(s.fabric().shard_of_switch(cut.lower), s.fabric().shard_of_switch(cut.upper));
+  s.run_for(sim::msec(17));  // inside the first [12ms, 22ms) cut
+  EXPECT_FALSE(port_up(cut.lower, cut.lower_port));
+  EXPECT_FALSE(port_up(cut.upper, cut.upper_port));
+  s.run_for(sim::msec(44));  // past the last event (60ms); the cut has healed
+  EXPECT_TRUE(port_up(cut.lower, cut.lower_port));
+  EXPECT_TRUE(port_up(cut.upper, cut.upper_port));
+  // Each event counts once, in the shard that owns its named switch,
+  // although the cross-shard link's events run in two shards.
+  EXPECT_EQ(metric_value(s.metrics().snapshot_text(), "faults.applied"),
+            static_cast<double>(cfg.fault_plan.size()));
 }
 
 // Golden pin for the sharded configuration itself (k=4, 4 shards, seed

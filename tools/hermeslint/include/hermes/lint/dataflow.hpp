@@ -47,8 +47,7 @@ std::string defs_of(const Function& fn, const std::string& ident);
 
 /// True when `ident`'s value provably derives from shard-ownership
 /// arithmetic: a parameter whose name names the shard, or a def chain
-/// (depth-limited) that reaches shard_of_* / num_shards / fault_owner_shard
-/// -style expressions.
+/// (depth-limited) that reaches shard_of_* / num_shards-style expressions.
 bool has_shard_provenance(const Function& fn, const std::string& ident, int depth = 4);
 
 /// core.arena-lifetime: flags use of an ArenaHandle or of a Packet

@@ -565,8 +565,8 @@ void check_shard_indexing(const Function& fn, const std::vector<std::string>& ow
           sink(s.line0,
                "'" + name + "[" + std::string(idx) + "]' indexes HERMES_SHARD_OWNED state " +
                    "with an index that does not derive from shard ownership " +
-                   "(shard_of_* / fault_owner_shard / num_shards-bounded loop); a wrong " +
-                   "index here writes another shard's state outside its event stream");
+                   "(shard_of_* / num_shards-bounded loop); a wrong index here writes " +
+                   "another shard's state outside its event stream");
         }
       }
     }

@@ -67,9 +67,9 @@ std::string render(const LoadedTrace& t, const TraceRecord& r) {
                     r.u.queue.backlog_packets);
       break;
     case RecordKind::kFault:
-      std::snprintf(buf, sizeof buf, "%12.3fus FAULT %s action=%u leaf=%d spine=%d switch=%d",
+      std::snprintf(buf, sizeof buf, "%12.3fus FAULT %s action=%u switch=%d uplink=%d",
                     usec(r.time_ns), r.u.fault.onset != 0 ? "onset" : "recovery",
-                    r.u.fault.action, r.u.fault.leaf, r.u.fault.spine, r.u.fault.switch_id);
+                    r.u.fault.action, r.u.fault.sw, r.u.fault.uplink);
       break;
     case RecordKind::kDecision: {
       const auto& d = r.u.decision;
@@ -127,10 +127,10 @@ std::string render_json(const LoadedTrace& t, const TraceRecord& r) {
       break;
     case RecordKind::kFault:
       std::snprintf(buf, sizeof buf,
-                    "{\"t_us\":%.3f,\"kind\":\"fault\",\"onset\":%s,\"action\":%u,\"leaf\":%d,"
-                    "\"spine\":%d,\"switch\":%d}",
+                    "{\"t_us\":%.3f,\"kind\":\"fault\",\"onset\":%s,\"action\":%u,"
+                    "\"switch\":%d,\"uplink\":%d}",
                     usec(r.time_ns), r.u.fault.onset != 0 ? "true" : "false", r.u.fault.action,
-                    r.u.fault.leaf, r.u.fault.spine, r.u.fault.switch_id);
+                    r.u.fault.sw, r.u.fault.uplink);
       break;
     case RecordKind::kDecision: {
       const auto& d = r.u.decision;
@@ -459,9 +459,10 @@ int cmd_chrome(const LoadedTrace& t, const std::string& out_path) {
         sep();
         std::fprintf(f,
                      "{\"name\":\"fault %s\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%.3f,\"pid\":1,"
-                     "\"tid\":\"faults\",\"args\":{\"action\":%u,\"leaf\":%d,\"spine\":%d}}",
+                     "\"tid\":\"faults\",\"args\":{\"action\":%u,\"switch\":%d,"
+                     "\"uplink\":%d}}",
                      r.u.fault.onset != 0 ? "onset" : "recovery", usec(r.time_ns),
-                     r.u.fault.action, r.u.fault.leaf, r.u.fault.spine);
+                     r.u.fault.action, r.u.fault.sw, r.u.fault.uplink);
         break;
       case RecordKind::kDecision:
         sep();
