@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
           row.checks = s.invariants()->checks_run();
           if (!row.inv_ok) {
             all_invariants_ok = false;
-            std::printf("  INVARIANT VIOLATION (%s): %s\n", bench::short_name(scheme),
+            std::printf("  INVARIANT VIOLATION (%s): %s\n", harness::to_string(scheme),
                         s.invariants()->violations().front().what.c_str());
           }
         }
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
                   "detect (ms)", "un-latch (ms)", "bh drops", "invariants"});
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    t.add_row({bench::short_name(schemes[i]), stats::Table::usec(r.fault_mean),
+    t.add_row({harness::to_string(schemes[i]), stats::Table::usec(r.fault_mean),
                stats::Table::num(r.fault_mean / r.base_mean, 2) + "x",
                std::to_string(r.stalled_t2), std::to_string(r.unfinished),
                r.detect_ms >= 0 ? stats::Table::num(r.detect_ms, 1) : "-",

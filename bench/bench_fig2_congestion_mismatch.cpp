@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     auto* recv = s.stack(5).receiver(flow_id);
     const double goodput_gbps =
         recv ? static_cast<double>(recv->rcv_nxt()) * 8 / horizon.to_seconds() / 1e9 : 0.0;
-    t.add_row({bench::short_name(scheme), stats::Table::num(goodput_gbps, 2) + " Gbps",
+    t.add_row({harness::to_string(scheme), stats::Table::num(goodput_gbps, 2) + " Gbps",
                stats::Table::num(trace.mean_backlog() / 1e3, 1) + " KB",
                stats::Table::num(trace.max_backlog() / 1e3, 1) + " KB"});
   }

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       if (burst_spines[i] == b_spine) ++on_b_spine;
       if (i > 0 && burst_spines[i] != burst_spines[i - 1]) ++flips;
     }
-    t.add_row({bench::short_name(scheme), std::to_string(flips), std::to_string(on_b_spine),
+    t.add_row({harness::to_string(scheme), std::to_string(flips), std::to_string(on_b_spine),
                stats::Table::num(trace.max_backlog() / 1e3, 1) + " KB",
                stats::Table::num(trace.mean_backlog() / 1e3, 1) + " KB"});
   }

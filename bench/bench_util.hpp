@@ -62,21 +62,7 @@ inline net::TopologyConfig testbed_topology() {
 
 /// The paper's large-scale simulation fabric (§5.3): 8x8 leaf-spine,
 /// 128 hosts at 10G, 2:1 oversubscription at the leaf.
-inline net::TopologyConfig sim_topology() {
-  net::TopologyConfig c;  // defaults are exactly this fabric
-  return c;
-}
-
-/// 20% of leaf-spine links degraded from 10G to 2G (§5.3.2), chosen by a
-/// fixed seed so every scheme sees the identical asymmetry.
-inline net::TopologyConfig asym_sim_topology(std::uint64_t seed = 99) {
-  auto c = sim_topology();
-  engine::Rng rng{seed};
-  for (int l = 0; l < c.num_leaves; ++l)
-    for (int s = 0; s < c.num_spines; ++s)
-      if (rng.chance(0.2)) c.fabric_overrides[{l, s, 0}] = 2e9;
-  return c;
-}
+inline net::TopologyConfig sim_topology() { return {}; }  // the defaults are this fabric
 
 /// Setup used for the data-mining cells. Data-mining's mean flow is
 /// ~12.6MB with a 1GB tail, so steady state on the full 8x8/640G fabric
@@ -92,75 +78,20 @@ inline net::TopologyConfig dm_sim_topology() {
   return c;
 }
 
-inline net::TopologyConfig dm_asym_sim_topology(std::uint64_t seed = 99) {
-  auto c = dm_sim_topology();
+/// `c` with 20% of its leaf-spine links degraded from 10G to 2G
+/// (§5.3.2), chosen by a fixed seed so every scheme sees the identical
+/// asymmetry.
+inline net::TopologyConfig degraded(net::TopologyConfig c, std::uint64_t seed = 99) {
   engine::Rng rng{seed};
   for (int l = 0; l < c.num_leaves; ++l)
     for (int s = 0; s < c.num_spines; ++s)
       if (rng.chance(0.2)) c.fabric_overrides[{l, s, 0}] = 2e9;
   return c;
 }
+inline net::TopologyConfig asym_sim_topology() { return degraded(sim_topology()); }
+inline net::TopologyConfig dm_asym_sim_topology() { return degraded(dm_sim_topology()); }
 
 inline workload::SizeDist dm_dist() { return workload::SizeDist::data_mining().scaled(0.5); }
-
-/// Drop the first `warmup` flows (by arrival order / id) from the
-/// statistics so ramp-up arrivals into an empty fabric do not dilute the
-/// steady-state comparison.
-inline stats::FctCollector skip_warmup(const stats::FctCollector& in, std::uint64_t warmup) {
-  stats::FctCollector out;
-  for (const auto& r : in.records()) {
-    if (r.id == 0 || r.id > warmup) out.add(r);
-  }
-  return out;
-}
-
-inline const char* short_name(harness::Scheme s) { return harness::to_string(s); }
-
-/// Where a figure bench writes its machine-readable output
-/// (--json=<path>, like bench_core_micro).
-inline std::string parse_json_path(int argc, char** argv, const char* def) {
-  std::string path = def;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) path = argv[i] + 7;
-  }
-  return path;
-}
-
-/// Accumulates one JSON object per (scheme, load) cell — each embedding
-/// the scenario's MetricsRegistry snapshot (sorted-name order, so the
-/// file is byte-stable at a fixed seed) — and writes the figure bench's
-/// machine-readable companion to the stdout table.
-class MetricsJson {
- public:
-  explicit MetricsJson(std::string bench) : bench_{std::move(bench)} {}
-
-  void add_cell(const char* scheme, double load, const std::string& metrics_json) {
-    if (!cells_.empty()) cells_ += ",\n";
-    char head[128];
-    std::snprintf(head, sizeof head, "    {\"scheme\": \"%s\", \"load\": %.2f, \"metrics\": ",
-                  scheme, load);
-    cells_ += head;
-    cells_ += metrics_json;
-    cells_ += '}';
-  }
-
-  bool write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"cells\": [\n%s\n  ]\n}\n", bench_.c_str(),
-                 cells_.c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  std::string bench_;
-  std::string cells_;
-};
 
 /// Wrapper that pins each flow's FIRST path choice (reproducing the
 /// paper's microbenchmark setups, e.g. Fig. 1 places two large flows on

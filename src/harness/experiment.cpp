@@ -24,15 +24,4 @@ stats::FctCollector run_workload_experiment(ScenarioConfig scenario,
   return fct;
 }
 
-double mean_fct_over_seeds(const ScenarioConfig& scenario, const workload::SizeDist& dist,
-                           double load, int num_flows, int repeats, std::uint64_t base_seed) {
-  double sum = 0;
-  for (int r = 0; r < repeats; ++r) {
-    const auto fct =
-        run_workload_experiment(scenario, dist, load, num_flows, base_seed + static_cast<std::uint64_t>(r));
-    sum += fct.overall().mean_us;
-  }
-  return sum / repeats;
-}
-
 }  // namespace hermes::harness

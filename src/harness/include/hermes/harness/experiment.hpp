@@ -23,11 +23,4 @@ namespace hermes::harness {
     std::uint64_t seed, const std::function<void(Scenario&)>& prepare = {},
     const std::function<void(Scenario&)>& finish = {});
 
-/// Average of `repeats` seeds of the overall mean FCT (paper: average of
-/// 5 runs). Returns mean overall FCT in microseconds.
-[[nodiscard]] double mean_fct_over_seeds(const ScenarioConfig& scenario,
-                                         const workload::SizeDist& dist, double load,
-                                         int num_flows, int repeats,
-                                         std::uint64_t base_seed = 1);
-
 }  // namespace hermes::harness

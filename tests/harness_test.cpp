@@ -161,17 +161,6 @@ TEST(RunWorkloadExperiment, SameSeedSameTraffic) {
   EXPECT_DOUBLE_EQ(a.overall().mean_us, b.overall().mean_us);
 }
 
-TEST(RunWorkloadExperiment, MeanOverSeedsAverages) {
-  ScenarioConfig cfg;
-  cfg.topo = small();
-  cfg.scheme = Scheme::kEcmp;
-  const auto dist = workload::SizeDist::web_search();
-  const double one = run_workload_experiment(cfg, dist, 0.4, 40, 1).overall().mean_us;
-  const double two = run_workload_experiment(cfg, dist, 0.4, 40, 2).overall().mean_us;
-  const double avg = mean_fct_over_seeds(cfg, dist, 0.4, 40, 2, 1);
-  EXPECT_NEAR(avg, (one + two) / 2, 1e-6);
-}
-
 TEST(QueueTraceTest, SamplesBacklogOverTime) {
   ScenarioConfig cfg;
   cfg.topo = small();
