@@ -6,6 +6,7 @@
 // the defaults are sized to finish in minutes while preserving each
 // result's shape; larger scales tighten the statistics.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -23,14 +24,23 @@
 
 namespace hermes::bench {
 
-inline double parse_scale(int argc, char** argv, double def = 1.0) {
-  double scale = def;
-  if (const char* env = std::getenv("HERMES_BENCH_SCALE")) scale = std::atof(env);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) scale = std::atof(argv[i] + 8);
-  }
-  if (scale <= 0) scale = def;
-  return scale;
+/// The value of the last `key` argument (e.g. "--json="), or `def`.
+inline std::string flag(int argc, char** argv, const char* key, std::string def = {}) {
+  for (int i = 1; i < argc; ++i)
+    if (std::strncmp(argv[i], key, std::strlen(key)) == 0) def = argv[i] + std::strlen(key);
+  return def;
+}
+
+/// --scale, else HERMES_BENCH_SCALE, else 1; anything but a positive
+/// number exits with status 2.
+inline double parse_scale(int argc, char** argv) {
+  const char* env = std::getenv("HERMES_BENCH_SCALE");
+  const std::string text = flag(argc, argv, "--scale=", env != nullptr ? env : "1");
+  char* end = nullptr;
+  const double scale = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() && *end == '\0' && scale > 0 && std::isfinite(scale)) return scale;
+  std::fprintf(stderr, "%s: --scale must be a positive number, not '%s'\n", argv[0], text.c_str());
+  std::exit(2);
 }
 
 inline int scaled(int base, double scale) {
@@ -64,12 +74,9 @@ inline net::TopologyConfig testbed_topology() {
 /// 128 hosts at 10G, 2:1 oversubscription at the leaf.
 inline net::TopologyConfig sim_topology() { return {}; }  // the defaults are this fabric
 
-/// Setup used for the data-mining cells. Data-mining's mean flow is
-/// ~12.6MB with a 1GB tail, so steady state on the full 8x8/640G fabric
-/// needs thousands of in-flight gigabytes — far beyond a tractable
-/// single-core run. We preserve the *shape* (same CDF skew, same paths-
-/// per-pair contention physics) on a 4x4 fabric with the distribution
-/// scaled by 0.5; EXPERIMENTS.md documents this substitution.
+/// The data-mining cells' fabric. Data-mining's ~12.6MB mean flow (1GB
+/// tail) needs thousands of in-flight gigabytes on the full 8x8 fabric, so
+/// we keep its *shape* on 4x4 with sizes scaled 0.5 (see EXPERIMENTS.md).
 inline net::TopologyConfig dm_sim_topology() {
   net::TopologyConfig c;
   c.num_leaves = 4;
@@ -78,9 +85,8 @@ inline net::TopologyConfig dm_sim_topology() {
   return c;
 }
 
-/// `c` with 20% of its leaf-spine links degraded from 10G to 2G
-/// (§5.3.2), chosen by a fixed seed so every scheme sees the identical
-/// asymmetry.
+/// `c` with 20% of its leaf-spine links degraded from 10G to 2G (§5.3.2),
+/// chosen by a fixed seed so every scheme sees the identical asymmetry.
 inline net::TopologyConfig degraded(net::TopologyConfig c, std::uint64_t seed = 99) {
   engine::Rng rng{seed};
   for (int l = 0; l < c.num_leaves; ++l)

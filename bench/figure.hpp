@@ -1,11 +1,9 @@
 #pragma once
 
-// A paper figure as data. A FigureSpec lists its tables (fabric, workload,
-// loads, variants, columns), optional fault-install and counter-harvest
-// hooks, and the paper's verdicts. run_figure() simulates every
-// (table, load, variant) cell on the thread pool, prints the tables,
-// writes the figure's JSON and trace files, and prints one
-// `verdict <bench>.<claim>: PASS|FAIL (<measured vs margin>)` line per
+// A paper figure as data: a FigureSpec's tables, hooks and verdicts.
+// run_figure() simulates every (table, load, variant) cell on the thread
+// pool, prints the tables, writes the figure's JSON and trace, and prints
+// one `verdict <bench>.<claim>: PASS|FAIL (<measured vs margin>)` line per
 // claim; verdicts never change the exit status.
 
 #include <cmath>
@@ -25,6 +23,7 @@
 
 #include "bench_util.hpp"
 #include "hermes/harness/experiment.hpp"
+#include "hermes/stats/csv.hpp"
 #include "hermes/sim/thread_pool.hpp"
 
 namespace hermes::bench {
@@ -51,17 +50,17 @@ inline double small_mean(const Cell& c) { return c.fct.small_flows().mean_us; }
 inline double small_p99(const Cell& c) { return c.fct.small_flows().p99_us; }
 inline double large_mean(const Cell& c) { return c.fct.large_flows().mean_us; }
 
-/// The records a table's statistics use: all but the first `warmup`
-/// arrivals (ids 1..warmup), which start into an empty fabric.
+/// The records a table's statistics use: all but the finished flows among the
+/// first `warmup` arrivals (ids 1..warmup, started into an empty fabric). An
+/// unfinished flow is evidence of a failure, not a ramp-up artifact: it stays.
 inline stats::FctCollector after_warmup(const stats::FctCollector& fct, int warmup) {
   stats::FctCollector out;
   for (const auto& r : fct.records())
-    if (r.id == 0 || r.id > static_cast<std::uint64_t>(warmup)) out.add(r);
+    if (!r.finished || r.id > static_cast<std::uint64_t>(warmup)) out.add(r);
   return out;
 }
 
-/// A label plus an edit to the table's ScenarioConfig: a scheme, a
-/// flowlet timeout, "probing off", ...
+/// A label plus an edit to the table's ScenarioConfig: a scheme, "probing off", ...
 struct Variant {
   std::string label;
   std::function<void(harness::ScenarioConfig&)> edit;
@@ -115,15 +114,16 @@ struct Row {
   [[nodiscard]] const Cell& me() const { return cells[self]; }
 };
 
-inline Column load_column(int precision = 1) {
-  return {"load", [precision](const Row& r) { return stats::Table::num(r.load, precision); }};
+inline Column load_column() {
+  return {"load", [](const Row& r) { return stats::Table::num(r.load, 1); }};
 }
 /// `first`, then one mean-FCT column per variant (headed by its label), then `extra`.
 inline std::vector<Column> wide_columns(Column first, const std::vector<Variant>& variants,
                                         std::vector<Column> extra = {}) {
   std::vector<Column> out{std::move(first)};
   for (const Variant& v : variants)
-    out.push_back({v.label, [l = v.label](const Row& r) { return stats::Table::usec(mean(r.at(l))); }});
+    out.push_back(
+        {v.label, [l = v.label](const Row& r) { return stats::Table::usec(mean(r.at(l))); }});
   for (Column& c : extra) out.push_back(std::move(c));
   return out;
 }
@@ -131,7 +131,8 @@ inline Column label_column(std::string header) {
   return {std::move(header), [](const Row& r) { return r.table->variants[r.self].label; }};
 }
 inline Column usec_column(std::string header, double (*measure)(const Cell&)) {
-  return {std::move(header), [measure](const Row& r) { return stats::Table::usec(measure(r.me())); }};
+  return {std::move(header),
+          [measure](const Row& r) { return stats::Table::usec(measure(r.me())); }};
 }
 /// `measure` of the row's cell over that of variant `ref` (0 when that is 0).
 inline Column ratio_column(std::string header, double (*measure)(const Cell&), std::string ref) {
@@ -141,18 +142,12 @@ inline Column ratio_column(std::string header, double (*measure)(const Cell&), s
           }};
 }
 /// How much lower the mean of `subject` (default: the row's cell) is than
-/// that of `base`, in percent of `base`.
-inline Column gain_column(std::string header, std::string base, std::string subject = {}) {
-  return {std::move(header), [base = std::move(base), subject = std::move(subject)](const Row& r) {
-            const double b = mean(r.at(base));
-            return stats::Table::pct((b - mean(subject.empty() ? r.me() : r.at(subject))) / b);
-          }};
-}
-/// How much higher the row's mean is than that of `ref`, in percent of `ref`.
-inline Column change_column(std::string header, std::string ref) {
-  return {std::move(header), [ref = std::move(ref)](const Row& r) {
-            const double b = mean(r.at(ref));
-            return stats::Table::pct((mean(r.me()) - b) / b);
+/// that of `base`, in percent of `base`; `sign` -1 says how much higher.
+inline Column gain_column(std::string header, std::string base, std::string subject = {},
+                          double sign = 1) {
+  return {std::move(header), [=](const Row& r) {
+            const double b = mean(r.at(base)), s = mean(subject.empty() ? r.me() : r.at(subject));
+            return stats::Table::pct(sign * (b - s) / b + 0.0);  // + 0.0: no "-0.0%"
           }};
 }
 
@@ -160,7 +155,7 @@ inline Column change_column(std::string header, std::string ref) {
 /// (not NaN), it must be at most `bound` — or at least, if `at_least`.
 struct Verdict {
   std::string claim;
-  std::string what;  ///< what `value` measures (a fraction, printed in %)
+  std::string what;  ///< what `value` measures, with its unit
   bool at_least;
   double bound;
   std::function<double(const Row&)> value;
@@ -173,23 +168,17 @@ struct FigureSpec {
   std::vector<Table> tables{};
   std::function<void(harness::Scenario&)> install{};           ///< before traffic starts
   std::function<std::uint64_t(harness::Scenario&)> harvest{};  ///< after the run: Cell::counter
-  /// Default --json=<path> for every cell's metrics snapshot; null: no JSON.
-  const char* json = nullptr;
+  /// Default --json=<path> for every cell's metrics snapshot; empty: no JSON.
+  std::string json{};
   /// Default --trace=<path> for the flight-recorder dump of the last cell
-  /// (the highest load) that enables obs; null: no trace.
-  const char* trace = nullptr;
+  /// (the highest load) that enables obs; empty: no trace.
+  std::string trace{};
   std::vector<Verdict> verdicts{};
 };
 
 /// Runs and prints `spec`; returns main()'s exit status (nonzero only
 /// when an output file cannot be written).
 inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
-  auto flag = [&](const char* key, const char* def) {
-    std::string value = def != nullptr ? def : "";
-    for (int i = 1; i < argc; ++i)
-      if (std::strncmp(argv[i], key, std::strlen(key)) == 0) value = argv[i] + std::strlen(key);
-    return value;
-  };
   print_header(spec.title.c_str(), spec.claim.c_str());
 
   struct CellSpec {
@@ -206,24 +195,25 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
         if (v.edit) v.edit(specs.back().cfg);
       }
   std::size_t traced = specs.size();
-  for (std::size_t i = 0; spec.trace != nullptr && i < specs.size(); ++i)
+  for (std::size_t i = 0; !spec.trace.empty() && i < specs.size(); ++i)
     if (specs[i].cfg.obs.enabled) traced = i;
-  const std::string trace_path = flag("--trace=", spec.trace);
+  const std::string trace_path = flag(argc, argv, "--trace=", spec.trace);
   bool trace_written = false;
 
   // Every cell owns its Scenario, so cells run concurrently; results are
   // index-addressed, so the output is that of a serial run.
   const std::vector<Cell> cells = sim::ThreadPool{}.map<Cell>(specs.size(), [&](std::size_t i) {
     const CellSpec& c = specs[i];
+    const Table& t = *c.table;
     Cell cell;
     auto finish = [&](harness::Scenario& s) {
       if (spec.harvest) cell.counter = spec.harvest(s);
-      if (spec.json != nullptr) cell.metrics_json = s.metrics().snapshot_json();
+      if (!spec.json.empty()) cell.metrics_json = s.metrics().snapshot_json();
       if (i == traced) trace_written = s.dump_trace(trace_path);
     };
-    cell.fct = after_warmup(harness::run_workload_experiment(c.cfg, c.table->dist, c.load,
-                                                             c.table->flows, 1, spec.install, finish),
-                            c.table->warmup);
+    cell.fct = after_warmup(
+        harness::run_workload_experiment(c.cfg, t.dist, c.load, t.flows, 1, spec.install, finish),
+        t.warmup);
     return cell;
   });
 
@@ -252,18 +242,15 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
     if (ok) std::printf("wrote %s%s\n", path.c_str(), what.c_str());
     else std::fprintf(stderr, "cannot write %s\n", path.c_str()), status = 1;
   };
-  if (traced < specs.size()) wrote(trace_written, trace_path, strf(" (load %.1f)", specs[traced].load));
-  const std::string json_path = flag("--json=", spec.json);
-  if (std::FILE* f = spec.json != nullptr ? std::fopen(json_path.c_str(), "w") : nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"cells\": [\n", spec.name.c_str());
+  if (traced < specs.size())
+    wrote(trace_written, trace_path, strf(" (load %.1f)", specs[traced].load));
+  if (!spec.json.empty()) {
+    const std::string path = flag(argc, argv, "--json=", spec.json);
+    std::string json = "{\n  \"bench\": \"" + spec.name + "\",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i)
-      std::fprintf(f, "%s    {\"scheme\": \"%s\", \"load\": %.2f, \"metrics\": %s}",
-                   i > 0 ? ",\n" : "", specs[i].variant->label.c_str(), specs[i].load,
-                   cells[i].metrics_json.c_str());
-    std::fprintf(f, "\n  ]\n}\n");
-    wrote(std::fclose(f) == 0, json_path, "");
-  } else if (spec.json != nullptr) {
-    wrote(false, json_path, "");
+      json += strf("%s    {\"scheme\": \"%s\", \"load\": %.2f, \"metrics\": ", i > 0 ? ",\n" : "",
+                   specs[i].variant->label.c_str(), specs[i].load) + cells[i].metrics_json + "}";
+    wrote(stats::write_file(path, json + "\n  ]\n}\n"), path, "");
   }
 
   for (const Verdict& v : spec.verdicts) {
@@ -273,10 +260,10 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
       if (const double x = v.value(r); !std::isnan(x) && (!worst || (v.at_least ? x < w : x > w)))
         worst = &r, w = x;
     const bool pass = worst != nullptr && (v.at_least ? w >= v.bound : w <= v.bound);
-    std::printf("verdict %s.%s: %s (%s: worst %+.2f%% at %s load %.1f vs %s %+.2f%%)\n",
-                spec.name.c_str(), v.claim.c_str(), pass ? "PASS" : "FAIL", v.what.c_str(),
-                100 * w, worst ? worst->table->dist.name().c_str() : "no", worst ? worst->load : 0,
-                v.at_least ? "at least" : "at most", 100 * v.bound);
+    std::printf("verdict %s.%s: %s (%s: worst %.3g at %s load %.1f; %s %.3g)\n",
+                spec.name.c_str(), v.claim.c_str(), pass ? "PASS" : "FAIL", v.what.c_str(), w,
+                worst ? worst->table->dist.name().c_str() : "no", worst ? worst->load : 0,
+                v.at_least ? "at least" : "at most", v.bound);
   }
   return status;
 }
