@@ -6,14 +6,20 @@
 //   $ ./run_experiment --scheme=conga --workload=datamining --leaves=4
 //         --spines=4 --hosts=8 --degrade=0,1,2e9 --drop=3,0.02 --seed=7
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "hermes/harness/experiment.hpp"
+#include "hermes/harness/fuzz_runner.hpp"
 #include "hermes/stats/csv.hpp"
 #include "hermes/stats/table.hpp"
 
@@ -21,42 +27,60 @@ namespace {
 
 using namespace hermes;
 
-const char* arg_value(int argc, char** argv, const char* key) {
+const char* const kFlags[] = {"--scheme", "--workload", "--load",  "--flows",   "--seed",
+                              "--leaves", "--spines",   "--hosts", "--gbps",    "--degrade",
+                              "--cut",    "--drop",     "--csv"};
+
+/// Bad input ends the run with status 2 and a message naming the flag.
+[[noreturn]] void fail(const std::string& why) {
+  std::fprintf(stderr, "run_experiment: %s (see --help)\n", why.c_str());
+  std::exit(2);
+}
+
+/// `arg`'s value when it reads `key=value`, else null.
+const char* value_of(const char* arg, const char* key) {
   const std::size_t n = std::strlen(key);
+  return std::strncmp(arg, key, n) == 0 && arg[n] == '=' ? arg + n + 1 : nullptr;
+}
+
+const char* arg_value(int argc, char** argv, const char* key) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') return argv[i] + n + 1;
+    if (const char* v = value_of(argv[i], key)) return v;
   }
   return nullptr;
 }
 
 double arg_double(int argc, char** argv, const char* key, double def) {
   const char* v = arg_value(argc, argv, key);
-  return v ? std::atof(v) : def;
+  if (v == nullptr) return def;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0') fail(std::string(key) + "=" + v + ": not a number");
+  return x;
 }
-int arg_int(int argc, char** argv, const char* key, int def) {
-  const char* v = arg_value(argc, argv, key);
-  return v ? std::atoi(v) : def;
+/// " key=value" for each of `keys` given on the command line.
+std::string given(int argc, char** argv, std::initializer_list<const char*> keys) {
+  std::string out;
+  for (const char* key : keys) {
+    if (const char* v = arg_value(argc, argv, key)) out += std::string(" ") + key + "=" + v;
+  }
+  return out;
 }
 
-harness::Scheme parse_scheme(const char* s) {
-  using harness::Scheme;
-  const std::string v = s ? s : "hermes";
-  if (v == "ecmp") return Scheme::kEcmp;
-  if (v == "drb") return Scheme::kDrb;
-  if (v == "presto") return Scheme::kPrestoStar;
-  if (v == "letflow") return Scheme::kLetFlow;
-  if (v == "conga") return Scheme::kConga;
-  if (v == "clove") return Scheme::kCloveEcn;
-  if (v == "flowbender") return Scheme::kFlowBender;
-  if (v == "drill") return Scheme::kDrill;
-  if (v == "wcmp") return Scheme::kWcmp;
-  return Scheme::kHermes;
+int arg_int(int argc, char** argv, const char* key, int def) {
+  const char* v = arg_value(argc, argv, key);
+  if (v == nullptr) return def;
+  char* end = nullptr;
+  const long x = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || x < INT32_MIN || x > INT32_MAX)
+    fail(std::string(key) + "=" + v + ": not an integer");
+  return static_cast<int>(x);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (arg_value(argc, argv, "--help") || (argc > 1 && std::strcmp(argv[1], "--help") == 0)) {
+  if (argc > 1 && std::strcmp(argv[1], "--help") == 0) {
     std::printf(
         "usage: run_experiment [--scheme=ecmp|wcmp|drb|presto|letflow|conga|clove|"
         "flowbender|drill|hermes]\n"
@@ -68,6 +92,11 @@ int main(int argc, char** argv) {
         "  [--csv=path.csv]                 (per-flow records)\n");
     return 0;
   }
+  for (int i = 1; i < argc; ++i) {
+    if (std::none_of(std::begin(kFlags), std::end(kFlags),
+                     [&](const char* key) { return value_of(argv[i], key) != nullptr; }))
+      fail(std::string("unknown flag '") + argv[i] + "'");
+  }
 
   harness::ScenarioConfig cfg;
   cfg.topo.num_leaves = arg_int(argc, argv, "--leaves", 8);
@@ -75,37 +104,62 @@ int main(int argc, char** argv) {
   cfg.topo.hosts_per_leaf = arg_int(argc, argv, "--hosts", 16);
   cfg.topo.host_rate_bps = cfg.topo.fabric_rate_bps =
       arg_double(argc, argv, "--gbps", 10) * 1e9;
-  cfg.scheme = parse_scheme(arg_value(argc, argv, "--scheme"));
+  const char* scheme = arg_value(argc, argv, "--scheme");
+  const std::optional<harness::Scheme> parsed = harness::parse_scheme(scheme ? scheme : "hermes");
+  if (!parsed) fail(std::string("--scheme=") + scheme + ": unknown scheme");
+  cfg.scheme = *parsed;
   cfg.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "--seed", 1));
+  const std::string wl = arg_value(argc, argv, "--workload") ? arg_value(argc, argv, "--workload")
+                                                             : "websearch";
+  if (wl != "websearch" && wl != "datamining")
+    fail("--workload=" + wl + ": want websearch or datamining");
+  const auto dist =
+      wl == "datamining" ? workload::SizeDist::data_mining() : workload::SizeDist::web_search();
 
+  int leaf, spine, used = 0;
+  double rate;
   for (int i = 1; i < argc; ++i) {
-    int leaf, spine;
-    double rate;
-    if (std::sscanf(argv[i], "--degrade=%d,%d,%lf", &leaf, &spine, &rate) == 3) {
+    if (const char* v = value_of(argv[i], "--degrade")) {
+      if (std::sscanf(v, "%d,%d,%lf%n", &leaf, &spine, &rate, &used) != 3 || v[used] != '\0')
+        fail(std::string(argv[i]) + ": want leaf,spine,rate_bps");
       cfg.topo.fabric_overrides[{leaf, spine, 0}] = rate;
-    } else if (std::sscanf(argv[i], "--cut=%d,%d", &leaf, &spine) == 2) {
+    } else if (const char* c = value_of(argv[i], "--cut")) {
+      if (std::sscanf(c, "%d,%d%n", &leaf, &spine, &used) != 2 || c[used] != '\0')
+        fail(std::string(argv[i]) + ": want leaf,spine");
       cfg.topo.fabric_overrides[{leaf, spine, 0}] = 0;
     }
   }
 
-  harness::Scenario s{cfg};
+  // The library throws std::invalid_argument for what the flags describe
+  // but cannot be built; name the flags that describe it.
+  std::optional<harness::Scenario> built;
+  try {
+    built.emplace(cfg);
+  } catch (const std::invalid_argument& e) {
+    fail("fabric" +
+         given(argc, argv, {"--leaves", "--spines", "--hosts", "--gbps", "--degrade", "--cut"}) +
+         ": " + e.what());
+  }
+  harness::Scenario& s = *built;
 
   for (int i = 1; i < argc; ++i) {
-    int spine;
-    double rate;
-    if (std::sscanf(argv[i], "--drop=%d,%lf", &spine, &rate) == 2) {
-      s.topology().spine(spine).set_failure({.blackhole = nullptr, .random_drop_rate = rate});
-    }
+    const char* v = value_of(argv[i], "--drop");
+    if (v == nullptr) continue;
+    if (std::sscanf(v, "%d,%lf%n", &spine, &rate, &used) != 2 || v[used] != '\0')
+      fail(std::string(argv[i]) + ": want spine,rate");
+    if (spine < 0 || spine >= cfg.topo.num_spines) fail(std::string(argv[i]) + ": no such spine");
+    s.topology().spine(spine).set_random_drop_rate(rate);
   }
 
-  const char* wl = arg_value(argc, argv, "--workload");
-  const auto dist = (wl && std::string(wl) == "datamining") ? workload::SizeDist::data_mining()
-                                                            : workload::SizeDist::web_search();
   workload::TrafficConfig tc;
   tc.load = arg_double(argc, argv, "--load", 0.6);
   tc.num_flows = arg_int(argc, argv, "--flows", 500);
   tc.seed = cfg.seed;
-  s.add_flows(workload::generate_poisson_traffic(s.topology(), dist, tc));
+  try {
+    s.add_flows(workload::generate_poisson_traffic(s.topology(), dist, tc));
+  } catch (const std::invalid_argument& e) {
+    fail("traffic" + given(argc, argv, {"--load", "--flows"}) + ": " + e.what());
+  }
 
   std::printf("scheme=%s workload=%s load=%.2f flows=%d fabric=%dx%dx%d\n",
               harness::to_string(cfg.scheme), dist.name().c_str(), tc.load, tc.num_flows,

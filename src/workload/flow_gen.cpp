@@ -12,6 +12,7 @@ std::vector<transport::FlowSpec> generate_poisson_traffic(const net::Fabric& top
                                                           const SizeDist& dist,
                                                           const TrafficConfig& cfg) {
   if (cfg.load <= 0) throw std::invalid_argument("load must be positive");
+  if (cfg.num_flows < 0) throw std::invalid_argument("num_flows must not be negative");
   if (topo.num_leaves() < 2 && cfg.inter_rack_only)
     throw std::invalid_argument("inter-rack traffic needs at least two leaves");
 

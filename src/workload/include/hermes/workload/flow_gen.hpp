@@ -25,6 +25,8 @@ struct TrafficConfig {
   bool inter_rack_only = true;
 };
 
+/// Throws std::invalid_argument for a non-positive load or a negative
+/// flow count.
 [[nodiscard]] std::vector<transport::FlowSpec> generate_poisson_traffic(
     const net::Fabric& topo, const SizeDist& dist, const TrafficConfig& cfg);
 

@@ -154,5 +154,13 @@ TEST_F(FlowGenTest, RejectsBadConfig) {
                std::invalid_argument);
 }
 
+TEST_F(FlowGenTest, RejectsNegativeFlowCount) {
+  TrafficConfig tc{.load = 0.5, .num_flows = -5, .seed = 1};
+  EXPECT_THROW(generate_poisson_traffic(topo, SizeDist::web_search(), tc),
+               std::invalid_argument);
+  tc.num_flows = 0;
+  EXPECT_TRUE(generate_poisson_traffic(topo, SizeDist::web_search(), tc).empty());
+}
+
 }  // namespace
 }  // namespace hermes::workload
