@@ -10,6 +10,7 @@ foreach(claim IN LISTS claims)
     string(APPEND missing " ${claim}")
   endif()
 endforeach()
-if(NOT rc STREQUAL "0" OR out MATCHES "verdict [^\n]*: FAIL" OR missing)
-  message(FATAL_ERROR "exit status '${rc}' (want 0); claims without a PASS line:${missing}")
+string(REGEX MATCHALL "verdict [^\n]*: FAIL[^\n]*" failed "${out}")
+if(NOT rc STREQUAL "0" OR failed OR missing)
+  message(FATAL_ERROR "exit status '${rc}' (want 0); FAIL lines: ${failed}; no PASS line:${missing}")
 endif()

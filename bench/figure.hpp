@@ -28,6 +28,7 @@
 
 namespace hermes::bench {
 
+/// printf into a string of at most 511 characters.
 __attribute__((format(printf, 1, 2))) inline std::string strf(const char* fmt, ...) {
   char buf[512];
   va_list ap;

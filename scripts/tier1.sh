@@ -2,7 +2,10 @@
 # Tier-1 gate: everything a change must pass before it lands.
 #
 #   1. Default (RelWithDebInfo) build with -Werror + full ctest suite
-#      (includes the hermeslint fixture tests and the tree-clean check).
+#      (includes the hermeslint fixture tests and the tree-clean check,
+#      every bench at toy scale as bench.smoke.*, and the paper_shape
+#      label: figs 12, 14, 16, 17 and 18 at default scale, each of whose
+#      paper verdicts must print PASS).
 #   2. hermeslint over the whole tree — zero findings required; see
 #      DESIGN.md "Static analysis & invariants" for the rules. The run
 #      writes SARIF to build/hermeslint.sarif, and its wall time is
