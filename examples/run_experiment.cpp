@@ -7,6 +7,7 @@
 //         --spines=4 --hosts=8 --degrade=0,1,2e9 --drop=3,0.02 --seed=7
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -55,18 +56,10 @@ double arg_double(int argc, char** argv, const char* key, double def) {
   if (v == nullptr) return def;
   char* end = nullptr;
   const double x = std::strtod(v, &end);
-  if (end == v || *end != '\0') fail(std::string(key) + "=" + v + ": not a number");
+  if (end == v || *end != '\0' || !std::isfinite(x))
+    fail(std::string(key) + "=" + v + ": not a number");
   return x;
 }
-/// " key=value" for each of `keys` given on the command line.
-std::string given(int argc, char** argv, std::initializer_list<const char*> keys) {
-  std::string out;
-  for (const char* key : keys) {
-    if (const char* v = arg_value(argc, argv, key)) out += std::string(" ") + key + "=" + v;
-  }
-  return out;
-}
-
 int arg_int(int argc, char** argv, const char* key, int def) {
   const char* v = arg_value(argc, argv, key);
   if (v == nullptr) return def;
@@ -75,6 +68,15 @@ int arg_int(int argc, char** argv, const char* key, int def) {
   if (end == v || *end != '\0' || x < INT32_MIN || x > INT32_MAX)
     fail(std::string(key) + "=" + v + ": not an integer");
   return static_cast<int>(x);
+}
+
+/// " key=value" for each of `keys` given on the command line.
+std::string given(int argc, char** argv, std::initializer_list<const char*> keys) {
+  std::string out;
+  for (const char* key : keys) {
+    if (const char* v = arg_value(argc, argv, key)) out += std::string(" ") + key + "=" + v;
+  }
+  return out;
 }
 
 }  // namespace
@@ -109,15 +111,15 @@ int main(int argc, char** argv) {
   if (!parsed) fail(std::string("--scheme=") + scheme + ": unknown scheme");
   cfg.scheme = *parsed;
   cfg.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "--seed", 1));
-  const std::string wl = arg_value(argc, argv, "--workload") ? arg_value(argc, argv, "--workload")
-                                                             : "websearch";
+  const char* wl_arg = arg_value(argc, argv, "--workload");
+  const std::string wl = wl_arg != nullptr ? wl_arg : "websearch";
   if (wl != "websearch" && wl != "datamining")
     fail("--workload=" + wl + ": want websearch or datamining");
   const auto dist =
       wl == "datamining" ? workload::SizeDist::data_mining() : workload::SizeDist::web_search();
 
-  int leaf, spine, used = 0;
-  double rate;
+  int leaf = 0, spine = 0, used = 0;
+  double rate = 0;
   for (int i = 1; i < argc; ++i) {
     if (const char* v = value_of(argv[i], "--degrade")) {
       if (std::sscanf(v, "%d,%d,%lf%n", &leaf, &spine, &rate, &used) != 3 || v[used] != '\0')
@@ -148,6 +150,7 @@ int main(int argc, char** argv) {
     if (std::sscanf(v, "%d,%lf%n", &spine, &rate, &used) != 2 || v[used] != '\0')
       fail(std::string(argv[i]) + ": want spine,rate");
     if (spine < 0 || spine >= cfg.topo.num_spines) fail(std::string(argv[i]) + ": no such spine");
+    if (rate < 0 || rate > 1) fail(std::string(argv[i]) + ": rate must be in [0, 1]");
     s.topology().spine(spine).set_random_drop_rate(rate);
   }
 
