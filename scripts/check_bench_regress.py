@@ -33,11 +33,6 @@ or the normalized ratio is enough; a genuine algorithmic regression —
 the failure mode this guard exists for, which costs integer factors,
 not percents — fails both.
 
-When the current JSON is a hermeslint --json report (its "tool" field
-says so), the guard only *reports* lint wall time against the committed
-metrics.lint baseline and always exits 0 — lint latency is tracked, not
-gated (the hard lint gate is hermeslint's own exit code in tier1.sh).
-
 When the current JSON comes from bench_ext_fattree_scale (its "bench"
 field says so), the fat-tree gates apply instead:
 
@@ -116,21 +111,6 @@ def check_fattree(baseline, current, failures):
         )
 
 
-def report_lint(baseline, current):
-    """Informational only: compare lint wall time to the committed baseline."""
-    timing = current.get("timing") or {}
-    wall = timing.get("wall_ms")
-    if wall is None:
-        print("lint report: no timing block in the hermeslint JSON (old binary?)")
-        return
-    base = metric(baseline, "lint", "cold_wall_ms")
-    vs = f" vs committed baseline {base:,.1f} ms" if base else ""
-    print(
-        f"lint report: {wall:,.1f} ms for "
-        f"{int(current.get('files_scanned') or 0)} files{vs}"
-    )
-
-
 def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -141,10 +121,6 @@ def main(argv):
         current = json.load(f)
 
     failures = []
-
-    if current.get("tool") == "hermeslint":
-        report_lint(baseline, current)
-        return 0
 
     if current.get("bench") == "bench_ext_fattree_scale":
         check_fattree(baseline, current, failures)

@@ -2,8 +2,7 @@
 # Static-analysis gate: build and run hermeslint over the whole tree.
 #
 #   scripts/lint.sh                  human-readable findings, exit 1 if any
-#   scripts/lint.sh --json           findings as JSON on stdout (schema_version 2,
-#                                    includes a timing block: wall_ms)
+#   scripts/lint.sh --json           findings as JSON on stdout (schema_version 2)
 #   scripts/lint.sh --sarif=F.sarif  also write SARIF 2.1.0 to F.sarif (for
 #                                    GitHub code scanning upload)
 #
@@ -30,7 +29,7 @@ PATHS=(src bench tests examples tools)
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target hermeslint >/dev/null
 
-ARGS=(--root=. "--threads=$JOBS")
+ARGS=(--root=.)
 for arg in "$@"; do
   case "$arg" in
     --json) ARGS+=(--json) ;;

@@ -8,9 +8,7 @@
 #      paper verdicts must print PASS).
 #   2. hermeslint over the whole tree — zero findings required; see
 #      DESIGN.md "Static analysis & invariants" for the rules. The run
-#      writes SARIF to build/hermeslint.sarif, and its wall time is
-#      reported (informationally) against the metrics.lint entry in
-#      BENCH_core.json by check_bench_regress.py.
+#      writes SARIF to build/hermeslint.sarif.
 #   3. clang-tidy gated subset: the WarningsAsErrors checks curated in
 #      .clang-tidy (seeded-rand CERT rules, use-after-move, cheap
 #      modernize/performance wins) over src/ — any of them failing
@@ -57,10 +55,8 @@ cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
 echo "== [2/8] hermeslint (SARIF) =="
-./build/tools/hermeslint/hermeslint --root=. --threads="$JOBS" \
-  --json=build/hermeslint.json --sarif=build/hermeslint.sarif \
+./build/tools/hermeslint/hermeslint --root=. --sarif=build/hermeslint.sarif \
   src bench tests examples tools
-python3 scripts/check_bench_regress.py BENCH_core.json build/hermeslint.json
 
 if [[ "${HERMES_TIER1_TIDY:-1}" != "1" ]]; then
   echo "== [3/8] clang-tidy gated subset skipped (HERMES_TIER1_TIDY=0) =="

@@ -18,7 +18,7 @@ bool Engine::hole_active(HoleTrack& track, PathSet& ps, TimeNs now, const FlowVi
   if (track.latched && config_.failure_expiry > 0) {
     const TimeNs expiry = config_.failure_expiry << (track.streak > 0 ? track.streak - 1 : 0);
     if (now - track.latched_at > expiry) {
-      // Heal: the detector must re-accumulate blackhole_timeouts fresh
+      // Heal: the detector must re-accumulate kBlackholeTimeouts fresh
       // timeouts to re-latch; the streak is kept so a genuinely broken
       // path re-latches with a doubled expiry (up to 128x).
       const std::uint64_t lifetime_us =
@@ -44,7 +44,7 @@ bool Engine::failed_for_flow(PathSet& ps, const FlowView& flow, int local_idx, T
 
 // HERMES_HOT: Algorithm 2 lines 3-12.
 int Engine::pick_fresh(PathSet& ps, const FlowView& flow, TimeNs now) {
-  const bool panic = ps.in_panic(config_.panic_threshold);
+  const bool panic = ps.in_panic();
   // Lines 4-6: good paths, least local sending rate r_p first.
   // Lines 8-10: otherwise gray paths the same way. Near-equal rates are
   // tie-broken randomly so concurrent senders do not herd onto one path.
@@ -80,7 +80,7 @@ int Engine::pick_fresh(PathSet& ps, const FlowView& flow, TimeNs now) {
 // HERMES_HOT: Algorithm 2 lines 14-23.
 int Engine::pick_notably_better(PathSet& ps, const FlowView& flow, int cur_local, TimeNs now) {
   const PathState& cur = ps.state(static_cast<std::size_t>(cur_local));
-  const bool panic = ps.in_panic(config_.panic_threshold);
+  const bool panic = ps.in_panic();
   // Lines 15-21: good paths notably better than the current one, then gray.
   for (PathType wanted : {PathType::kGood, PathType::kGray}) {
     const int best = least_rate_path(ps, flow, wanted, cur_local, &cur, panic, now);
@@ -212,7 +212,7 @@ void Engine::on_ack(int src_group, int dst_group, int local_idx, std::int32_t fl
                     std::int32_t flow_dst, bool has_rtt, TimeNs rtt, bool ecn_marked) {
   PathSet& ps = path_set(src_group, dst_group);
   if (local_idx < 0 || local_idx >= static_cast<int>(ps.size())) return;
-  if (has_rtt) ps.state(static_cast<std::size_t>(local_idx)).add_sample(rtt, ecn_marked, config_);
+  if (has_rtt) ps.state(static_cast<std::size_t>(local_idx)).add_sample(rtt, ecn_marked);
   // ACK progress on this (pair, path): not a blackhole; reset the count.
   if (config_.failure_sensing) {
     const auto it = ps.hole_track.find(hole_key(flow_src, flow_dst, local_idx));
@@ -226,7 +226,7 @@ void Engine::on_ack(int src_group, int dst_group, int local_idx, std::int32_t fl
 void Engine::on_timeout(const FlowView& flow, TimeNs now) {
   if (!config_.failure_sensing || flow.cur_local < 0) return;
   // Blackhole detection (§3.1.2): Hermes monitors flow timeouts per
-  // (source-destination pair, path). Once `blackhole_timeouts` timeouts
+  // (source-destination pair, path). Once kBlackholeTimeouts timeouts
   // accrue with no packet of that pair ever ACKed on that path, the path
   // deterministically drops this pair's packets.
   PathSet& ps = path_set(flow.src_group, flow.dst_group);
@@ -239,7 +239,7 @@ void Engine::on_timeout(const FlowView& flow, TimeNs now) {
   // a previously healthy switch) and the path has to re-prove itself.
   HoleTrack& track = ps.hole_track[hole_key(flow.src, flow.dst, li)];
   track.acked = false;
-  if (++track.timeouts >= config_.blackhole_timeouts) {
+  if (++track.timeouts >= kBlackholeTimeouts) {
     if (!track.latched) {
       if (track.streak < 8) ++track.streak;
       ++stats_.blackhole_latches;
@@ -265,7 +265,7 @@ void Engine::feed_probe_sample(int src_group, int dst_group, int local_idx, Time
   PathSet& ps = path_set(src_group, dst_group);
   if (local_idx < 0 || local_idx >= static_cast<int>(ps.size())) return;
   PathState& st = ps.state(static_cast<std::size_t>(local_idx));
-  st.add_sample(rtt, ecn_marked, config_);
+  st.add_sample(rtt, ecn_marked);
   // Track the best observed path for the extra "memory" probe.
   if (ps.best_idx < 0 || ps.best_idx >= static_cast<int>(ps.size()) ||
       !ps.state(static_cast<std::size_t>(ps.best_idx)).has_sample() ||

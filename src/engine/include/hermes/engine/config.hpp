@@ -29,10 +29,8 @@ struct Config {
   double reroute_rate_limit_bps = 0;  ///< R; 0 disables congestion reroutes
   std::uint64_t sent_threshold_bytes = 600 * 1024;  ///< S
 
-  // Failure sensing (§3.1.2).
-  std::uint32_t blackhole_timeouts = 3;  ///< timeouts w/o any ACK => blackhole
-  double retx_threshold = 0.01;          ///< f_retransmission limit
-  TimeNs retx_epoch = msec(10);          ///< tau
+  // Failure sensing (§3.1.2); the detectors' thresholds are the
+  // constants below.
   /// A failure latch expires after this long and must be re-confirmed by
   /// fresh evidence; each re-confirmation doubles the expiry (capped at
   /// 128x). 0 = latch forever.
@@ -41,22 +39,27 @@ struct Config {
   /// Minimum spacing between congestion-triggered reroutes of one flow.
   TimeNs reroute_min_gap = msec(2);
 
-  // Signal smoothing.
-  double rtt_ewma_gain = 0.5;
-  double ecn_ewma_gain = 1.0 / 16.0;
-
   // Feature toggles (ablations of Fig. 18; §5.4 TCP mode).
   bool rerouting_enabled = true;   ///< reroute ongoing flows on congestion
   bool failure_sensing = true;
   bool use_ecn = true;             ///< false: sense with RTT only (plain TCP)
-
-  /// Envoy-style panic threshold over *administrative* path health: when
-  /// the healthy fraction of a path set drops below this, health
-  /// filtering is abandoned and traffic is spread over every member —
-  /// sending to a possibly-unhealthy backend beats sending to none.
-  /// Sensed failure latches (blackhole / random-drop detectors) are not
-  /// affected; they keep their own always-transmit-somewhere fallback.
-  double panic_threshold = 0.5;
 };
+
+// Failure sensing (§3.1.2).
+inline constexpr std::uint32_t kBlackholeTimeouts = 3;  ///< timeouts w/o any ACK => blackhole
+inline constexpr double kRetxThreshold = 0.01;          ///< f_retransmission limit
+inline constexpr TimeNs kRetxEpoch = msec(10);          ///< tau
+
+// Signal smoothing.
+inline constexpr double kRttEwmaGain = 0.5;
+inline constexpr double kEcnEwmaGain = 1.0 / 16.0;
+
+/// Envoy-style panic threshold over *administrative* path health: when
+/// the healthy fraction of a path set drops below this, health filtering
+/// is abandoned and traffic is spread over every member — sending to a
+/// possibly-unhealthy backend beats sending to none. Sensed failure
+/// latches (blackhole / random-drop detectors) are not affected; they
+/// keep their own always-transmit-somewhere fallback.
+inline constexpr double kPanicThreshold = 0.5;
 
 }  // namespace hermes::engine

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hermes/engine/config.hpp"
 #include "hermes/engine/path_state.hpp"
 #include "hermes/engine/time.hpp"
 
@@ -150,9 +151,9 @@ class PathSet {
 
   /// Envoy-style panic: too few healthy members => ignore health and
   /// spread over everyone rather than concentrate on the survivors.
-  [[nodiscard]] bool in_panic(double threshold) const {
+  [[nodiscard]] bool in_panic() const {
     return !slots_.empty() &&
-           static_cast<double>(healthy_) < threshold * static_cast<double>(slots_.size());
+           static_cast<double>(healthy_) < kPanicThreshold * static_cast<double>(slots_.size());
   }
 
   int best_idx = -1;  ///< previously observed best path (probed extra)

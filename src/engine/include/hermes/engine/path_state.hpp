@@ -34,15 +34,15 @@ enum class PathType : std::uint8_t {
 class PathState {
  public:
   /// Feed one RTT + ECN observation (from an ACK or a probe reply).
-  void add_sample(TimeNs rtt, bool ecn_marked, const Config& cfg) {
+  void add_sample(TimeNs rtt, bool ecn_marked) {
     if (!has_sample_) {
       rtt_ = rtt;
       ecn_frac_ = ecn_marked ? 1.0 : 0.0;
       has_sample_ = true;
     } else {
-      rtt_ = static_cast<TimeNs>((1.0 - cfg.rtt_ewma_gain) * static_cast<double>(rtt_) +
-                                 cfg.rtt_ewma_gain * static_cast<double>(rtt));
-      ecn_frac_ = (1.0 - cfg.ecn_ewma_gain) * ecn_frac_ + cfg.ecn_ewma_gain * (ecn_marked ? 1 : 0);
+      rtt_ = static_cast<TimeNs>((1.0 - kRttEwmaGain) * static_cast<double>(rtt_) +
+                                 kRttEwmaGain * static_cast<double>(rtt));
+      ecn_frac_ = (1.0 - kEcnEwmaGain) * ecn_frac_ + kEcnEwmaGain * (ecn_marked ? 1 : 0);
     }
   }
 
@@ -113,21 +113,18 @@ class PathState {
   /// retransmission rate on a path that is *not* congested cannot be
   /// explained by congestion, so the path is latched as failed.
   bool roll_epoch(TimeNs now, const Config& cfg) {
-    if (now - epoch_start_ < cfg.retx_epoch) return false;
+    if (now - epoch_start_ < kRetxEpoch) return false;
     retx_frac_ = sends_in_epoch_ > 0
                      ? static_cast<double>(retx_in_epoch_) / static_cast<double>(sends_in_epoch_)
                      : 0.0;
     if (cfg.failure_sensing && sends_in_epoch_ >= kMinEpochSends &&
-        retx_frac_ > cfg.retx_threshold &&
+        retx_frac_ > kRetxThreshold &&
         congestion_type(cfg) != PathType::kCongested) {
       // One bad epoch latches, as in the paper (§3.1.2). The min-sends
       // guard keeps tiny samples from condemning a path; an occasional
       // congestion-burst false positive merely removes one of the
       // parallel paths for one group pair.
-      ++bad_epochs_;
       fail(now);
-    } else {
-      bad_epochs_ = 0;
     }
     sends_in_epoch_ = 0;
     retx_in_epoch_ = 0;
@@ -148,7 +145,6 @@ class PathState {
 
   std::uint32_t sends_in_epoch_ = 0;
   std::uint32_t retx_in_epoch_ = 0;
-  std::uint32_t bad_epochs_ = 0;
   double retx_frac_ = 0;
   TimeNs epoch_start_ = 0;
 

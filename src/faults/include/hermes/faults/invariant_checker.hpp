@@ -50,7 +50,6 @@ struct InvariantCheckerConfig {
   /// violation — faults legitimately stall flows — but the count feeds
   /// the resilience scorecard ("who strands flows, for how long").
   sim::SimTime stuck_after = sim::msec(50);
-  bool check_queue_bounds = true;
 };
 
 /// A flow's ACK progress, snapshotted by the harness for the watchdog.

@@ -21,18 +21,18 @@ struct RandomFaultConfig {
   sim::SimTime start = sim::msec(10);   ///< let the workload ramp up first
   sim::SimTime mtbf = sim::msec(200);   ///< mean time between onsets (fabric-wide)
   sim::SimTime mttr = sim::msec(50);    ///< mean time to repair one fault
-
-  // Relative weights of each fault kind (normalized internally).
-  double w_random_drop = 0.4;
-  double w_blackhole = 0.3;
-  double w_link_down = 0.15;
-  double w_link_degrade = 0.15;
-
-  double drop_rate_lo = 0.01;   ///< silent random-drop severity range
-  double drop_rate_hi = 0.05;
-  double degrade_factor = 0.2;  ///< degraded links run at this capacity fraction
   bool half_pair_blackholes = true;  ///< TCAM-style: only half the host pairs
 };
+
+// Relative weights of each fault kind (normalized by their sum).
+inline constexpr double kWeightRandomDrop = 0.4;
+inline constexpr double kWeightBlackhole = 0.3;
+inline constexpr double kWeightLinkDown = 0.15;
+inline constexpr double kWeightLinkDegrade = 0.15;
+
+inline constexpr double kDropRateLo = 0.01;  ///< silent random-drop severity range
+inline constexpr double kDropRateHi = 0.05;
+inline constexpr double kDegradeFactor = 0.2;  ///< degraded links run at this capacity fraction
 
 /// Deterministically expands a RandomFaultConfig into a concrete
 /// FaultPlan. All randomness comes from the supplied hermes::engine::Rng —

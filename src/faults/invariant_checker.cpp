@@ -190,7 +190,7 @@ void InvariantChecker::update_watchdog() {
 void InvariantChecker::check_now(const char* context) {
   ++checks_run_;
   check_conservation(context);
-  if (config_.check_queue_bounds) check_queue_bounds(context);
+  check_queue_bounds(context);
   update_watchdog();
 }
 

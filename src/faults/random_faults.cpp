@@ -6,9 +6,9 @@ namespace hermes::faults {
 
 FaultPlan RandomFaultGenerator::generate() {
   FaultPlan plan;
-  const double wsum = config_.w_random_drop + config_.w_blackhole + config_.w_link_down +
-                      config_.w_link_degrade;
-  if (wsum <= 0 || config_.mtbf <= sim::SimTime::zero()) return plan;
+  constexpr double wsum = kWeightRandomDrop + kWeightBlackhole + kWeightLinkDown +
+                          kWeightLinkDegrade;
+  if (config_.mtbf <= sim::SimTime::zero()) return plan;
 
   const auto exp_time = [this](sim::SimTime mean) {
     return sim::SimTime::from_seconds(rng_.exponential(mean.to_seconds()));
@@ -26,12 +26,12 @@ FaultPlan RandomFaultGenerator::generate() {
     const sim::SimTime heal = t + exp_time(config_.mttr);
 
     double weight = rng_.uniform() * wsum;
-    if ((weight -= config_.w_random_drop) < 0) {
+    if ((weight -= kWeightRandomDrop) < 0) {
       const int sw = pick(num_switches);
-      const double rate = rng_.uniform(config_.drop_rate_lo, config_.drop_rate_hi);
+      const double rate = rng_.uniform(kDropRateLo, kDropRateHi);
       plan.random_drop(t, sw, rate, "mtbf onset");
       plan.random_drop(heal, sw, 0.0, "mttr heal");
-    } else if ((weight -= config_.w_blackhole) < 0) {
+    } else if ((weight -= kWeightBlackhole) < 0) {
       const int sw = pick(num_switches);
       const int a = pick(shape_.num_leaves);
       int b = pick(shape_.num_leaves);
@@ -41,13 +41,13 @@ FaultPlan RandomFaultGenerator::generate() {
           t, sw, rack_pair_blackhole(shape_.hosts_per_leaf, a, b, config_.half_pair_blackholes),
           "mtbf onset");
       plan.blackhole_off(heal, sw, "mttr heal");
-    } else if ((weight -= config_.w_link_down) < 0) {
+    } else if ((weight -= kWeightLinkDown) < 0) {
       const auto [sw, j] = shape_.link(pick(shape_.num_links()));
       plan.link_down(t, sw, j, "mtbf onset");
       plan.link_up(heal, sw, j, "mttr heal");
     } else {
       const auto [sw, j] = shape_.link(pick(shape_.num_links()));
-      plan.link_rate(t, sw, j, config_.degrade_factor, "mtbf onset");
+      plan.link_rate(t, sw, j, kDegradeFactor, "mtbf onset");
       plan.link_rate(heal, sw, j, 1.0, "mttr heal");
     }
   }

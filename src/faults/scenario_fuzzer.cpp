@@ -3,8 +3,8 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
-#include <vector>
 
 #include "hermes/faults/random_faults.hpp"
 #include "hermes/engine/rng.hpp"
@@ -66,30 +66,27 @@ std::string FuzzScenario::describe() const {
   return s;
 }
 
-FuzzScenario RandomScenarioGenerator::generate(std::uint64_t seed) const {
+FuzzScenario generate_scenario(std::uint64_t seed) {
   // One master stream, drawn in a fixed documented order: topology,
   // workload, base fault plan (forked stream), edge patterns. Changing
   // this order changes every scenario — the golden-hash test will say so.
   engine::Rng rng{seed};
   FuzzScenario sc;
   sc.seed = seed;
-  sc.max_sim_time = limits_.max_sim_time;
+  sc.max_sim_time = kMaxSimTime;
 
   // --- topology ---------------------------------------------------------
   const auto span = [&rng](int lo, int hi) {  // uniform int in [lo, hi]
     return lo + static_cast<int>(rng.next(static_cast<std::uint64_t>(hi - lo + 1)));
   };
-  sc.topo.num_leaves = span(limits_.min_leaves, limits_.max_leaves);
-  sc.topo.num_spines = span(limits_.min_spines, limits_.max_spines);
-  std::vector<int> hpl_choices;
-  for (const int h : {2, 4, 8}) {
-    if (h <= limits_.max_hosts_per_leaf) hpl_choices.push_back(h);
-  }
-  sc.topo.hosts_per_leaf = hpl_choices[rng.next(hpl_choices.size())];
+  sc.topo.num_leaves = span(kMinLeaves, kMaxLeaves);
+  sc.topo.num_spines = span(kMinSpines, kMaxSpines);
+  constexpr int kHostsPerLeaf[] = {2, 4, 8};
+  sc.topo.hosts_per_leaf = kHostsPerLeaf[rng.next(std::size(kHostsPerLeaf))];
   sc.topo.links_per_pair = rng.chance(0.25) ? 2 : 1;
   sc.topo.host_rate_bps = 10e9;
   sc.topo.fabric_rate_bps = rng.chance(0.3) ? 40e9 : 10e9;
-  if (rng.chance(limits_.asym_prob)) {
+  if (rng.chance(kAsymProb)) {
     // Build-time capacity asymmetry (the fig13/fig14 dimension). Never 0:
     // a zero override removes the path from enumeration, which is a
     // different (statically known) failure class than what we fuzz.
@@ -112,8 +109,8 @@ FuzzScenario RandomScenarioGenerator::generate(std::uint64_t seed) const {
   // Scaled so mean flow size stays in the hundreds-of-KB range: seeds
   // must run in fractions of a second for thousands-deep nightly sweeps.
   sc.workload_scale = data_mining ? rng.uniform(0.02, 0.08) : rng.uniform(0.05, 0.2);
-  sc.load = rng.uniform(limits_.min_load, limits_.max_load);
-  sc.num_flows = span(limits_.min_flows, limits_.max_flows);
+  sc.load = rng.uniform(kMinLoad, kMaxLoad);
+  sc.num_flows = span(kMinFlows, kMaxFlows);
 
   // --- fault plan: MTBF/MTTR base --------------------------------------
   RandomFaultConfig fc;
@@ -129,7 +126,7 @@ FuzzScenario RandomScenarioGenerator::generate(std::uint64_t seed) const {
   // Overlapping and back-to-back transitions the MTBF process rarely
   // produces but real incident trains do (CAFT's three-tier fault model).
   // Like the base plan, they target any switch and any link.
-  if (rng.chance(limits_.edge_pattern_prob)) {
+  if (rng.chance(kEdgePatternProb)) {
     const int sw = static_cast<int>(rng.next(shape.uplinks.size()));
     const auto any_link = [&] {
       return shape.link(static_cast<int>(rng.next(static_cast<std::uint64_t>(shape.num_links()))));

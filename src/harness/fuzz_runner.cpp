@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -46,17 +47,12 @@ ScenarioConfig to_scenario_config(const faults::fuzz::FuzzScenario& fs, Scheme s
   cfg.fault_plan = fs.plan;
   cfg.check_invariants = true;
   cfg.obs.enabled = triage;
-  cfg.obs.dump_on_violation = triage;
   return cfg;
 }
 
 FuzzOutcome run_fuzz_scenario(const faults::fuzz::FuzzScenario& fs, Scheme scheme, bool triage,
                               const std::string& dump_dir) {
-  ScenarioConfig cfg = to_scenario_config(fs, scheme, triage);
-  if (!dump_dir.empty()) {
-    cfg.obs.dump_path = dump_dir + "/FUZZ_" + std::to_string(fs.seed) + ".htrc";
-  }
-  Scenario s{std::move(cfg)};
+  Scenario s{to_scenario_config(fs, scheme, triage)};
 
   workload::SizeDist dist = (fs.workload == faults::fuzz::Workload::kDataMining
                                  ? workload::SizeDist::data_mining()
@@ -78,11 +74,21 @@ FuzzOutcome run_fuzz_scenario(const faults::fuzz::FuzzScenario& fs, Scheme schem
     out.violations = inv->violations().size();
     if (!inv->violations().empty()) out.first_violation = inv->violations().front().what;
   }
-  if (!out.clean()) {
-    out.trace_path = s.triage_path();
-    out.repro = "hermesfuzz --seed=" + std::to_string(fs.seed) +
-                " --scheme=" + to_string(scheme);
-  }
+  if (out.clean()) return out;
+  out.repro = "hermesfuzz --seed=" + std::to_string(fs.seed) + " --scheme=" + to_string(scheme);
+  const std::string name = "FUZZ_" + std::to_string(fs.seed) + ".htrc";
+  const std::string path = dump_dir.empty() ? name : dump_dir + "/" + name;
+  if (!s.dump_trace(path)) return out;
+  out.trace_path = path;
+  // One line per failing run, stderr, grep-able: what fired, where the
+  // flight-recorder ring went, and the command that replays the seed.
+  const std::string why = out.violations > 0
+                              ? out.first_violation
+                              : std::to_string(out.unfinished_flows) +
+                                    " unfinished flows at time cap";
+  std::fprintf(stderr, "[triage] seed=%llu scheme=%s: %s\n[triage]   trace: %s  repro: %s\n",
+               static_cast<unsigned long long>(fs.seed), to_string(scheme), why.c_str(),
+               path.c_str(), out.repro.c_str());
   return out;
 }
 

@@ -27,17 +27,18 @@ struct FuzzOutcome {
 };
 
 /// Expand a generated FuzzScenario into a runnable ScenarioConfig for the
-/// given scheme: invariant checking on, and (when `triage` is set) the
-/// flight recorder armed to auto-dump FUZZ_<seed>.htrc on failure. Lives
-/// here, not in faults — the fuzzer stays scheme- and workload-agnostic,
-/// and the harness owns the composition.
+/// given scheme: invariant checking on, and the flight recorder on when
+/// `triage` is set. Lives here, not in faults — the fuzzer stays scheme-
+/// and workload-agnostic, and the harness owns the composition.
 [[nodiscard]] ScenarioConfig to_scenario_config(const faults::fuzz::FuzzScenario& fs,
                                                 Scheme scheme, bool triage = true);
 
 /// Run one fuzz scenario end to end: build the Scenario, generate the
 /// seed's Poisson traffic from its workload mix, run to completion or the
-/// time cap, and collect the triage verdict. Non-empty `dump_dir` places
-/// any triage dump at <dump_dir>/FUZZ_<seed>.htrc instead of the CWD.
+/// time cap, and collect the triage verdict. A failing run with `triage`
+/// set dumps its flight-recorder ring to FUZZ_<seed>.htrc (under
+/// `dump_dir` when non-empty, else the CWD) and prints two `[triage]`
+/// lines to stderr: what fired, and the trace path with the repro command.
 [[nodiscard]] FuzzOutcome run_fuzz_scenario(const faults::fuzz::FuzzScenario& fs, Scheme scheme,
                                             bool triage = true,
                                             const std::string& dump_dir = {});

@@ -57,21 +57,13 @@ enum class Scheme {
 /// pull-model counters cost nothing until snapshotted.
 struct ObsConfig {
   bool enabled = false;
-  /// Ring capacity in records (rounded up to a power of two). The ring
-  /// keeps the *last* `ring_capacity` records — black-box semantics.
-  std::size_t ring_capacity = 1u << 16;
   /// Record per-packet port lifecycle events (the bulk of trace volume).
-  /// Decision/fault/queue records are always on when `enabled`.
+  /// Decision/fault records are always on when `enabled`.
   bool trace_packets = true;
-  /// Auto-triage: when the run ends with invariant violations or
-  /// unfinished flows, dump the ring to `dump_path` (default
-  /// "FUZZ_<seed>.htrc") and print a one-line repro hint to stderr.
-  /// Requires `enabled`; used by the fuzz harness, harmless elsewhere.
-  bool dump_on_violation = false;
-  /// Override for the triage dump path; empty selects FUZZ_<seed>.htrc
-  /// in the working directory.
-  std::string dump_path;
 };
+/// Records each shard's ring keeps: the *last* kRingCapacity records —
+/// black-box semantics.
+inline constexpr std::size_t kRingCapacity = 1u << 16;
 
 /// What every run shares whatever its fabric: scheme and transport,
 /// scheme parameters, seed, time cap, timed faults and observability.
@@ -195,9 +187,6 @@ class Scenario {
   /// (multi-shard: one merged trace sorted by (time, shard)). Returns
   /// false when observability is off or on I/O failure.
   [[nodiscard]] bool dump_trace(const std::string& path) const;
-  /// Non-empty once run() auto-dumped a triage trace (obs.dump_on_violation
-  /// and the run ended with violations or unfinished flows).
-  [[nodiscard]] const std::string& triage_path() const { return triage_path_; }
 
   /// Schedule a list of flows (e.g. from workload::generate_poisson_traffic);
   /// each is owned by (scheduled on, completed in) its source host's shard.
@@ -259,7 +248,6 @@ class Scenario {
   void advance(sim::SimTime t_end);
   /// Record the shard's unfinished flows at the time cap.
   void harvest(int shard);
-  void maybe_dump_triage();
   [[nodiscard]] int shard_of_host(int host_id) const;
 
   ScenarioConfig config_;
@@ -288,7 +276,6 @@ class Scenario {
   // into metrics_ by name (a one-shard run registers into metrics_)
   std::vector<obs::MetricsRegistry> shard_metrics_;
   obs::MetricsRegistry metrics_;  ///< after everything its readers read
-  std::string triage_path_;
   std::uint64_t next_flow_id_ = 1'000'000;  // manual flows; workloads use small ids
 };
 

@@ -1,21 +1,17 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "hermes/net/port.hpp"
-#include "hermes/obs/flight_recorder.hpp"
-#include "hermes/obs/records.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::harness {
 
 /// Periodic sampler of a port's queue backlog, for the queue-oscillation
-/// figures (Fig. 2b, Fig. 4b). Optionally mirrors every sample into a
-/// flight recorder as a kQueue record (record_to), so queue history lands
-/// in the same timeline as packet and decision records.
+/// figures (Fig. 2b, Fig. 4b).
 class QueueTrace {
  public:
   QueueTrace(sim::Simulator& simulator, const net::Port& port, sim::SimTime interval)
@@ -24,13 +20,6 @@ class QueueTrace {
   void start(sim::SimTime until) {
     until_ = until;
     tick();
-  }
-
-  /// Mirror samples into `rec` (null stops mirroring). Interns the port
-  /// name once, here.
-  void record_to(obs::FlightRecorder* rec) {
-    rec_ = rec;
-    name_id_ = rec != nullptr ? rec->intern(port_.name()) : 0;
   }
 
   /// (time_us, backlog_bytes) samples.
@@ -52,13 +41,6 @@ class QueueTrace {
  private:
   void tick() {
     samples_.emplace_back(simulator_.now().to_usec(), port_.backlog_bytes());
-    if (rec_ != nullptr) [[unlikely]] {
-      obs::TraceRecord r = obs::make_record(
-          obs::RecordKind::kQueue, static_cast<std::uint64_t>(simulator_.now().ns()), name_id_, 0);
-      r.u.queue.backlog_bytes = port_.backlog_bytes();
-      r.u.queue.backlog_packets = static_cast<std::uint32_t>(port_.backlog_packets());
-      rec_->append(r);
-    }
     if (simulator_.now() < until_) simulator_.after(interval_, [this] { tick(); });
   }
 
@@ -67,42 +49,6 @@ class QueueTrace {
   sim::SimTime interval_;
   sim::SimTime until_{};
   std::vector<std::pair<double, std::uint32_t>> samples_;
-  obs::FlightRecorder* rec_ = nullptr;
-  std::uint32_t name_id_ = 0;
-};
-
-/// Periodic sampler of any numeric probe (flow goodput, path rates, ...).
-class ValueTrace {
- public:
-  ValueTrace(sim::Simulator& simulator, sim::SimTime interval, std::function<double()> probe)
-      : simulator_{simulator}, interval_{interval}, probe_{std::move(probe)} {}
-
-  void start(sim::SimTime until) {
-    until_ = until;
-    tick();
-  }
-
-  [[nodiscard]] const std::vector<std::pair<double, double>>& samples() const {
-    return samples_;
-  }
-  [[nodiscard]] double mean() const {
-    if (samples_.empty()) return 0;
-    double s = 0;
-    for (const auto& [t, v] : samples_) s += v;
-    return s / static_cast<double>(samples_.size());
-  }
-
- private:
-  void tick() {
-    samples_.emplace_back(simulator_.now().to_usec(), probe_());
-    if (simulator_.now() < until_) simulator_.after(interval_, [this] { tick(); });
-  }
-
-  sim::Simulator& simulator_;
-  sim::SimTime interval_;
-  std::function<double()> probe_;
-  sim::SimTime until_{};
-  std::vector<std::pair<double, double>> samples_;
 };
 
 }  // namespace hermes::harness

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -249,7 +248,7 @@ void Scenario::wire_observability() {
     std::vector<obs::FlightRecorder*> raw;
     for (int s = 0; s < num_shards(); ++s) {
       recorders_.push_back(
-          std::make_unique<obs::FlightRecorder>(config_.obs.ring_capacity, &trace_names_));
+          std::make_unique<obs::FlightRecorder>(kRingCapacity, &trace_names_));
       recorders_.back()->set_shard(static_cast<std::uint8_t>(s));
       raw.push_back(recorders_.back().get());
     }
@@ -395,7 +394,6 @@ stats::FctCollector Scenario::run() {
   advance(config_.max_sim_time);
   for (int s = 0; s < num_shards(); ++s) harvest(s);
   metrics_.sum_of(shard_metrics_);  // histograms are push: fold in the run's
-  maybe_dump_triage();
   // The collectors stay behind: the transport.* metrics read them.
   if (num_shards() == 1) return shard_states_.front().collector;
 
@@ -440,31 +438,6 @@ void Scenario::harvest(int shard) {
     const transport::FlowSpec& spec = st.scheduled[i];
     if (!st.started[i]) st.collector.add_unfinished(spec.size, spec.start, cap);
   }
-}
-
-void Scenario::maybe_dump_triage() {
-  if (!config_.obs.dump_on_violation || recorders_.empty()) return;
-  const bool violated = checker_ && !checker_->ok();
-  std::size_t unfinished = 0;
-  for (const ShardState& st : shard_states_) unfinished += st.collector.unfinished_flows();
-  if (!violated && unfinished == 0) return;
-  triage_path_ = config_.obs.dump_path.empty()
-                     ? "FUZZ_" + std::to_string(config_.seed) + ".htrc"
-                     : config_.obs.dump_path;
-  if (!dump_trace(triage_path_)) {
-    triage_path_.clear();
-    return;
-  }
-  // One line per failing run, stderr, grep-able: what fired, where the
-  // flight-recorder ring went, and the command that replays the seed.
-  const std::string why = violated ? checker_->violations().front().what
-                                   : std::to_string(unfinished) + " unfinished flows at time cap";
-  std::fprintf(stderr,
-               "[triage] seed=%llu scheme=%s: %s\n"
-               "[triage]   trace: %s  repro: hermesfuzz --seed=%llu --scheme=%s\n",
-               static_cast<unsigned long long>(config_.seed), to_string(config_.scheme),
-               why.c_str(), triage_path_.c_str(),
-               static_cast<unsigned long long>(config_.seed), to_string(config_.scheme));
 }
 
 void Scenario::run_for(sim::SimTime duration) { advance(simulator().now() + duration); }

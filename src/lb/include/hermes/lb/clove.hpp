@@ -22,10 +22,10 @@ namespace hermes::lb {
 /// visibility: a path the host is not using gets no fresh information.
 struct CloveConfig {
   sim::SimTime flowlet_timeout = sim::usec(150);
-  double shift = 0.25;                    ///< fraction of weight removed per mark event
   sim::SimTime mark_min_gap = sim::usec(100);  ///< per-path decrease rate limit
-  double min_weight = 0.02;               ///< keep probing dying paths
 };
+inline constexpr double kCloveShift = 0.25;      ///< fraction of weight removed per mark event
+inline constexpr double kCloveMinWeight = 0.02;  ///< keep probing dying paths
 
 class CloveLb final : public LoadBalancer {
  public:
@@ -71,8 +71,8 @@ class CloveLb final : public LoadBalancer {
     if (now - st.last_decrease[i] < config_.mark_min_gap) return;
     st.last_decrease[i] = now;
     // Move weight off the congested path, spread evenly over the others.
-    const double moved = st.weights[i] * config_.shift;
-    const double keep = std::max(st.weights[i] - moved, config_.min_weight);
+    const double moved = st.weights[i] * kCloveShift;
+    const double keep = std::max(st.weights[i] - moved, kCloveMinWeight);
     const double actually_moved = st.weights[i] - keep;
     st.weights[i] = keep;
     if (paths.size() > 1) {

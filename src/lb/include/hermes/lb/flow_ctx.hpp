@@ -23,14 +23,6 @@ struct FlowCtx {
   sim::SimTime last_send{};        ///< time of the last transmission
   bool has_sent = false;           ///< false until the first packet
   bool timeout_pending = false;    ///< set on RTO, cleared once acted upon
-  std::uint32_t reroutes = 0;      ///< times the path changed mid-flow
-
-  /// Per-current-path accounting used by Hermes's blackhole detector
-  /// (§3.1.2): consecutive timeouts seen on the current path, and whether
-  /// any ACK progress happened on it. Reset on every path change; the
-  /// timeout counter also resets when an ACK arrives.
-  std::uint64_t acked_on_path = 0;
-  std::uint32_t timeouts_on_path = 0;
 
   /// Time of the last congestion-triggered reroute (Hermes cooldown).
   sim::SimTime last_reroute{};

@@ -43,10 +43,8 @@ struct HermesConfig {
   // resulting samples via feed_probe_sample).
   sim::SimTime probe_interval = sim::usec(500);
 
-  // Failure sensing.
-  std::uint32_t blackhole_timeouts = 3;  ///< timeouts w/o any ACK => blackhole
-  double retx_threshold = 0.01;          ///< f_retransmission limit
-  sim::SimTime retx_epoch = sim::msec(10);  ///< tau
+  // Failure sensing (thresholds: engine::kBlackholeTimeouts,
+  // engine::kRetxThreshold, engine::kRetxEpoch).
   /// A random-drop latch expires after this long and must be re-confirmed
   /// by fresh evidence. A truly failing switch re-latches within one tau;
   /// a congestion-burst false positive self-heals. 0 = latch forever.
@@ -58,10 +56,6 @@ struct HermesConfig {
   /// better" through rack-level probe state but is not). Failure- and
   /// timeout-triggered switches are never delayed.
   sim::SimTime reroute_min_gap = sim::msec(2);
-
-  // Signal smoothing.
-  double rtt_ewma_gain = 0.5;
-  double ecn_ewma_gain = 1.0 / 16.0;
 
   // Feature toggles (ablations of Fig. 18; §5.4 TCP mode).
   bool probing_enabled = true;
@@ -91,13 +85,8 @@ struct HermesConfig {
     e.delta_ecn = delta_ecn;
     e.reroute_rate_limit_bps = rate_threshold_frac * host_rate_bps;
     e.sent_threshold_bytes = sent_threshold_bytes;
-    e.blackhole_timeouts = blackhole_timeouts;
-    e.retx_threshold = retx_threshold;
-    e.retx_epoch = retx_epoch.ns();
     e.failure_expiry = failure_expiry.ns();
     e.reroute_min_gap = reroute_min_gap.ns();
-    e.rtt_ewma_gain = rtt_ewma_gain;
-    e.ecn_ewma_gain = ecn_ewma_gain;
     e.rerouting_enabled = rerouting_enabled;
     e.failure_sensing = failure_sensing;
     e.use_ecn = use_ecn;

@@ -35,7 +35,7 @@ std::uint32_t LinkConfig::queue_bytes_for(double rate_bps) const {
 PortConfig LinkConfig::port_config(double rate_bps) const {
   PortConfig pc;
   pc.rate_bps = rate_bps;
-  pc.prop_delay = link_delay;
+  pc.prop_delay = kLinkDelay;
   pc.ecn_threshold_bytes = ecn_bytes_for(rate_bps);
   pc.queue_capacity_bytes = queue_bytes_for(rate_bps);
   pc.ecn_enabled = ecn_enabled;
@@ -136,7 +136,7 @@ sim::SimTime Fabric::base_rtt() const {
   const double rate = std::min(link_.host_rate_bps, link_.fabric_rate_bps);
   const double data_ser = max_hops_ * kPacketWire * 8.0 / rate;
   const double ack_ser = max_hops_ * kAckBytes * 8.0 / rate;
-  return 2 * max_hops_ * link_.link_delay + sim::SimTime::from_seconds(data_ser + ack_ser);
+  return 2 * max_hops_ * kLinkDelay + sim::SimTime::from_seconds(data_ser + ack_ser);
 }
 
 }  // namespace hermes::net

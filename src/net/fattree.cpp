@@ -151,7 +151,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
         } else {
           const int src = shard_of_pod(pod);
           portals_.push_back(std::make_unique<Portal>(
-              shard_arena(src), shard_sim(src), outbox(src, shard_of_core(c)), config_.link_delay,
+              shard_arena(src), shard_sim(src), outbox(src, shard_of_core(c)), kLinkDelay,
               &spine(c), static_cast<std::uint8_t>(pod)));
           up = ag->add_port(fab_portal_pc, portals_.back().get(), 0);
         }
@@ -173,7 +173,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
       } else {
         const int src = shard_of_core(c);
         portals_.push_back(std::make_unique<Portal>(
-            shard_arena(src), shard_sim(src), outbox(src, shard_of_pod(pod)), config_.link_delay,
+            shard_arena(src), shard_sim(src), outbox(src, shard_of_pod(pod)), kLinkDelay,
             ag, static_cast<std::uint8_t>(uplink_port(j))));
         down = core->add_port(fab_portal_pc, portals_.back().get(), 0);
       }

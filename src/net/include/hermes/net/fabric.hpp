@@ -23,12 +23,14 @@
 
 namespace hermes::net {
 
-/// Link parameters every fabric builder shares: rates, propagation, and
-/// the ECN/buffer sizing rules its ports are built with.
+/// Per-hop propagation delay of every fabric link, one way.
+inline constexpr sim::SimTime kLinkDelay = sim::usec(2);
+
+/// Link parameters every fabric builder shares: rates and the ECN/buffer
+/// sizing rules its ports are built with.
 struct LinkConfig {
   double host_rate_bps = 10e9;
   double fabric_rate_bps = 10e9;
-  sim::SimTime link_delay = sim::usec(2);  ///< per-hop propagation, one way
 
   /// ECN marking threshold in bytes; 0 selects a rate-scaled default
   /// (65 packets at 10G, clamped to >= 20 packets, CONGA/DCTCP practice).
@@ -39,7 +41,7 @@ struct LinkConfig {
 
   [[nodiscard]] std::uint32_t ecn_bytes_for(double rate_bps) const;
   [[nodiscard]] std::uint32_t queue_bytes_for(double rate_bps) const;
-  /// A port on a link of `rate_bps` with `link_delay` propagation.
+  /// A port on a link of `rate_bps` with kLinkDelay propagation.
   [[nodiscard]] PortConfig port_config(double rate_bps) const;
 };
 

@@ -42,10 +42,10 @@ struct FatTreeConfig : LinkConfig {
 ///
 /// Cross-shard link timing: the egress port is built with zero
 /// propagation delay and peered to an internal portal device, which
-/// stamps deliver_at = now + link_delay into the mailbox — the arrival
+/// stamps deliver_at = now + kLinkDelay into the mailbox — the arrival
 /// time is identical to a directly-peered link. Because every event that
 /// emits mail runs strictly before the round horizon h = t_min +
-/// link_delay, all mail lands at deliver_at >= h: never inside the
+/// kLinkDelay, all mail lands at deliver_at >= h: never inside the
 /// window any shard is concurrently executing (the conservative-PDES
 /// safety argument; DESIGN.md §12).
 ///
@@ -74,8 +74,8 @@ class FatTree final : public Fabric {
 
   // --- sharding --------------------------------------------------------
   /// The conservative lookahead: minimum simulated time any packet needs
-  /// to cross a shard boundary (= link_delay; agg->core is one hop).
-  [[nodiscard]] sim::SimTime lookahead() const { return config_.link_delay; }
+  /// to cross a shard boundary (= kLinkDelay; agg->core is one hop).
+  [[nodiscard]] sim::SimTime lookahead() const { return kLinkDelay; }
 
   /// Barrier step for the sharded executor: move every outbox's packets
   /// into the destination shards' pending inboxes (merged in

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "hermes/engine/rate.hpp"
-#include "hermes/engine/rng.hpp"
 #include "hermes/net/buffer_pool.hpp"
 #include "hermes/net/device.hpp"
 #include "hermes/net/packet.hpp"
@@ -35,12 +34,6 @@ namespace hermes::net {
   return static_cast<std::uint8_t>(u * 7.0 + 0.5);
 }
 
-/// ECN marking disciplines.
-enum class EcnMode : std::uint8_t {
-  kStep,  ///< DCTCP step marking: CE when backlog >= K
-  kRed,   ///< RED-style ramp: probability rises linearly between min and max
-};
-
 /// Configuration for an output port and its attached simplex link.
 struct PortConfig {
   double rate_bps = 10e9;                ///< link capacity
@@ -48,14 +41,6 @@ struct PortConfig {
   std::uint32_t queue_capacity_bytes = 500 * 1024;  ///< per-port buffer
   std::uint32_t ecn_threshold_bytes = 65 * 1500;    ///< step marking point (K)
   bool ecn_enabled = true;
-
-  /// Marking discipline. kStep is DCTCP's recommendation and the default;
-  /// kRed ramps the marking probability from 0 at `ecn_threshold_bytes`
-  /// to `red_pmax` at `red_max_bytes` (CE always set beyond that), as the
-  /// paper's testbed switches ("ECN/RED marking", §4) support.
-  EcnMode ecn_mode = EcnMode::kStep;
-  std::uint32_t red_max_bytes = 0;  ///< 0: defaults to 3x the threshold
-  double red_pmax = 1.0;
 };
 
 /// Counters exported by every port. `drops`/`drop_bytes` total every drop
@@ -168,7 +153,6 @@ class Port {
   void try_transmit();
   void finish_transmit();
   void drain_wire();
-  [[nodiscard]] bool should_mark();
   [[nodiscard]] sim::SimTime tx_time_cached(std::uint32_t bytes);
   void record_packet(obs::PacketEvent ev, const Packet& p);
 
@@ -201,7 +185,6 @@ class Port {
 
   engine::Dre dre_;
   PortStats stats_;
-  engine::Rng red_rng_;
   BufferPool* pool_ = nullptr;
   obs::FlightRecorder* rec_ = nullptr;  ///< null when observability is off
   std::uint32_t name_id_ = 0;           ///< interned name, valid while rec_ set

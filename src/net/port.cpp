@@ -1,7 +1,6 @@
 #include "hermes/net/port.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -16,20 +15,7 @@ Port::Port(sim::Simulator& simulator, PacketArena& arena, std::string name, Port
       name_{std::move(name)},
       config_{config},
       peer_{peer},
-      peer_in_port_{peer_in_port},
-      red_rng_{simulator.rng_seed(0x2ED0 ^ std::hash<std::string>{}(name_))} {}
-
-bool Port::should_mark() {
-  if (backlog_bytes_ < config_.ecn_threshold_bytes) return false;
-  if (config_.ecn_mode == EcnMode::kStep) return true;
-  const std::uint32_t max_th =
-      config_.red_max_bytes > 0 ? config_.red_max_bytes : 3 * config_.ecn_threshold_bytes;
-  if (backlog_bytes_ >= max_th) return true;
-  const double span = static_cast<double>(max_th - config_.ecn_threshold_bytes);
-  const double p = config_.red_pmax *
-                   static_cast<double>(backlog_bytes_ - config_.ecn_threshold_bytes) / span;
-  return red_rng_.chance(p);
-}
+      peer_in_port_{peer_in_port} {}
 
 // HERMES_HOT: flight-recorder append — builds a 64-byte POD record on the
 // stack and copies it into the preallocated ring; must stay allocation-free.
@@ -90,10 +76,10 @@ void Port::send(PacketHandle h) {
     arena_.free(h);
     return;
   }
-  // Mark on enqueue when the instantaneous backlog warrants it (step or
-  // RED discipline). Marking considers the total backlog so that
-  // high-priority probes also observe congestion built up by data.
-  if (config_.ecn_enabled && p.ect && should_mark()) {
+  // DCTCP step marking on enqueue: CE once the instantaneous backlog
+  // reaches K. Marking considers the total backlog so that high-priority
+  // probes also observe congestion built up by data.
+  if (config_.ecn_enabled && p.ect && backlog_bytes_ >= config_.ecn_threshold_bytes) {
     p.ce = true;
     ++stats_.ecn_marks;
   }

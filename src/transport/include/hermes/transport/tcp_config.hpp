@@ -6,20 +6,21 @@
 
 namespace hermes::transport {
 
-/// Transport parameters (§5.1 of the paper): DCTCP by default with an
-/// initial window of 10 packets and initial/minimum RTO of 10ms.
+/// Transport constants (§5.1 of the paper): DCTCP with an initial window
+/// of 10 packets and initial/minimum RTO of 10ms. The receiver ACKs every
+/// data packet.
+inline constexpr std::uint32_t kMss = 1460;  ///< payload bytes per segment
+inline constexpr std::uint32_t kInitCwndPkts = 10;
+inline constexpr std::uint32_t kMinCwndPkts = 2;  ///< floor after an ECN window cut
+inline constexpr std::uint64_t kMaxCwndBytes = 5 * 1024 * 1024;
+inline constexpr sim::SimTime kInitRto = sim::msec(10);
+inline constexpr sim::SimTime kMaxRto = sim::msec(320);
+inline constexpr std::uint32_t kDupackThreshold = 3;
+inline constexpr double kDctcpG = 1.0 / 16.0;
+
+/// Transport parameters that runs vary.
 struct TcpConfig {
-  std::uint32_t mss = 1460;          ///< payload bytes per segment
-  std::uint32_t init_cwnd_pkts = 10;
-  std::uint32_t min_cwnd_pkts = 2;   ///< floor after an ECN window cut
-  std::uint64_t max_cwnd_bytes = 5 * 1024 * 1024;
-
-  sim::SimTime init_rto = sim::msec(10);
-  sim::SimTime max_rto = sim::msec(320);
-  std::uint32_t dupack_threshold = 3;
-
-  bool dctcp = true;        ///< false = plain NewReno, ECN ignored
-  double dctcp_g = 1.0 / 16.0;
+  bool dctcp = true;  ///< false = plain NewReno, ECN ignored
 
   /// Receiver-side reordering mask (Presto*'s reordering buffer): hold
   /// out-of-order arrivals for up to `reorder_hold` before emitting
@@ -27,15 +28,6 @@ struct TcpConfig {
   /// retransmits while genuine losses are still recovered.
   bool reorder_buffer = false;
   sim::SimTime reorder_hold = sim::usec(300);
-
-  /// Delayed ACKs with DCTCP's CE-change rule (RFC 8257 §3.2): coalesce
-  /// up to `ack_every` in-order segments or `delack_timeout`, but flush
-  /// immediately whenever the observed CE state flips so the sender's
-  /// ECN fraction stays byte-accurate. Off by default: the paper's
-  /// evaluation senses per packet.
-  bool delayed_ack = false;
-  std::uint32_t ack_every = 2;
-  sim::SimTime delack_timeout = sim::usec(500);
 };
 
 }  // namespace hermes::transport

@@ -35,12 +35,10 @@ class TcpReceiver {
   [[nodiscard]] std::uint64_t duplicate_bytes() const { return duplicate_bytes_; }
 
  private:
-  void send_ack(bool ece, sim::SimTime ts_echo, int path_id, const net::Packet& data);
-  /// Delayed-ACK path for in-order data (DCTCP CE-change flush rule).
-  void schedule_or_flush(const net::Packet& p);
+  /// ACK everything received so far, echoing `data`'s CE mark, send
+  /// time and path.
+  void send_ack(const net::Packet& data);
   void fire_held_ack();
-  void on_delack_check();
-  void flush_delayed();
 
   sim::Simulator& simulator_;
   net::Fabric& topo_;
@@ -57,10 +55,6 @@ class TcpReceiver {
   std::uint64_t duplicate_bytes_ = 0;
   std::uint64_t next_ack_id_ = 0;
 
-  // Delayed-ACK state (config_.delayed_ack).
-  std::uint32_t pending_acks_ = 0;
-  bool ce_state_ = false;
-  net::Packet last_data_;  ///< template for the coalesced ACK
   /// FIFO of data packets whose (duplicate) ACKs are held by the
   /// reorder mask. The hold is a constant, so the pending events fire
   /// in push order and the event capture needs only `this` — a full
@@ -70,12 +64,6 @@ class TcpReceiver {
   /// recycles.
   std::vector<net::Packet> held_;
   std::size_t held_head_ = 0;
-  sim::EventQueue::Handle delack_timer_;
-  /// Logical delayed-ACK expiry (lazy timer, same scheme as the
-  /// sender's RTO): flushing a batch no longer cancels the physical
-  /// timer; the fired event compares against this deadline and either
-  /// chases it, flushes, or dies when no batch is open.
-  sim::SimTime delack_deadline_{};
 };
 
 }  // namespace hermes::transport

@@ -18,14 +18,13 @@ namespace hermes::transport {
 /// Implements NewReno congestion control (slow start, AIMD congestion
 /// avoidance, 3-dupack fast retransmit with NewReno partial-ACK recovery,
 /// RTO with exponential backoff) plus the DCTCP extension (per-window ECN
-/// fraction alpha, proportional window cut). The RTO is fixed at the
-/// configured value as is standard in datacenter simulations (§5.1: both
-/// initial and minimum RTO are 10ms).
+/// fraction alpha, proportional window cut). The RTO starts at kInitRto
+/// as is standard in datacenter simulations (§5.1: both initial and
+/// minimum RTO are 10ms).
 ///
 /// Path selection is delegated to the LoadBalancer for every transmitted
 /// segment; the sender maintains the per-flow context the schemes use
-/// (flowlet gap, sent bytes, rate DRE, per-path ACK/timeout accounting
-/// consumed by Hermes's blackhole detector).
+/// (flowlet gap, sent bytes, rate DRE, timeout flag).
 class TcpSender {
  public:
   using SendFn = std::function<void(net::Packet)>;

@@ -27,15 +27,11 @@ void TcpReceiver::on_data(const net::Packet& p) {
   if (end <= rcv_nxt_) {
     // Entirely old data (spurious retransmission): re-ACK.
     duplicate_bytes_ += p.payload;
-    send_ack(p.ce, p.ts_sent, p.path_id, p);
+    send_ack(p);
     return;
   }
 
   if (seq <= rcv_nxt_) {
-    // DCTCP delayed ACK: a CE-state flip must flush the pending ACK
-    // *before* the cumulative point advances, so the old-state ACK covers
-    // exactly the bytes received under the old CE state (RFC 8257).
-    if (config_.delayed_ack && pending_acks_ > 0 && p.ce != ce_state_) flush_delayed();
     // In-order (possibly partially old): advance and merge buffered data.
     bytes_received_ += end - std::max(seq, rcv_nxt_);
     rcv_nxt_ = std::max(rcv_nxt_, end);
@@ -43,11 +39,7 @@ void TcpReceiver::on_data(const net::Packet& p) {
       rcv_nxt_ = std::max(rcv_nxt_, ooo_.begin()->second);
       ooo_.erase(ooo_.begin());
     }
-    if (config_.delayed_ack) {
-      schedule_or_flush(p);
-    } else {
-      send_ack(p.ce, p.ts_sent, p.path_id, p);
-    }
+    send_ack(p);
     return;
   }
 
@@ -57,7 +49,7 @@ void TcpReceiver::on_data(const net::Packet& p) {
   if (!inserted) it->second = std::max(it->second, end);
 
   if (!config_.reorder_buffer) {
-    send_ack(p.ce, p.ts_sent, p.path_id, p);  // immediate duplicate ACK
+    send_ack(p);  // immediate duplicate ACK
     return;
   }
   // Reordering mask: hold the ACK briefly. If the gap fills in the
@@ -76,47 +68,10 @@ void TcpReceiver::fire_held_ack() {
     held_.clear();
     held_head_ = 0;
   }
-  send_ack(cause.ce, cause.ts_sent, cause.path_id, cause);
+  send_ack(cause);
 }
 
-void TcpReceiver::schedule_or_flush(const net::Packet& p) {
-  // (CE flips were already flushed by on_data before rcv_nxt advanced.)
-  ce_state_ = p.ce;
-  last_data_ = p;
-  ++pending_acks_;
-  if (pending_acks_ >= config_.ack_every) {
-    flush_delayed();
-    return;
-  }
-  if (pending_acks_ == 1) delack_deadline_ = simulator_.now() + config_.delack_timeout;
-  if (!delack_timer_.pending()) {
-    delack_timer_ = simulator_.timer_after(config_.delack_timeout, [this] { on_delack_check(); });
-  }
-}
-
-// Physical delack event: chase the logical deadline (the batch that
-// armed this event may long since have flushed and a newer batch
-// opened), flush when genuinely due, die quietly when no batch is open.
-void TcpReceiver::on_delack_check() {
-  if (pending_acks_ == 0) return;
-  const sim::SimTime now = simulator_.now();
-  if (now < delack_deadline_) {
-    delack_timer_ = simulator_.timer_after(delack_deadline_ - now, [this] { on_delack_check(); });
-    return;
-  }
-  flush_delayed();
-}
-
-void TcpReceiver::flush_delayed() {
-  if (pending_acks_ == 0) return;
-  pending_acks_ = 0;
-  // The physical delack event (if any) is left pending: on_delack_check
-  // sees pending_acks_ == 0 and dies without side effects.
-  send_ack(ce_state_, last_data_.ts_sent, last_data_.path_id, last_data_);
-}
-
-void TcpReceiver::send_ack(bool ece, sim::SimTime ts_echo, int path_id,
-                           const net::Packet& data) {
+void TcpReceiver::send_ack(const net::Packet& data) {
   net::Packet ack;
   ack.id = (flow_id_ << 20) | (0x80000 + next_ack_id_++);
   ack.flow_id = flow_id_;
@@ -125,12 +80,12 @@ void TcpReceiver::send_ack(bool ece, sim::SimTime ts_echo, int path_id,
   ack.type = net::PacketType::kAck;
   ack.size = net::kAckBytes;
   ack.ack = rcv_nxt_;
-  ack.ece = ece;
+  ack.ece = data.ce;
   ack.ect = false;
-  ack.ts_echo = ts_echo;
-  ack.path_id = path_id;
+  ack.ts_echo = data.ts_sent;
+  ack.path_id = data.path_id;
   ack.priority = 1;  // ACKs ride the high-priority queue (§4)
-  ack.route = topo_.reverse_route(flow_src_, flow_dst_, path_id);
+  ack.route = topo_.reverse_route(flow_src_, flow_dst_, data.path_id);
   lb_.decorate_ack(data, ack);
   send_(std::move(ack));
 }

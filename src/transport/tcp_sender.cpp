@@ -28,9 +28,9 @@ TcpSender::TcpSender(sim::Simulator& simulator, net::Fabric& topo, lb::LoadBalan
   record_.id = spec_.id;
   record_.size = spec_.size;
   record_.start = spec_.start;
-  cwnd_ = static_cast<double>(config_.init_cwnd_pkts) * config_.mss;
+  cwnd_ = static_cast<double>(kInitCwndPkts) * kMss;
   ssthresh_ = kInfiniteSsthresh;
-  rto_ = config_.init_rto;
+  rto_ = kInitRto;
 }
 
 void TcpSender::start() {
@@ -50,7 +50,7 @@ void TcpSender::send_window() {
     const auto window_limit = snd_una_ + static_cast<std::uint64_t>(cwnd_);
     if (snd_nxt_ >= spec_.size) break;
     const std::uint32_t len =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(config_.mss, spec_.size - snd_nxt_));
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(kMss, spec_.size - snd_nxt_));
     if (snd_nxt_ + len > window_limit) break;
     transmit_segment(snd_nxt_, len);
     snd_nxt_ += len;
@@ -78,13 +78,8 @@ void TcpSender::transmit_segment(std::uint64_t seq, std::uint32_t len) {
 
   const int path = lb_.select_path(ctx_, p);
   if (path != ctx_.current_path) {
-    if (ctx_.has_sent) {
-      ++ctx_.reroutes;
-      ++record_.reroutes;
-    }
+    if (ctx_.has_sent) ++record_.reroutes;
     ctx_.current_path = path;
-    ctx_.acked_on_path = 0;
-    ctx_.timeouts_on_path = 0;
   }
   p.path_id = path;
   p.route = topo_.forward_route(spec_.src, spec_.dst, path);
@@ -111,10 +106,8 @@ void TcpSender::on_ack(const net::Packet& ack) {
   if (ack.ack > snd_una_) {
     const std::uint64_t newly = ack.ack - snd_una_;
     snd_una_ = ack.ack;
-    ++ctx_.acked_on_path;
-    ctx_.timeouts_on_path = 0;  // ACK progress breaks a timeout streak
     backoffs_ = 0;
-    rto_ = config_.init_rto;
+    rto_ = kInitRto;
 
     maybe_update_dctcp(newly, ack.ece);
 
@@ -126,19 +119,19 @@ void TcpSender::on_ack(const net::Packet& ack) {
       } else {
         // NewReno partial ACK: retransmit the next hole, deflate.
         const std::uint32_t len = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(config_.mss, spec_.size - snd_una_));
+            std::min<std::uint64_t>(kMss, spec_.size - snd_una_));
         transmit_segment(snd_una_, len);
-        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + config_.mss,
-                         static_cast<double>(config_.mss));
+        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + kMss,
+                         static_cast<double>(kMss));
       }
     } else {
       dupacks_ = 0;
       if (cwnd_ < ssthresh_) {
         cwnd_ += static_cast<double>(newly);  // slow start
       } else {
-        cwnd_ += static_cast<double>(config_.mss) * static_cast<double>(newly) / cwnd_;
+        cwnd_ += static_cast<double>(kMss) * static_cast<double>(newly) / cwnd_;
       }
-      cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_cwnd_bytes));
+      cwnd_ = std::min(cwnd_, static_cast<double>(kMaxCwndBytes));
     }
 
     if (snd_una_ >= spec_.size) {
@@ -154,9 +147,9 @@ void TcpSender::on_ack(const net::Packet& ack) {
   if (snd_nxt_ > snd_una_) {
     ++dupacks_;
     if (in_recovery_) {
-      cwnd_ += config_.mss;  // inflation
+      cwnd_ += kMss;  // inflation
       send_window();
-    } else if (dupacks_ == config_.dupack_threshold) {
+    } else if (dupacks_ == kDupackThreshold) {
       enter_fast_recovery();
     }
   }
@@ -165,12 +158,12 @@ void TcpSender::on_ack(const net::Packet& ack) {
 void TcpSender::enter_fast_recovery() {
   in_recovery_ = true;
   recover_ = snd_nxt_;
-  ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * config_.mss);
-  cwnd_ = ssthresh_ + 3.0 * config_.mss;
+  ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kMss);
+  cwnd_ = ssthresh_ + 3.0 * kMss;
   ++record_.fast_retransmits;
   lb_.on_retransmit(ctx_, ctx_.current_path);
   const std::uint32_t len =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(config_.mss, spec_.size - snd_una_));
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(kMss, spec_.size - snd_una_));
   transmit_segment(snd_una_, len);
 }
 
@@ -183,10 +176,10 @@ void TcpSender::maybe_update_dctcp(std::uint64_t newly_acked, bool ece) {
   const double frac =
       window_acked_ > 0 ? static_cast<double>(window_marked_) / static_cast<double>(window_acked_)
                         : 0.0;
-  alpha_ = (1.0 - config_.dctcp_g) * alpha_ + config_.dctcp_g * frac;
+  alpha_ = (1.0 - kDctcpG) * alpha_ + kDctcpG * frac;
   if (window_marked_ > 0 && !in_recovery_) {
     cwnd_ = std::max(cwnd_ * (1.0 - alpha_ / 2.0),
-                     static_cast<double>(config_.min_cwnd_pkts) * config_.mss);
+                     static_cast<double>(kMinCwndPkts) * kMss);
     ssthresh_ = cwnd_;  // stay in congestion avoidance after an ECN cut
   }
   window_end_ = snd_nxt_;
@@ -219,19 +212,18 @@ void TcpSender::on_rto_check() {
 void TcpSender::on_rto() {
   if (finished_) return;
   ++record_.timeouts;
-  ++ctx_.timeouts_on_path;
   ctx_.timeout_pending = true;
 
   const double flight = static_cast<double>(snd_nxt_ - snd_una_);
-  ssthresh_ = std::max(flight / 2.0, 2.0 * config_.mss);
-  cwnd_ = config_.mss;
+  ssthresh_ = std::max(flight / 2.0, 2.0 * kMss);
+  cwnd_ = kMss;
   in_recovery_ = false;
   dupacks_ = 0;
   snd_nxt_ = snd_una_;  // go-back-N
 
   ++backoffs_;
-  const auto backed = sim::SimTime::nanoseconds(config_.init_rto.ns() << std::min(backoffs_, 5u));
-  rto_ = std::min(backed, config_.max_rto);
+  const auto backed = sim::SimTime::nanoseconds(kInitRto.ns() << std::min(backoffs_, 5u));
+  rto_ = std::min(backed, kMaxRto);
 
   lb_.on_timeout(ctx_);
   lb_.on_retransmit(ctx_, ctx_.current_path);

@@ -13,7 +13,7 @@ std::vector<transport::FlowSpec> generate_poisson_traffic(const net::Fabric& top
                                                           const TrafficConfig& cfg) {
   if (cfg.load <= 0) throw std::invalid_argument("load must be positive");
   if (cfg.num_flows < 0) throw std::invalid_argument("num_flows must not be negative");
-  if (topo.num_leaves() < 2 && cfg.inter_rack_only)
+  if (topo.num_leaves() < 2)
     throw std::invalid_argument("inter-rack traffic needs at least two leaves");
 
   engine::Rng rng{cfg.seed};
@@ -33,8 +33,7 @@ std::vector<transport::FlowSpec> generate_poisson_traffic(const net::Fabric& top
     f.src = static_cast<std::int32_t>(rng.next(static_cast<std::uint64_t>(n)));
     do {
       f.dst = static_cast<std::int32_t>(rng.next(static_cast<std::uint64_t>(n)));
-    } while (f.dst == f.src ||
-             (cfg.inter_rack_only && topo.leaf_of(f.dst) == topo.leaf_of(f.src)));
+    } while (topo.leaf_of(f.dst) == topo.leaf_of(f.src));
     flows.push_back(f);
   }
   return flows;

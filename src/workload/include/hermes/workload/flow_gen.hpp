@@ -22,11 +22,10 @@ struct TrafficConfig {
   double load = 0.6;         ///< fraction of bisection capacity
   int num_flows = 1000;      ///< arrivals to generate
   std::uint64_t seed = 1;
-  bool inter_rack_only = true;
 };
 
-/// Throws std::invalid_argument for a non-positive load or a negative
-/// flow count.
+/// Throws std::invalid_argument for a non-positive load, a negative flow
+/// count, or a fabric with fewer than two leaves.
 [[nodiscard]] std::vector<transport::FlowSpec> generate_poisson_traffic(
     const net::Fabric& topo, const SizeDist& dist, const TrafficConfig& cfg);
 

@@ -74,7 +74,7 @@ TEST_P(Table5Sweep, CharacterizationMatchesTable5) {
   for (int i = 0; i < 500; ++i) {
     const bool mark = marked < ecn_for(ecn) * (i + 1);
     if (mark) ++marked;
-    st.add_sample(rtt_for(rtt).ns(), mark, cfg);
+    st.add_sample(rtt_for(rtt).ns(), mark);
   }
   EXPECT_EQ(st.characterize(cfg), expected(ecn, rtt))
       << "ecn=" << name_of(ecn) << " rtt=" << name_of(rtt);
@@ -109,7 +109,6 @@ TEST_P(GateSweep, SentSizeGateIsStrict) {
   auto cfg = HermesConfig::defaults_for(topo);
   cfg.probing_enabled = false;
   HermesLb h{simulator, topo, cfg};
-  const auto ecfg = cfg.engine_config(topo.host_rate_bps());
 
   // Path 0 congested, path 1 notably-better good.
   auto drive = [&](int idx, sim::SimTime rtt, double frac) {
@@ -118,7 +117,7 @@ TEST_P(GateSweep, SentSizeGateIsStrict) {
     for (int i = 0; i < 400; ++i) {
       const bool m = marked < frac * (i + 1);
       if (m) ++marked;
-      st.add_sample(rtt.ns(), m, ecfg);
+      st.add_sample(rtt.ns(), m);
     }
   };
   drive(0, cfg.t_rtt_high + usec(200), 0.9);

@@ -102,7 +102,7 @@ TEST(EngineConformance, AllUnhealthyPanicsAndSpreads) {
   HostSet h = hosts(4);
   for (int i = 0; i < 4; ++i) h.set_health(100 + i, Health::kUnhealthy);
   e.sync_pair(0, 1, h);
-  ASSERT_TRUE(e.path_set(0, 1).in_panic(e.config().panic_threshold));
+  ASSERT_TRUE(e.path_set(0, 1).in_panic());
   std::set<int> seen;
   for (int i = 0; i < 100; ++i) {
     FlowView f = flow(static_cast<std::uint64_t>(i));
@@ -121,15 +121,15 @@ TEST(EngineConformance, PanicThresholdBoundary) {
   h.set_health(102, Health::kUnhealthy);
   h.set_health(103, Health::kUnhealthy);
   e.sync_pair(0, 1, h);
-  EXPECT_FALSE(e.path_set(0, 1).in_panic(e.config().panic_threshold));
+  EXPECT_FALSE(e.path_set(0, 1).in_panic());
   // 1 of 4 healthy: below — panic.
   h.set_health(101, Health::kUnhealthy);
   e.sync_pair(0, 1, h);
-  EXPECT_TRUE(e.path_set(0, 1).in_panic(e.config().panic_threshold));
+  EXPECT_TRUE(e.path_set(0, 1).in_panic());
   // Healing one host leaves panic again.
   h.set_health(102, Health::kHealthy);
   e.sync_pair(0, 1, h);
-  EXPECT_FALSE(e.path_set(0, 1).in_panic(e.config().panic_threshold));
+  EXPECT_FALSE(e.path_set(0, 1).in_panic());
 }
 
 TEST(EngineConformance, DegradedHostSkippedWhileHealthyExist) {

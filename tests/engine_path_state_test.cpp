@@ -23,12 +23,12 @@ Config test_config() {
 }
 
 /// Drive the EWMAs to a steady (rtt, ecn_fraction) point.
-void saturate(PathState& st, TimeNs rtt, double ecn_frac, const Config& cfg) {
+void saturate(PathState& st, TimeNs rtt, double ecn_frac) {
   int marked = 0;
   for (int i = 0; i < 400; ++i) {
     const bool mark = (marked < ecn_frac * (i + 1));
     if (mark) ++marked;
-    st.add_sample(rtt, mark, cfg);
+    st.add_sample(rtt, mark);
   }
 }
 
@@ -42,14 +42,14 @@ TEST(PathCharacterization, NoSampleIsGray) {
 TEST(PathCharacterization, LowEcnLowRttIsGood) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);
+  saturate(st, usec(40), 0.0);
   EXPECT_EQ(st.characterize(cfg), PathType::kGood);
 }
 
 TEST(PathCharacterization, HighEcnHighRttIsCongested) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(250), 0.9, cfg);
+  saturate(st, usec(250), 0.9);
   EXPECT_EQ(st.characterize(cfg), PathType::kCongested);
 }
 
@@ -57,7 +57,7 @@ TEST(PathCharacterization, HighEcnLowRttIsGray) {
   // "Not enough ECN samples or all delay built up at one hop."
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(100), 0.9, cfg);
+  saturate(st, usec(100), 0.9);
   EXPECT_EQ(st.characterize(cfg), PathType::kGray);
 }
 
@@ -65,14 +65,14 @@ TEST(PathCharacterization, LowEcnHighRttIsGray) {
   // "The network stack incurs high RTT" must not condemn the path.
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(250), 0.0, cfg);
+  saturate(st, usec(250), 0.0);
   EXPECT_EQ(st.characterize(cfg), PathType::kGray);
 }
 
 TEST(PathCharacterization, LowEcnModerateRttIsGray) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(120), 0.1, cfg);
+  saturate(st, usec(120), 0.1);
   EXPECT_EQ(st.characterize(cfg), PathType::kGray);
 }
 
@@ -80,26 +80,25 @@ TEST(PathCharacterization, RttOnlyModeIgnoresEcn) {
   auto cfg = test_config();
   cfg.use_ecn = false;  // plain-TCP sensing (§5.4)
   PathState st;
-  saturate(st, usec(40), 1.0, cfg);  // ECN would say congested
+  saturate(st, usec(40), 1.0);  // ECN would say congested
   EXPECT_EQ(st.characterize(cfg), PathType::kGood);
   PathState st2;
-  saturate(st2, usec(250), 0.0, cfg);
+  saturate(st2, usec(250), 0.0);
   EXPECT_EQ(st2.characterize(cfg), PathType::kCongested);
 }
 
 TEST(PathState, EwmaTracksShift) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);
+  saturate(st, usec(40), 0.0);
   EXPECT_EQ(st.characterize(cfg), PathType::kGood);
-  saturate(st, usec(300), 1.0, cfg);
+  saturate(st, usec(300), 1.0);
   EXPECT_EQ(st.characterize(cfg), PathType::kCongested);
 }
 
 TEST(PathState, FirstSampleInitializesDirectly) {
-  auto cfg = test_config();
   PathState st;
-  st.add_sample(usec(123), true, cfg);
+  st.add_sample(usec(123), true);
   EXPECT_EQ(st.rtt(), usec(123));
   EXPECT_DOUBLE_EQ(st.ecn_fraction(), 1.0);
 }
@@ -107,13 +106,13 @@ TEST(PathState, FirstSampleInitializesDirectly) {
 TEST(RandomDropDetector, LatchesOnSustainedRetransmissions) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);  // path looks good (not congested)
+  saturate(st, usec(40), 0.0);  // path looks good (not congested)
   TimeNs t = 0;
   // Two epochs of 2% retransmission rate with enough samples.
   for (int epoch = 0; epoch < 2; ++epoch) {
     for (int i = 0; i < 200; ++i) st.add_send(1500, t, cfg);
     for (int i = 0; i < 4; ++i) st.add_retransmit(t, cfg);
-    t += cfg.retx_epoch + usec(1);
+    t += kRetxEpoch + usec(1);
     st.roll_epoch(t, cfg);
   }
   EXPECT_TRUE(st.failed());
@@ -123,11 +122,11 @@ TEST(RandomDropDetector, LatchesOnSustainedRetransmissions) {
 TEST(RandomDropDetector, CongestionExplainsRetransmissions) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(300), 0.9, cfg);  // genuinely congested
+  saturate(st, usec(300), 0.9);  // genuinely congested
   TimeNs t = 0;
   for (int i = 0; i < 200; ++i) st.add_send(1500, t, cfg);
   for (int i = 0; i < 10; ++i) st.add_retransmit(t, cfg);
-  t += cfg.retx_epoch + usec(1);
+  t += kRetxEpoch + usec(1);
   st.roll_epoch(t, cfg);
   EXPECT_FALSE(st.failed());  // lines 8-9: congested paths are excluded
 }
@@ -135,11 +134,11 @@ TEST(RandomDropDetector, CongestionExplainsRetransmissions) {
 TEST(RandomDropDetector, TooFewSamplesDoNotLatch) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);
+  saturate(st, usec(40), 0.0);
   TimeNs t = 0;
   for (int i = 0; i < 10; ++i) st.add_send(1500, t, cfg);  // < kMinEpochSends
   st.add_retransmit(t, cfg);                               // 10% rate but n=10
-  t += cfg.retx_epoch + usec(1);
+  t += kRetxEpoch + usec(1);
   st.roll_epoch(t, cfg);
   EXPECT_FALSE(st.failed());
 }
@@ -147,12 +146,12 @@ TEST(RandomDropDetector, TooFewSamplesDoNotLatch) {
 TEST(RandomDropDetector, CleanEpochsDoNotLatch) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);
+  saturate(st, usec(40), 0.0);
   TimeNs t = 0;
   for (int epoch = 0; epoch < 5; ++epoch) {
     for (int i = 0; i < 500; ++i) st.add_send(1500, t, cfg);
     st.add_retransmit(t, cfg);  // 0.2% — below the 1% threshold
-    t += cfg.retx_epoch + usec(1);
+    t += kRetxEpoch + usec(1);
     st.roll_epoch(t, cfg);
   }
   EXPECT_FALSE(st.failed());
@@ -162,11 +161,11 @@ TEST(RandomDropDetector, FailureSensingToggleDisablesIt) {
   auto cfg = test_config();
   cfg.failure_sensing = false;
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);
+  saturate(st, usec(40), 0.0);
   TimeNs t = 0;
   for (int i = 0; i < 200; ++i) st.add_send(1500, t, cfg);
   for (int i = 0; i < 20; ++i) st.add_retransmit(t, cfg);
-  t += cfg.retx_epoch + usec(1);
+  t += kRetxEpoch + usec(1);
   st.roll_epoch(t, cfg);
   EXPECT_FALSE(st.failed());
 }
@@ -225,7 +224,7 @@ TEST(FailureLatch, DoublingCapsAt128x) {
 TEST(FailureLatch, ClearedFaultReturnsToCongestionType) {
   auto cfg = test_config();
   PathState st;
-  saturate(st, usec(40), 0.0, cfg);
+  saturate(st, usec(40), 0.0);
   EXPECT_EQ(st.characterize(cfg), PathType::kGood);
   st.fail(msec(1));
   EXPECT_EQ(st.characterize(cfg), PathType::kFailed);

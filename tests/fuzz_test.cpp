@@ -29,16 +29,15 @@ namespace hermes {
 namespace {
 
 using faults::fuzz::FuzzScenario;
-using faults::fuzz::RandomScenarioGenerator;
+using faults::fuzz::generate_scenario;
 using obs::DecisionKind;
 using obs::RecordKind;
 
-// --- RandomScenarioGenerator --------------------------------------------
+// --- generate_scenario ---------------------------------------------------
 
 TEST(ScenarioFuzzer, SameSeedIsByteIdentical) {
-  const RandomScenarioGenerator gen;
-  EXPECT_EQ(gen.generate(42).describe(), gen.generate(42).describe());
-  EXPECT_NE(gen.generate(42).describe(), gen.generate(43).describe());
+  EXPECT_EQ(generate_scenario(42).describe(), generate_scenario(42).describe());
+  EXPECT_NE(generate_scenario(42).describe(), generate_scenario(43).describe());
 }
 
 // Golden hash over the canonical text of seeds 0..31. Recorded from the
@@ -50,9 +49,8 @@ TEST(ScenarioFuzzer, SameSeedIsByteIdentical) {
 constexpr std::uint64_t kFuzzGoldenHash = 0xbbb718b823e1b04bull;
 
 TEST(ScenarioFuzzer, GoldenHashPinsSamplingOrder) {
-  const RandomScenarioGenerator gen;
   std::string all;
-  for (std::uint64_t s = 0; s < 32; ++s) all += gen.generate(s).describe();
+  for (std::uint64_t s = 0; s < 32; ++s) all += generate_scenario(s).describe();
   EXPECT_EQ(stats::fnv1a64(all), kFuzzGoldenHash)
       << "generated scenarios changed (" << all.size()
       << " bytes of canonical text) — seed replay across versions is "
@@ -60,20 +58,19 @@ TEST(ScenarioFuzzer, GoldenHashPinsSamplingOrder) {
 }
 
 TEST(ScenarioFuzzer, ScenariosStayWithinLimits) {
-  const RandomScenarioGenerator gen;
-  const faults::fuzz::FuzzLimits& lim = gen.limits();
+  namespace fz = faults::fuzz;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    const FuzzScenario sc = gen.generate(s);
-    EXPECT_GE(sc.topo.num_leaves, lim.min_leaves);
-    EXPECT_LE(sc.topo.num_leaves, lim.max_leaves);
-    EXPECT_GE(sc.topo.num_spines, lim.min_spines);
-    EXPECT_LE(sc.topo.num_spines, lim.max_spines);
-    EXPECT_LE(sc.topo.hosts_per_leaf, lim.max_hosts_per_leaf);
-    EXPECT_GE(sc.num_flows, lim.min_flows);
-    EXPECT_LE(sc.num_flows, lim.max_flows);
-    EXPECT_GE(sc.load, lim.min_load);
-    EXPECT_LT(sc.load, lim.max_load);
-    EXPECT_EQ(sc.max_sim_time, lim.max_sim_time);
+    const FuzzScenario sc = generate_scenario(s);
+    EXPECT_GE(sc.topo.num_leaves, fz::kMinLeaves);
+    EXPECT_LE(sc.topo.num_leaves, fz::kMaxLeaves);
+    EXPECT_GE(sc.topo.num_spines, fz::kMinSpines);
+    EXPECT_LE(sc.topo.num_spines, fz::kMaxSpines);
+    EXPECT_LE(sc.topo.hosts_per_leaf, 8);
+    EXPECT_GE(sc.num_flows, fz::kMinFlows);
+    EXPECT_LE(sc.num_flows, fz::kMaxFlows);
+    EXPECT_GE(sc.load, fz::kMinLoad);
+    EXPECT_LT(sc.load, fz::kMaxLoad);
+    EXPECT_EQ(sc.max_sim_time, fz::kMaxSimTime);
     for (const faults::FaultEvent& e : sc.plan.events()) {
       EXPECT_GE(e.at, sim::SimTime::zero());
     }
@@ -89,9 +86,8 @@ TEST(ScenarioFuzzer, EveryGeneratedFaultHeals) {
   // pattern re-cuts an already-dead link on purpose): the fuzzer must
   // not emit permanent faults, or the triage loop's stranded-flow
   // finding would drown in self-inflicted noise.
-  const RandomScenarioGenerator gen;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    const FuzzScenario sc = gen.generate(s);
+    const FuzzScenario sc = generate_scenario(s);
     std::set<std::pair<int, int>> cut_links;  // (switch, uplink)
     std::map<std::pair<int, int>, double> degraded;
     std::set<int> holes;
@@ -130,8 +126,7 @@ TEST(FuzzRunner, ParsesSchemeNames) {
 }
 
 TEST(FuzzRunner, ConfigCarriesScenarioAndArmsTriage) {
-  const RandomScenarioGenerator gen;
-  const FuzzScenario sc = gen.generate(7);
+  const FuzzScenario sc = generate_scenario(7);
   const harness::ScenarioConfig cfg =
       harness::to_scenario_config(sc, harness::Scheme::kConga);
   EXPECT_EQ(cfg.seed, 7u);
@@ -140,60 +135,65 @@ TEST(FuzzRunner, ConfigCarriesScenarioAndArmsTriage) {
   EXPECT_EQ(cfg.fault_plan.size(), sc.plan.size());
   EXPECT_TRUE(cfg.check_invariants);
   EXPECT_TRUE(cfg.obs.enabled);
-  EXPECT_TRUE(cfg.obs.dump_on_violation);
   const harness::ScenarioConfig quick =
       harness::to_scenario_config(sc, harness::Scheme::kConga, /*triage=*/false);
   EXPECT_FALSE(quick.obs.enabled);
 }
 
-// The triage loop end to end, with a scenario built to fail: ECMP under
-// a permanent all-spine blackhole strands its flow, so run() must dump
-// the ring to the configured path and report it via triage_path().
+// A hand-built scenario on a 2x2 leaf-spine with two hosts per leaf.
+FuzzScenario tiny_scenario(std::uint64_t seed) {
+  FuzzScenario sc;
+  sc.seed = seed;
+  sc.topo.num_leaves = 2;
+  sc.topo.num_spines = 2;
+  sc.topo.hosts_per_leaf = 2;
+  sc.workload_scale = 0.01;
+  sc.num_flows = 8;
+  sc.max_sim_time = sim::msec(100);
+  return sc;
+}
+
+// The triage loop end to end, with a scenario built to fail: ECMP under a
+// permanent all-spine blackhole of rack 0 -> rack 1 strands those flows,
+// so the run dumps the ring to <dir>/FUZZ_<seed>.htrc and prints the two
+// [triage] lines.
 TEST(FuzzTriage, FailingRunDumpsReplayableTrace) {
-  const std::string path = testing::TempDir() + "fuzz_triage.htrc";
-  harness::ScenarioConfig cfg;
-  cfg.topo.num_leaves = 2;
-  cfg.topo.num_spines = 2;
-  cfg.topo.hosts_per_leaf = 2;
-  cfg.scheme = harness::Scheme::kEcmp;
-  cfg.seed = 99;
-  cfg.max_sim_time = sim::msec(100);
-  cfg.check_invariants = true;
-  cfg.obs.enabled = true;
-  cfg.obs.dump_on_violation = true;
-  cfg.obs.dump_path = path;
+  FuzzScenario sc = tiny_scenario(99);
   for (int spine = 0; spine < 2; ++spine) {
-    cfg.fault_plan.blackhole_on(sim::msec(1), cfg.topo.shape().spine(spine),
-                                faults::rack_pair_blackhole(2, 0, 1));
+    sc.plan.blackhole_on(sim::SimTime::zero(), sc.topo.shape().spine(spine),
+                         faults::rack_pair_blackhole(2, 0, 1));
   }
-  harness::Scenario s{cfg};
-  s.add_flow(0, 2, 5'000'000, sim::SimTime::zero());
-  const auto fct = s.run();
-  ASSERT_EQ(fct.unfinished_flows(), 1u);
-  ASSERT_EQ(s.triage_path(), path);
+  const std::string dir = testing::TempDir();
+  testing::internal::CaptureStderr();
+  const harness::FuzzOutcome o =
+      harness::run_fuzz_scenario(sc, harness::Scheme::kEcmp, /*triage=*/true, dir);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_GT(o.unfinished_flows, 0u);
+  const std::string path = dir + "/FUZZ_99.htrc";
+  ASSERT_EQ(o.trace_path, path);
+  EXPECT_EQ(o.repro, "hermesfuzz --seed=99 --scheme=ECMP");
+  EXPECT_EQ(err, "[triage] seed=99 scheme=ECMP: " + std::to_string(o.unfinished_flows) +
+                     " unfinished flows at time cap\n[triage]   trace: " + path +
+                     "  repro: hermesfuzz --seed=99 --scheme=ECMP\n");
 
   obs::LoadedTrace t;
-  std::string err;
-  ASSERT_TRUE(obs::read_trace(path, t, &err)) << err;
+  std::string trace_err;
+  ASSERT_TRUE(obs::read_trace(path, t, &trace_err)) << trace_err;
   EXPECT_GT(t.records.size(), 0u);
   std::remove(path.c_str());
 }
 
 TEST(FuzzTriage, CleanRunDumpsNothing) {
-  harness::ScenarioConfig cfg;
-  cfg.topo.num_leaves = 2;
-  cfg.topo.num_spines = 2;
-  cfg.topo.hosts_per_leaf = 2;
-  cfg.scheme = harness::Scheme::kHermes;
-  cfg.check_invariants = true;
-  cfg.obs.enabled = true;
-  cfg.obs.dump_on_violation = true;
-  cfg.obs.dump_path = testing::TempDir() + "fuzz_never.htrc";
-  harness::Scenario s{cfg};
-  s.add_flow(0, 2, 100'000, sim::SimTime::zero());
-  const auto fct = s.run();
-  EXPECT_EQ(fct.unfinished_flows(), 0u);
-  EXPECT_TRUE(s.triage_path().empty());
+  const std::string dir = testing::TempDir();
+  const std::string path = dir + "/FUZZ_98.htrc";
+  std::remove(path.c_str());
+  const harness::FuzzOutcome o = harness::run_fuzz_scenario(
+      tiny_scenario(98), harness::Scheme::kHermes, /*triage=*/true, dir);
+  EXPECT_TRUE(o.clean());
+  EXPECT_TRUE(o.trace_path.empty());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << "a clean run wrote " << path;
+  if (f != nullptr) std::fclose(f);
 }
 
 // One full generated seed through run_fuzz_scenario: either it is clean
@@ -201,10 +201,9 @@ TEST(FuzzTriage, CleanRunDumpsNothing) {
 // repro command naming the seed. Both sides of the contract are what
 // the nightly CI shard relies on.
 TEST(FuzzRunner, OutcomeContractHolds) {
-  const RandomScenarioGenerator gen;
   const std::string dir = testing::TempDir();
   const harness::FuzzOutcome o = harness::run_fuzz_scenario(
-      gen.generate(1), harness::Scheme::kHermes, /*triage=*/true, dir);
+      generate_scenario(1), harness::Scheme::kHermes, /*triage=*/true, dir);
   EXPECT_EQ(o.seed, 1u);
   if (o.clean()) {
     EXPECT_TRUE(o.trace_path.empty());

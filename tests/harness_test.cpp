@@ -1,17 +1,17 @@
 // Tests for the harness module: scenario composition, scheme factory,
-// run semantics, balancer decoration, traces, and the path-usage
-// recorder.
+// run semantics, balancer decoration and queue traces.
 
-#include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "hermes/harness/experiment.hpp"
 #include "hermes/harness/scenario.hpp"
 #include "hermes/harness/trace.hpp"
-#include "hermes/stats/path_usage.hpp"
+#include "hermes/lb/load_balancer.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
 namespace hermes::harness {
@@ -19,6 +19,31 @@ namespace {
 
 using sim::msec;
 using sim::usec;
+
+/// Pass-through decorator that counts the packets it places.
+class CountingLb final : public lb::LoadBalancer {
+ public:
+  explicit CountingLb(std::unique_ptr<lb::LoadBalancer> inner) : inner_{std::move(inner)} {}
+
+  int select_path(lb::FlowCtx& flow, const net::Packet& pkt) override {
+    ++packets;
+    return inner_->select_path(flow, pkt);
+  }
+  void on_ack(lb::FlowCtx& f, const net::Packet& a) override { inner_->on_ack(f, a); }
+  void on_data_arrival(const net::Packet& d) override { inner_->on_data_arrival(d); }
+  void decorate_ack(const net::Packet& d, net::Packet& a) override {
+    inner_->decorate_ack(d, a);
+  }
+  void on_timeout(lb::FlowCtx& f) override { inner_->on_timeout(f); }
+  void on_retransmit(lb::FlowCtx& f, int p) override { inner_->on_retransmit(f, p); }
+  void on_flow_complete(lb::FlowCtx& f) override { inner_->on_flow_complete(f); }
+  [[nodiscard]] std::string_view name() const override { return inner_->name(); }
+
+  std::uint64_t packets = 0;
+
+ private:
+  std::unique_ptr<lb::LoadBalancer> inner_;
+};
 
 net::TopologyConfig small() {
   net::TopologyConfig c;
@@ -134,21 +159,19 @@ TEST(Scenario, WrapBalancerSubstitutesScheme) {
   ScenarioConfig cfg;
   cfg.topo = small();
   cfg.scheme = Scheme::kEcmp;
-  stats::PathUsageRecorder* recorder = nullptr;
+  CountingLb* counter = nullptr;
   cfg.wrap_balancer = [&](sim::Simulator&, net::Topology&,
                           std::unique_ptr<lb::LoadBalancer> inner) {
-    auto r = std::make_unique<stats::PathUsageRecorder>(std::move(inner));
-    recorder = r.get();
+    auto r = std::make_unique<CountingLb>(std::move(inner));
+    counter = r.get();
     return r;
   };
   Scenario s{cfg};
-  ASSERT_NE(recorder, nullptr);
+  ASSERT_NE(counter, nullptr);
   s.add_flow(0, 2, 1'000'000, usec(0));
   auto fct = s.run();
   EXPECT_EQ(fct.unfinished_flows(), 0u);
-  std::uint64_t pkts = 0;
-  for (const auto& [path, c] : recorder->per_path()) pkts += c.packets;
-  EXPECT_GE(pkts, 1'000'000u / 1460u);
+  EXPECT_GE(counter->packets, 1'000'000u / 1460u);
 }
 
 TEST(RunWorkloadExperiment, SameSeedSameTraffic) {
@@ -172,42 +195,6 @@ TEST(QueueTraceTest, SamplesBacklogOverTime) {
   EXPECT_GT(trace.samples().size(), 100u);
   EXPECT_GT(trace.max_backlog(), 0u);  // slow start overshoots the NIC
   EXPECT_GE(trace.max_backlog(), trace.mean_backlog());
-}
-
-TEST(ValueTraceTest, SamplesProbe) {
-  ScenarioConfig cfg;
-  cfg.topo = small();
-  Scenario s{cfg};
-  int calls = 0;
-  harness::ValueTrace trace{s.simulator(), usec(100), [&] { return static_cast<double>(++calls); }};
-  trace.start(msec(1));
-  s.run_for(msec(2));
-  EXPECT_EQ(trace.samples().size(), static_cast<std::size_t>(calls));
-  EXPECT_NEAR(trace.mean(), (1 + calls) / 2.0, 0.51);
-}
-
-TEST(PathUsage, RecordsReroutes) {
-  ScenarioConfig cfg;
-  cfg.topo = small();
-  cfg.scheme = Scheme::kDrb;  // per-packet spraying: reroutes every packet
-  stats::PathUsageRecorder* recorder = nullptr;
-  cfg.wrap_balancer = [&](sim::Simulator&, net::Topology&,
-                          std::unique_ptr<lb::LoadBalancer> inner) {
-    auto r = std::make_unique<stats::PathUsageRecorder>(std::move(inner));
-    recorder = r.get();
-    return r;
-  };
-  Scenario s{cfg};
-  const auto id = s.add_flow(0, 2, 1'000'000, usec(0));
-  s.run();
-  EXPECT_GT(recorder->reroutes().size(), 100u);
-  const auto hist = recorder->flow_histogram(id);
-  EXPECT_EQ(hist.size(), 2u);  // both paths used
-  // Byte shares sum to ~1 over fabric paths.
-  double share = 0;
-  for (const auto& [path, c] : recorder->per_path())
-    if (path >= 0) share += recorder->byte_share(path);
-  EXPECT_NEAR(share, 1.0, 1e-9);
 }
 
 }  // namespace

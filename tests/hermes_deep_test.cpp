@@ -73,15 +73,14 @@ TEST(RerouteCooldown, SecondRerouteWaitsForGap) {
   cfg.probing_enabled = false;
   cfg.reroute_min_gap = msec(2);
   HermesLb h{simulator, topo, cfg};
-  const auto ecfg = cfg.engine_config(topo.host_rate_bps());
 
   auto congest = [&](int idx) {
     auto& st = h.path_state(0, 1, idx);
-    for (int i = 0; i < 300; ++i) st.add_sample((cfg.t_rtt_high + usec(200)).ns(), true, ecfg);
+    for (int i = 0; i < 300; ++i) st.add_sample((cfg.t_rtt_high + usec(200)).ns(), true);
   };
   auto good = [&](int idx) {
     auto& st = h.path_state(0, 1, idx);
-    for (int i = 0; i < 300; ++i) st.add_sample(usec(25).ns(), false, ecfg);
+    for (int i = 0; i < 300; ++i) st.add_sample(usec(25).ns(), false);
   };
   congest(0);
   congest(1);

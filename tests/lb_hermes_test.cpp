@@ -53,14 +53,13 @@ net::Packet data_packet() {
 }
 
 /// Make a path's state read as (rtt, ecn).
-void set_state(HermesLb& h, const engine::Config& ecfg, int a, int b, int idx, sim::SimTime rtt,
-               double ecn) {
+void set_state(HermesLb& h, int a, int b, int idx, sim::SimTime rtt, double ecn) {
   auto& st = h.path_state(a, b, idx);
   int marked = 0;
   for (int i = 0; i < 300; ++i) {
     const bool m = marked < ecn * (i + 1);
     if (m) ++marked;
-    st.add_sample(rtt.ns(), m, ecfg);
+    st.add_sample(rtt.ns(), m);
   }
 }
 
@@ -82,9 +81,9 @@ class HermesLbTest : public ::testing::Test {
 
 TEST_F(HermesLbTest, NewFlowPrefersGoodPathWithLeastRate) {
   // Paths 0,1 good; 2 gray; 3 congested. Path 1 good but busy.
-  set_state(h, ecfg, 0, 1, 0, usec(30), 0.0);
-  set_state(h, ecfg, 0, 1, 1, usec(30), 0.0);
-  set_state(h, ecfg, 0, 1, 3, topo.base_rtt() + usec(400), 0.9);
+  set_state(h, 0, 1, 0, usec(30), 0.0);
+  set_state(h, 0, 1, 1, usec(30), 0.0);
+  set_state(h, 0, 1, 3, topo.base_rtt() + usec(400), 0.9);
   for (int i = 0; i < 100; ++i)
     h.path_state(0, 1, 1).add_send(15000, simulator.now().ns(), ecfg);
 
@@ -95,14 +94,14 @@ TEST_F(HermesLbTest, NewFlowPrefersGoodPathWithLeastRate) {
 
 TEST_F(HermesLbTest, NewFlowFallsBackToGrayThenRandom) {
   // No good paths: 0 congested, 1,2,3 unknown (gray).
-  set_state(h, ecfg, 0, 1, 0, topo.base_rtt() + usec(400), 0.9);
+  set_state(h, 0, 1, 0, topo.base_rtt() + usec(400), 0.9);
   auto f = make_flow(topo, 1, 0, 2);
   const int chosen = h.select_path(f, data_packet());
   EXPECT_NE(topo.path(chosen).local_index, 0);  // any gray path, not congested
 }
 
 TEST_F(HermesLbTest, StaysOnPathWhenNotCongested) {
-  set_state(h, ecfg, 0, 1, 0, usec(30), 0.0);
+  set_state(h, 0, 1, 0, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
   const int first = h.select_path(f, data_packet());
   f.current_path = first;
@@ -114,8 +113,8 @@ TEST_F(HermesLbTest, StaysOnPathWhenNotCongested) {
 
 TEST_F(HermesLbTest, ReroutesOffCongestedPathWhenGatesPass) {
   const auto& paths = topo.paths_between_leaves(0, 1);
-  set_state(h, ecfg, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);  // congested
-  set_state(h, ecfg, 0, 1, 2, usec(30), 0.0);                    // notably better good
+  set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);  // congested
+  set_state(h, 0, 1, 2, usec(30), 0.0);                    // notably better good
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[0].id;
   f.has_sent = true;
@@ -127,8 +126,8 @@ TEST_F(HermesLbTest, ReroutesOffCongestedPathWhenGatesPass) {
 
 TEST_F(HermesLbTest, SentSizeGateBlocksSmallFlows) {
   const auto& paths = topo.paths_between_leaves(0, 1);
-  set_state(h, ecfg, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);
-  set_state(h, ecfg, 0, 1, 2, usec(30), 0.0);
+  set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);
+  set_state(h, 0, 1, 2, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[0].id;
   f.has_sent = true;
@@ -138,8 +137,8 @@ TEST_F(HermesLbTest, SentSizeGateBlocksSmallFlows) {
 
 TEST_F(HermesLbTest, HighRateGateBlocksFastFlows) {
   const auto& paths = topo.paths_between_leaves(0, 1);
-  set_state(h, ecfg, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);
-  set_state(h, ecfg, 0, 1, 2, usec(30), 0.0);
+  set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);
+  set_state(h, 0, 1, 2, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[0].id;
   f.has_sent = true;
@@ -154,8 +153,8 @@ TEST_F(HermesLbTest, NotablyBetterRequiresBothMargins) {
   const auto& paths = topo.paths_between_leaves(0, 1);
   // Current path congested. Candidate has much lower RTT but its ECN
   // fraction is only slightly lower: not notably better per Algorithm 2.
-  set_state(h, ecfg, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.45);
-  set_state(h, ecfg, 0, 1, 1, usec(30), 0.42);
+  set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.45);
+  set_state(h, 0, 1, 1, usec(30), 0.42);
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[0].id;
   f.has_sent = true;
@@ -165,7 +164,7 @@ TEST_F(HermesLbTest, NotablyBetterRequiresBothMargins) {
 
 TEST_F(HermesLbTest, TimeoutForcesFreshSelection) {
   const auto& paths = topo.paths_between_leaves(0, 1);
-  set_state(h, ecfg, 0, 1, 2, usec(30), 0.0);  // a good escape path
+  set_state(h, 0, 1, 2, usec(30), 0.0);  // a good escape path
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[0].id;
   f.has_sent = true;
@@ -179,10 +178,9 @@ TEST_F(HermesLbTest, ReroutingDisabledStaysOnCongestedPath) {
   auto cfg2 = cfg;
   cfg2.rerouting_enabled = false;
   HermesLb h2{simulator, topo, cfg2};
-  const auto ecfg2 = cfg2.engine_config(topo.host_rate_bps());
   const auto& paths = topo.paths_between_leaves(0, 1);
-  set_state(h2, ecfg2, 0, 1, 0, cfg2.t_rtt_high + usec(100), 0.9);
-  set_state(h2, ecfg2, 0, 1, 2, usec(30), 0.0);
+  set_state(h2, 0, 1, 0, cfg2.t_rtt_high + usec(100), 0.9);
+  set_state(h2, 0, 1, 2, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[0].id;
   f.has_sent = true;
@@ -195,7 +193,6 @@ TEST_F(HermesLbTest, BlackholeDetectedAfterThreeTimeoutsWithoutAcks) {
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[1].id;
   f.has_sent = true;
-  f.acked_on_path = 0;
   // The per-(pair, path) count accrues across timeout events (possibly
   // from different flows of the pair revisiting the path).
   h.on_timeout(f);
@@ -220,8 +217,14 @@ TEST_F(HermesLbTest, MidFlowOnsetDetectedDespiteEarlierProgress) {
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[1].id;
   f.has_sent = true;
-  f.acked_on_path = 5;  // progress happened on this path, pre-onset
-  for (std::uint32_t i = 0; i < cfg.blackhole_timeouts; ++i) h.on_timeout(f);
+  // Progress on this path, pre-onset: an ACK after a stray timeout.
+  h.on_timeout(f);
+  net::Packet ack;
+  ack.type = net::PacketType::kAck;
+  ack.path_id = paths[1].id;
+  ack.ts_echo = sim::SimTime::zero();
+  h.on_ack(f, ack);
+  for (std::uint32_t i = 0; i < engine::kBlackholeTimeouts; ++i) h.on_timeout(f);
   EXPECT_TRUE(h.blackholed(0, 2, 1));
 }
 
@@ -230,7 +233,6 @@ TEST_F(HermesLbTest, AckBetweenTimeoutsResetsBlackholeCount) {
   auto f = make_flow(topo, 1, 0, 2);
   f.current_path = paths[1].id;
   f.has_sent = true;
-  f.acked_on_path = 0;
   h.on_timeout(f);
   h.on_timeout(f);
   // An ACK for this (pair, path) proves it is not a blackhole.
@@ -249,8 +251,7 @@ TEST_F(HermesLbTest, AllPathsBlackholedStillTransmits) {
   for (std::size_t i = 0; i < paths.size(); ++i) {
     f.current_path = paths[i].id;
     f.has_sent = true;
-    f.acked_on_path = 0;
-    for (std::uint32_t k = 0; k < cfg.blackhole_timeouts; ++k) h.on_timeout(f);
+      for (std::uint32_t k = 0; k < engine::kBlackholeTimeouts; ++k) h.on_timeout(f);
   }
   f.timeout_pending = true;
   const int chosen = h.select_path(f, data_packet());
@@ -265,7 +266,7 @@ TEST_F(HermesLbTest, RetransmitAccountingFeedsPathState) {
   h.on_retransmit(f, paths[0].id);
   // Roll the epoch and confirm the fraction reflects 1/100.
   auto& st = h.path_state(0, 1, 0);
-  st.roll_epoch((simulator.now() + cfg.retx_epoch + usec(1)).ns(), ecfg);
+  st.roll_epoch(simulator.now().ns() + engine::kRetxEpoch + usec(1).ns(), ecfg);
   EXPECT_NEAR(st.retx_fraction(), 0.01, 0.001);
 }
 
@@ -311,7 +312,6 @@ TEST(HermesConfigLowering, EngineConfigMatchesSimConfig) {
   EXPECT_DOUBLE_EQ(e.reroute_rate_limit_bps, cfg.rate_threshold_frac * topo.host_rate_bps());
   EXPECT_EQ(e.failure_expiry, cfg.failure_expiry.ns());
   EXPECT_EQ(e.reroute_min_gap, cfg.reroute_min_gap.ns());
-  EXPECT_EQ(e.blackhole_timeouts, cfg.blackhole_timeouts);
 }
 
 // --- probing (wired through a real scenario) ----------------------------

@@ -14,11 +14,13 @@
 // Exit status: 0 all seeds clean, 1 at least one failing seed (each with
 // a dumped trace + repro line), 2 usage error.
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,11 +36,11 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--seed-base=B] [--seed=S] [--scheme=NAME]\n"
                "          [--threads=N] [--out=DIR] [--no-triage] [--describe] [--sharded]\n"
-               "  --seeds=N      run seeds [seed-base, seed-base+N) (default 100)\n"
+               "  --seeds=N      run seeds [seed-base, seed-base+N), N <= 1000000 (default 100)\n"
                "  --seed-base=B  first seed of the range (default 0)\n"
                "  --seed=S       run exactly one seed (overrides --seeds/--seed-base)\n"
                "  --scheme=NAME  load balancer under test (default Hermes)\n"
-               "  --threads=N    worker threads (default HERMES_THREADS or hw)\n"
+               "  --threads=N    worker threads, N <= 1024 (default HERMES_THREADS or hw)\n"
                "  --out=DIR      directory for FUZZ_<seed>.htrc triage dumps\n"
                "  --no-triage    skip flight recording and trace dumps (faster)\n"
                "  --describe     print each seed's generated scenario and exit\n"
@@ -48,10 +50,19 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+/// Parses `s`, the value of `flag`, as a whole number in [0, max]: digits
+/// only, so a sign, a space or an overflow is rejected rather than
+/// wrapped. On failure prints a message naming the flag.
+bool parse_count(const char* flag, const char* s, std::uint64_t max, std::uint64_t& out) {
+  bool ok = *s != '\0';
+  for (const char* c = s; ok && *c != '\0'; ++c) ok = *c >= '0' && *c <= '9';
+  errno = 0;
+  const unsigned long long v = ok ? std::strtoull(s, nullptr, 10) : 0;
+  if (!ok || errno == ERANGE || v > max) {
+    std::fprintf(stderr, "hermesfuzz: %s=%s: want a whole number from 0 to %llu\n", flag, s,
+                 static_cast<unsigned long long>(max));
+    return false;
+  }
   out = v;
   return true;
 }
@@ -81,14 +92,15 @@ int main(int argc, char** argv) {
   bool describe = false;
   bool sharded = false;
 
+  constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
   for (int i = 1; i < argc; ++i) {
     if (const char* v = opt_value(argv, argc, i, "--seeds")) {
-      if (!parse_u64(v, num_seeds)) return usage(argv[0]);
+      if (!parse_count("--seeds", v, 1'000'000, num_seeds)) return 2;
     } else if (const char* v2 = opt_value(argv, argc, i, "--seed-base")) {
-      if (!parse_u64(v2, seed_base)) return usage(argv[0]);
+      if (!parse_count("--seed-base", v2, kAnySeed, seed_base)) return 2;
     } else if (const char* v3 = opt_value(argv, argc, i, "--seed")) {
       std::uint64_t s = 0;
-      if (!parse_u64(v3, s)) return usage(argv[0]);
+      if (!parse_count("--seed", v3, kAnySeed, s)) return 2;
       single_seed = s;
     } else if (const char* v4 = opt_value(argv, argc, i, "--scheme")) {
       const std::optional<harness::Scheme> parsed = harness::parse_scheme(v4);
@@ -98,7 +110,7 @@ int main(int argc, char** argv) {
       }
       scheme = *parsed;
     } else if (const char* v5 = opt_value(argv, argc, i, "--threads")) {
-      if (!parse_u64(v5, threads)) return usage(argv[0]);
+      if (!parse_count("--threads", v5, 1024, threads)) return 2;
     } else if (const char* v6 = opt_value(argv, argc, i, "--out")) {
       out_dir = v6;
     } else if (std::strcmp(argv[i], "--no-triage") == 0) {
@@ -120,11 +132,9 @@ int main(int argc, char** argv) {
     for (std::uint64_t s = 0; s < num_seeds; ++s) seeds.push_back(seed_base + s);
   }
 
-  const faults::fuzz::RandomScenarioGenerator gen;
-
   if (describe) {
     for (const std::uint64_t s : seeds) {
-      std::fputs(gen.generate(s).describe().c_str(), stdout);
+      std::fputs(faults::fuzz::generate_scenario(s).describe().c_str(), stdout);
     }
     return 0;
   }
@@ -153,7 +163,8 @@ int main(int argc, char** argv) {
 
   const std::vector<harness::FuzzOutcome> outcomes =
       runner.map<harness::FuzzOutcome>(seeds.size(), [&](std::size_t i) {
-        return harness::run_fuzz_scenario(gen.generate(seeds[i]), scheme, triage, out_dir);
+        return harness::run_fuzz_scenario(faults::fuzz::generate_scenario(seeds[i]), scheme,
+                                          triage, out_dir);
       });
 
   std::size_t failing = 0;

@@ -36,13 +36,6 @@ struct LintResult {
   int files_scanned = 0;
 };
 
-/// Wall-time accounting for one lint drive; reported in the JSON output
-/// so the lint budget is machine-checkable.
-struct LintTiming {
-  double wall_ms = 0.0;
-  int files_linted = 0;  ///< files lexed and rule-passed this run
-};
-
 struct RuleInfo {
   std::string_view id;
   std::string_view summary;
@@ -58,8 +51,7 @@ bool is_known_rule(std::string_view id);
 /// unordered names, shard-owned members, exported symbols) from its
 /// lexed lines; build_context() folds all summaries into the
 /// GlobalContext; lint_file() runs every rule pass for one file under
-/// that context. The Linter class wraps the phases for in-process use:
-/// add_file() everything, then run().
+/// that context. Callers add_file() everything, then run().
 class Linter {
  public:
   /// `path` is used verbatim in findings; `source` is the file contents.
@@ -69,15 +61,17 @@ class Linter {
   /// directives; unset (empty) disables expiry checking.
   void set_today(std::string iso_date);
 
+  /// Findings and suppressions of every added file, in (file, line,
+  /// rule) order.
   [[nodiscard]] LintResult run() const;
 
+ private:
   static FileSummary summarize(const std::string& path, const std::vector<Line>& lines);
   static GlobalContext build_context(const std::vector<const FileSummary*>& summaries,
                                      std::string today);
   static void lint_file(const std::string& path, const std::vector<Line>& lines,
                         const FileSummary& summary, const GlobalContext& ctx, LintResult& out);
 
- private:
   struct File {
     std::string path;
     std::vector<Line> lines;
@@ -88,14 +82,9 @@ class Linter {
   std::string today_;
 };
 
-/// Sorts findings/suppressions into the canonical (file, line, rule)
-/// order every output format relies on.
-void sort_result(LintResult& result);
-
 /// Serialize a result as the machine-readable report (schema v2):
 /// {"tool","schema_version":2,"findings":[{file,line,rule,message,snippet}],
-///  "suppressed":[{file,line,rule,reason,expires}],"files_scanned","clean",
-///  "timing":{wall_ms,files_linted}} — timing only when given.
-std::string to_json(const LintResult& result, const LintTiming* timing = nullptr);
+///  "suppressed":[{file,line,rule,reason,expires}],"files_scanned","clean"}.
+std::string to_json(const LintResult& result);
 
 }  // namespace hermes::lint

@@ -687,11 +687,7 @@ LintResult Linter::run() const {
   for (const File& f : files_) {
     lint_file(f.path, f.lines, f.summary, ctx, out);
   }
-  sort_result(out);
-  return out;
-}
-
-void sort_result(LintResult& out) {
+  // Canonical (file, line, rule) order, which every output format relies on.
   std::sort(out.findings.begin(), out.findings.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
   });
@@ -699,6 +695,7 @@ void sort_result(LintResult& out) {
             [](const Suppression& a, const Suppression& b) {
               return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
             });
+  return out;
 }
 
 void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
@@ -1029,14 +1026,10 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
   }
 }
 
-std::string to_json(const LintResult& r, const LintTiming* timing) {
+std::string to_json(const LintResult& r) {
   std::string s = "{\n  \"tool\": \"hermeslint\",\n  \"schema_version\": 2,\n";
   s += "  \"files_scanned\": " + std::to_string(r.files_scanned) + ",\n";
   s += "  \"clean\": " + std::string(r.findings.empty() ? "true" : "false") + ",\n";
-  if (timing != nullptr) {
-    s += "  \"timing\": {\"wall_ms\": " + std::to_string(timing->wall_ms) +
-         ", \"files_linted\": " + std::to_string(timing->files_linted) + "},\n";
-  }
   s += "  \"findings\": [";
   for (std::size_t i = 0; i < r.findings.size(); ++i) {
     const Finding& f = r.findings[i];

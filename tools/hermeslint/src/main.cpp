@@ -5,7 +5,7 @@
 // freedom, header hygiene, the layering DAG, shard-race and
 // arena-lifetime dataflow. Token/AST-lite pass; no libclang.
 //
-//   hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE] [--threads=N]
+//   hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE]
 //              [--today=YYYY-MM-DD] [--list-rules]
 //              [--suppressions] [paths...]
 //
@@ -14,7 +14,6 @@
 // findings, 2 usage/IO.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -53,9 +52,6 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--sarif=", 0) == 0) {
       want_sarif = true;
       sarif_path = a.substr(8);
-    } else if (a.rfind("--threads=", 0) == 0) {
-      opts.threads = std::atoi(a.c_str() + 10);
-      if (opts.threads < 1) opts.threads = 1;
     } else if (a.rfind("--today=", 0) == 0) {
       opts.today = a.substr(8);
     } else if (a == "--suppressions") {
@@ -67,7 +63,7 @@ int main(int argc, char** argv) {
       return 0;
     } else if (a == "--help" || a == "-h") {
       std::printf(
-          "usage: hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE] [--threads=N]\n"
+          "usage: hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE]\n"
           "                  [--today=YYYY-MM-DD] [--list-rules]\n"
           "                  [--suppressions] [paths...]\n");
       return 0;
@@ -106,14 +102,11 @@ int main(int argc, char** argv) {
                    s.rule.c_str(), s.reason.c_str(), tail.c_str());
     }
   }
-  std::fprintf(report,
-               "hermeslint: %zu finding(s), %zu suppression(s), %d file(s) scanned "
-               "(%.1f ms)\n",
-               result.findings.size(), result.suppressed.size(), result.files_scanned,
-               drive.timing.wall_ms);
+  std::fprintf(report, "hermeslint: %zu finding(s), %zu suppression(s), %d file(s) scanned\n",
+               result.findings.size(), result.suppressed.size(), result.files_scanned);
 
   if (want_json) {
-    const std::string json = hermes::lint::to_json(result, &drive.timing);
+    const std::string json = hermes::lint::to_json(result);
     if (json_path.empty()) {
       std::fputs(json.c_str(), stdout);
     } else if (!write_file(json_path, json)) {

@@ -570,17 +570,6 @@ TEST(HermeslintJson, SchemaFieldsPresent) {
   }
 }
 
-TEST(HermeslintJson, TimingBlockPresentWhenProvided) {
-  const LintResult r = lint_fixture("hdr_clean.hpp");
-  hermes::lint::LintTiming t;
-  t.wall_ms = 12.5;
-  t.files_linted = 4;
-  const std::string j = to_json(r, &t);
-  EXPECT_NE(j.find("\"timing\""), std::string::npos) << j;
-  EXPECT_NE(j.find("\"files_linted\": 4"), std::string::npos) << j;
-  EXPECT_EQ(to_json(r).find("\"timing\""), std::string::npos);
-}
-
 TEST(HermeslintJson, CleanResultSaysClean) {
   const LintResult r = lint_fixture("hdr_clean.hpp");
   const std::string j = to_json(r);
