@@ -41,23 +41,33 @@ const std::vector<Cell>& cells() {
   return c;
 }
 
-std::string run_cell_csv(const Cell& cell, bool obs_enabled = false) {
+harness::ScenarioConfig small_fabric(harness::Scheme scheme) {
   harness::ScenarioConfig cfg;
   cfg.topo.num_leaves = 4;
   cfg.topo.num_spines = 4;
   cfg.topo.hosts_per_leaf = 8;
-  cfg.scheme = cell.scheme;
+  cfg.scheme = scheme;
   cfg.seed = 7;
   cfg.max_sim_time = sim::sec(10);
-  cfg.obs.enabled = obs_enabled;
+  return cfg;
+}
+
+/// 80 web-search flows at `load`, seed 7; the per-flow FCT CSV.
+std::string run_csv(const harness::ScenarioConfig& cfg, double load) {
   harness::Scenario s{cfg};
   workload::TrafficConfig tc;
-  tc.load = cell.load;
+  tc.load = load;
   tc.num_flows = 80;
   tc.seed = 7;
   s.add_flows(
       workload::generate_poisson_traffic(s.topology(), workload::SizeDist::web_search(), tc));
   return stats::to_csv(s.run());
+}
+
+std::string run_cell_csv(const Cell& cell, bool obs_enabled = false) {
+  harness::ScenarioConfig cfg = small_fabric(cell.scheme);
+  cfg.obs.enabled = obs_enabled;
+  return run_csv(cfg, cell.load);
 }
 
 // Recorded with the pre-wheel binary-heap EventQueue (std::function
@@ -71,6 +81,33 @@ TEST(Determinism, GoldenSeedFctHashMatchesHeapBaseline) {
       << "fixed-seed per-flow FCT output changed (" << all.size()
       << " bytes) — scheduling-order regression, or an intentional "
          "change that must re-record the golden hash";
+}
+
+// Every scheme on an asymmetric fabric. Leaf 1's link to spine 0 is cut,
+// so leaf 1's pairs list three paths and a path's index there is not its
+// spine; leaf 2's link to spine 3 runs at 2G, so WCMP and weighted
+// Presto* see unequal capacities. This pins each scheme's choices and the
+// routes they name, which kGoldenHash (ECMP, CONGA, Hermes on a symmetric
+// fabric) cannot tell apart from a path renumbering.
+constexpr harness::Scheme kEveryScheme[] = {
+    harness::Scheme::kEcmp,     harness::Scheme::kDrb,        harness::Scheme::kPrestoStar,
+    harness::Scheme::kLetFlow,  harness::Scheme::kConga,      harness::Scheme::kCloveEcn,
+    harness::Scheme::kHermes,   harness::Scheme::kFlowBender, harness::Scheme::kDrill,
+    harness::Scheme::kWcmp,
+};
+constexpr std::uint64_t kEverySchemeGoldenHash = 0x5111d142ce5c326dull;
+
+TEST(Determinism, EverySchemeOnAsymmetricFabricMatchesGolden) {
+  std::string all;
+  for (const harness::Scheme scheme : kEveryScheme) {
+    harness::ScenarioConfig cfg = small_fabric(scheme);
+    cfg.topo.fabric_overrides[{1, 0, 0}] = 0;    // cut
+    cfg.topo.fabric_overrides[{2, 3, 0}] = 2e9;  // degraded
+    all += run_csv(cfg, 0.6);
+  }
+  EXPECT_EQ(stats::fnv1a64(all), kEverySchemeGoldenHash)
+      << "fixed-seed per-flow FCT output of the ten schemes changed (" << all.size()
+      << " bytes)";
 }
 
 // The flight recorder must be a pure observer: record paths consume no
