@@ -481,15 +481,12 @@ void bench_dre(int n) {
 void bench_route(int n) {
   sim::Simulator simulator{1};
   net::Topology topo{simulator, net::TopologyConfig{}};
-  // Host 100 sits under leaf 6; forward_route wants *global* path ids,
-  // so cycle through the (0,6) pair's FabricPath::id values (indices
-  // 0..n-1 would address another pair's paths).
-  const auto& paths = topo.paths_between_leaves(0, 6);
-  const int num_paths = static_cast<int>(paths.size());
+  // Host 100 sits under leaf 6: cycle through the (0, 6) pair's paths.
+  const int num_paths = static_cast<int>(topo.paths_between_hosts(0, 100).size());
   int path = 0;
   const auto t0 = Clock::now();
   for (int i = 0; i < n; ++i) {
-    g_sink += topo.forward_route(0, 100, paths[static_cast<std::size_t>(path)].id).len;
+    g_sink += topo.forward_route(0, 100, path).len;
     path = (path + 1) % num_paths;
   }
   const double dt = seconds_since(t0);

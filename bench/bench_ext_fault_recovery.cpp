@@ -104,10 +104,11 @@ int main(int argc, char** argv) {
           s.topology(), workload::SizeDist::web_search(), tc));
 
       if (faulted) {
-        // The blackholed path's local index for the affected leaf pair.
+        // The blackholed path's index for the affected leaf pair.
         int failed_local = -1;
-        for (const auto& p : s.topology().paths_between_leaves(src_leaf, dst_leaf)) {
-          if (p.spine == failed_spine) failed_local = p.local_index;
+        const auto paths = s.topology().paths_between_leaves(src_leaf, dst_leaf);
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+          if (paths[i].spine == failed_spine) failed_local = static_cast<int>(i);
         }
 
         // Stalled flows at outage end: snapshot ACK progress 10ms before

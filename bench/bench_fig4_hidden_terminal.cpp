@@ -50,8 +50,10 @@ int main(int argc, char** argv) {
     // Flow B: long-running, from L1 (host 2) to L2 (host 4).
     const auto b_id = s.add_flow(2, 4, 2'000'000'000, sim::usec(0));
     s.run_for(sim::msec(1));
-    const int b_path = s.stack(2).sender(b_id)->ctx().current_path;
-    const int b_spine = s.topology().path(b_path).spine;
+    const auto spine_of = [&s](int src, int dst, int path) {
+      return s.topology().paths_between_hosts(src, dst)[static_cast<std::size_t>(path)].spine;
+    };
+    const int b_spine = spine_of(2, 4, s.stack(2).sender(b_id)->ctx().current_path);
 
     harness::QueueTrace trace{s.simulator(), s.topology().spine_downlink(b_spine, 2),
                               sim::usec(50)};
@@ -71,7 +73,7 @@ int main(int argc, char** argv) {
       auto& sender = s.stack(0).start_flow(spec, [&](const transport::FlowRecord&) {
         if (++bursts_done < kBursts) s.simulator().after(kPause, [&] { start_burst(); });
       });
-      burst_spines.push_back(s.topology().path(sender.ctx().current_path).spine);
+      burst_spines.push_back(spine_of(0, 5, sender.ctx().current_path));
     };
     start_burst();
     s.run_for(sim::msec(800));

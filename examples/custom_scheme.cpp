@@ -9,6 +9,7 @@
 // optionally tap the signal hooks, and install the instance through
 // ScenarioConfig::wrap_balancer.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -31,17 +32,17 @@ class LeastQueuedLb final : public lb::LoadBalancer {
   int select_path(lb::FlowCtx& flow, const net::Packet&) override {
     if (flow.intra_rack()) return -1;
     const auto& paths = topo_.paths_between_leaves(flow.src_leaf, flow.dst_leaf);
-    const net::FabricPath* best = &paths.front();
+    int best = 0;
     std::uint32_t best_backlog = ~0u;
-    for (const auto& p : paths) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
       const auto backlog =
-          topo_.leaf_uplink(flow.src_leaf, p.spine, p.link_idx).backlog_bytes();
+          topo_.leaf_uplink(flow.src_leaf, paths[i].spine, paths[i].link_idx).backlog_bytes();
       if (backlog < best_backlog) {
         best_backlog = backlog;
-        best = &p;
+        best = static_cast<int>(i);
       }
     }
-    return best->id;
+    return best;
   }
 
   [[nodiscard]] std::string_view name() const override { return "least-queued"; }

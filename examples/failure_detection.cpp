@@ -11,6 +11,7 @@
 // (path_state / path_type / blackholed), per-reason switch drop
 // counters, and the FCT consequences.
 
+#include <cstddef>
 #include <cstdio>
 
 #include "hermes/engine/path_state.hpp"
@@ -60,9 +61,9 @@ int main() {
       std::printf("t=%3dms  [%d fault(s) active]  rack0->rack7 path types:", ms,
                   s.fault_scheduler()->active_faults());
       const auto& paths = s.topology().paths_between_leaves(0, 7);
-      for (const auto& p : paths) {
-        std::printf(" s%d:%s", p.spine,
-                    to_string(s.hermes()->path_type(0, 7, p.local_index)));
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        std::printf(" s%d:%s", paths[i].spine,
+                    to_string(s.hermes()->path_type(0, 7, static_cast<int>(i))));
       }
       std::printf("\n");
     });
@@ -87,13 +88,13 @@ int main() {
     for (int b = 0; b < 8; ++b) {
       if (a == b) continue;
       const auto& paths = s.topology().paths_between_leaves(a, b);
-      for (const auto& p : paths) {
+      for (std::size_t i = 0; i < paths.size(); ++i) {
         // failed_active applies the latch expiry (the raw failed() flag
         // can linger on pairs that saw no traffic after the heal).
-        if (p.spine == 5 && s.hermes()
-                                ->path_state(a, b, p.local_index)
-                                .failed_active(s.simulator().now().ns(),
-                                               s.hermes()->engine().config()))
+        if (paths[i].spine == 5 && s.hermes()
+                                       ->path_state(a, b, static_cast<int>(i))
+                                       .failed_active(s.simulator().now().ns(),
+                                                      s.hermes()->engine().config()))
           ++drop_latched;
       }
     }

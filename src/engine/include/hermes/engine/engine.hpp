@@ -93,9 +93,6 @@ class Engine {
   /// Number of distinct paths with at least one sample for a pair (the
   /// "visibility" a sender has, Table 6).
   [[nodiscard]] int sampled_paths(int src_group, int dst_group) const;
-  [[nodiscard]] int best_path(int src_group, int dst_group) const {
-    return path_set(src_group, dst_group).best_idx;
-  }
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const DecisionStats& stats() const { return stats_; }

@@ -147,8 +147,6 @@ class PathSet {
   }
   void set_weight(std::size_t i, std::uint32_t w) { slots_[i].weight = w; }
 
-  [[nodiscard]] std::size_t healthy_count() const { return healthy_; }
-
   /// Envoy-style panic: too few healthy members => ignore health and
   /// spread over everyone rather than concentrate on the survivors.
   [[nodiscard]] bool in_panic() const {

@@ -47,8 +47,6 @@ int CongaLb::select_path(FlowCtx& flow, const net::Packet&) {
   int best = -1;
   std::uint8_t best_metric = 255;
   int ties = 0;
-  const int current_local =
-      flow.current_path >= 0 ? topo_.path(flow.current_path).local_index : -1;
   bool current_is_best = false;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const net::FabricPath& p = paths[i];
@@ -59,10 +57,10 @@ int CongaLb::select_path(FlowCtx& flow, const net::Packet&) {
       best_metric = m;
       best = static_cast<int>(i);
       ties = 1;
-      current_is_best = (static_cast<int>(i) == current_local);
+      current_is_best = (static_cast<int>(i) == flow.current_path);
     } else if (m == best_metric) {
       ++ties;
-      if (static_cast<int>(i) == current_local) current_is_best = true;
+      if (static_cast<int>(i) == flow.current_path) current_is_best = true;
       // Reservoir-sample among ties for an unbiased random choice.
       if (rng_.next(static_cast<std::uint64_t>(ties)) == 0) best = static_cast<int>(i);
     }
@@ -70,10 +68,10 @@ int CongaLb::select_path(FlowCtx& flow, const net::Packet&) {
   // CONGA keeps the flowlet where it is when the current path ties the best
   // (avoids gratuitous moves).
   if (current_is_best) {
-    const std::uint8_t cur_m = path_metric(flow.src_leaf, flow.dst_leaf, current_local);
-    if (cur_m == best_metric) best = current_local;
+    const std::uint8_t cur_m = path_metric(flow.src_leaf, flow.dst_leaf, flow.current_path);
+    if (cur_m == best_metric) best = flow.current_path;
   }
-  return paths[best].id;
+  return best;
 }
 
 void CongaLb::on_data_arrival(const net::Packet& data) {
@@ -82,8 +80,10 @@ void CongaLb::on_data_arrival(const net::Packet& data) {
   if (src_leaf == dst_leaf) return;
   PairTable& t = from_leaf(dst_leaf, src_leaf);
   ensure_size(t, topo_.paths_between_leaves(src_leaf, dst_leaf).size());
-  if (data.conga_lbtag < t.entries.size()) {
-    t.entries[data.conga_lbtag] = Entry{data.conga_ce, simulator_.now(), true};
+  // The path index is CONGA's lbtag.
+  if (data.path_id >= 0 && static_cast<std::size_t>(data.path_id) < t.entries.size()) {
+    t.entries[static_cast<std::size_t>(data.path_id)] =
+        Entry{data.conga_ce, simulator_.now(), true};
   }
 }
 

@@ -55,7 +55,7 @@ engine::FlowView HermesLb::make_view(const FlowCtx& flow) const {
   v.src_group = flow.src_leaf;
   v.dst_group = flow.dst_leaf;
   v.bytes_sent = flow.bytes_sent;
-  v.cur_local = flow.current_path >= 0 ? topo_.path(flow.current_path).local_index : -1;
+  v.cur_local = flow.current_path;
   v.has_sent = flow.has_sent;
   v.timeout_pending = flow.timeout_pending;
   v.has_rerouted = flow.has_rerouted;
@@ -71,7 +71,6 @@ engine::FlowView HermesLb::make_view(const FlowCtx& flow) const {
 
 int HermesLb::select_path(FlowCtx& flow, const net::Packet& pkt) {
   if (flow.intra_rack()) return -1;
-  const auto& paths = topo_.paths_between_leaves(flow.src_leaf, flow.dst_leaf);
   pair(flow.src_leaf, flow.dst_leaf);
 
   engine::FlowView view = make_view(flow);
@@ -80,15 +79,14 @@ int HermesLb::select_path(FlowCtx& flow, const net::Packet& pkt) {
   flow.timeout_pending = view.timeout_pending;
   flow.has_rerouted = view.has_rerouted;
   flow.last_reroute = sim::SimTime::nanoseconds(view.last_reroute);
-  return chosen >= 0 ? paths[static_cast<std::size_t>(chosen)].id : -1;
+  return chosen;
 }
 
 void HermesLb::on_ack(FlowCtx& flow, const net::Packet& ack) {
   if (flow.intra_rack() || ack.path_id < 0) return;
-  const net::FabricPath& p = topo_.path(ack.path_id);
-  pair(p.src_leaf, p.dst_leaf);
+  pair(flow.src_leaf, flow.dst_leaf);
   const bool has_rtt = ack.ts_echo > sim::SimTime::zero();
-  engine_.on_ack(p.src_leaf, p.dst_leaf, p.local_index, flow.src, flow.dst, has_rtt,
+  engine_.on_ack(flow.src_leaf, flow.dst_leaf, ack.path_id, flow.src, flow.dst, has_rtt,
                  has_rtt ? (simulator_.now() - ack.ts_echo).ns() : 0, ack.ece);
 }
 
@@ -101,9 +99,8 @@ void HermesLb::on_timeout(FlowCtx& flow) {
 
 void HermesLb::on_retransmit(FlowCtx& flow, int path_id) {
   if (flow.intra_rack() || path_id < 0) return;
-  const net::FabricPath& p = topo_.path(path_id);
-  pair(p.src_leaf, p.dst_leaf);
-  engine_.on_retransmit(p.src_leaf, p.dst_leaf, p.local_index, simulator_.now().ns());
+  pair(flow.src_leaf, flow.dst_leaf);
+  engine_.on_retransmit(flow.src_leaf, flow.dst_leaf, path_id, simulator_.now().ns());
 }
 
 void HermesLb::enable_probing(std::vector<int> source_leaves,
@@ -139,8 +136,7 @@ void HermesLb::probe_tick() {
   simulator_.after(config_.probe_interval, [this] { probe_tick(); });
 }
 
-void HermesLb::send_probe(int src_leaf, int dst_leaf, int local_idx) {
-  const auto& paths = topo_.paths_between_leaves(src_leaf, dst_leaf);
+void HermesLb::send_probe(int src_leaf, int dst_leaf, int path) {
   const int agent_src = topo_.first_host_of_leaf(src_leaf);
   const int agent_dst = topo_.first_host_of_leaf(dst_leaf);
 
@@ -153,7 +149,7 @@ void HermesLb::send_probe(int src_leaf, int dst_leaf, int local_idx) {
   p.size = net::kProbeBytes;
   p.ect = true;  // probes must be markable to observe ECN state
   p.ts_sent = simulator_.now();
-  p.path_id = paths[static_cast<std::size_t>(local_idx)].id;
+  p.path_id = path;
   p.priority = 0;  // ride the data queue so the probe *sees* congestion
   p.route = topo_.forward_route(agent_src, agent_dst, p.path_id);
 
@@ -165,9 +161,12 @@ void HermesLb::send_probe(int src_leaf, int dst_leaf, int local_idx) {
 void HermesLb::on_probe_reply(const net::Packet& reply) {
   if (reply.path_id < 0) return;
   ++probe_stats_.replies_received;
-  const net::FabricPath& p = topo_.path(reply.path_id);
-  pair(p.src_leaf, p.dst_leaf);
-  engine_.feed_probe_sample(p.src_leaf, p.dst_leaf, p.local_index,
+  // The reply retraces the probe, so the probed pair runs from the
+  // reply's destination back to its source.
+  const int src_leaf = topo_.leaf_of(reply.dst);
+  const int dst_leaf = topo_.leaf_of(reply.src);
+  pair(src_leaf, dst_leaf);
+  engine_.feed_probe_sample(src_leaf, dst_leaf, reply.path_id,
                             (simulator_.now() - reply.ts_echo).ns(), reply.ece);
 }
 

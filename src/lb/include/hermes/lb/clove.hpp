@@ -55,18 +55,18 @@ class CloveLb final : public LoadBalancer {
     double x = rng_.uniform() * total;
     for (std::size_t i = 0; i < paths.size(); ++i) {
       x -= st.weights[i];
-      if (x <= 0) return paths[i].id;
+      if (x <= 0) return static_cast<int>(i);
     }
-    return paths.back().id;
+    return static_cast<int>(paths.size()) - 1;
   }
 
   void on_ack(FlowCtx& flow, const net::Packet& ack) override {
-    // The ACK carries the path id of the data packet it acknowledges, so
-    // the signal is attributed correctly even right after a reroute.
+    // The ACK carries the path of the data packet it acknowledges, so the
+    // signal is attributed correctly even right after a reroute.
     if (!ack.ece || flow.intra_rack() || ack.path_id < 0) return;
     const auto& paths = topo_.paths_between_leaves(flow.src_leaf, flow.dst_leaf);
     State& st = state(flow.src, flow.dst_leaf, paths.size());
-    const int i = topo_.path(ack.path_id).local_index;
+    const int i = ack.path_id;
     const sim::SimTime now = simulator_.now();
     if (now - st.last_decrease[i] < config_.mark_min_gap) return;
     st.last_decrease[i] = now;

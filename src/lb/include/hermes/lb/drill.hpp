@@ -50,7 +50,7 @@ class DrillLb final : public LoadBalancer {
       }
     }
     remembered = best;
-    return paths[best].id;
+    return static_cast<int>(best);
   }
 
   [[nodiscard]] std::string_view name() const override { return "drill"; }

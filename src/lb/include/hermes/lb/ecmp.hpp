@@ -18,7 +18,7 @@ class EcmpLb final : public LoadBalancer {
   int select_path(FlowCtx& flow, const net::Packet&) override {
     if (flow.intra_rack()) return -1;
     const auto& paths = topo_.paths_between_leaves(flow.src_leaf, flow.dst_leaf);
-    return paths[mix64(flow.flow_id ^ salt_) % paths.size()].id;
+    return static_cast<int>(mix64(flow.flow_id ^ salt_) % paths.size());
   }
 
   [[nodiscard]] std::string_view name() const override { return "ecmp"; }

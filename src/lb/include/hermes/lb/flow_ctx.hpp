@@ -19,7 +19,9 @@ struct FlowCtx {
   int dst_leaf = -1;
 
   std::uint64_t bytes_sent = 0;    ///< cumulative payload handed to the wire
-  int current_path = -1;           ///< fabric path of the last transmission
+  /// The last transmission's path: its index in
+  /// paths_between_leaves(src_leaf, dst_leaf), -1 before the first.
+  int current_path = -1;
   sim::SimTime last_send{};        ///< time of the last transmission
   bool has_sent = false;           ///< false until the first packet
   bool timeout_pending = false;    ///< set on RTO, cleared once acted upon

@@ -38,7 +38,7 @@ class FlowBenderLb final : public LoadBalancer {
       flow.timeout_pending = false;
       ++st.bends;
     }
-    return paths[mix64(flow.flow_id ^ (0xB5ADULL * st.bends)) % paths.size()].id;
+    return static_cast<int>(mix64(flow.flow_id ^ (0xB5ADULL * st.bends)) % paths.size());
   }
 
   void on_ack(FlowCtx& flow, const net::Packet& ack) override {

@@ -179,7 +179,7 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   /// Project the simulator flow context into the engine's view.
   [[nodiscard]] engine::FlowView make_view(const FlowCtx& flow) const;
   void probe_tick();
-  void send_probe(int src_leaf, int dst_leaf, int local_idx);
+  void send_probe(int src_leaf, int dst_leaf, int path);
 
   sim::Simulator& simulator_;
   net::Fabric& topo_;

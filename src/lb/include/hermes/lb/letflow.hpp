@@ -33,7 +33,7 @@ class LetFlowLb final : public LoadBalancer {
         !flow.has_sent || (now - flow.last_send) > config_.flowlet_timeout;
     if (new_flowlet || flow.current_path < 0) {
       const auto& paths = topo_.paths_between_leaves(flow.src_leaf, flow.dst_leaf);
-      return paths[rng_.next(paths.size())].id;
+      return static_cast<int>(rng_.next(paths.size()));
     }
     return flow.current_path;
   }

@@ -31,8 +31,9 @@ class LoadBalancer {
  public:
   virtual ~LoadBalancer() = default;
 
-  /// Choose the fabric path for this packet of `flow`. Returns a path id
-  /// valid for the flow's leaf pair, or -1 for intra-rack flows.
+  /// Choose the fabric path for this packet of `flow`. Returns its index
+  /// in paths_between_leaves(flow.src_leaf, flow.dst_leaf), or -1 for
+  /// intra-rack flows.
   virtual int select_path(FlowCtx& flow, const net::Packet& pkt) = 0;
 
   /// Sender-side: an ACK for `flow` arrived (carries echoed timestamps,
@@ -49,8 +50,10 @@ class LoadBalancer {
   /// Sender-side: the flow's retransmission timer fired.
   virtual void on_timeout(FlowCtx& flow) { (void)flow; }
 
-  /// Sender-side: a segment of `flow` was retransmitted; `path_id` is the
-  /// path the lost copy was sent on.
+  /// Sender-side: a segment of `flow` is about to be retransmitted.
+  /// `path_id` is flow.current_path, the path of the flow's latest
+  /// transmission, which need not be the one the lost copy took: after a
+  /// reroute, a loss on the old path is charged to the new one.
   virtual void on_retransmit(FlowCtx& flow, int path_id) { (void)flow, (void)path_id; }
 
   /// Sender-side: the flow completed (all bytes acknowledged).

@@ -54,7 +54,7 @@ class SprayLb final : public LoadBalancer {
         --st.remaining_units;
       }
     }
-    return paths[st.idx].id;
+    return static_cast<int>(st.idx);
   }
 
   void on_flow_complete(FlowCtx& flow) override { state_.erase(flow.flow_id); }
@@ -88,16 +88,5 @@ class SprayLb final : public LoadBalancer {
   std::string_view name_;
   std::unordered_map<std::uint64_t, State> state_;
 };
-
-/// Factory helpers for the named schemes.
-[[nodiscard]] inline SprayLb make_drb(net::Fabric& topo) {
-  return SprayLb{topo, SprayConfig{.cell_bytes = 0, .weighted = false}, "drb"};
-}
-[[nodiscard]] inline SprayLb make_presto_star(net::Fabric& topo, bool weighted) {
-  return SprayLb{topo, SprayConfig{.cell_bytes = 0, .weighted = weighted}, "presto*"};
-}
-[[nodiscard]] inline SprayLb make_presto_flowcell(net::Fabric& topo) {
-  return SprayLb{topo, SprayConfig{.cell_bytes = 64 * 1024, .weighted = false}, "presto"};
-}
 
 }  // namespace hermes::lb

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -27,11 +28,11 @@ class WcmpLb final : public LoadBalancer {
     const double x = static_cast<double>(mix64(flow.flow_id ^ salt_) % (1ULL << 53)) /
                      static_cast<double>(1ULL << 53) * total;
     double acc = 0;
-    for (const auto& p : paths) {
-      acc += p.capacity_bps;
-      if (x < acc) return p.id;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      acc += paths[i].capacity_bps;
+      if (x < acc) return static_cast<int>(i);
     }
-    return paths.back().id;
+    return static_cast<int>(paths.size()) - 1;
   }
 
   [[nodiscard]] std::string_view name() const override { return "wcmp"; }

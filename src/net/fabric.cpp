@@ -80,6 +80,13 @@ const FabricLink& Fabric::uplink(int sw, int j) const {
   return std::ranges::lower_bound(links_, sw, {}, &FabricLink::lower)[j];
 }
 
+void Fabric::check_path(int path, std::size_t n) {
+  if (path < 0 || static_cast<std::size_t>(path) >= n) {
+    throw std::out_of_range("no path " + std::to_string(path) + " in a leaf pair of " +
+                            std::to_string(n));
+  }
+}
+
 std::vector<int> Fabric::leaves_of_shard(int shard) const {
   std::vector<int> out;
   for (int l = 0; l < num_leaves_; ++l)

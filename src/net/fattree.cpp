@@ -17,12 +17,6 @@
 
 namespace hermes::net {
 
-namespace {
-/// FabricPath::link_idx doubles as the path-kind marker on fat-trees.
-constexpr int kInterPodPath = 0;  ///< spine field = core switch id
-constexpr int kIntraPodPath = 1;  ///< spine field = agg local index
-}  // namespace
-
 /// Internal peer of a cross-shard egress port. The port delivers with
 /// zero propagation delay into the portal (still inside the source
 /// shard's event stream); the portal moves the packet out of the source
@@ -183,9 +177,10 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
     }
   }
 
-  // Enumerate paths per ordered leaf (edge) pair. Intra-pod pairs get
-  // one path per agg (local_index = agg index); inter-pod pairs one per
-  // core (local_index = core id).
+  // The path table behind paths_between_leaves, per ordered leaf (edge)
+  // pair: index i of an intra-pod pair turns at agg i and crosses no
+  // core; index i of an inter-pod pair crosses core i. Routes compute the
+  // same from the index alone.
   const int L = num_edges;
   const std::size_t intra = static_cast<std::size_t>(pods) * half_ * (half_ - 1) * half_;
   const std::size_t inter = static_cast<std::size_t>(pods) * (pods - 1) * half_ * half_ *
@@ -193,78 +188,49 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
   paths_.reserve(intra + inter);
   for (int src = 0; src < L; ++src) {
     for (int dst = 0; dst < L; ++dst) {
-      if (src == dst) continue;
-      const bool same_pod = pod_of_leaf(src) == pod_of_leaf(dst);
-      const int n = same_pod ? half_ : half_ * half_;
-      for (int i = 0; i < n; ++i) {
-        FabricPath p;
-        p.src_leaf = src;
-        p.dst_leaf = dst;
-        p.spine = i;
-        p.link_idx = same_pod ? kIntraPodPath : kInterPodPath;
-        p.local_index = i;
-        p.capacity_bps = config_.fabric_rate_bps;
-        paths_.push_back(p);
+      if (src != dst) {
+        const bool same_pod = pod_of_leaf(src) == pod_of_leaf(dst);
+        for (int i = 0; i < paths_per_pair(same_pod); ++i) {
+          paths_.push_back({same_pod ? -1 : i, 0, config_.fabric_rate_bps});
+        }
       }
+      end_pair();
     }
   }
-  index_paths();
 }
 
 FatTree::~FatTree() = default;
 
-Route FatTree::forward_route(int src_host, int dst_host, int path_id) const {
-  Route r;
-  const int src_leaf = leaf_of(src_host);
-  const int dst_leaf = leaf_of(dst_host);
-  if (src_leaf == dst_leaf) {
-    r.push(static_cast<std::uint8_t>(local_index(dst_host)));
-    return r;
-  }
-  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
-  assert(p.src_leaf == src_leaf && p.dst_leaf == dst_leaf);
-  const int dst_el = dst_leaf % half_;
-  if (p.link_idx == kIntraPodPath) {
-    // edge --(agg p.spine)--> edge --> host: 3 hops.
-    r.push(static_cast<std::uint8_t>(uplink_port(p.spine)));
-    r.push(static_cast<std::uint8_t>(dst_el));
-    r.push(static_cast<std::uint8_t>(local_index(dst_host)));
-  } else {
-    // edge -> agg a -> core (a,j) -> agg a of dst pod -> edge -> host.
-    const int a = p.spine / half_;
-    const int j = p.spine % half_;
-    r.push(static_cast<std::uint8_t>(uplink_port(a)));
-    r.push(static_cast<std::uint8_t>(uplink_port(j)));
-    r.push(static_cast<std::uint8_t>(pod_of_leaf(dst_leaf)));
-    r.push(static_cast<std::uint8_t>(dst_el));
-    r.push(static_cast<std::uint8_t>(local_index(dst_host)));
-  }
-  return r;
+Route FatTree::forward_route(int src_host, int dst_host, int path) const {
+  return route(src_host, dst_host, path, dst_host);
 }
 
-Route FatTree::reverse_route(int src_host, int dst_host, int path_id) const {
+Route FatTree::reverse_route(int src_host, int dst_host, int path) const {
+  return route(src_host, dst_host, path, src_host);
+}
+
+Route FatTree::route(int src_host, int dst_host, int path, int to_host) const {
   Route r;
+  const auto push = [&r](int port) { r.push(static_cast<std::uint8_t>(port)); };
   const int src_leaf = leaf_of(src_host);
   const int dst_leaf = leaf_of(dst_host);
-  if (src_leaf == dst_leaf) {
-    r.push(static_cast<std::uint8_t>(local_index(src_host)));
-    return r;
+  const int to_leaf = leaf_of(to_host);
+  if (src_leaf != dst_leaf) {
+    const bool same_pod = pod_of_leaf(src_leaf) == pod_of_leaf(dst_leaf);
+    check_path(path, static_cast<std::size_t>(paths_per_pair(same_pod)));
+    if (same_pod) {
+      // edge -> agg `path` -> edge -> host.
+      push(uplink_port(path));
+    } else {
+      // edge -> agg a -> core a * k/2 + j (= `path`) -> agg a of the far
+      // pod -> edge -> host.
+      push(uplink_port(path / half_));
+      push(uplink_port(path % half_));
+      push(pod_of_leaf(to_leaf));
+    }
+    push(to_leaf % half_);
   }
-  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
-  const int src_el = src_leaf % half_;
-  if (p.link_idx == kIntraPodPath) {
-    r.push(static_cast<std::uint8_t>(uplink_port(p.spine)));
-    r.push(static_cast<std::uint8_t>(src_el));
-    r.push(static_cast<std::uint8_t>(local_index(src_host)));
-  } else {
-    const int a = p.spine / half_;
-    const int j = p.spine % half_;
-    r.push(static_cast<std::uint8_t>(uplink_port(a)));
-    r.push(static_cast<std::uint8_t>(uplink_port(j)));
-    r.push(static_cast<std::uint8_t>(pod_of_leaf(src_leaf)));
-    r.push(static_cast<std::uint8_t>(src_el));
-    r.push(static_cast<std::uint8_t>(local_index(src_host)));
-  }
+  push(local_index(to_host));
   return r;
 }
 

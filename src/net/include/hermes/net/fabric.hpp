@@ -74,20 +74,20 @@ struct FabricLink {
   double rate_bps = 0;
 };
 
-/// One end-to-end fabric path between a leaf pair: (spine, parallel link
-/// index). The up and down parallel-link indices are paired, which matches
-/// how ECMP groups are built on 2-tier Clos fabrics. Three-tier fabrics
-/// reuse the struct: `spine` holds the core (or intra-pod agg) selector
-/// and `link_idx` distinguishes the path kind (see FatTree).
+/// One end-to-end fabric path between a leaf pair. A path has no id of
+/// its own: it is named by its index in paths_between_leaves(src, dst),
+/// and packets, flow contexts, routes and every scheme's state carry that
+/// index. On a leaf-spine the path is (spine, parallel link index); the up
+/// and down parallel-link indices are paired, which matches how ECMP
+/// groups are built on 2-tier Clos fabrics. On a fat-tree `spine` is the
+/// core an inter-pod path crosses, and -1 on an intra-pod path, which
+/// turns at the agg its index names.
 struct FabricPath {
-  int id = -1;
-  int src_leaf = -1;
-  int dst_leaf = -1;
   int spine = -1;
   int link_idx = 0;
-  int local_index = 0;      ///< position within the leaf pair's path list
   double capacity_bps = 0;  ///< min(uplink, downlink) rate
 };
+static_assert(sizeof(FabricPath) == 16, "a k=16 fat-tree stores 990,208 of these");
 
 /// The fabric device model: what transports, load balancers, workload
 /// generators, the fault scheduler and the invariant checker need from a
@@ -106,10 +106,10 @@ struct FabricPath {
 ///
 /// Host-id geometry (leaf_of, local_index, ...) and the path table are
 /// concrete and non-virtual: every Hermes fabric numbers hosts
-/// leaf-major and stores each path once, pair-major, and these run on
-/// per-packet paths where a vtable dispatch would be waste. The builder
-/// fills the protected dimension members and the path table before
-/// handing the fabric to any consumer.
+/// leaf-major and stores each leaf pair's paths as one run, pair-major,
+/// and these run on per-packet paths where a vtable dispatch would be
+/// waste. The builder fills the protected dimension members and the path
+/// table before handing the fabric to any consumer.
 class Fabric {
  public:
   virtual ~Fabric();
@@ -149,9 +149,9 @@ class Fabric {
   [[nodiscard]] std::vector<int> leaves_of_shard(int shard) const;
 
   // --- explicit paths (the XPath substitute) ---------------------------
-  /// All usable (non-cut) paths from src_leaf to dst_leaf, in local-index
-  /// order. Empty for src_leaf == dst_leaf (intra-rack traffic needs no
-  /// fabric choice). A view into the fabric's one path table.
+  /// All usable (non-cut) paths from src_leaf to dst_leaf; a path's index
+  /// here is its name. Empty for src_leaf == dst_leaf (intra-rack traffic
+  /// needs no fabric choice). A view into the fabric's one path table.
   [[nodiscard]] std::span<const FabricPath> paths_between_leaves(int src_leaf,
                                                                  int dst_leaf) const {
     const auto pair = static_cast<std::size_t>(src_leaf) * static_cast<std::size_t>(num_leaves_) +
@@ -163,16 +163,14 @@ class Fabric {
                                                                 int dst_host) const {
     return paths_between_leaves(leaf_of(src_host), leaf_of(dst_host));
   }
-  [[nodiscard]] const FabricPath& path(int path_id) const {
-    return paths_[static_cast<std::size_t>(path_id)];
-  }
-  [[nodiscard]] int num_paths() const { return static_cast<int>(paths_.size()); }
 
-  /// Source route for a data packet from src to dst over fabric path
-  /// `path_id` (-1 for intra-rack). Entries are switch egress ports.
-  [[nodiscard]] virtual Route forward_route(int src_host, int dst_host, int path_id) const = 0;
+  /// Source route for a data packet from src to dst over the path with
+  /// index `path` in paths_between_hosts(src, dst); intra-rack routes
+  /// ignore it (callers pass -1). Entries are switch egress ports. Throws
+  /// std::out_of_range for an index the leaf pair does not have.
+  [[nodiscard]] virtual Route forward_route(int src_host, int dst_host, int path) const = 0;
   /// Route for the reverse direction (ACKs retrace the same path).
-  [[nodiscard]] virtual Route reverse_route(int src_host, int dst_host, int path_id) const = 0;
+  [[nodiscard]] virtual Route reverse_route(int src_host, int dst_host, int path) const = 0;
 
   // --- links (fault targets) ------------------------------------------
   /// Uplink `j` of switch `sw`, in wiring order; throws std::out_of_range
@@ -224,33 +222,19 @@ class Fabric {
     return *arenas_[static_cast<std::size_t>(shard)];
   }
 
-  /// Builders append every path to paths_ pair-major (ascending
-  /// src_leaf * L + dst_leaf), then call this to number the paths by
-  /// position and build the per-pair offsets (num_leaves_ must be set).
-  void index_paths() {
-    assert(std::is_sorted(paths_.begin(), paths_.end(),
-                          [](const FabricPath& a, const FabricPath& b) {
-                            return a.src_leaf != b.src_leaf ? a.src_leaf < b.src_leaf
-                                                            : a.dst_leaf < b.dst_leaf;
-                          }) &&
-           "paths must be appended pair-major");
-    const auto leaves = static_cast<std::size_t>(num_leaves_);
-    pair_begin_.assign(leaves * leaves + 1, 0);
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-      FabricPath& p = paths_[i];
-      p.id = static_cast<int>(i);
-      ++pair_begin_[static_cast<std::size_t>(p.src_leaf) * leaves +
-                    static_cast<std::size_t>(p.dst_leaf) + 1];
-    }
-    for (std::size_t i = 0; i < leaves * leaves; ++i) pair_begin_[i + 1] += pair_begin_[i];
-  }
+  /// Builders append each ordered leaf pair's paths to paths_, pairs in
+  /// ascending src_leaf * L + dst_leaf order (a src == dst pair has none),
+  /// and call this after each pair.
+  void end_pair() { pair_begin_.push_back(static_cast<std::uint32_t>(paths_.size())); }
+  /// Throws std::out_of_range unless 0 <= path < n, a leaf pair's path count.
+  static void check_path(int path, std::size_t n);
 
   int num_leaves_ = 0;
   int num_spines_ = 0;
   int hosts_per_leaf_ = 0;
   double bisection_bps_ = 0;
   int max_hops_ = 0;  ///< links one way on the longest host-to-host path
-  /// Every path once; a leaf pair's paths are one contiguous run.
+  /// Every leaf pair's paths, one contiguous run per pair.
   std::vector<FabricPath> paths_;
 
  private:
@@ -271,8 +255,8 @@ class Fabric {
   std::vector<int> switch_shard_;                  ///< parallel to switches_
   std::vector<FabricLink> links_;                  ///< sorted by lower switch
   /// paths_between_leaves(a, b) is paths_[pair_begin_[p], pair_begin_[p + 1])
-  /// with p = a * L + b; L * L + 1 entries.
-  std::vector<std::uint32_t> pair_begin_;
+  /// with p = a * L + b; starts as {0}, and end_pair() appends the rest.
+  std::vector<std::uint32_t> pair_begin_ = {0};
 };
 
 }  // namespace hermes::net

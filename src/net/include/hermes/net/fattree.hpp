@@ -87,8 +87,11 @@ class FatTree final : public Fabric {
   [[nodiscard]] std::uint64_t boundary_packets() const { return boundary_packets_; }
 
   // --- Fabric interface ------------------------------------------------
-  [[nodiscard]] Route forward_route(int src_host, int dst_host, int path_id) const override;
-  [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path_id) const override;
+  /// Index i of an intra-pod pair's paths turns at agg i; index i of an
+  /// inter-pod pair's crosses core i, through agg i / (k/2) and that agg's
+  /// uplink i % (k/2). Neither reads the path table.
+  [[nodiscard]] Route forward_route(int src_host, int dst_host, int path) const override;
+  [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path) const override;
 
  private:
   class Portal;
@@ -142,6 +145,11 @@ class FatTree final : public Fabric {
   [[nodiscard]] int shard_of_pod(int pod) const { return pod % num_shards(); }
   [[nodiscard]] int shard_of_core(int core) const { return core % num_shards(); }
   [[nodiscard]] int uplink_port(int a) const { return half_ + a; }
+  /// One path per agg within a pod, one per core between pods.
+  [[nodiscard]] int paths_per_pair(bool same_pod) const { return same_pod ? half_ : half_ * half_; }
+  /// Path `path` of (src_host, dst_host)'s leaf pair, ending at `to_host`:
+  /// dst_host forward, src_host in reverse.
+  [[nodiscard]] Route route(int src_host, int dst_host, int path, int to_host) const;
   [[nodiscard]] Outbox& outbox(int src_shard, int dst_shard) {
     return outboxes_[static_cast<std::size_t>(src_shard) *
                          static_cast<std::size_t>(num_shards()) +

@@ -46,8 +46,9 @@ struct Route {
 
 /// A network packet, passed by value through the simulated fabric.
 /// Fields mirror what a real implementation would encode in headers:
-/// ECN bits, the XPath-style explicit path id, timestamps for RTT echo,
-/// and CONGA's piggybacked congestion metadata.
+/// ECN bits, the XPath-style explicit path (which doubles as CONGA's
+/// lbtag), timestamps for RTT echo, and CONGA's piggybacked congestion
+/// metadata.
 struct Packet {
   std::uint64_t id = 0;       ///< globally unique packet id
   std::uint64_t flow_id = 0;  ///< owning flow (0 for probes)
@@ -66,7 +67,10 @@ struct Packet {
   bool ece = false;  ///< ECN echo (set by receiver on ACKs)
 
   // Explicit routing
-  std::int32_t path_id = -1;  ///< fabric path chosen by the load balancer
+  /// The fabric path the load balancer chose, as its index in its leaf
+  /// pair's path list (-1 intra-rack). ACKs and probe replies carry the
+  /// index of the data packet or probe they answer.
+  std::int32_t path_id = -1;
   std::uint8_t hop = 0;       ///< next index into route.ports
   Route route;
   std::int8_t priority = 0;  ///< 0 = best effort, 1 = high (ACKs/probes)
@@ -77,7 +81,6 @@ struct Packet {
   sim::SimTime ts_echo{};
 
   // CONGA piggybacked metadata (used only when the CONGA scheme runs).
-  std::uint8_t conga_lbtag = 0;    ///< uplink (path) id of this packet
   std::uint8_t conga_ce = 0;       ///< max quantized DRE along the path
   bool conga_fb_valid = false;     ///< reverse-direction feedback present
   std::uint8_t conga_fb_lbtag = 0;

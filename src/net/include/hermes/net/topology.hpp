@@ -42,8 +42,8 @@ class Topology : public Fabric {
 
   [[nodiscard]] const TopologyConfig& config() const { return config_; }
 
-  [[nodiscard]] Route forward_route(int src_host, int dst_host, int path_id) const override;
-  [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path_id) const override;
+  [[nodiscard]] Route forward_route(int src_host, int dst_host, int path) const override;
+  [[nodiscard]] Route reverse_route(int src_host, int dst_host, int path) const override;
 
   /// Fabric ports, for congestion-aware schemes that read switch state.
   [[nodiscard]] Port& leaf_uplink(int leaf_id, int spine, int k = 0);
@@ -51,6 +51,9 @@ class Topology : public Fabric {
 
  private:
   [[nodiscard]] double link_rate(int leaf_id, int spine, int k) const;
+  /// Path `path` of (src_host, dst_host)'s leaf pair, ending at `to_host`:
+  /// dst_host forward, src_host in reverse.
+  [[nodiscard]] Route route(int src_host, int dst_host, int path, int to_host) const;
   [[nodiscard]] int uplink_port_index(int spine, int k) const {
     return config_.hosts_per_leaf + spine * config_.links_per_pair + k;
   }

@@ -93,27 +93,23 @@ Topology::Topology(sim::Simulator& simulator, TopologyConfig config)
   // Enumerate usable paths per ordered leaf pair.
   for (int a = 0; a < L; ++a) {
     for (int b = 0; b < L; ++b) {
-      if (a == b) continue;
-      const std::size_t first = paths_.size();
-      for (int s = 0; s < S; ++s) {
-        for (int k = 0; k < M; ++k) {
-          const double up_rate = link_rate(a, s, k);
-          const double down_rate = link_rate(b, s, k);
-          if (up_rate <= 0 || down_rate <= 0) continue;  // cut link
-          FabricPath p;
-          p.src_leaf = a;
-          p.dst_leaf = b;
-          p.spine = s;
-          p.link_idx = k;
-          p.local_index = static_cast<int>(paths_.size() - first);
-          p.capacity_bps = std::min(up_rate, down_rate);
-          paths_.push_back(p);
+      if (a != b) {
+        const std::size_t first = paths_.size();
+        for (int s = 0; s < S; ++s) {
+          for (int k = 0; k < M; ++k) {
+            const double up_rate = link_rate(a, s, k);
+            const double down_rate = link_rate(b, s, k);
+            if (up_rate <= 0 || down_rate <= 0) continue;  // cut link
+            paths_.push_back({s, k, std::min(up_rate, down_rate)});
+          }
+        }
+        if (paths_.size() == first) {
+          throw std::invalid_argument("leaf pair disconnected by overrides");
         }
       }
-      if (paths_.size() == first) throw std::invalid_argument("leaf pair disconnected by overrides");
+      end_pair();
     }
   }
-  index_paths();
 
   bisection_bps_ = 0;
   for (int l = 0; l < L; ++l)
@@ -121,34 +117,26 @@ Topology::Topology(sim::Simulator& simulator, TopologyConfig config)
       for (int k = 0; k < M; ++k) bisection_bps_ += std::max(0.0, link_rate(l, s, k));
 }
 
-Route Topology::forward_route(int src_host, int dst_host, int path_id) const {
-  Route r;
-  const int src_leaf = leaf_of(src_host);
-  const int dst_leaf = leaf_of(dst_host);
-  if (src_leaf == dst_leaf) {
-    r.push(static_cast<std::uint8_t>(local_index(dst_host)));
-    return r;
-  }
-  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
-  assert(p.src_leaf == src_leaf && p.dst_leaf == dst_leaf);
-  r.push(static_cast<std::uint8_t>(uplink_port_index(p.spine, p.link_idx)));
-  r.push(static_cast<std::uint8_t>(downlink_port_index(dst_leaf, p.link_idx)));
-  r.push(static_cast<std::uint8_t>(local_index(dst_host)));
-  return r;
+Route Topology::forward_route(int src_host, int dst_host, int path) const {
+  return route(src_host, dst_host, path, dst_host);
 }
 
-Route Topology::reverse_route(int src_host, int dst_host, int path_id) const {
+Route Topology::reverse_route(int src_host, int dst_host, int path) const {
+  return route(src_host, dst_host, path, src_host);
+}
+
+Route Topology::route(int src_host, int dst_host, int path, int to_host) const {
   Route r;
   const int src_leaf = leaf_of(src_host);
   const int dst_leaf = leaf_of(dst_host);
-  if (src_leaf == dst_leaf) {
-    r.push(static_cast<std::uint8_t>(local_index(src_host)));
-    return r;
+  if (src_leaf != dst_leaf) {
+    const auto paths = paths_between_leaves(src_leaf, dst_leaf);
+    check_path(path, paths.size());
+    const FabricPath& p = paths[static_cast<std::size_t>(path)];
+    r.push(static_cast<std::uint8_t>(uplink_port_index(p.spine, p.link_idx)));
+    r.push(static_cast<std::uint8_t>(downlink_port_index(leaf_of(to_host), p.link_idx)));
   }
-  const FabricPath& p = paths_.at(static_cast<std::size_t>(path_id));
-  r.push(static_cast<std::uint8_t>(uplink_port_index(p.spine, p.link_idx)));
-  r.push(static_cast<std::uint8_t>(downlink_port_index(src_leaf, p.link_idx)));
-  r.push(static_cast<std::uint8_t>(local_index(src_host)));
+  r.push(static_cast<std::uint8_t>(local_index(to_host)));
   return r;
 }
 

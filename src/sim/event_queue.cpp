@@ -308,10 +308,13 @@ void EventQueue::purge_cancelled() {
       overflow_.end());
 }
 
-// HERMES_HOT: the event dispatch loop body.
-bool EventQueue::run_one() {
-  for (;;) {
-    if (!peek_due()) return false;
+// HERMES_HOT: the event dispatch loop (the bench inner loop).
+void EventQueue::dispatch(SimTime last) {
+  stopped_ = false;
+  while (!stopped_) {
+    if (!peek_due()) break;
+    // due_ front is the global minimum, so one comparison bounds the run.
+    if (due_[due_head_].time > last) break;
     Event ev = std::move(due_[due_head_++]);
     if (ev.slot != kNoSlot && !consume_slot(ev)) continue;  // cancelled, reclaim silently
     assert(live_ > 0);
@@ -319,41 +322,16 @@ bool EventQueue::run_one() {
     now_ = ev.time;
     ++processed_;
     ev.cb();
-    return true;
   }
 }
 
-// HERMES_HOT: bounded-run dispatch loop (the bench inner loop).
 void EventQueue::run_until(SimTime t) {
-  stopped_ = false;
-  while (!stopped_) {
-    if (!peek_due()) break;
-    // due_ front is the global minimum, so one comparison bounds the run.
-    if (due_[due_head_].time > t) break;
-    Event ev = std::move(due_[due_head_++]);
-    if (ev.slot != kNoSlot && !consume_slot(ev)) continue;
-    assert(live_ > 0);
-    --live_;
-    now_ = ev.time;
-    ++processed_;
-    ev.cb();
-  }
+  dispatch(t);
   if (!stopped_ && now_ < t) now_ = t;
 }
 
 void EventQueue::run_until_before(SimTime h) {
-  stopped_ = false;
-  while (!stopped_) {
-    if (!peek_due()) break;
-    if (due_[due_head_].time >= h) break;
-    Event ev = std::move(due_[due_head_++]);
-    if (ev.slot != kNoSlot && !consume_slot(ev)) continue;
-    assert(live_ > 0);
-    --live_;
-    now_ = ev.time;
-    ++processed_;
-    ev.cb();
-  }
+  dispatch(h - SimTime::nanoseconds(1));
   if (!stopped_ && now_ < h) now_ = h;
 }
 
@@ -362,10 +340,6 @@ SimTime EventQueue::next_event_time() {
   return due_[due_head_].time;
 }
 
-void EventQueue::run() {
-  stopped_ = false;
-  while (!stopped_ && run_one()) {
-  }
-}
+void EventQueue::run() { dispatch(SimTime::max()); }
 
 }  // namespace hermes::sim

@@ -118,8 +118,6 @@ class EventQueue {
   /// as the wheel reaches them); call it to release their memory early.
   void purge_cancelled();
 
-  /// Run the next pending event. Returns false if none remain.
-  bool run_one();
   /// Run all events with time <= t, then advance the clock to t.
   void run_until(SimTime t);
   /// Run all events with time strictly < h, then advance the clock to h.
@@ -217,6 +215,9 @@ class EventQueue {
   void drain_to_due(Bucket& bucket);
   /// Ensure due_ holds the globally next events; false if storage empty.
   bool peek_due();
+  /// The one dispatch loop: fire events in (time, seq) order while the
+  /// next is at or before `last`, until stop() or the queue drains.
+  void dispatch(SimTime last);
   [[nodiscard]] bool consume_slot(const Event& ev);
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
   [[nodiscard]] bool slot_pending(std::uint32_t slot, std::uint32_t gen) const {

@@ -67,7 +67,6 @@ class UdpSource {
     ctx_.rate_dre.add(p.size, simulator_.now().ns());
     p.path_id = path;
     p.route = topo_.forward_route(src_, dst_, path);
-    if (path >= 0) p.conga_lbtag = static_cast<std::uint8_t>(topo_.path(path).local_index);
     send_(std::move(p));
     ++packets_sent_;
 

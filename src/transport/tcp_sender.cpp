@@ -83,7 +83,6 @@ void TcpSender::transmit_segment(std::uint64_t seq, std::uint32_t len) {
   }
   p.path_id = path;
   p.route = topo_.forward_route(spec_.src, spec_.dst, path);
-  if (path >= 0) p.conga_lbtag = static_cast<std::uint8_t>(topo_.path(path).local_index);
 
   ctx_.has_sent = true;
   ctx_.last_send = now;

@@ -129,7 +129,7 @@ TEST_P(GateSweep, SentSizeGateIsStrict) {
   f.dst = 2;
   f.src_leaf = 0;
   f.dst_leaf = 1;
-  f.current_path = topo.paths_between_leaves(0, 1)[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = GetParam();
 

@@ -66,7 +66,7 @@ TEST(Wcmp, SplitsProportionallyToCapacity) {
     f.dst = 2;
     f.src_leaf = 0;
     f.dst_leaf = 1;
-    ++counts[topo.path(lb.select_path(f, net::Packet{})).local_index];
+    ++counts[lb.select_path(f, net::Packet{})];
   }
   EXPECT_NEAR(counts[0] / static_cast<double>(n), 2.0 / 12.0, 0.01);
   EXPECT_NEAR(counts[1] / static_cast<double>(n), 10.0 / 12.0, 0.01);

@@ -593,14 +593,15 @@ TEST(InvariantChecker, WalksTheFatTreeMiddleTier) {
 
   const int src = ft.first_host_of_leaf(2);  // pod 1
   const int dst = 0;                         // under leaf 0
-  for (const net::FabricPath& path : ft.paths_between_hosts(src, dst)) {
+  const int num_paths = static_cast<int>(ft.paths_between_hosts(src, dst).size());
+  for (int path = 0; path < num_paths; ++path) {
     net::Packet p;
-    p.id = static_cast<std::uint64_t>(path.id);
+    p.id = static_cast<std::uint64_t>(path);
     p.src = src;
     p.dst = dst;
     p.size = 1500;
-    p.path_id = path.id;
-    p.route = ft.forward_route(src, dst, path.id);
+    p.path_id = path;
+    p.route = ft.forward_route(src, dst, path);
     ft.host(src).send(std::move(p));
   }
   simulator.run();

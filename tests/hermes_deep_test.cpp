@@ -93,19 +93,19 @@ TEST(RerouteCooldown, SecondRerouteWaitsForGap) {
   f.dst = 2;
   f.src_leaf = 0;
   f.dst_leaf = 1;
-  f.current_path = topo.paths_between_leaves(0, 1)[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = cfg.sent_threshold_bytes + 1;
 
   net::Packet pkt;
   pkt.size = 1500;
   const int first = h.select_path(f, pkt);
-  EXPECT_NE(topo.path(first).local_index, 0);  // rerouted off path 0
+  EXPECT_NE(first, 0);  // rerouted off path 0
   f.current_path = first;
 
   // Make the flow's new path look congested too; it may not move again
   // until the cooldown elapses.
-  congest(topo.path(first).local_index);
+  congest(first);
   EXPECT_EQ(h.select_path(f, pkt), first);  // cooldown active
   simulator.run_until(msec(3));
   EXPECT_NE(h.select_path(f, pkt), first);  // cooldown over: moves again
@@ -125,7 +125,7 @@ TEST(RerouteCooldown, FailureEscapeIgnoresCooldown) {
   f.dst = 2;
   f.src_leaf = 0;
   f.dst_leaf = 1;
-  f.current_path = topo.paths_between_leaves(0, 1)[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.last_reroute = simulator.now();
   f.has_rerouted = true;
@@ -134,7 +134,7 @@ TEST(RerouteCooldown, FailureEscapeIgnoresCooldown) {
   h.path_state(0, 1, 0).fail(simulator.now().ns());
   net::Packet pkt;
   pkt.size = 1500;
-  EXPECT_NE(topo.path(h.select_path(f, pkt)).local_index, 0);
+  EXPECT_NE(h.select_path(f, pkt), 0);
 }
 
 TEST(ProberMemory, BestPathTracksLowestRtt) {

@@ -36,8 +36,7 @@ FlowCtx make_flow(const net::Topology& topo, std::uint64_t id, int src, int dst)
   return f;
 }
 
-net::Packet data_packet(int src, int dst, int path_id, std::uint8_t lbtag,
-                        std::uint8_t metric) {
+net::Packet data_packet(int src, int dst, int path_id, std::uint8_t metric) {
   net::Packet p;
   p.type = net::PacketType::kData;
   p.src = src;
@@ -45,7 +44,6 @@ net::Packet data_packet(int src, int dst, int path_id, std::uint8_t lbtag,
   p.payload = 1460;
   p.size = 1500;
   p.path_id = path_id;
-  p.conga_lbtag = lbtag;
   p.conga_ce = metric;
   return p;
 }
@@ -58,7 +56,7 @@ TEST(Conga, FeedbackLoopPropagatesRemoteMetric) {
   // A data packet from host0 to host2 on path 0 arrives stamped with
   // congestion 5; the destination leaf stores it and piggybacks it on the
   // ACK; the source leaf learns it.
-  auto data = data_packet(0, 2, topo.paths_between_leaves(0, 1)[0].id, 0, 5);
+  auto data = data_packet(0, 2, 0, 5);
   lb.on_data_arrival(data);
   net::Packet ack;
   ack.type = net::PacketType::kAck;
@@ -79,7 +77,7 @@ TEST(Conga, SelectsLeastCongestedPathForNewFlowlet) {
   CongaLb lb{simulator, topo, {}};
 
   // Mark path 0 congested via feedback; a fresh flow must pick path 1.
-  auto data = data_packet(0, 2, topo.paths_between_leaves(0, 1)[0].id, 0, 7);
+  auto data = data_packet(0, 2, 0, 7);
   lb.on_data_arrival(data);
   net::Packet ack;
   lb.decorate_ack(data, ack);
@@ -88,8 +86,8 @@ TEST(Conga, SelectsLeastCongestedPathForNewFlowlet) {
 
   for (std::uint64_t id = 10; id < 20; ++id) {
     auto f = make_flow(topo, id, 0, 2);
-    const int chosen = lb.select_path(f, data_packet(0, 2, -1, 0, 0));
-    EXPECT_EQ(topo.path(chosen).local_index, 1);
+    const int chosen = lb.select_path(f, data_packet(0, 2, -1, 0));
+    EXPECT_EQ(chosen, 1);
   }
 }
 
@@ -98,7 +96,7 @@ TEST(Conga, MetricAgesToZero) {
   net::Topology topo{simulator, topo2x2()};
   CongaLb lb{simulator, topo, {.flowlet_timeout = usec(150), .metric_aging = msec(10)}};
 
-  auto data = data_packet(0, 2, topo.paths_between_leaves(0, 1)[0].id, 0, 7);
+  auto data = data_packet(0, 2, 0, 7);
   lb.on_data_arrival(data);
   net::Packet ack;
   lb.decorate_ack(data, ack);
@@ -116,13 +114,13 @@ TEST(Conga, FlowletStickinessWithinTimeout) {
   net::Topology topo{simulator, topo2x2()};
   CongaLb lb{simulator, topo, {.flowlet_timeout = usec(150), .metric_aging = msec(10)}};
   auto f = make_flow(topo, 3, 0, 2);
-  const int first = lb.select_path(f, data_packet(0, 2, -1, 0, 0));
+  const int first = lb.select_path(f, data_packet(0, 2, -1, 0));
   f.current_path = first;
   f.has_sent = true;
   f.last_send = simulator.now();
   for (int i = 0; i < 10; ++i) {
     simulator.run_until(simulator.now() + usec(50));
-    EXPECT_EQ(lb.select_path(f, data_packet(0, 2, -1, 0, 0)), first);
+    EXPECT_EQ(lb.select_path(f, data_packet(0, 2, -1, 0)), first);
     f.last_send = simulator.now();
   }
 }
@@ -131,11 +129,10 @@ TEST(Conga, FeedbackCyclesOverPaths) {
   sim::Simulator simulator{1};
   net::Topology topo{simulator, topo2x2()};
   CongaLb lb{simulator, topo, {}};
-  const auto& paths = topo.paths_between_leaves(0, 1);
-  lb.on_data_arrival(data_packet(0, 2, paths[0].id, 0, 3));
-  lb.on_data_arrival(data_packet(0, 2, paths[1].id, 1, 4));
+  lb.on_data_arrival(data_packet(0, 2, 0, 3));
+  lb.on_data_arrival(data_packet(0, 2, 1, 4));
   net::Packet a1, a2;
-  auto d = data_packet(0, 2, paths[0].id, 0, 3);
+  auto d = data_packet(0, 2, 0, 3);
   lb.decorate_ack(d, a1);
   lb.decorate_ack(d, a2);
   ASSERT_TRUE(a1.conga_fb_valid && a2.conga_fb_valid);
@@ -155,14 +152,13 @@ TEST(Clove, EcnMarkShiftsWeightAway) {
   sim::Simulator simulator{1};
   net::Topology topo{simulator, topo2x2()};
   CloveLb lb{simulator, topo, {}};
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
 
   net::Packet ack;
   ack.type = net::PacketType::kAck;
   ack.ece = true;
-  ack.path_id = paths[0].id;
+  ack.path_id = 0;
   lb.on_ack(f, ack);
 
   auto w = lb.weights(0, 1);
@@ -175,11 +171,10 @@ TEST(Clove, MarkRateLimited) {
   sim::Simulator simulator{1};
   net::Topology topo{simulator, topo2x2()};
   CloveLb lb{simulator, topo, {.mark_min_gap = usec(100)}};
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
   net::Packet ack;
   ack.ece = true;
-  ack.path_id = paths[0].id;
+  ack.path_id = 0;
   lb.on_ack(f, ack);
   const auto w1 = lb.weights(0, 1);
   lb.on_ack(f, ack);  // same instant: must be ignored
@@ -193,11 +188,10 @@ TEST(Clove, WeightNeverCollapsesToZero) {
   sim::Simulator simulator{1};
   net::Topology topo{simulator, topo2x2()};
   CloveLb lb{simulator, topo, {.mark_min_gap = usec(0)}};
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
   net::Packet ack;
   ack.ece = true;
-  ack.path_id = paths[0].id;
+  ack.path_id = 0;
   for (int i = 0; i < 1000; ++i) {
     simulator.run_until(simulator.now() + usec(1));
     lb.on_ack(f, ack);
@@ -209,12 +203,11 @@ TEST(Clove, SelectionFollowsWeights) {
   sim::Simulator simulator{1};
   net::Topology topo{simulator, topo2x2()};
   CloveLb lb{simulator, topo, {.flowlet_timeout = usec(0), .mark_min_gap = usec(0)}};
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
   // Push weight heavily off path 0.
   net::Packet ack;
   ack.ece = true;
-  ack.path_id = paths[0].id;
+  ack.path_id = 0;
   for (int i = 0; i < 30; ++i) {
     simulator.run_until(simulator.now() + usec(1));
     lb.on_ack(f, ack);
@@ -223,7 +216,7 @@ TEST(Clove, SelectionFollowsWeights) {
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     auto g = make_flow(topo, 100 + static_cast<std::uint64_t>(i), 0, 2);
-    if (topo.path(lb.select_path(g, net::Packet{})).local_index == 0) ++on_path0;
+    if (lb.select_path(g, net::Packet{}) == 0) ++on_path0;
   }
   EXPECT_LT(on_path0, n / 4);  // strongly biased away from the marked path
 }

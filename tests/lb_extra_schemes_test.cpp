@@ -2,6 +2,7 @@
 // flow-level rehashing on congestion) and DRILL (switch-local
 // power-of-d-choices per packet).
 
+#include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
 
@@ -129,7 +130,7 @@ TEST(Drill, PicksEmptierUplink) {
   auto f = make_flow(topo, 1, 0, 2);
   for (int i = 0; i < 20; ++i) {
     const int chosen = lb.select_path(f, net::Packet{});
-    EXPECT_NE(topo.path(chosen).spine, 2);
+    EXPECT_NE(topo.paths_between_leaves(0, 1)[static_cast<std::size_t>(chosen)].spine, 2);
   }
 }
 

@@ -89,7 +89,7 @@ TEST_F(HermesLbTest, NewFlowPrefersGoodPathWithLeastRate) {
 
   auto f = make_flow(topo, 1, 0, 2);
   const int chosen = h.select_path(f, data_packet());
-  EXPECT_EQ(topo.path(chosen).local_index, 0);  // good and least-loaded
+  EXPECT_EQ(chosen, 0);  // good and least-loaded
 }
 
 TEST_F(HermesLbTest, NewFlowFallsBackToGrayThenRandom) {
@@ -97,7 +97,7 @@ TEST_F(HermesLbTest, NewFlowFallsBackToGrayThenRandom) {
   set_state(h, 0, 1, 0, topo.base_rtt() + usec(400), 0.9);
   auto f = make_flow(topo, 1, 0, 2);
   const int chosen = h.select_path(f, data_packet());
-  EXPECT_NE(topo.path(chosen).local_index, 0);  // any gray path, not congested
+  EXPECT_NE(chosen, 0);  // any gray path, not congested
 }
 
 TEST_F(HermesLbTest, StaysOnPathWhenNotCongested) {
@@ -112,65 +112,60 @@ TEST_F(HermesLbTest, StaysOnPathWhenNotCongested) {
 }
 
 TEST_F(HermesLbTest, ReroutesOffCongestedPathWhenGatesPass) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);  // congested
   set_state(h, 0, 1, 2, usec(30), 0.0);                    // notably better good
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = cfg.sent_threshold_bytes + 1;  // S gate passes
   // r_f ~ 0 (no rate recorded): R gate passes.
   const int chosen = h.select_path(f, data_packet());
-  EXPECT_EQ(topo.path(chosen).local_index, 2);
+  EXPECT_EQ(chosen, 2);
 }
 
 TEST_F(HermesLbTest, SentSizeGateBlocksSmallFlows) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);
   set_state(h, 0, 1, 2, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = cfg.sent_threshold_bytes - 1;  // S gate fails
-  EXPECT_EQ(h.select_path(f, data_packet()), paths[0].id);
+  EXPECT_EQ(h.select_path(f, data_packet()), 0);
 }
 
 TEST_F(HermesLbTest, HighRateGateBlocksFastFlows) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.9);
   set_state(h, 0, 1, 2, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = cfg.sent_threshold_bytes + 1;
   // Drive r_f above R = 30% of 10G.
   for (int i = 0; i < 2000; ++i) f.rate_dre.add(1500, simulator.now().ns());
   EXPECT_GT(f.rate_bps(simulator.now()), cfg.rate_threshold_frac * 10e9);
-  EXPECT_EQ(h.select_path(f, data_packet()), paths[0].id);
+  EXPECT_EQ(h.select_path(f, data_packet()), 0);
 }
 
 TEST_F(HermesLbTest, NotablyBetterRequiresBothMargins) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   // Current path congested. Candidate has much lower RTT but its ECN
   // fraction is only slightly lower: not notably better per Algorithm 2.
   set_state(h, 0, 1, 0, cfg.t_rtt_high + usec(100), 0.45);
   set_state(h, 0, 1, 1, usec(30), 0.42);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = cfg.sent_threshold_bytes + 1;
-  EXPECT_EQ(h.select_path(f, data_packet()), paths[0].id);
+  EXPECT_EQ(h.select_path(f, data_packet()), 0);
 }
 
 TEST_F(HermesLbTest, TimeoutForcesFreshSelection) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   set_state(h, 0, 1, 2, usec(30), 0.0);  // a good escape path
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.timeout_pending = true;
   const int chosen = h.select_path(f, data_packet());
-  EXPECT_EQ(topo.path(chosen).local_index, 2);
+  EXPECT_EQ(chosen, 2);
   EXPECT_FALSE(f.timeout_pending);  // consumed
 }
 
@@ -178,20 +173,18 @@ TEST_F(HermesLbTest, ReroutingDisabledStaysOnCongestedPath) {
   auto cfg2 = cfg;
   cfg2.rerouting_enabled = false;
   HermesLb h2{simulator, topo, cfg2};
-  const auto& paths = topo.paths_between_leaves(0, 1);
   set_state(h2, 0, 1, 0, cfg2.t_rtt_high + usec(100), 0.9);
   set_state(h2, 0, 1, 2, usec(30), 0.0);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[0].id;
+  f.current_path = 0;
   f.has_sent = true;
   f.bytes_sent = cfg2.sent_threshold_bytes + 1;
-  EXPECT_EQ(h2.select_path(f, data_packet()), paths[0].id);
+  EXPECT_EQ(h2.select_path(f, data_packet()), 0);
 }
 
 TEST_F(HermesLbTest, BlackholeDetectedAfterThreeTimeoutsWithoutAcks) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[1].id;
+  f.current_path = 1;
   f.has_sent = true;
   // The per-(pair, path) count accrues across timeout events (possibly
   // from different flows of the pair revisiting the path).
@@ -206,22 +199,21 @@ TEST_F(HermesLbTest, BlackholeDetectedAfterThreeTimeoutsWithoutAcks) {
   // The failed path is avoided on the next selection.
   f.timeout_pending = true;
   const int chosen = h.select_path(f, data_packet());
-  EXPECT_NE(topo.path(chosen).local_index, 1);
+  EXPECT_NE(chosen, 1);
 }
 
 TEST_F(HermesLbTest, MidFlowOnsetDetectedDespiteEarlierProgress) {
   // A blackhole that onsets while a flow is mid-transfer: the flow made
   // plenty of progress on the path, then hits consecutive timeouts with
   // no ACK in between. Earlier progress must not veto detection.
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[1].id;
+  f.current_path = 1;
   f.has_sent = true;
   // Progress on this path, pre-onset: an ACK after a stray timeout.
   h.on_timeout(f);
   net::Packet ack;
   ack.type = net::PacketType::kAck;
-  ack.path_id = paths[1].id;
+  ack.path_id = 1;
   ack.ts_echo = sim::SimTime::zero();
   h.on_ack(f, ack);
   for (std::uint32_t i = 0; i < engine::kBlackholeTimeouts; ++i) h.on_timeout(f);
@@ -229,16 +221,15 @@ TEST_F(HermesLbTest, MidFlowOnsetDetectedDespiteEarlierProgress) {
 }
 
 TEST_F(HermesLbTest, AckBetweenTimeoutsResetsBlackholeCount) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
-  f.current_path = paths[1].id;
+  f.current_path = 1;
   f.has_sent = true;
   h.on_timeout(f);
   h.on_timeout(f);
   // An ACK for this (pair, path) proves it is not a blackhole.
   net::Packet ack;
   ack.type = net::PacketType::kAck;
-  ack.path_id = paths[1].id;
+  ack.path_id = 1;
   ack.ts_echo = sim::SimTime::zero();
   h.on_ack(f, ack);
   h.on_timeout(f);
@@ -249,7 +240,7 @@ TEST_F(HermesLbTest, AllPathsBlackholedStillTransmits) {
   auto f = make_flow(topo, 1, 0, 2);
   const auto& paths = topo.paths_between_leaves(0, 1);
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    f.current_path = paths[i].id;
+    f.current_path = static_cast<int>(i);
     f.has_sent = true;
       for (std::uint32_t k = 0; k < engine::kBlackholeTimeouts; ++k) h.on_timeout(f);
   }
@@ -259,11 +250,10 @@ TEST_F(HermesLbTest, AllPathsBlackholedStillTransmits) {
 }
 
 TEST_F(HermesLbTest, RetransmitAccountingFeedsPathState) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
   for (int i = 0; i < 100; ++i)
     h.path_state(0, 1, 0).add_send(1500, simulator.now().ns(), ecfg);
-  h.on_retransmit(f, paths[0].id);
+  h.on_retransmit(f, 0);
   // Roll the epoch and confirm the fraction reflects 1/100.
   auto& st = h.path_state(0, 1, 0);
   st.roll_epoch(simulator.now().ns() + engine::kRetxEpoch + usec(1).ns(), ecfg);
@@ -271,11 +261,10 @@ TEST_F(HermesLbTest, RetransmitAccountingFeedsPathState) {
 }
 
 TEST_F(HermesLbTest, AckSampleUpdatesPathState) {
-  const auto& paths = topo.paths_between_leaves(0, 1);
   auto f = make_flow(topo, 1, 0, 2);
   net::Packet ack;
   ack.type = net::PacketType::kAck;
-  ack.path_id = paths[2].id;
+  ack.path_id = 2;
   ack.ece = true;
   ack.ts_echo = usec(1);
   simulator.run_until(usec(101));

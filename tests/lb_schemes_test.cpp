@@ -135,9 +135,9 @@ TEST(Spray, WeightsFollowCapacityRatio) {
   std::map<int, int> counts;
   for (int i = 0; i < 16 * 100; ++i) ++counts[lb.select_path(f, data_packet())];
   const auto& paths = topo.paths_between_leaves(0, 1);
-  for (const auto& p : paths) {
-    const double frac = counts[p.id] / 1600.0;
-    if (p.spine == 0) {
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const double frac = counts[static_cast<int>(i)] / 1600.0;
+    if (paths[i].spine == 0) {
       EXPECT_NEAR(frac, 1.0 / 16.0, 0.01);
     } else {
       EXPECT_NEAR(frac, 5.0 / 16.0, 0.01);

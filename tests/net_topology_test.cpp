@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hermes/net/fattree.hpp"
 #include "hermes/net/topology.hpp"
 #include "hermes/sim/simulator.hpp"
@@ -48,10 +50,8 @@ TEST(TopologyTest, PathEnumerationPerPair) {
   const auto& paths = topo.paths_between_leaves(0, 1);
   ASSERT_EQ(paths.size(), 3u);  // one per spine
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    EXPECT_EQ(paths[i].src_leaf, 0);
-    EXPECT_EQ(paths[i].dst_leaf, 1);
     EXPECT_EQ(paths[i].spine, static_cast<int>(i));
-    EXPECT_EQ(paths[i].local_index, static_cast<int>(i));
+    EXPECT_EQ(paths[i].link_idx, 0);
     EXPECT_DOUBLE_EQ(paths[i].capacity_bps, 10e9);
   }
 }
@@ -60,14 +60,6 @@ TEST(TopologyTest, IntraLeafHasNoFabricPaths) {
   sim::Simulator simulator{1};
   Topology topo{simulator, small_config()};
   EXPECT_TRUE(topo.paths_between_leaves(2, 2).empty());
-}
-
-TEST(TopologyTest, PathIdsAreGloballyUniqueAndDense) {
-  sim::Simulator simulator{1};
-  Topology topo{simulator, small_config()};
-  // 4*3 ordered pairs x 3 spines.
-  EXPECT_EQ(topo.num_paths(), 4 * 3 * 3);
-  for (int i = 0; i < topo.num_paths(); ++i) EXPECT_EQ(topo.path(i).id, i);
 }
 
 TEST(TopologyTest, ParallelLinksMultiplyPaths) {
@@ -98,10 +90,24 @@ TEST(TopologyTest, CutLinkRemovesPaths) {
   EXPECT_EQ(topo.paths_between_leaves(0, 1).size(), 2u);
   EXPECT_EQ(topo.paths_between_leaves(1, 0).size(), 2u);
   EXPECT_EQ(topo.paths_between_leaves(1, 2).size(), 3u);  // unaffected pair
-  // local_index stays dense after the cut.
+  // Indices stay dense after the cut: index 1 is now spine 2.
   const auto& p01 = topo.paths_between_leaves(0, 1);
-  EXPECT_EQ(p01[0].local_index, 0);
-  EXPECT_EQ(p01[1].local_index, 1);
+  EXPECT_EQ(p01[0].spine, 0);
+  EXPECT_EQ(p01[1].spine, 2);
+}
+
+TEST(TopologyTest, RouteRejectsAnIndexThePairLacks) {
+  auto c = small_config();
+  c.fabric_overrides[{0, 1, 0}] = 0;  // leaf 0's pairs keep 2 of 3 paths
+  sim::Simulator simulator{1};
+  Topology topo{simulator, c};
+  // host 0 (leaf 0) -> host 2 (leaf 1): indices 0 and 1 only.
+  EXPECT_EQ(topo.forward_route(0, 2, 1).ports[0], 2 + 2);  // uplink to spine 2
+  EXPECT_THROW((void)topo.forward_route(0, 2, 2), std::out_of_range);
+  EXPECT_THROW((void)topo.reverse_route(0, 2, 2), std::out_of_range);
+  EXPECT_THROW((void)topo.forward_route(0, 2, -1), std::out_of_range);
+  // host 2 (leaf 1) -> host 4 (leaf 2) keeps all three.
+  EXPECT_EQ(topo.forward_route(2, 4, 2).len, 3);
 }
 
 TEST(TopologyTest, DisconnectedPairThrows) {
@@ -124,8 +130,7 @@ TEST(TopologyTest, ForwardRouteInterRack) {
   sim::Simulator simulator{1};
   Topology topo{simulator, small_config()};
   // host 0 (leaf0) -> host 7 (leaf3) via spine 1 (path local index 1).
-  const auto& paths = topo.paths_between_leaves(0, 3);
-  const Route r = topo.forward_route(0, 7, paths[1].id);
+  const Route r = topo.forward_route(0, 7, 1);
   ASSERT_EQ(r.len, 3);
   EXPECT_EQ(r.ports[0], 2 + 1);  // leaf0 uplink to spine1
   EXPECT_EQ(r.ports[1], 3);      // spine1 downlink to leaf3
@@ -135,8 +140,7 @@ TEST(TopologyTest, ForwardRouteInterRack) {
 TEST(TopologyTest, ReverseRouteMirrorsForward) {
   sim::Simulator simulator{1};
   Topology topo{simulator, small_config()};
-  const auto& paths = topo.paths_between_leaves(0, 3);
-  const Route r = topo.reverse_route(0, 7, paths[1].id);
+  const Route r = topo.reverse_route(0, 7, 1);
   ASSERT_EQ(r.len, 3);
   EXPECT_EQ(r.ports[0], 2 + 1);  // leaf3 uplink to spine1
   EXPECT_EQ(r.ports[1], 0);      // spine1 downlink to leaf0

@@ -137,8 +137,7 @@ TEST(FatTree, ShapeAndPathsK4) {
   EXPECT_TRUE(ft.paths_between_leaves(3, 3).empty());
 
   // Inter-pod forward route: 5 hops ending at the destination host port.
-  const auto& paths = ft.paths_between_leaves(0, 2);
-  const net::Route r = ft.forward_route(0, ft.first_host_of_leaf(2) + 1, paths[0].id);
+  const net::Route r = ft.forward_route(0, ft.first_host_of_leaf(2) + 1, 0);
   EXPECT_EQ(r.len, 5);
 
   // Same-leaf: one hop straight down.

@@ -223,7 +223,7 @@ TEST(ReorderHold, AckDeferredExactlyHoldTime) {
   ooo.dst = 1;
   ooo.seq = 1460;  // hole at [0, 1460)
   ooo.payload = 1460;
-  ooo.path_id = topo.paths_between_leaves(0, 1)[0].id;
+  ooo.path_id = 0;
   recv.on_data(ooo);
   EXPECT_TRUE(acks.empty());  // held, no immediate dupACK
 
@@ -255,7 +255,7 @@ TEST(ReorderHold, GapFilledWithinHoldProducesCumulativeAck) {
   ooo.payload = 1460;
   ooo.src = 0;
   ooo.dst = 1;
-  ooo.path_id = topo.paths_between_leaves(0, 1)[0].id;
+  ooo.path_id = 0;
   recv.on_data(ooo);
 
   simulator.run_until(usec(100));
