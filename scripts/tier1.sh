@@ -37,7 +37,12 @@
 #      hermes::engine) replays both shipped traces end-to-end — the
 #      fig17 blackhole trace additionally paced at 10x wall-clock —
 #      with every `expect` assertion holding.
-#   8. TSan build (HERMES_SANITIZE=thread) running the thread-pool,
+#   8. Benchmark smoke: hermes_e2e/run.py --smoke builds the repo
+#      benchmark (hermes_e2e/, its own CMake package over src/) in
+#      build-bench and runs every workload at toy size with all of its
+#      checks, so a src/ change that breaks the benchmark fails here
+#      rather than only in a benchmark run.
+#   9. TSan build (HERMES_SANITIZE=thread) running the thread-pool,
 #      determinism, sharded-executor (ECMP, Hermes probing, and per-shard
 #      recorders with a merged trace), and engine conformance/determinism
 #      tests — every threaded path must be race-free. Skip with
@@ -49,54 +54,57 @@ cd "$(dirname "$0")/.."
 
 JOBS="${HERMES_TIER1_JOBS:-$(nproc)}"
 
-echo "== [1/8] build (-Werror) + ctest (RelWithDebInfo) =="
+echo "== [1/9] build (-Werror) + ctest (RelWithDebInfo) =="
 cmake -B build -S . -DHERMES_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-echo "== [2/8] hermeslint (SARIF) =="
+echo "== [2/9] hermeslint (SARIF) =="
 ./build/tools/hermeslint/hermeslint --root=. --sarif=build/hermeslint.sarif \
   src bench tests examples tools
 
 if [[ "${HERMES_TIER1_TIDY:-1}" != "1" ]]; then
-  echo "== [3/8] clang-tidy gated subset skipped (HERMES_TIER1_TIDY=0) =="
+  echo "== [3/9] clang-tidy gated subset skipped (HERMES_TIER1_TIDY=0) =="
 elif ! command -v clang-tidy >/dev/null 2>&1; then
-  echo "== [3/8] clang-tidy gated subset skipped (binary not installed) =="
+  echo "== [3/9] clang-tidy gated subset skipped (binary not installed) =="
 else
-  echo "== [3/8] clang-tidy gated subset (WarningsAsErrors from .clang-tidy) =="
+  echo "== [3/9] clang-tidy gated subset (WarningsAsErrors from .clang-tidy) =="
   git ls-files 'src/**/*.cpp' | xargs -P "$JOBS" -n 4 clang-tidy -p build --quiet
 fi
 
-echo "== [4/8] Release build + bench_core_micro --smoke =="
+echo "== [4/9] Release build + bench_core_micro --smoke =="
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-rel -j "$JOBS" --target bench_core_micro
 (cd build-rel && ./bench/bench_core_micro --smoke --json=BENCH_core_smoke.json)
 python3 scripts/check_bench_regress.py BENCH_core.json build-rel/BENCH_core_smoke.json
 
-echo "== [5/8] sharded smoke (k=4 fat-tree, 1 vs 2 threads) =="
+echo "== [5/9] sharded smoke (k=4 fat-tree, 1 vs 2 threads) =="
 cmake --build build-rel -j "$JOBS" --target bench_ext_fattree_scale
 (cd build-rel && ./bench/bench_ext_fattree_scale --smoke --json=BENCH_fattree_smoke.json)
 python3 scripts/check_bench_regress.py BENCH_core.json build-rel/BENCH_fattree_smoke.json
 
-echo "== [6/8] fuzz smoke (25 seeds + 5 sharded) =="
+echo "== [6/9] fuzz smoke (25 seeds + 5 sharded) =="
 FUZZ_OUT="$(mktemp -d)"
 ./build/tools/hermesfuzz/hermesfuzz --seeds=25 --out="$FUZZ_OUT"
 rm -rf "$FUZZ_OUT"
 ./build/tools/hermesfuzz/hermesfuzz --sharded --seeds=5
 
-echo "== [7/8] hermesd trace replay smoke =="
+echo "== [7/9] hermesd trace replay smoke =="
 ./build/tools/hermesd/hermesd tools/hermesd/traces/smoke.trace --speed=0
 ./build/tools/hermesd/hermesd tools/hermesd/traces/fig17_blackhole.trace --speed=10 \
   --json=build/hermesd_fig17.json
 
+echo "== [8/9] benchmark build + smoke (hermes_e2e) =="
+python3 hermes_e2e/run.py --smoke --build=build-bench
+
 if [[ "${HERMES_TIER1_TSAN:-1}" == "1" ]]; then
-  echo "== [8/8] TSan build + parallel/sharded/engine tests =="
+  echo "== [9/9] TSan build + parallel/sharded/engine tests =="
   cmake -B build-tsan -S . -DHERMES_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target hermes_tests
   ./build-tsan/tests/hermes_tests \
     --gtest_filter='ThreadPool.*:Determinism.ParallelSweepIsByteIdenticalToSerial:Sharded.ThreadCountIsInvisible_Ecmp:Sharded.ThreadCountIsInvisible_Hermes:Sharded.ThreadCountIsInvisible_ObsOnWithMergedTrace:Sharded.FaultTrainIsThreadCountInvisible:EngineConformance.*:EngineDeterminism.*'
 else
-  echo "== [8/8] TSan stage skipped (HERMES_TIER1_TSAN=0) =="
+  echo "== [9/9] TSan stage skipped (HERMES_TIER1_TSAN=0) =="
 fi
 
 echo "tier-1: OK"

@@ -3,12 +3,54 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace hermes::engine {
 
+namespace {
+std::vector<int> every_group(int num_groups) {
+  std::vector<int> all(static_cast<std::size_t>(num_groups));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+}  // namespace
+
 Engine::Engine(Config config, int num_groups, std::uint64_t rng_seed)
-    : config_{config}, rng_{rng_seed}, num_groups_{num_groups} {
-  sets_.resize(static_cast<std::size_t>(num_groups_) * static_cast<std::size_t>(num_groups_));
+    : Engine{config, num_groups, every_group(num_groups), rng_seed} {}
+
+Engine::Engine(Config config, int num_groups, std::vector<int> owned, std::uint64_t rng_seed)
+    : config_{config},
+      rng_{rng_seed},
+      num_groups_{num_groups},
+      owned_{std::move(owned)},
+      row_of_(static_cast<std::size_t>(num_groups), kNoRow) {
+  for (std::size_t row = 0; row < owned_.size(); ++row) {
+    const int g = owned_[row];
+    if (g < 0 || g >= num_groups_ || (row > 0 && g <= owned_[row - 1])) {
+      throw std::invalid_argument("engine: owned groups must ascend within [0, num_groups)");
+    }
+    row_of_[static_cast<std::size_t>(g)] = row;
+  }
+  sets_.resize(owned_.size() * static_cast<std::size_t>(num_groups_));
+}
+
+void Engine::throw_not_owned(int src_group, int dst_group) const {
+  throw std::out_of_range("engine: no pair " + std::to_string(src_group) + "->" +
+                          std::to_string(dst_group) + " (source group not owned or out of range)");
+}
+
+std::size_t Engine::HoleKeyHash::operator()(const HoleKey& k) const {
+  // Equality compares every field, so keys that hash alike cost a probe,
+  // never a shared latch.
+  const auto word = [](std::int32_t hi, std::int32_t lo) {
+    return std::uint64_t{static_cast<std::uint32_t>(hi)} << 32 | static_cast<std::uint32_t>(lo);
+  };
+  const std::uint64_t h = mix64(mix64(word(k.src, k.dst)) ^ word(k.src_group, k.dst_group));
+  return static_cast<std::size_t>(mix64(h ^ static_cast<std::uint32_t>(k.path)));
 }
 
 // HERMES_HOT: latch-expiry check on the decision path — reads/updates one
@@ -37,8 +79,10 @@ bool Engine::hole_active(HoleTrack& track, PathSet& ps, TimeNs now, const FlowVi
 // HERMES_HOT: per-candidate failure test inside the selection scans.
 bool Engine::failed_for_flow(PathSet& ps, const FlowView& flow, int local_idx, TimeNs now) {
   if (ps.state(static_cast<std::size_t>(local_idx)).failed_active(now, config_)) return true;
-  const auto it = ps.hole_track.find(hole_key(flow.src, flow.dst, local_idx));
-  if (it == ps.hole_track.end()) return false;
+  if (holes_.empty()) return false;
+  const auto it =
+      holes_.find(HoleKey{flow.src_group, flow.dst_group, flow.src, flow.dst, local_idx});
+  if (it == holes_.end()) return false;
   return hole_active(it->second, ps, now, &flow, local_idx);
 }
 
@@ -57,20 +101,23 @@ int Engine::pick_fresh(PathSet& ps, const FlowView& flow, TimeNs now) {
   // hot path allocates no candidate list; failure checks are idempotent
   // at fixed `now`, so re-evaluating them is safe.
   const int n = static_cast<int>(ps.size());
+  const PathSet::Members* m = ps.members();
+  // Path li's weight in the draw: 0 unless administratively eligible and
+  // not failed; an undeclared path weighs 1.
+  const auto draw_weight = [&](int li) -> std::uint32_t {
+    const Host* h = m != nullptr ? &m->hosts[static_cast<std::size_t>(li)] : nullptr;
+    if (h != nullptr && !fallback_eligible(*h, panic)) return 0;
+    if (failed_for_flow(ps, flow, li, now)) return 0;
+    return h != nullptr ? h->weight : 1;
+  };
   std::uint64_t total = 0;
-  for (int li = 0; li < n; ++li) {
-    if (!fallback_eligible(ps.slot(static_cast<std::size_t>(li)), panic)) continue;
-    if (failed_for_flow(ps, flow, li, now)) continue;
-    total += ps.slot(static_cast<std::size_t>(li)).weight;
-  }
+  for (int li = 0; li < n; ++li) total += draw_weight(li);
   if (total > 0) {
     std::uint64_t draw = rng_.next(total);
     for (int li = 0; li < n; ++li) {
-      const PathSet::Slot& s = ps.slot(static_cast<std::size_t>(li));
-      if (!fallback_eligible(s, panic)) continue;
-      if (failed_for_flow(ps, flow, li, now)) continue;
-      if (draw < s.weight) return li;
-      draw -= s.weight;
+      const std::uint32_t w = draw_weight(li);
+      if (draw < w) return li;
+      draw -= w;
     }
   }
   // Everything looks failed; we must still transmit somewhere.
@@ -104,29 +151,35 @@ bool Engine::notably_better(const PathState& cur, const PathState& cand) const {
 int Engine::least_rate_path(PathSet& ps, const FlowView& flow, PathType wanted, int exclude_local,
                             const PathState* better_than, bool panic, TimeNs now) {
   const int n = static_cast<int>(ps.size());
+  const PathSet::Members* m = ps.members();
   int best = -1;
   double best_rate = std::numeric_limits<double>::max();
   std::uint64_t tie_weight = 0;
   for (int li = 0; li < n; ++li) {
-    const PathSet::Slot& s = ps.slot(static_cast<std::size_t>(li));
-    // Declared-health gate: the ranked scans use healthy members only
-    // (panic mode waives this); zero weight means drained.
-    if (li == exclude_local || s.weight == 0 || (!panic && s.health != Health::kHealthy))
-      continue;
+    if (li == exclude_local) continue;
+    std::uint32_t w = 1;  // undeclared: healthy at weight 1
+    if (m != nullptr) {
+      // Declared-health gate: the ranked scans use healthy members only
+      // (panic mode waives this); zero weight means drained.
+      const Host& h = m->hosts[static_cast<std::size_t>(li)];
+      if (h.weight == 0 || (!panic && h.health != Health::kHealthy)) continue;
+      w = h.weight;
+    }
     if (failed_for_flow(ps, flow, li, now)) continue;
-    if (s.state.characterize(config_) != wanted) continue;
-    if (better_than != nullptr && !notably_better(*better_than, s.state)) continue;
-    const double r = s.state.rate_bps(now);
+    const PathState& st = ps.state(static_cast<std::size_t>(li));
+    if (st.characterize(config_) != wanted) continue;
+    if (better_than != nullptr && !notably_better(*better_than, st)) continue;
+    const double r = st.rate_bps(now);
     // Rates within 1% (or both idle) count as tied; reservoir-sample
     // proportionally to declared weight.
     if (best >= 0 && r <= best_rate * 1.01 + 1.0 && best_rate <= r * 1.01 + 1.0) {
-      tie_weight += s.weight;
-      if (rng_.next(tie_weight) < s.weight) best = li;
+      tie_weight += w;
+      if (rng_.next(tie_weight) < w) best = li;
       if (r < best_rate) best_rate = r;
     } else if (r < best_rate) {
       best_rate = r;
       best = li;
-      tie_weight = s.weight;
+      tie_weight = w;
     }
   }
   return best;
@@ -136,12 +189,15 @@ int Engine::least_rate_path(PathSet& ps, const FlowView& flow, PathType wanted, 
 // "must transmit somewhere" tail when everything looks failed.
 int Engine::pick_any(PathSet& ps) {
   const int n = static_cast<int>(ps.size());
+  const PathSet::Members* m = ps.members();
+  // Undeclared paths weigh 1 each: the weighted draw is a uniform one.
+  if (m == nullptr) return static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
   std::uint64_t total = 0;
-  for (int li = 0; li < n; ++li) total += ps.slot(static_cast<std::size_t>(li)).weight;
+  for (const Host& h : m->hosts) total += h.weight;
   if (total == 0) return static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
   std::uint64_t draw = rng_.next(total);
   for (int li = 0; li < n; ++li) {
-    const std::uint64_t w = ps.slot(static_cast<std::size_t>(li)).weight;
+    const std::uint64_t w = m->hosts[static_cast<std::size_t>(li)].weight;
     if (draw < w) return li;
     draw -= w;
   }
@@ -214,12 +270,9 @@ void Engine::on_ack(int src_group, int dst_group, int local_idx, std::int32_t fl
   if (local_idx < 0 || local_idx >= static_cast<int>(ps.size())) return;
   if (has_rtt) ps.state(static_cast<std::size_t>(local_idx)).add_sample(rtt, ecn_marked);
   // ACK progress on this (pair, path): not a blackhole; reset the count.
-  if (config_.failure_sensing) {
-    const auto it = ps.hole_track.find(hole_key(flow_src, flow_dst, local_idx));
-    if (it != ps.hole_track.end()) {
-      it->second.acked = true;
-      it->second.timeouts = 0;
-    }
+  if (config_.failure_sensing && !holes_.empty()) {
+    const auto it = holes_.find(HoleKey{src_group, dst_group, flow_src, flow_dst, local_idx});
+    if (it != holes_.end()) it->second.timeouts = 0;
   }
 }
 
@@ -237,8 +290,7 @@ void Engine::on_timeout(const FlowView& flow, TimeNs now) {
   // between reach the threshold. Earlier progress on the path must not
   // veto detection — a blackhole can onset mid-flow (TCAM corruption on
   // a previously healthy switch) and the path has to re-prove itself.
-  HoleTrack& track = ps.hole_track[hole_key(flow.src, flow.dst, li)];
-  track.acked = false;
+  HoleTrack& track = holes_[HoleKey{flow.src_group, flow.dst_group, flow.src, flow.dst, li}];
   if (++track.timeouts >= kBlackholeTimeouts) {
     if (!track.latched) {
       if (track.streak < 8) ++track.streak;
@@ -276,9 +328,9 @@ void Engine::feed_probe_sample(int src_group, int dst_group, int local_idx, Time
 
 bool Engine::blackholed(int src_group, int dst_group, std::int32_t src_host,
                         std::int32_t dst_host, int local_idx, TimeNs now) const {
-  const PathSet& ps = path_set(src_group, dst_group);
-  const auto it = ps.hole_track.find(hole_key(src_host, dst_host, local_idx));
-  if (it == ps.hole_track.end() || !it->second.latched) return false;
+  (void)path_set(src_group, dst_group);  // throws for a pair this engine has no row for
+  const auto it = holes_.find(HoleKey{src_group, dst_group, src_host, dst_host, local_idx});
+  if (it == holes_.end() || !it->second.latched) return false;
   // Same expiry rule as hole_active, evaluated without mutating (const
   // introspection must not disturb detector state).
   if (config_.failure_expiry > 0) {
@@ -295,25 +347,6 @@ int Engine::sampled_paths(int src_group, int dst_group) const {
   for (std::size_t i = 0; i < ps.size(); ++i)
     if (ps.state(i).has_sample()) ++n;
   return n;
-}
-
-void Engine::sync_pair(int src_group, int dst_group, const HostSet& hosts) {
-  PathSet& ps = path_set(src_group, dst_group);
-  ps.set_size(hosts.size());
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const Host& h = hosts.host(i);
-    PathSet::Slot& s = ps.slot(i);
-    if (s.host_id != h.id) {
-      // A different host now backs this position: its sensing history is
-      // about another endpoint — restart it. Stale blackhole latches for
-      // the pair key the *flow* endpoints and heal via expiry.
-      s.state = PathState{};
-      s.host_id = h.id;
-      if (ps.best_idx == static_cast<int>(i)) ps.best_idx = -1;
-    }
-    ps.set_weight(i, h.weight);
-    ps.set_health(i, h.health);
-  }
 }
 
 // HERMES_HOT: decision-stream append (runs inside decide/on_timeout) —

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "hermes/engine/config.hpp"
@@ -35,12 +36,21 @@ namespace hermes::engine {
 /// (§3.1.2), because a blackhole deterministically drops only packets
 /// matching certain header patterns; silent random drops are detected
 /// per path via the retransmission-rate epoch detector in PathState.
+///
+/// An engine keeps pair rows only for the source groups its embedder owns:
+/// a sender senses the paths out of its own racks (§3.1.3), so a simulator
+/// shard's engine holds the rows of that shard's leaves and nothing else.
 class Engine {
  public:
-  /// `num_groups` fixes the group-pair table; `rng_seed` seeds the
-  /// tie-break/fallback stream (sim adapters pass
-  /// Simulator::rng_seed(salt) to share the simulator's seed lattice).
+  /// An engine owning every source group. `num_groups` fixes the
+  /// group-pair table; `rng_seed` seeds the tie-break/fallback stream (sim
+  /// adapters pass Simulator::rng_seed(salt) to share the simulator's
+  /// seed lattice).
   Engine(Config config, int num_groups, std::uint64_t rng_seed);
+  /// An engine owning only the source groups in `owned` (ascending, each
+  /// in [0, num_groups)): every call naming another source group throws
+  /// std::out_of_range.
+  Engine(Config config, int num_groups, std::vector<int> owned, std::uint64_t rng_seed);
 
   // --- the decision path (HERMES_HOT, allocation-free) -------------------
   /// Algorithm 2 for one outgoing packet of `flow`: returns the local
@@ -64,22 +74,26 @@ class Engine {
                          bool ecn_marked);
 
   // --- membership --------------------------------------------------------
+  /// A pair's PathSet; throws std::out_of_range unless `src_group` is
+  /// owned and `dst_group` is in [0, num_groups).
   [[nodiscard]] PathSet& path_set(int src_group, int dst_group) {
-    return sets_[static_cast<std::size_t>(src_group) * static_cast<std::size_t>(num_groups_) +
-                 static_cast<std::size_t>(dst_group)];
+    return sets_[set_index(src_group, dst_group)];
   }
   [[nodiscard]] const PathSet& path_set(int src_group, int dst_group) const {
-    return sets_[static_cast<std::size_t>(src_group) * static_cast<std::size_t>(num_groups_) +
-                 static_cast<std::size_t>(dst_group)];
+    return sets_[set_index(src_group, dst_group)];
   }
-  /// Push declared membership into a pair's PathSet: slot i backs
-  /// hosts.host(i). Slots whose backing host id changed are reset
-  /// (sensing state restarts); slots that kept their host retain RTT/ECN
+  /// Push declared membership into a pair's PathSet (PathSet::sync): path
+  /// i backs hosts.host(i). Paths whose backing host id changed are reset
+  /// (sensing state restarts); paths that kept their host retain RTT/ECN
   /// estimates, rate and failure latches across weight/health updates.
-  void sync_pair(int src_group, int dst_group, const HostSet& hosts);
+  void sync_pair(int src_group, int dst_group, const HostSet& hosts) {
+    path_set(src_group, dst_group).sync(hosts);
+  }
 
   // --- introspection ------------------------------------------------------
   [[nodiscard]] int num_groups() const { return num_groups_; }
+  /// The source groups this engine keeps rows for, ascending.
+  [[nodiscard]] const std::vector<int>& owned_groups() const { return owned_; }
   [[nodiscard]] PathState& path_state(int src_group, int dst_group, int local_idx) {
     return path_set(src_group, dst_group).state(static_cast<std::size_t>(local_idx));
   }
@@ -103,13 +117,48 @@ class Engine {
   /// Attach (null detaches) the decision-stream consumer.
   void set_sink(DecisionSink* sink) { sink_ = sink; }
 
-  [[nodiscard]] static std::uint64_t hole_key(std::int32_t src, std::int32_t dst, int idx) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 40) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 16) |
-           static_cast<std::uint32_t>(idx);
-  }
-
  private:
+  /// Timeout bookkeeping per (group pair, src, dst, path) feeding the
+  /// blackhole detector (Table 3's per-path n_timeout, kept per host pair
+  /// since a blackhole matches specific header patterns). Aggregated
+  /// across flows: one flow reroutes away after a single timeout, but the
+  /// pair's traffic keeps revisiting the path and the count accrues. The
+  /// latch heals the same way PathState's random-drop latch does: it
+  /// expires after failure_expiry without fresh evidence, and each
+  /// re-confirmation doubles the expiry (streak capped at 8 => 128x).
+  struct HoleTrack {
+    std::uint32_t timeouts = 0;
+    bool latched = false;
+    TimeNs latched_at = 0;
+    std::uint32_t streak = 0;
+  };
+  /// One blackhole latch's identity: the group pair, the flow endpoints
+  /// and the path, each its own field.
+  struct HoleKey {
+    int src_group;
+    int dst_group;
+    std::int32_t src;
+    std::int32_t dst;
+    int path;
+    bool operator==(const HoleKey&) const = default;
+  };
+  struct HoleKeyHash {
+    std::size_t operator()(const HoleKey& k) const;
+  };
+
+  /// sets_ index of a pair (see path_set).
+  [[nodiscard]] std::size_t set_index(int src_group, int dst_group) const {
+    const std::size_t row = src_group >= 0 && src_group < num_groups_
+                                ? row_of_[static_cast<std::size_t>(src_group)]
+                                : kNoRow;
+    if (row == kNoRow || dst_group < 0 || dst_group >= num_groups_) [[unlikely]] {
+      throw_not_owned(src_group, dst_group);
+    }
+    return row * static_cast<std::size_t>(num_groups_) + static_cast<std::size_t>(dst_group);
+  }
+  [[noreturn]] void throw_not_owned(int src_group, int dst_group) const;
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
   /// Is the hole latch live (expiring it in place when stale)? `flow`
   /// and `local_idx` locate the expiry for the decision stream.
   [[nodiscard]] bool hole_active(HoleTrack& track, PathSet& ps, TimeNs now, const FlowView* flow,
@@ -128,10 +177,11 @@ class Engine {
   /// Weighted draw over every slot — the "must transmit somewhere" tail.
   int pick_any(PathSet& ps);
   [[nodiscard]] bool notably_better(const PathState& cur, const PathState& cand) const;
-  /// Administrative eligibility of a slot for the fallback placement:
-  /// weight > 0 and not declared unhealthy (any health in panic mode).
-  [[nodiscard]] static bool fallback_eligible(const PathSet::Slot& s, bool panic) {
-    return s.weight > 0 && (panic || s.health != Health::kUnhealthy);
+  /// Administrative eligibility of a declared host for the fallback
+  /// placement: weight > 0 and not declared unhealthy (any health in
+  /// panic mode).
+  [[nodiscard]] static bool fallback_eligible(const Host& h, bool panic) {
+    return h.weight > 0 && (panic || h.health != Health::kUnhealthy);
   }
   void emit(DecisionKind kind, const FlowView* flow, PathSet& ps, int from_local, int to_local,
             std::int64_t delta_rtt_ns, float delta_ecn, TimeNs now,
@@ -140,7 +190,11 @@ class Engine {
   Config config_;
   Rng rng_;
   int num_groups_;
-  std::vector<PathSet> sets_;
+  std::vector<int> owned_;
+  std::vector<std::size_t> row_of_;  ///< per source group: its sets_ row, or kNoRow
+  std::vector<PathSet> sets_;        ///< one row of num_groups_ sets per owned group
+  /// Blackhole latches of every pair, created by the first timeout.
+  std::unordered_map<HoleKey, HoleTrack, HoleKeyHash> holes_;
   DecisionStats stats_;
   DecisionSink* sink_ = nullptr;
 };

@@ -2,12 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "hermes/engine/config.hpp"
 #include "hermes/engine/path_state.hpp"
-#include "hermes/engine/time.hpp"
 
 namespace hermes::engine {
 
@@ -91,81 +90,83 @@ class HostSet {
   std::vector<Host> hosts_;
 };
 
-/// Timeout/ACK bookkeeping per (src,dst,path) feeding the blackhole
-/// detector (Table 3's per-path n_timeout, kept per host pair since a
-/// blackhole matches specific header patterns). Aggregated across flows:
-/// one flow reroutes away after a single timeout, but the pair's traffic
-/// keeps revisiting the path and the count accrues. The latch heals the
-/// same way PathState's random-drop latch does: it expires after
-/// failure_expiry without fresh evidence, and each re-confirmation
-/// doubles the expiry (streak capped at 8 => 128x).
-struct HoleTrack {
-  std::uint32_t timeouts = 0;
-  bool acked = false;
-  bool latched = false;
-  TimeNs latched_at = 0;
-  std::uint32_t streak = 0;
-};
-
-/// The engine's view of one ordered locality pair: per-path sensing
-/// state plus the declared weight/health of whatever backs each path,
-/// the probing "memory" index, and the pair's blackhole latches.
+/// The engine's view of one ordered locality pair: one PathState per
+/// path, the probing "memory" index, and, once the embedder declares
+/// membership with Engine::sync_pair, the weight, health and backing host
+/// of every path. Declared membership lives in a side table that only
+/// sync() creates: a pair without one (every simulator pair) treats each
+/// path as healthy at weight 1, so the hot slots hold sensing state alone.
 class PathSet {
  public:
-  struct Slot {
-    PathState state;
-    std::uint32_t weight = 1;
-    Health health = Health::kHealthy;
-    std::int64_t host_id = -1;  ///< backing host identity, -1 = anonymous path
+  /// Declared membership: hosts[i] backs path i. A path that ensure()
+  /// added after the last sync() is anonymous (id -1).
+  struct Members {
+    std::vector<Host> hosts;
+    std::size_t healthy = 0;
   };
 
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-  [[nodiscard]] bool empty() const { return slots_.empty(); }
-  [[nodiscard]] Slot& slot(std::size_t i) { return slots_[i]; }
-  [[nodiscard]] const Slot& slot(std::size_t i) const { return slots_[i]; }
-  [[nodiscard]] PathState& state(std::size_t i) { return slots_[i].state; }
-  [[nodiscard]] const PathState& state(std::size_t i) const { return slots_[i].state; }
+  [[nodiscard]] std::size_t size() const { return states_.size(); }
+  [[nodiscard]] bool empty() const { return states_.empty(); }
+  [[nodiscard]] PathState& state(std::size_t i) { return states_[i]; }
+  [[nodiscard]] const PathState& state(std::size_t i) const { return states_[i]; }
+  /// Declared membership; null until the first sync().
+  [[nodiscard]] const Members* members() const { return members_.get(); }
 
-  /// Exact resize. Shrinking drops the tail slots (their latches stay in
-  /// hole_track but can no longer match a live index).
-  void set_size(std::size_t n) {
-    if (n == slots_.size()) return;
-    slots_.resize(n);
+  /// Grow-only resize; allocates, so callers invoke it outside
+  /// HERMES_HOT regions (the adapter syncs sizes before decide()). Paths
+  /// it adds to a pair with declared membership are anonymous, healthy
+  /// and of weight 1.
+  void ensure(std::size_t n) {
+    if (states_.size() >= n) return;
+    states_.resize(n);
+    if (members_ != nullptr) {
+      members_->hosts.resize(n);
+      recount();
+    }
+  }
+
+  /// Adopt `hosts` as this pair's membership: path i backs hosts.host(i),
+  /// and the pair takes its size. A path whose backing host id changed is
+  /// reset (sensing restarts); a path that kept its host keeps its RTT/ECN
+  /// estimates, rate and failure latches across weight/health updates.
+  void sync(const HostSet& hosts) {
+    if (members_ == nullptr) members_ = std::make_unique<Members>();
+    const std::size_t n = hosts.size();
+    states_.resize(n);
+    members_->hosts.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      Host& mine = members_->hosts[i];
+      if (mine.id != hosts.host(i).id) {
+        // A different host now backs this position: its sensing history
+        // is about another endpoint — restart it. Stale blackhole latches
+        // key the *flow* endpoints and heal via expiry.
+        states_[i] = PathState{};
+        if (best_idx == static_cast<int>(i)) best_idx = -1;
+      }
+      mine = hosts.host(i);
+    }
     recount();
   }
-  /// Grow-only resize; allocates, so callers invoke it outside
-  /// HERMES_HOT regions (the adapter syncs sizes before decide()).
-  void ensure(std::size_t n) {
-    if (slots_.size() < n) set_size(n);
-  }
-
-  void set_health(std::size_t i, Health h) {
-    if (slots_[i].health == h) return;
-    if (slots_[i].health == Health::kHealthy) --healthy_;
-    if (h == Health::kHealthy) ++healthy_;
-    slots_[i].health = h;
-  }
-  void set_weight(std::size_t i, std::uint32_t w) { slots_[i].weight = w; }
 
   /// Envoy-style panic: too few healthy members => ignore health and
   /// spread over everyone rather than concentrate on the survivors.
   [[nodiscard]] bool in_panic() const {
-    return !slots_.empty() &&
-           static_cast<double>(healthy_) < kPanicThreshold * static_cast<double>(slots_.size());
+    return members_ != nullptr && !states_.empty() &&
+           static_cast<double>(members_->healthy) <
+               kPanicThreshold * static_cast<double>(states_.size());
   }
 
   int best_idx = -1;  ///< previously observed best path (probed extra)
-  std::unordered_map<std::uint64_t, HoleTrack> hole_track;
 
  private:
   void recount() {
-    healthy_ = 0;
-    for (const Slot& s : slots_)
-      if (s.health == Health::kHealthy) ++healthy_;
+    members_->healthy = 0;
+    for (const Host& h : members_->hosts)
+      if (h.health == Health::kHealthy) ++members_->healthy;
   }
 
-  std::vector<Slot> slots_;
-  std::size_t healthy_ = 0;
+  std::vector<PathState> states_;
+  std::unique_ptr<Members> members_;
 };
 
 }  // namespace hermes::engine

@@ -139,18 +139,19 @@ class PathState {
  private:
   TimeNs rtt_ = 0;
   double ecn_frac_ = 0;
-  bool has_sample_ = false;
 
-  Dre rate_dre_{usec(100), 0.2};
+  Dre<kRateDre> rate_dre_;
 
   std::uint32_t sends_in_epoch_ = 0;
   std::uint32_t retx_in_epoch_ = 0;
   double retx_frac_ = 0;
   TimeNs epoch_start_ = 0;
 
-  bool failed_ = false;
   TimeNs failed_at_ = 0;
   std::uint32_t fail_streak_ = 0;
+  bool has_sample_ = false;
+  bool failed_ = false;
 };
+static_assert(sizeof(PathState) <= 72, "a k=16 fat-tree's engines hold 990,208 of these");
 
 }  // namespace hermes::engine

@@ -140,7 +140,7 @@ void Scenario::build() {
   for (int s = 0; s < num_shards(); ++s) {
     lb::HermesLb* h = hermes_[s];
     if (h == nullptr) continue;
-    h->enable_probing(fabric_->leaves_of_shard(s), [this](int src_host, net::Packet p) {
+    h->enable_probing([this](int src_host, net::Packet p) {
       stacks_[src_host]->send_raw(std::move(p));
     });
   }
@@ -207,7 +207,8 @@ std::unique_ptr<lb::LoadBalancer> Scenario::make_balancer(int shard) {
       if (hc.t_rtt_low == sim::SimTime::zero()) hc.t_rtt_low = defaults.t_rtt_low;
       if (hc.t_rtt_high == sim::SimTime::zero()) hc.t_rtt_high = defaults.t_rtt_high;
       if (hc.delta_rtt == sim::SimTime::zero()) hc.delta_rtt = defaults.delta_rtt;
-      return std::make_unique<lb::HermesLb>(simulator, *fabric_, hc);
+      return std::make_unique<lb::HermesLb>(simulator, *fabric_, hc,
+                                            fabric_->leaves_of_shard(shard));
     }
   }
   return nullptr;

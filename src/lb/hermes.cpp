@@ -12,6 +12,10 @@
 namespace hermes::lb {
 
 HermesLb::HermesLb(sim::Simulator& simulator, net::Fabric& topo, HermesConfig config)
+    : HermesLb{simulator, topo, config, topo.leaves_of_shard(0)} {}
+
+HermesLb::HermesLb(sim::Simulator& simulator, net::Fabric& topo, HermesConfig config,
+                   std::vector<int> source_leaves)
     : simulator_{simulator},
       topo_{topo},
       config_{config},
@@ -19,7 +23,7 @@ HermesLb::HermesLb(sim::Simulator& simulator, net::Fabric& topo, HermesConfig co
       // lattice with the same salt the pre-extraction implementation
       // forked, so decision sequences are unchanged.
       engine_{config.engine_config(topo.host_rate_bps()), topo.num_leaves(),
-              simulator.rng_seed(0x4E14E5)} {
+              std::move(source_leaves), simulator.rng_seed(0x4E14E5)} {
   engine_.set_sink(this);
 }
 
@@ -34,7 +38,7 @@ engine::PathState& HermesLb::path_state(int src_leaf, int dst_leaf, int local_in
 }
 
 engine::PathType HermesLb::path_type(int src_leaf, int dst_leaf, int local_index) {
-  return engine_.path_type(src_leaf, dst_leaf, local_index);
+  return path_state(src_leaf, dst_leaf, local_index).characterize(engine_.config());
 }
 
 bool HermesLb::blackholed(std::int32_t src_host, std::int32_t dst_host, int local_index) const {
@@ -103,9 +107,7 @@ void HermesLb::on_retransmit(FlowCtx& flow, int path_id) {
   engine_.on_retransmit(flow.src_leaf, flow.dst_leaf, path_id, simulator_.now().ns());
 }
 
-void HermesLb::enable_probing(std::vector<int> source_leaves,
-                              std::function<void(int, net::Packet)> raw_send) {
-  probe_sources_ = std::move(source_leaves);
+void HermesLb::enable_probing(std::function<void(int, net::Packet)> raw_send) {
   raw_send_ = std::move(raw_send);
   if (!config_.probing_enabled) return;
   simulator_.after(config_.probe_interval, [this] { probe_tick(); });
@@ -116,7 +118,7 @@ void HermesLb::probe_tick() {
   // probe two random paths plus the previously observed best path. Draws
   // come from the engine's RNG — the same stream its tie-breaking uses —
   // preserving the pre-extraction draw order.
-  for (const int a : probe_sources_) {
+  for (const int a : engine_.owned_groups()) {
     for (int b = 0; b < engine_.num_groups(); ++b) {
       if (a == b) continue;
       const auto& paths = topo_.paths_between_leaves(a, b);

@@ -30,7 +30,7 @@ struct FlowCtx {
   sim::SimTime last_reroute{};
   bool has_rerouted = false;
 
-  engine::Dre rate_dre{engine::usec(100), 0.2};  ///< flow sending rate r_f
+  engine::Dre<engine::kRateDre> rate_dre;  ///< flow sending rate r_f
 
   [[nodiscard]] bool intra_rack() const { return src_leaf == dst_leaf; }
   [[nodiscard]] double rate_bps(sim::SimTime now) const { return rate_dre.rate_bps(now.ns()); }

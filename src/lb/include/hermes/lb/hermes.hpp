@@ -119,7 +119,15 @@ struct ProbeStats {
 /// observable behavior does not depend on whether recording is on.
 class HermesLb final : public LoadBalancer, private engine::DecisionSink {
  public:
+  /// An instance owning shard 0's leaves: every leaf of a one-shard
+  /// fabric.
   HermesLb(sim::Simulator& simulator, net::Fabric& topo, HermesConfig config);
+  /// An instance for the senders under `source_leaves` (ascending): the
+  /// leaves its shard owns. Its engine keeps rows for those leaves alone,
+  /// its rack agents probe from them, and asking it about a pair from any
+  /// other leaf throws std::out_of_range.
+  HermesLb(sim::Simulator& simulator, net::Fabric& topo, HermesConfig config,
+           std::vector<int> source_leaves);
 
   // --- lb::LoadBalancer -------------------------------------------------
   int select_path(FlowCtx& flow, const net::Packet& pkt) override;
@@ -129,15 +137,13 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   [[nodiscard]] std::string_view name() const override { return "hermes"; }
 
   // --- probing ----------------------------------------------------------
-  /// Turn on active probing from the rack agents of `source_leaves`
-  /// (ascending). `raw_send(src_host, packet)` must transmit the packet
-  /// from that host's NIC; the harness wires it to the rack agents'
-  /// HostStacks. Probing runs every config.probe_interval. The harness
-  /// runs one HermesLb per shard and passes the leaves that shard owns
-  /// (every leaf of a one-shard run), so probes originate — and their
-  /// replies return — strictly shard-locally.
-  void enable_probing(std::vector<int> source_leaves,
-                      std::function<void(int src_host, net::Packet)> raw_send);
+  /// Turn on active probing from the rack agents of the source leaves.
+  /// `raw_send(src_host, packet)` must transmit the packet from that
+  /// host's NIC; the harness wires it to the rack agents' HostStacks.
+  /// Probing runs every config.probe_interval. The harness runs one
+  /// HermesLb per shard over the leaves that shard owns, so probes
+  /// originate — and their replies return — strictly shard-locally.
+  void enable_probing(std::function<void(int src_host, net::Packet)> raw_send);
   /// Deliver a probe reply arriving at a rack agent.
   void on_probe_reply(const net::Packet& reply);
   [[nodiscard]] const ProbeStats& probe_stats() const { return probe_stats_; }
@@ -174,7 +180,8 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   void on_decision(const engine::DecisionEvent& ev) override;
 
   /// Size the pair's PathSet to the fabric's path count (outside the
-  /// engine's allocation-free decision path) and return it.
+  /// engine's allocation-free decision path) and return it. Throws
+  /// std::out_of_range for a source leaf this instance does not own.
   engine::PathSet& pair(int src_leaf, int dst_leaf);
   /// Project the simulator flow context into the engine's view.
   [[nodiscard]] engine::FlowView make_view(const FlowCtx& flow) const;
@@ -187,7 +194,6 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   engine::Engine engine_;
 
   std::function<void(int, net::Packet)> raw_send_;
-  std::vector<int> probe_sources_;  ///< leaves whose rack agents probe
   ProbeStats probe_stats_;
   std::uint64_t next_probe_id_ = 1;
 

@@ -177,24 +177,25 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
     }
   }
 
-  // The path table behind paths_between_leaves, per ordered leaf (edge)
-  // pair: index i of an intra-pod pair turns at agg i and crosses no
-  // core; index i of an inter-pod pair crosses core i. Routes compute the
-  // same from the index alone.
-  const int L = num_edges;
-  const std::size_t intra = static_cast<std::size_t>(pods) * half_ * (half_ - 1) * half_;
-  const std::size_t inter = static_cast<std::size_t>(pods) * (pods - 1) * half_ * half_ *
-                            static_cast<std::size_t>(half_) * half_;
-  paths_.reserve(intra + inter);
-  for (int src = 0; src < L; ++src) {
-    for (int dst = 0; dst < L; ++dst) {
-      if (src != dst) {
-        const bool same_pod = pod_of_leaf(src) == pod_of_leaf(dst);
-        for (int i = 0; i < paths_per_pair(same_pod); ++i) {
-          paths_.push_back({same_pod ? -1 : i, 0, config_.fabric_rate_bps});
-        }
+  // The path table behind paths_between_leaves holds two runs that every
+  // ordered leaf (edge) pair shares: index i of an intra-pod pair turns
+  // at agg i and crosses no core; index i of an inter-pod pair crosses
+  // core i. Routes compute the same from the index alone.
+  const auto intra = static_cast<std::size_t>(paths_per_pair(true));
+  const auto inter = static_cast<std::size_t>(paths_per_pair(false));
+  for (std::size_t i = 0; i < intra; ++i) paths_.push_back({-1, 0, config_.fabric_rate_bps});
+  for (std::size_t i = 0; i < inter; ++i) {
+    paths_.push_back({static_cast<int>(i), 0, config_.fabric_rate_bps});
+  }
+  for (int src = 0; src < num_edges; ++src) {
+    for (int dst = 0; dst < num_edges; ++dst) {
+      if (src == dst) {
+        add_pair(0, 0);
+      } else if (pod_of_leaf(src) == pod_of_leaf(dst)) {
+        add_pair(0, intra);
+      } else {
+        add_pair(intra, inter);
       }
-      end_pair();
     }
   }
 }

@@ -87,7 +87,7 @@ struct FabricPath {
   int link_idx = 0;
   double capacity_bps = 0;  ///< min(uplink, downlink) rate
 };
-static_assert(sizeof(FabricPath) == 16, "a k=16 fat-tree stores 990,208 of these");
+static_assert(sizeof(FabricPath) == 16, "a leaf-spine stores one per path of every leaf pair");
 
 /// The fabric device model: what transports, load balancers, workload
 /// generators, the fault scheduler and the invariant checker need from a
@@ -106,10 +106,11 @@ static_assert(sizeof(FabricPath) == 16, "a k=16 fat-tree stores 990,208 of these
 ///
 /// Host-id geometry (leaf_of, local_index, ...) and the path table are
 /// concrete and non-virtual: every Hermes fabric numbers hosts
-/// leaf-major and stores each leaf pair's paths as one run, pair-major,
-/// and these run on per-packet paths where a vtable dispatch would be
-/// waste. The builder fills the protected dimension members and the path
-/// table before handing the fabric to any consumer.
+/// leaf-major and names each leaf pair's paths by a run (offset, length)
+/// of one path table, and these run on per-packet paths where a vtable
+/// dispatch would be waste. Pairs may share a run. The builder fills the
+/// protected dimension members and the path table before handing the
+/// fabric to any consumer.
 class Fabric {
  public:
   virtual ~Fabric();
@@ -151,13 +152,14 @@ class Fabric {
   // --- explicit paths (the XPath substitute) ---------------------------
   /// All usable (non-cut) paths from src_leaf to dst_leaf; a path's index
   /// here is its name. Empty for src_leaf == dst_leaf (intra-rack traffic
-  /// needs no fabric choice). A view into the fabric's one path table.
+  /// needs no fabric choice). A view into the fabric's one path table,
+  /// which pairs with identical paths may share.
   [[nodiscard]] std::span<const FabricPath> paths_between_leaves(int src_leaf,
                                                                  int dst_leaf) const {
-    const auto pair = static_cast<std::size_t>(src_leaf) * static_cast<std::size_t>(num_leaves_) +
-                      static_cast<std::size_t>(dst_leaf);
-    return std::span<const FabricPath>{paths_}.subspan(pair_begin_[pair],
-                                                       pair_begin_[pair + 1] - pair_begin_[pair]);
+    const PathRun run = runs_[static_cast<std::size_t>(src_leaf) *
+                                  static_cast<std::size_t>(num_leaves_) +
+                              static_cast<std::size_t>(dst_leaf)];
+    return std::span<const FabricPath>{paths_}.subspan(run.offset, run.length);
   }
   [[nodiscard]] std::span<const FabricPath> paths_between_hosts(int src_host,
                                                                 int dst_host) const {
@@ -222,10 +224,13 @@ class Fabric {
     return *arenas_[static_cast<std::size_t>(shard)];
   }
 
-  /// Builders append each ordered leaf pair's paths to paths_, pairs in
-  /// ascending src_leaf * L + dst_leaf order (a src == dst pair has none),
-  /// and call this after each pair.
-  void end_pair() { pair_begin_.push_back(static_cast<std::uint32_t>(paths_.size())); }
+  /// Builders fill paths_ and name each ordered leaf pair's paths by
+  /// calling this once per pair, in ascending src_leaf * L + dst_leaf
+  /// order: the pair's paths are paths_[offset, offset + length) (a
+  /// src == dst pair has none).
+  void add_pair(std::size_t offset, std::size_t length) {
+    runs_.push_back({static_cast<std::uint32_t>(offset), static_cast<std::uint32_t>(length)});
+  }
   /// Throws std::out_of_range unless 0 <= path < n, a leaf pair's path count.
   static void check_path(int path, std::size_t n);
 
@@ -234,7 +239,7 @@ class Fabric {
   int hosts_per_leaf_ = 0;
   double bisection_bps_ = 0;
   int max_hops_ = 0;  ///< links one way on the longest host-to-host path
-  /// Every leaf pair's paths, one contiguous run per pair.
+  /// The entries every leaf pair's run (add_pair) views; pairs may share.
   std::vector<FabricPath> paths_;
 
  private:
@@ -254,9 +259,12 @@ class Fabric {
   std::vector<std::unique_ptr<Switch>> switches_;  ///< tier order
   std::vector<int> switch_shard_;                  ///< parallel to switches_
   std::vector<FabricLink> links_;                  ///< sorted by lower switch
-  /// paths_between_leaves(a, b) is paths_[pair_begin_[p], pair_begin_[p + 1])
-  /// with p = a * L + b; starts as {0}, and end_pair() appends the rest.
-  std::vector<std::uint32_t> pair_begin_ = {0};
+  struct PathRun {
+    std::uint32_t offset;
+    std::uint32_t length;
+  };
+  /// paths_between_leaves(a, b) is runs_[a * L + b] of paths_.
+  std::vector<PathRun> runs_;
 };
 
 }  // namespace hermes::net

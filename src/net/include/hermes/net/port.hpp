@@ -20,14 +20,14 @@ namespace hermes::net {
 
 /// Utilization in [0, ~1+] of a link of `link_bps` whose traffic `dre`
 /// measures.
-[[nodiscard]] inline double dre_utilization(const engine::Dre& dre, double link_bps,
-                                            sim::SimTime now) {
+[[nodiscard]] inline double dre_utilization(const engine::Dre<engine::kLinkDre>& dre,
+                                            double link_bps, sim::SimTime now) {
   return link_bps > 0 ? dre.rate_bps(now.ns()) / link_bps : 0.0;
 }
 
 /// CONGA's 3-bit quantized congestion metric of that link.
-[[nodiscard]] inline std::uint8_t dre_quantized(const engine::Dre& dre, double link_bps,
-                                                sim::SimTime now) {
+[[nodiscard]] inline std::uint8_t dre_quantized(const engine::Dre<engine::kLinkDre>& dre,
+                                                double link_bps, sim::SimTime now) {
   double u = dre_utilization(dre, link_bps, now);
   if (u < 0) u = 0;
   if (u > 1) u = 1;
@@ -183,7 +183,7 @@ class Port {
   std::uint32_t tx_cache_bytes_[2] = {0, 0};
   sim::SimTime tx_cache_time_[2] = {};
 
-  engine::Dre dre_;
+  engine::Dre<engine::kLinkDre> dre_;
   PortStats stats_;
   BufferPool* pool_ = nullptr;
   obs::FlightRecorder* rec_ = nullptr;  ///< null when observability is off

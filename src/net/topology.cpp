@@ -90,11 +90,12 @@ Topology::Topology(sim::Simulator& simulator, TopologyConfig config)
       sw->use_shared_buffer(config_.shared_buffer_bytes, config_.dt_alpha);
   }
 
-  // Enumerate usable paths per ordered leaf pair.
+  // Enumerate usable paths per ordered leaf pair, one run each: cut links
+  // and rate overrides make pairs' runs differ.
   for (int a = 0; a < L; ++a) {
     for (int b = 0; b < L; ++b) {
+      const std::size_t first = paths_.size();
       if (a != b) {
-        const std::size_t first = paths_.size();
         for (int s = 0; s < S; ++s) {
           for (int k = 0; k < M; ++k) {
             const double up_rate = link_rate(a, s, k);
@@ -107,7 +108,7 @@ Topology::Topology(sim::Simulator& simulator, TopologyConfig config)
           throw std::invalid_argument("leaf pair disconnected by overrides");
         }
       }
-      end_pair();
+      add_pair(first, paths_.size() - first);
     }
   }
 

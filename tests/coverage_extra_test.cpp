@@ -241,7 +241,7 @@ class DreQuantSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DreQuantSweep, QuantizationTracksUtilization) {
   const double util = GetParam();
-  engine::Dre dre{usec(50).ns(), 0.1};
+  engine::Dre<engine::kLinkDre> dre;
   sim::SimTime t{};
   const auto gap = sim::SimTime::from_seconds(1500 * 8 / (util * 10e9));
   for (int i = 0; i < 6000; ++i) {

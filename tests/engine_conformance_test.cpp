@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,7 +188,7 @@ TEST(EngineConformance, WeightChangeMidStreamShiftsDistribution) {
   const int after = tally(1000);
   EXPECT_LT(after, 60) << "weight update did not take effect";
   // Sensing state survived the weight-only update.
-  EXPECT_EQ(e.path_set(0, 1).slot(0).host_id, 100);
+  EXPECT_EQ(e.path_set(0, 1).members()->hosts[0].id, 100);
 }
 
 TEST(EngineConformance, HostAddUnderLoadPreservesSensing) {
@@ -319,6 +320,90 @@ TEST(EngineConformance, RelatchDoublesExpiryPerStreak) {
   EXPECT_TRUE(e.blackholed(0, 1, 1, 2, 0, latched_at + expiry + msec(50)))
       << "re-latched hole should hold past one expiry (doubled window)";
   EXPECT_FALSE(e.blackholed(0, 1, 1, 2, 0, latched_at + 2 * expiry + msec(1)));
+}
+
+TEST(EngineConformance, BlackholeLatchesOfDistinctHostPairsNeverCollide) {
+  // Host pair 1->0 latches path 0. Host pair 0->2^24 never timed out: a
+  // latch key packing src into bits 40-63 and dst into bits 16-47 gave
+  // both pairs the same latch.
+  Engine e{test_config(), 2, 1};
+  e.sync_pair(0, 1, hosts(4));
+  FlowView f = flow(1, /*src=*/1, /*dst=*/0);
+  f.has_sent = true;
+  f.cur_local = 0;
+  for (int i = 0; i < 3; ++i) e.on_timeout(f, msec(1 + i));
+  ASSERT_TRUE(e.blackholed(0, 1, 1, 0, 0, msec(4)));
+  EXPECT_FALSE(e.blackholed(0, 1, 0, 1 << 24, 0, msec(4)));
+  FlowView other = flow(2, /*src=*/0, /*dst=*/1 << 24);
+  other.has_sent = true;
+  other.cur_local = 0;
+  EXPECT_EQ(e.decide(other, 1500, msec(4)), 0) << "another pair's latch repelled the flow";
+  EXPECT_EQ(e.stats().failure_escapes, 0u);
+}
+
+TEST(EngineConformance, UnitMembershipDecidesLikeUndeclaredPaths) {
+  // One script, two engines: one pair declared as 8 healthy hosts of
+  // weight 1 (sync_pair), the other only sized (ensure). Every branch of
+  // Algorithm 2 runs — tied placements, reroutes, the weighted fallback
+  // over congested paths, and the transmit-anywhere tail once every path
+  // is latched — and both must decide and draw alike.
+  const auto run = [](bool declared) {
+    Config cfg = test_config();
+    cfg.reroute_rate_limit_bps = 1e12;  // rate gate open
+    Engine e{cfg, 2, 42};
+    LogSink sink;
+    e.set_sink(&sink);
+    if (declared) {
+      e.sync_pair(0, 1, hosts(8));
+    } else {
+      e.path_set(0, 1).ensure(8);
+    }
+    std::string out;
+    TimeNs t = 0;
+    const auto place = [&](std::uint64_t id, bool established, int cur) {
+      FlowView f = flow(id);
+      f.has_sent = established;
+      f.cur_local = cur;
+      f.bytes_sent = 1 << 20;  // past S
+      out += std::to_string(e.decide(f, 1500, t += usec(7))) + ",";
+    };
+    for (int i = 0; i < 40; ++i) place(static_cast<std::uint64_t>(i), false, -1);  // all gray
+    for (int li = 0; li < 8; ++li) drive(e, li, li < 4 ? usec(40) : usec(250), li >= 4, 50);
+    for (int i = 0; i < 40; ++i) place(static_cast<std::uint64_t>(100 + i), i % 2 == 0, 4 + i % 4);
+    for (int li = 0; li < 4; ++li) drive(e, li, usec(250), true, 50);  // all congested
+    for (int i = 0; i < 40; ++i) place(static_cast<std::uint64_t>(200 + i), false, -1);
+    const auto latch = [&](int li) {  // three timeouts of host pair 1->2 on path li
+      FlowView f = flow(300);
+      f.has_sent = true;
+      f.cur_local = li;
+      for (int k = 0; k < 3; ++k) e.on_timeout(f, t += usec(3));
+    };
+    for (int li = 0; li < 4; ++li) latch(li);  // the fallback draws over paths 4-7
+    for (int i = 0; i < 40; ++i) place(static_cast<std::uint64_t>(400 + i), false, -1);
+    for (int li = 4; li < 8; ++li) latch(li);  // the transmit-anywhere tail
+    for (int i = 0; i < 40; ++i) place(static_cast<std::uint64_t>(500 + i), false, -1);
+    for (const DecisionEvent& ev : sink.events) {
+      out += std::to_string(static_cast<int>(ev.kind)) + ":" + std::to_string(ev.from_path) +
+             ">" + std::to_string(ev.to_path) + ";";
+    }
+    return out + "rng=" + std::to_string(e.rng().next(1U << 30));
+  };
+  const std::string declared = run(true);
+  EXPECT_EQ(declared, run(false));
+  EXPECT_NE(declared.find("4:"), std::string::npos) << "script never latched a blackhole";
+}
+
+TEST(EngineConformance, UnownedSourceGroupThrows) {
+  Engine e{test_config(), 4, std::vector<int>{1, 3}, 1};
+  EXPECT_EQ(e.path_set(3, 0).size(), 0u);
+  EXPECT_THROW((void)e.path_set(0, 1), std::out_of_range);
+  EXPECT_THROW((void)e.path_set(4, 1), std::out_of_range);
+  EXPECT_THROW((void)e.path_set(1, 4), std::out_of_range);
+  FlowView f = flow(1);  // group pair 0 -> 1
+  EXPECT_THROW((void)e.decide(f, 1500, usec(1)), std::out_of_range);
+  EXPECT_THROW(e.sync_pair(2, 1, hosts(2)), std::out_of_range);
+  EXPECT_THROW((void)e.blackholed(0, 1, 1, 2, 0, usec(1)), std::out_of_range);
+  EXPECT_THROW((Engine{test_config(), 4, std::vector<int>{3, 1}, 1}), std::invalid_argument);
 }
 
 TEST(EngineConformance, IndependentEnginesRunConcurrently) {

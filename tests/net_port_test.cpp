@@ -174,7 +174,7 @@ TEST_F(PortTest, TxTimeMatchesRate) {
 }
 
 TEST(DreTest, RateTracksSteadyInput) {
-  engine::Dre dre{usec(50).ns(), 0.1};
+  engine::Dre<engine::kLinkDre> dre;
   sim::SimTime t{};
   // 1500B every 1.2us == 10Gbps.
   for (int i = 0; i < 2000; ++i) {
@@ -185,14 +185,14 @@ TEST(DreTest, RateTracksSteadyInput) {
 }
 
 TEST(DreTest, DecaysToZeroWhenIdle) {
-  engine::Dre dre{usec(50).ns(), 0.1};
+  engine::Dre<engine::kLinkDre> dre;
   dre.add(150'000, 0);
   EXPECT_GT(dre.rate_bps(usec(1).ns()), 0.0);
   EXPECT_LT(dre.rate_bps(msec(50).ns()), 1e3);
 }
 
 TEST(DreTest, QuantizedSaturatesAtSeven) {
-  engine::Dre dre{usec(50).ns(), 0.1};
+  engine::Dre<engine::kLinkDre> dre;
   sim::SimTime t{};
   for (int i = 0; i < 5000; ++i) {
     dre.add(1500, t.ns());
@@ -203,7 +203,7 @@ TEST(DreTest, QuantizedSaturatesAtSeven) {
 }
 
 TEST(DreTest, UtilizationProportionalToRate) {
-  engine::Dre slow{usec(50).ns(), 0.1}, fast{usec(50).ns(), 0.1};
+  engine::Dre<engine::kLinkDre> slow, fast;
   sim::SimTime t{};
   for (int i = 0; i < 4000; ++i) {
     fast.add(1500, t.ns());

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -345,6 +347,32 @@ TEST(Sharded, ShardingMetricsAreRegistered) {
   EXPECT_GT(probes, 0u);
   EXPECT_EQ(metric_value(hsnap, "lb.probes_sent"), static_cast<double>(probes));
   EXPECT_NE(hsnap.find("lb.latch_lifetime_us "), std::string::npos) << hsnap;
+}
+
+TEST(Sharded, HermesShardKeepsRowsForItsOwnLeavesOnly) {
+  harness::ShardedScenario h{base_config(harness::Scheme::kHermes, 4, 2)};
+  h.add_flows(test_traffic(h.fabric(), 20));
+  (void)h.run();
+  const net::Fabric& f = h.fabric();
+  for (int s = 0; s < h.num_shards(); ++s) {
+    lb::HermesLb& shard_lb = *h.hermes(s);
+    const std::vector<int> own = f.leaves_of_shard(s);
+    EXPECT_EQ(shard_lb.engine().owned_groups(), own);
+    for (int src = 0; src < f.num_leaves(); ++src) {
+      const int dst = (src + f.num_leaves() / 2) % f.num_leaves();  // another pod
+      const int src_host = f.first_host_of_leaf(src);
+      const int dst_host = f.first_host_of_leaf(dst);
+      if (std::find(own.begin(), own.end(), src) != own.end()) {
+        EXPECT_GT(shard_lb.sampled_paths(src, dst), 0) << "shard " << s << " leaf " << src;
+        EXPECT_FALSE(shard_lb.blackholed(src_host, dst_host, 0));
+        continue;
+      }
+      EXPECT_THROW((void)shard_lb.path_state(src, dst, 0), std::out_of_range);
+      EXPECT_THROW((void)shard_lb.path_type(src, dst, 0), std::out_of_range);
+      EXPECT_THROW((void)shard_lb.sampled_paths(src, dst), std::out_of_range);
+      EXPECT_THROW((void)shard_lb.blackholed(src_host, dst_host, 0), std::out_of_range);
+    }
+  }
 }
 
 TEST(Sharded, FlowsStartingAfterTheCapCountAsUnfinished) {

@@ -206,5 +206,33 @@ INSTANTIATE_TEST_SUITE_P(K, FatTreeRouteSweep, ::testing::Values(4, 6),
                            return "k" + std::to_string(info.param);
                          });
 
+/// A fat-tree's path table is two runs that every leaf pair shares: all
+/// intra-pod pairs view one k/2-entry run and all inter-pod pairs one
+/// (k/2)^2-entry run, so the table does not grow with leaves^2.
+class FatTreeSharedRuns : public ::testing::TestWithParam<int> {};
+
+TEST_P(FatTreeSharedRuns, EveryPairOfAKindViewsTheSameStorage) {
+  sim::Simulator simulator{1};
+  FatTreeConfig cfg;
+  cfg.k = GetParam();
+  FatTree ft{{&simulator}, cfg};
+  const FabricPath* intra = ft.paths_between_leaves(0, 1).data();
+  const FabricPath* inter = ft.paths_between_leaves(0, ft.num_leaves() - 1).data();
+  ASSERT_NE(intra, inter);
+  for (int a = 0; a < ft.num_leaves(); ++a) {
+    for (int b = 0; b < ft.num_leaves(); ++b) {
+      if (a == b) continue;
+      const bool same_pod = ft.pod_of_leaf(a) == ft.pod_of_leaf(b);
+      EXPECT_EQ(ft.paths_between_leaves(a, b).data(), same_pod ? intra : inter)
+          << a << "->" << b;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(K, FatTreeSharedRuns, ::testing::Values(4, 6),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "k" + std::to_string(info.param);
+                         });
+
 }  // namespace
 }  // namespace hermes::net

@@ -32,7 +32,7 @@
 // Every statement is checked when the trace loads: its field count,
 // each number a decimal integer in [0, 2^31), 1 <= groups <= 1024 with
 // `groups` before any statement that names a group, every group index
-// in [0, groups), and at most 65536 paths per `paths` line. A malformed
+// in [0, groups), and at most 32768 paths per `paths` line. A malformed
 // trace exits 2 with a "trace line N" diagnostic before anything runs.
 
 #include <charconv>
@@ -66,10 +66,10 @@ using namespace hermes::engine;
 
 /// Daemon-side flow bookkeeping: the engine holds no per-flow state, so
 /// hermesd owns the FlowView plus a DRE tracking the flow's send rate
-/// (the R gate of Algorithm 2).
+/// (the R gate of Algorithm 2), with the simulator's flow-rate parameters.
 struct FlowState {
   FlowView view;
-  Dre rate{msec(1), 0.1};
+  Dre<kRateDre> rate;
 };
 
 /// Streams decisions to stdout and tallies them for the summary.
@@ -123,8 +123,8 @@ Health parse_health(const std::string& s, int line_no) {
 
 /// The engine holds a PathSet per ordered group pair.
 constexpr std::int64_t kMaxGroups = 1024;
-/// Engine::hole_key packs the path index into 16 bits.
-constexpr std::int64_t kMaxPaths = std::int64_t{1} << 16;
+/// Decision events and the flight recorder carry a path index as int16_t.
+constexpr std::int64_t kMaxPaths = std::int64_t{1} << 15;
 
 /// Every numeric trace field (times, ids, counts, indices, thresholds):
 /// a decimal integer in [0, 2^31), or die().
@@ -187,7 +187,7 @@ bool check_statement(const std::vector<std::string>& tok, bool event, int num_gr
 }
 
 double flow_rate_fn(const void* ctx, TimeNs now) {
-  return static_cast<const Dre*>(ctx)->rate_bps(now);
+  return static_cast<const Dre<kRateDre>*>(ctx)->rate_bps(now);
 }
 
 }  // namespace
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
       cfg.delta_rtt = usec(std::atoll(tok[3].c_str()));
     } else if (tok[0] == "paths" || tok[0] == "flow") {
       if (tok[0] == "paths" && parse_uint(tok[3], line_no) > kMaxPaths) {
-        die(line_no, "at most 65536 paths per pair");
+        die(line_no, "at most 32768 paths per pair");
       }
       setup.push_back(tok);
     } else {  // expect
