@@ -1,7 +1,8 @@
 // Microbenchmarks of the simulator substrate: event-queue throughput
 // with packet-hop-sized callback captures, cancellable-timer churn, the
-// event queue's retained memory under bursty probe ticks, DRE updates,
-// route construction, and the end-to-end packet pipeline rate.
+// event queue's retained memory under bursty probe ticks, its due run
+// under lockstep ports, DRE updates, route construction, and the
+// end-to-end packet pipeline rate.
 // These bound how much simulated traffic the experiment harness can push
 // per wall-clock second.
 //
@@ -31,6 +32,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -238,6 +240,56 @@ void bench_event_queue_bursty(int ticks) {
   std::printf("event_queue_bursty    %6.1f ns/event  peak %zu stored  %.0f retained heap "
               "bytes/peak event\n",
               dt * 1e9 / static_cast<double>(t->fired), t->peak, per_peak);
+}
+
+/// The due run under lockstep ports: 256 posters fire together, and each
+/// firing re-posts itself 51 ns later (a 64 B frame at 10G) and posts one
+/// zero-delay hand-off (a sharded portal drain). Most schedules land in
+/// the level-0 bucket being drained, a sorted insert into the due run,
+/// which the benches above never reach: they schedule into future
+/// buckets. Rep 0 warms the pools and is excluded; the steady state must
+/// not allocate (check_bench_regress.py gates it).
+void bench_event_queue_lockstep(int reps, std::uint64_t events_per_rep) {
+  constexpr int kPosters = 256;
+  struct Lockstep {
+    sim::EventQueue q;
+    std::uint64_t fired = 0;
+    std::uint64_t rearms_left = 0;
+    void fire() {
+      ++fired;
+      if (rearms_left == 0) return;
+      --rearms_left;
+      q.post_in(sim::nsec(51), [this] { fire(); });
+      q.post_in(sim::SimTime::zero(), [this] { ++fired; });
+    }
+  };
+  auto ls = std::make_unique<Lockstep>();
+  std::uint64_t allocs0 = 0;
+  double dt = 0;
+  std::uint64_t events = 0;
+  for (int rep = 0; rep < reps + 1; ++rep) {
+    if (rep == 1) allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+    const std::uint64_t fired0 = ls->fired;
+    // Each re-arm adds two events: the poster's next firing and its hand-off.
+    ls->rearms_left = (events_per_rep - kPosters) / 2;
+    const auto t0 = Clock::now();
+    for (int p = 0; p < kPosters; ++p) {
+      ls->q.post_in(sim::SimTime::zero(), [l = ls.get()] { l->fire(); });
+    }
+    ls->q.run();
+    if (rep > 0) {
+      dt += seconds_since(t0);
+      events += ls->fired - fired0;
+    }
+  }
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  const auto ev = static_cast<double>(events);
+  g_sink += ls->fired;
+  record("event_queue_lockstep", "events_per_sec", ev / dt);
+  record("event_queue_lockstep", "ns_per_event", dt * 1e9 / ev);
+  record("event_queue_lockstep", "allocs_per_event_steady", static_cast<double>(allocs) / ev);
+  std::printf("event_queue_lockstep  %10.0f events/s  %6.1f ns/event  %.4f allocs/event (steady)\n",
+              ev / dt, dt * 1e9 / ev, static_cast<double>(allocs) / ev);
 }
 
 /// End-to-end packet pipeline: one 10MB Hermes flow across a 2x2 fabric,
@@ -510,6 +562,9 @@ void write_json(const std::string& path, bool smoke) {
   std::fprintf(f, "  \"build\": \"debug\",\n");
 #endif
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  // The machine the numbers came from: timings compare only with the
+  // dre_add_read canary and the core count beside them.
+  std::fprintf(f, "  \"cores\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"heap_in_use_bytes_end\": %zu,\n", heap_in_use_bytes());
   std::fprintf(f, "  \"total_heap_allocs\": %" PRIu64 ",\n",
                g_alloc_count.load(std::memory_order_relaxed));
@@ -553,6 +608,7 @@ int main(int argc, char** argv) {
   // Same size in --smoke: the retained-bytes figure is gated from the
   // smoke JSON too, and it depends on the burst shape, not on timing.
   bench_event_queue_bursty(2000);
+  bench_event_queue_lockstep(smoke ? 1 : 4, smoke ? 20'000 : 2'000'000);
   bench_packet_pipeline(smoke ? 1 : 30);
   bool ok = bench_packet_pipeline_steady(smoke ? 2 : 30);
   ok = bench_recorder_append(smoke ? 10'000 : 5'000'000) && ok;

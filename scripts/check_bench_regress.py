@@ -12,6 +12,11 @@ packet pipeline regresses:
   * engine_decide.allocs_per_decision_steady must stay <= 0.01 (the
     extracted decision engine's HERMES_HOT decide() path is
     allocation-free; the binary asserts literal zero internally), and
+  * event_queue_lockstep.allocs_per_event_steady must stay <= 0.01 (the
+    due run's record pool recycles fired records, so a long same-bucket
+    run allocates nothing once warm; a pool that grows geometrically
+    instead allocates O(log n) times and is caught by the bursty byte
+    budget below), and
   * event_queue_bursty.retained_heap_bytes_per_peak_event must stay
     <= 200 (wheel storage follows the peak number of stored events:
     169 bytes per event at the bench's 2048-event peak, where per-bucket
@@ -153,6 +158,24 @@ def main(argv):
             f"engine decide() allocates {eng_allocs:.4f} per decision "
             f"(budget {ALLOC_BUDGET}) — the HERMES_HOT allocation-free "
             "decision path regressed"
+        )
+
+    lockstep_allocs = metric(current, "event_queue_lockstep", "allocs_per_event_steady")
+    if lockstep_allocs is None:
+        failures.append(
+            "current run has no event_queue_lockstep.allocs_per_event_steady "
+            "metric — bench binary predates the due-run pool?"
+        )
+    elif lockstep_allocs > ALLOC_BUDGET:
+        failures.append(
+            f"event queue allocates {lockstep_allocs:.4f} per event under lockstep "
+            f"ports (budget {ALLOC_BUDGET}) — the due run's record pool stopped "
+            "recycling"
+        )
+    else:
+        print(
+            f"perf guard: event_queue_lockstep steady allocs/event {lockstep_allocs:.4f} "
+            f"(budget {ALLOC_BUDGET})"
         )
 
     bursty = metric(current, "event_queue_bursty", "retained_heap_bytes_per_peak_event")

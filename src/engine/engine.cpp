@@ -43,6 +43,17 @@ void Engine::throw_not_owned(int src_group, int dst_group) const {
                           std::to_string(dst_group) + " (source group not owned or out of range)");
 }
 
+PathState& Engine::path_state(int src_group, int dst_group, int local_idx) {
+  PathSet& ps = path_set(src_group, dst_group);
+  if (local_idx < 0 || static_cast<std::size_t>(local_idx) >= ps.size()) {
+    throw std::out_of_range("engine: pair " + std::to_string(src_group) + "->" +
+                            std::to_string(dst_group) + " has no path " +
+                            std::to_string(local_idx) + " (it has " +
+                            std::to_string(ps.size()) + ")");
+  }
+  return ps.state(static_cast<std::size_t>(local_idx));
+}
+
 std::size_t Engine::HoleKeyHash::operator()(const HoleKey& k) const {
   // Equality compares every field, so keys that hash alike cost a probe,
   // never a shared latch.

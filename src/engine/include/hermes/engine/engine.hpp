@@ -94,9 +94,9 @@ class Engine {
   [[nodiscard]] int num_groups() const { return num_groups_; }
   /// The source groups this engine keeps rows for, ascending.
   [[nodiscard]] const std::vector<int>& owned_groups() const { return owned_; }
-  [[nodiscard]] PathState& path_state(int src_group, int dst_group, int local_idx) {
-    return path_set(src_group, dst_group).state(static_cast<std::size_t>(local_idx));
-  }
+  /// One path's sensing state; throws std::out_of_range as path_set()
+  /// does, or for an index outside [0, size()) of the pair's PathSet.
+  [[nodiscard]] PathState& path_state(int src_group, int dst_group, int local_idx);
   [[nodiscard]] PathType path_type(int src_group, int dst_group, int local_idx) {
     return path_state(src_group, dst_group, local_idx).characterize(config_);
   }

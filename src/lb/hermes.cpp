@@ -34,7 +34,8 @@ engine::PathSet& HermesLb::pair(int src_leaf, int dst_leaf) {
 }
 
 engine::PathState& HermesLb::path_state(int src_leaf, int dst_leaf, int local_index) {
-  return pair(src_leaf, dst_leaf).state(static_cast<std::size_t>(local_index));
+  pair(src_leaf, dst_leaf);  // size the pair's slots from the fabric first
+  return engine_.path_state(src_leaf, dst_leaf, local_index);
 }
 
 engine::PathType HermesLb::path_type(int src_leaf, int dst_leaf, int local_index) {

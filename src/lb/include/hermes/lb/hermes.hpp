@@ -167,6 +167,8 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   /// The embedded decision engine (tests drive conformance checks and
   /// membership churn through it directly).
   [[nodiscard]] engine::Engine& engine() { return engine_; }
+  /// A path's sensing state and type; an index outside the pair's paths
+  /// throws std::out_of_range (Engine::path_state).
   [[nodiscard]] engine::PathState& path_state(int src_leaf, int dst_leaf, int local_index);
   [[nodiscard]] engine::PathType path_type(int src_leaf, int dst_leaf, int local_index);
   [[nodiscard]] bool blackholed(std::int32_t src_host, std::int32_t dst_host,

@@ -15,12 +15,13 @@ void EventQueue::place(Event&& ev) {
   const std::int64_t i0 = ev.time.ns() >> kL0Shift;
   if (i0 <= cur_) {
     // The wheel already drained past this bucket (the event is due now or
-    // nearly now): merge into the sorted due run.
-    const auto it = std::upper_bound(due_.begin() + static_cast<std::ptrdiff_t>(due_head_),
-                                     due_.end(), ev, Earlier{});
+    // nearly now): merge its key into the newest-first due run, in front
+    // of every key that fires before it.
     if (TimerSlot* ts = live_slot(ev)) ts->where = TimerSlot::kInDue;
-    // hermeslint:reserve-audited(due_ keeps its high-water capacity across laps; the sorted insert shifts records but reallocates only until the run's working-set peak)
-    due_.insert(it, std::move(ev));
+    Key key{ev.time, ev.seq};
+    key.rec = to_pool(std::move(ev));
+    // hermeslint:reserve-audited(due_ keeps its high-water capacity across laps; the sorted insert shifts 24-byte keys but reallocates only until the run's working-set peak)
+    due_.insert(std::upper_bound(due_.begin(), due_.end(), key, Later{}), key);
     return;
   }
   if (i0 - cur_ <= kNumBuckets) {
@@ -45,6 +46,19 @@ void EventQueue::place(Event&& ev) {
   if (TimerSlot* ts = live_slot(ev)) ts->where = TimerSlot::kInOverflow;
   // hermeslint:reserve-audited(overflow is the >268ms cold tail — flow-arrival preloading, not the per-packet path; appends are O(1) at the back)
   overflow_.insert(it, std::move(ev));
+}
+
+// HERMES_HOT: one call per record entering the due run.
+std::uint32_t EventQueue::to_pool(Event&& ev) {
+  if (due_free_.empty()) {
+    // hermeslint:reserve-audited(the due pool grows only while its LIFO free list is empty, i.e. to the due run's peak; every fired record returns its index)
+    due_pool_.push_back(std::move(ev));
+    return static_cast<std::uint32_t>(due_pool_.size() - 1);
+  }
+  const std::uint32_t rec = due_free_.back();
+  due_free_.pop_back();
+  due_pool_[rec] = std::move(ev);
+  return rec;
 }
 
 // HERMES_HOT: append to a bucket's tail block, opening a new block from
@@ -75,7 +89,7 @@ void EventQueue::push(Bucket& b, std::uint8_t where, std::uint32_t bucket_index,
   ++b.size;
 }
 
-// HERMES_HOT: O(1) removal for timer cancel (and purge_cancelled).
+// HERMES_HOT: O(1) removal for timer cancel.
 void EventQueue::remove_at(Bucket& b, ArenaHandle block, std::uint32_t index) {
   Block& tail = blocks_[b.tail];
   Event& last = tail.ev[(b.size - 1) & kBlockMask];
@@ -153,7 +167,7 @@ void EventQueue::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   // Physically remove wheel-bucket records (swap-remove: bucket order is
   // irrelevant, every bucket is (time, seq)-sorted when it drains). The
   // due run and overflow list are sorted, so their records are bumped
-  // lazily instead and reclaimed when the cursor reaches them.
+  // lazily instead and reclaimed when dispatch reaches them.
   const TimerSlot& loc = slots_[slot];
   if (loc.where == TimerSlot::kInL0 || loc.where == TimerSlot::kInL1) {
     Bucket& b = loc.where == TimerSlot::kInL0 ? l0_[loc.bucket] : l1_[loc.bucket];
@@ -179,30 +193,28 @@ bool EventQueue::consume_slot(const Event& ev) {
   return true;
 }
 
-// HERMES_HOT: bucket hand-off into the due run; its blocks return to the pool.
+// HERMES_HOT: bucket hand-off into the due run; its records move to the
+// due pool and its blocks return to the block pool.
 void EventQueue::drain_to_due(Bucket& bucket) {
   l0_count_ -= bucket.size;
-  if (due_head_ == due_.size()) {
-    due_.clear();
-    due_head_ = 0;
-  }
   const auto base = static_cast<std::ptrdiff_t>(due_.size());
   take_all(bucket, [this](Event& ev) {
     if (TimerSlot* ts = live_slot(ev)) ts->where = TimerSlot::kInDue;
-    // hermeslint:reserve-audited(due_ retains high-water capacity; the clear and head reset above reuse it without shrinking)
-    due_.push_back(std::move(ev));
+    Key key{ev.time, ev.seq};
+    key.rec = to_pool(std::move(ev));
+    // hermeslint:reserve-audited(due_ retains high-water capacity; popping keys at dispatch never shrinks it)
+    due_.push_back(key);
   });
-  // A bucket spans 256ns of simulated time, so it can hold events at
-  // different instants; restore the (time, seq) total order. When the
-  // due run already had entries (same-instant inserts made during the
-  // cascade), sort the whole run rather than merging. Events are pushed
-  // in seq order and near-future schedules are issued in rising time
-  // order, so the run is usually already sorted — check before paying
-  // for a sort that would move 112-byte records around.
-  auto first = due_.begin() + (due_head_ < static_cast<std::size_t>(base)
-                                   ? static_cast<std::ptrdiff_t>(due_head_)
-                                   : base);
-  if (!std::is_sorted(first, due_.end(), Earlier{})) std::sort(first, due_.end(), Earlier{});
+  // Records arrive in push order, rising seq: reversed, the keys are
+  // newest first when the bucket filled in time order. A bucket spans
+  // 256ns of simulated time, so it can hold events at different
+  // instants, and the run may already hold keys (same-instant inserts
+  // made during the cascade): sort the whole run's keys when it is out
+  // of order, as 90% of a loaded fat-tree's drains are.
+  std::reverse(due_.begin() + base, due_.end());
+  if (!std::is_sorted(due_.begin(), due_.end(), Later{})) {
+    std::sort(due_.begin(), due_.end(), Later{});
+  }
 }
 
 // HERMES_HOT: wheel cursor walk between non-empty buckets.
@@ -251,15 +263,13 @@ void EventQueue::advance() {
     }
     Bucket& b0 = l0_[static_cast<std::size_t>(cur_ & kBucketMask)];
     if (b0.size != 0) drain_to_due(b0);
-    if (due_head_ < due_.size()) return;
+    if (!due_.empty()) return;
   }
 }
 
 // HERMES_HOT: called before every event pop.
 bool EventQueue::peek_due() {
-  while (due_head_ == due_.size()) {
-    due_.clear();
-    due_head_ = 0;
+  while (due_.empty()) {
     if (l0_count_ == 0 && l1_count_ == 0 && overflow_head_ == overflow_.size()) return false;
     advance();
   }
@@ -267,45 +277,11 @@ bool EventQueue::peek_due() {
 }
 
 std::size_t EventQueue::stored_events() const {
-  return (due_.size() - due_head_) + l0_count_ + l1_count_ + (overflow_.size() - overflow_head_);
+  return due_.size() + l0_count_ + l1_count_ + (overflow_.size() - overflow_head_);
 }
 
 std::size_t EventQueue::reserved_events() const {
-  return blocks_.capacity() * kBlockEvents + due_.capacity() + overflow_.capacity();
-}
-
-void EventQueue::purge_cancelled() {
-  const auto stale = [this](const Event& ev) {
-    return ev.slot != kNoSlot && slots_[ev.slot].gen != ev.gen;
-  };
-  due_.erase(std::remove_if(due_.begin() + static_cast<std::ptrdiff_t>(due_head_), due_.end(),
-                            stale),
-             due_.end());
-  // Swap-remove keeps every live timer's position hint current, so a
-  // bucket is compacted with the same primitive cancel uses. A removal
-  // moves the last record into the hole, which is then checked again.
-  const auto purge = [&](Bucket& b, std::size_t& count) {
-    ArenaHandle h = b.head;
-    std::uint32_t i = 0;
-    for (std::uint32_t k = 0; k < b.size;) {
-      if (stale(blocks_[h].ev[i])) {
-        remove_at(b, h, i);
-        --count;
-        continue;
-      }
-      ++k;
-      if (++i == kBlockEvents) {
-        i = 0;
-        h = blocks_[h].next;
-      }
-    }
-  };
-  for (Bucket& b : l0_) purge(b, l0_count_);
-  for (Bucket& b : l1_) purge(b, l1_count_);
-  overflow_.erase(
-      std::remove_if(overflow_.begin() + static_cast<std::ptrdiff_t>(overflow_head_),
-                     overflow_.end(), stale),
-      overflow_.end());
+  return blocks_.capacity() * kBlockEvents + due_pool_.capacity() + overflow_.capacity();
 }
 
 // HERMES_HOT: the event dispatch loop (the bench inner loop).
@@ -313,9 +289,15 @@ void EventQueue::dispatch(SimTime last) {
   stopped_ = false;
   while (!stopped_) {
     if (!peek_due()) break;
-    // due_ front is the global minimum, so one comparison bounds the run.
-    if (due_[due_head_].time > last) break;
-    Event ev = std::move(due_[due_head_++]);
+    // due_.back() is the global minimum, so one comparison bounds the run.
+    const Key next = due_.back();
+    if (next.time > last) break;
+    due_.pop_back();
+    // Move the record out before its callback runs: the callback may grow
+    // the pool, and the freed index is the next one reused.
+    Event ev = std::move(due_pool_[next.rec]);
+    // hermeslint:reserve-audited(free-list capacity is bounded by due_pool_.size(), which the pool already paid for)
+    due_free_.push_back(next.rec);
     if (ev.slot != kNoSlot && !consume_slot(ev)) continue;  // cancelled, reclaim silently
     assert(live_ > 0);
     --live_;
@@ -337,7 +319,7 @@ void EventQueue::run_until_before(SimTime h) {
 
 SimTime EventQueue::next_event_time() {
   if (!peek_due()) return SimTime::max();
-  return due_[due_head_].time;
+  return due_.back().time;
 }
 
 void EventQueue::run() { dispatch(SimTime::max()); }

@@ -40,22 +40,27 @@ namespace hermes::sim {
 ///   level 1:  1024 buckets x ~262us  -> horizon ~268ms
 ///   overflow: sorted vector (time, seq) beyond ~268ms
 ///
-/// The 256ns level-0 bucket is deliberately finer than the smallest
-/// common event spacing (64B ACK serialization at 10G is 51ns, data
-/// packets 1.2us): a scheduled event almost always lands in a *future*
-/// bucket (an O(1) push) instead of the already-drained current one
-/// (a sorted insert into the due run, which shifts records). With
-/// 4.096us buckets a loaded 10G fabric put ~70% of schedules into the
-/// current bucket and per-event cost tripled.
+/// The due run: a drained level-0 bucket's records move into a pool
+/// (a vector plus a LIFO free list) and the run orders 24-byte keys
+/// (time, seq, pool index), newest first, so the next event is the
+/// back key. Lockstep traffic makes same-bucket schedules common: 64 B
+/// frames finish 51 ns apart and sharded portals hand off with zero
+/// delay, so 53% of a k=16 fat-tree Hermes run's placements (40% under
+/// ECMP, 20% on a loaded leaf-spine) land in the bucket being drained.
+/// Each of those is a sorted insert that shifts keys, not 112-byte
+/// records; a record enters the pool once and leaves it once, when it
+/// fires. Wider buckets would send more schedules there: with 4.096us
+/// buckets a loaded 10G fabric put ~70% of them into the current one.
 ///
-/// The total order is always (time, seq): bucket contents are sorted on
-/// drain, so the wheel is observably identical to a binary heap with a
-/// stable tiebreak — for a fixed seed, simulation output is byte-equal.
+/// The total order is always (time, seq): a drained bucket's keys are
+/// sorted when they arrive out of order, so the wheel is observably
+/// identical to a binary heap with a stable tiebreak — for a fixed
+/// seed, simulation output is byte-equal.
 class EventQueue {
  public:
   /// Inline storage for event callbacks — a global budget: the Event
-  /// record (and with it every byte the wheel stores, moves and sorts)
-  /// is sized by it, so captures are kept to a few pointers/ints; bulky
+  /// record (and with it every byte the wheel stores and moves) is
+  /// sized by it, so captures are kept to a few pointers/ints; bulky
   /// state (e.g. reorder-held packets) lives in the owning object with
   /// the event capturing only `this`. Oversized captures fail to
   /// compile (see InlineFunction). Shrinking 128 -> 64 cut the Event
@@ -109,14 +114,9 @@ class EventQueue {
   /// lazy reclamation) — a diagnostics/test observer.
   [[nodiscard]] std::size_t stored_events() const;
   /// Event records the queue can hold without allocating: the block
-  /// pool's capacity plus the due run's and overflow list's. A
+  /// pool's capacity plus the due pool's and overflow list's. A
   /// diagnostics/test observer; it tracks the peak of stored_events().
   [[nodiscard]] std::size_t reserved_events() const;
-
-  /// Eagerly drop cancelled event records from every bucket. Never
-  /// needed for correctness (cancelled records are skipped and reclaimed
-  /// as the wheel reaches them); call it to release their memory early.
-  void purge_cancelled();
 
   /// Run all events with time <= t, then advance the clock to t.
   void run_until(SimTime t);
@@ -156,6 +156,14 @@ class EventQueue {
     std::uint32_t gen = 0;          ///< slot generation at scheduling time
     Callback cb;
   };
+  static_assert(sizeof(Event) == 112, "two cache lines; a kind byte must come from padding");
+  /// A due-run entry: the order of the record at due_pool_[rec].
+  struct Key {
+    SimTime time;
+    std::uint64_t seq = 0;
+    std::uint32_t rec = 0;
+  };
+  static_assert(sizeof(Key) == 24, "same-bucket inserts shift keys; keep them small");
   /// A pool block: a run of a bucket's records in push order, doubly
   /// linked so the tail can be returned to the pool when it empties. The
   /// links share a cache line with ev[0], the record a tail block holds
@@ -167,7 +175,7 @@ class EventQueue {
   };
   /// A wheel bucket: a chain of pool blocks; only the tail is partly full.
   /// Record order within a bucket is arbitrary (cancel swap-removes) —
-  /// the bucket is (time, seq)-sorted when it drains.
+  /// the bucket's keys are (time, seq)-sorted when it drains.
   struct Bucket {
     ArenaHandle head;
     ArenaHandle tail;
@@ -197,6 +205,13 @@ class EventQueue {
       return a.seq < b.seq;
     }
   };
+  /// The reverse order, for the newest-first due run.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
 
   /// The slot of the timer whose live record `ev` is; null for a post or
   /// a stale record (its timer fired, was cancelled, or was re-armed).
@@ -204,6 +219,8 @@ class EventQueue {
     return ev.slot != kNoSlot && slots_[ev.slot].gen == ev.gen ? &slots_[ev.slot] : nullptr;
   }
   void place(Event&& ev);
+  /// Move a due record into the pool; returns its index.
+  std::uint32_t to_pool(Event&& ev);
   void push(Bucket& b, std::uint8_t where, std::uint32_t bucket_index, Event&& ev);
   /// Swap-remove the record at (block, index) with the bucket's last one,
   /// returning the tail block to the pool when it empties.
@@ -213,7 +230,7 @@ class EventQueue {
   void take_all(Bucket& b, F&& f);
   void advance();
   void drain_to_due(Bucket& bucket);
-  /// Ensure due_ holds the globally next events; false if storage empty.
+  /// Ensure due_ holds the globally next event; false if storage empty.
   bool peek_due();
   /// The one dispatch loop: fire events in (time, seq) order while the
   /// next is at or before `last`, until stop() or the queue drains.
@@ -224,10 +241,11 @@ class EventQueue {
     return slot < slots_.size() && slots_[slot].gen == gen;
   }
 
-  // Events already pulled in front of the wheel, sorted by (time, seq);
-  // due_head_ indexes the next one to fire.
-  std::vector<Event> due_;
-  std::size_t due_head_ = 0;
+  // Events already pulled in front of the wheel: their keys, newest
+  // first (back() fires next), and their records, by key.rec.
+  std::vector<Key> due_;
+  std::vector<Event> due_pool_;
+  std::vector<std::uint32_t> due_free_;  ///< LIFO: the hottest record is reused first
   SlotArena<Block> blocks_;
   std::array<Bucket, kNumBuckets> l0_{};
   std::array<Bucket, kNumBuckets> l1_{};
@@ -238,7 +256,7 @@ class EventQueue {
   std::vector<Event> overflow_;
   std::size_t overflow_head_ = 0;
   /// Absolute level-0 bucket index the wheel has drained through: every
-  /// event with (time >> kL0Shift) <= cur_ lives in due_ (or fired).
+  /// event with (time >> kL0Shift) <= cur_ lives in the due run (or fired).
   std::int64_t cur_ = -1;
 
   std::vector<TimerSlot> slots_;

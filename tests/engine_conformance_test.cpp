@@ -2,7 +2,8 @@
 // the style of Envoy/gRPC LB conformance tests: declared membership
 // (HostSet weights + health + panic), churn under load, and the failure
 // latch lifecycle — all driven through the public engine API with no
-// simulator attached. These tests are also run under TSan in tier 1
+// simulator attached (one test also checks the simulator adapter's
+// introspection bounds). These tests are also run under TSan in tier 1
 // (two engines on concurrent threads must not share hidden state).
 
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@
 #include <vector>
 
 #include "hermes/engine/engine.hpp"
+#include "hermes/lb/hermes.hpp"
+#include "hermes/net/topology.hpp"
+#include "hermes/sim/simulator.hpp"
 
 namespace hermes::engine {
 namespace {
@@ -404,6 +408,27 @@ TEST(EngineConformance, UnownedSourceGroupThrows) {
   EXPECT_THROW(e.sync_pair(2, 1, hosts(2)), std::out_of_range);
   EXPECT_THROW((void)e.blackholed(0, 1, 1, 2, 0, usec(1)), std::out_of_range);
   EXPECT_THROW((Engine{test_config(), 4, std::vector<int>{3, 1}, 1}), std::invalid_argument);
+}
+
+TEST(EngineConformance, PathIndexOutsideThePairThrows) {
+  Engine e{test_config(), 2, 1};
+  e.sync_pair(0, 1, hosts(4));
+  EXPECT_EQ(e.path_type(0, 1, 3), PathType::kGray);
+  for (const int bad : {-1, 4}) {
+    EXPECT_THROW((void)e.path_state(0, 1, bad), std::out_of_range) << bad;
+    EXPECT_THROW((void)e.path_type(0, 1, bad), std::out_of_range) << bad;
+  }
+  // The simulator's adapter sizes a pair from the fabric on first use.
+  sim::Simulator simulator{1};
+  net::Topology topo{simulator, net::TopologyConfig{}};
+  lb::HermesLb h{simulator, topo, lb::HermesConfig::defaults_for(topo)};
+  const int n = static_cast<int>(topo.paths_between_leaves(0, 1).size());
+  ASSERT_GT(n, 0);
+  EXPECT_EQ(h.path_type(0, 1, n - 1), PathType::kGray);
+  for (const int bad : {-1, n}) {
+    EXPECT_THROW((void)h.path_state(0, 1, bad), std::out_of_range) << bad;
+    EXPECT_THROW((void)h.path_type(0, 1, bad), std::out_of_range) << bad;
+  }
 }
 
 TEST(EngineConformance, IndependentEnginesRunConcurrently) {

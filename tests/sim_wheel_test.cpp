@@ -3,7 +3,8 @@
 // surviving wheel rollover, far-future overflow handling, clock
 // semantics of run_until across empty spans, randomized stress tests
 // against sorted reference models (scheduling from outside and from
-// inside callbacks), and wheel storage that follows live events.
+// inside callbacks, and a lockstep due run hundreds deep cut by round
+// horizons), and wheel storage that follows live events.
 //
 // Wheel geometry (see event_queue.hpp): level-0 buckets are 256ns, the
 // level-0 horizon is ~262us, the level-1 horizon is ~268ms, and
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <set>
 #include <utility>
@@ -149,8 +151,6 @@ TEST(TimeWheel, EmptyIsConstAndCountsCancellations) {
   // Wheel-bucket records are removed eagerly on cancel (the slot table
   // tracks each live timer's bucket position); these events sit in
   // level-0 buckets, so the storage shrinks immediately.
-  EXPECT_EQ(q.stored_events(), 6u);
-  q.purge_cancelled();  // no-op here: nothing cancelled remains stored
   EXPECT_EQ(q.stored_events(), 6u);
   q.run();
   EXPECT_TRUE(q.empty());
@@ -293,6 +293,66 @@ TEST(TimeWheel, CallbackRearmAndCancelMatchReferenceModel) {
   EXPECT_EQ(m.q.stored_events(), 0u);
   EXPECT_NE(std::find(m.fired.begin(), m.fired.end(), recycled_kept), m.fired.end());
   EXPECT_EQ(std::find(m.fired.begin(), m.fired.end(), recycled), m.fired.end());
+}
+
+// The lockstep pattern of a loaded shard: 256 timers fire together and
+// each re-arms at +0 (a zero-delay hand-off), +51ns (a 64 B frame at
+// 10G) or +1..255ns, so most arms land in the drained bucket's due run,
+// hundreds deep and full of equal-time ties. Callbacks also cancel
+// timers that sit in the due run. The sharded executor's round
+// primitive drives the queue: run_until_before in 2us horizons, which
+// cut buckets mid-run, with next_event_time() checked between rounds.
+TEST(TimeWheel, LockstepDueRunMatchesReferenceModel) {
+  RearmModel m;
+  std::mt19937 rng{20261019};
+  constexpr int kTimers = 256;
+  constexpr std::size_t kArms = 150'000;
+  constexpr std::int64_t kT0 = 1'000'000;
+  for (int i = 0; i < kTimers; ++i) m.arm(kT0);
+  std::size_t peak = 0;
+  int due_cancels = 0;
+  m.on_fire = [&](int) {
+    const std::int64_t now = m.q.now().ns();
+    if (m.times.size() < kArms) {
+      const std::int64_t steps[] = {0, 51, 1 + static_cast<std::int64_t>(rng() % 255)};
+      m.arm(now + steps[rng() % 3]);
+      // About one firing in four cancels one of the 64 earliest pending
+      // timers when it sits in the drained bucket, so in the due run, and
+      // arms a replacement.
+      auto it = std::next(m.pending.begin(),
+                          static_cast<std::ptrdiff_t>(rng() % std::min<std::size_t>(
+                                                          m.pending.size(), 64)));
+      if (rng() % 4 == 0 && (it->first >> 8) == (now >> 8)) {
+        m.cancel(it->second);
+        m.arm(now + 51);
+        ++due_cancels;
+      }
+    }
+    peak = std::max(peak, m.q.stored_events());
+  };
+  std::int64_t horizon = kT0;
+  int rounds = 0;
+  while (m.q.next_event_time() != SimTime::max()) {
+    horizon += 2'000;
+    m.q.run_until_before(nsec(horizon));
+    ++rounds;
+    // Nothing before the horizon is left, and the reported time is never
+    // later than the model's next timer (it may be a cancelled record's).
+    const SimTime next = m.q.next_event_time();
+    const std::int64_t model_next =
+        m.pending.empty() ? SimTime::max().ns() : m.pending.begin()->first;
+    ASSERT_GE(next.ns(), horizon);
+    ASSERT_LE(next.ns(), model_next);
+  }
+  EXPECT_GT(rounds, 10);
+  EXPECT_GT(due_cancels, 10'000);
+  EXPECT_GE(peak, static_cast<std::size_t>(kTimers));
+  EXPECT_GT(m.fired.size(), 100'000u);
+  EXPECT_EQ(m.fired, m.expected);
+  EXPECT_TRUE(m.pending.empty());
+  EXPECT_TRUE(m.q.empty());
+  EXPECT_EQ(m.q.stored_events(), 0u);
+  EXPECT_LE(m.q.reserved_events(), 4 * peak);
 }
 
 // The probe-tick pattern: every 500us a tick drops a 512-event burst

@@ -32,8 +32,10 @@
 // Every statement is checked when the trace loads: its field count,
 // each number a decimal integer in [0, 2^31), 1 <= groups <= 1024 with
 // `groups` before any statement that names a group, every group index
-// in [0, groups), and at most 32768 paths per `paths` line. A malformed
-// trace exits 2 with a "trace line N" diagnostic before anything runs.
+// in [0, groups), at most 32768 paths per `paths` line and one `paths`
+// line per pair. A malformed trace exits 2 with a "trace line N"
+// diagnostic before anything runs. A `health` or `weight` event naming a
+// path index its pair lacks exits 2 the same way when it replays.
 
 #include <charconv>
 #include <cstddef>
@@ -43,10 +45,12 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <chrono>
@@ -237,6 +241,7 @@ int main(int argc, char** argv) {
   std::string line;
   int line_no = 0;
   bool group_named = false;
+  std::set<std::pair<std::int64_t, std::int64_t>> declared_pairs;
   while (std::getline(in, line)) {
     ++line_no;
     std::vector<std::string> tok = tokenize(line);
@@ -263,8 +268,12 @@ int main(int argc, char** argv) {
       cfg.t_rtt_high = usec(std::atoll(tok[2].c_str()));
       cfg.delta_rtt = usec(std::atoll(tok[3].c_str()));
     } else if (tok[0] == "paths" || tok[0] == "flow") {
-      if (tok[0] == "paths" && parse_uint(tok[3], line_no) > kMaxPaths) {
-        die(line_no, "at most 32768 paths per pair");
+      if (tok[0] == "paths") {
+        if (parse_uint(tok[3], line_no) > kMaxPaths) die(line_no, "at most 32768 paths per pair");
+        if (!declared_pairs.emplace(parse_uint(tok[1], line_no), parse_uint(tok[2], line_no))
+                 .second) {
+          die(line_no, "pair " + tok[1] + "->" + tok[2] + " already has its paths");
+        }
       }
       setup.push_back(tok);
     } else {  // expect
@@ -389,10 +398,14 @@ int main(int argc, char** argv) {
       const auto idx = static_cast<std::int64_t>(std::atoll(ev.tok.at(3).c_str()));
       const auto it = members.find(pair_key(a, b));
       if (it == members.end()) die(ev.line_no, "pair has no declared paths");
-      if (what == "health") {
-        it->second.set_health(idx, parse_health(ev.tok.at(4), ev.line_no));
-      } else {
-        it->second.set_weight(idx, static_cast<std::uint32_t>(std::atoll(ev.tok.at(4).c_str())));
+      const bool known =
+          what == "health"
+              ? it->second.set_health(idx, parse_health(ev.tok.at(4), ev.line_no))
+              : it->second.set_weight(idx,
+                                      static_cast<std::uint32_t>(std::atoll(ev.tok.at(4).c_str())));
+      if (!known) {
+        die(ev.line_no, "path " + ev.tok.at(3) + " is outside the pair's " +
+                            std::to_string(it->second.size()) + " paths");
       }
       engine.sync_pair(a, b, it->second);
     } else if (what == "snapshot") {
