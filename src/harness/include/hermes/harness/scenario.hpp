@@ -252,27 +252,27 @@ class Scenario {
 
   ScenarioConfig config_;
   unsigned threads_ = 1;  ///< executor threads requested by a fat-tree run
-  // HERMES_SHARD_OWNED one Simulator per shard; index only by shard id
+  // one Simulator per shard; index only by shard id
   std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::unique_ptr<net::Fabric> fabric_;
   net::Topology* topo_ = nullptr;  ///< leaf-spine runs: the fabric itself
-  // HERMES_SHARD_OWNED one balancer per shard
+  // one balancer per shard
   std::vector<std::unique_ptr<lb::LoadBalancer>> lbs_;
-  // HERMES_SHARD_OWNED shard-local Hermes instances (owned by lbs_)
+  // shard-local Hermes instances (owned by lbs_)
   std::vector<lb::HermesLb*> hermes_;
   std::vector<std::unique_ptr<transport::HostStack>> stacks_;  ///< per host
   std::unique_ptr<faults::InvariantChecker> checker_;
-  // HERMES_SHARD_OWNED per-shard fault scheduler, may be null
+  // per-shard fault scheduler, may be null
   std::vector<std::unique_ptr<faults::FaultScheduler>> fault_scheds_;
   obs::StringTable trace_names_;  ///< shared by every shard recorder
-  // HERMES_SHARD_OWNED per-shard flight recorder
+  // per-shard flight recorder
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
   sim::ShardedExecutor::Stats exec_stats_;
   unsigned threads_used_ = 1;
-  // HERMES_SHARD_OWNED per-shard mutable run state; a wrong index here is
+  // per-shard mutable run state; a wrong index here is
   // a cross-shard data race under the parallel executor
   std::vector<ShardState> shard_states_;
-  // HERMES_SHARD_OWNED per-shard registries of a multi-shard run, summed
+  // per-shard registries of a multi-shard run, summed
   // into metrics_ by name (a one-shard run registers into metrics_)
   std::vector<obs::MetricsRegistry> shard_metrics_;
   obs::MetricsRegistry metrics_;  ///< after everything its readers read

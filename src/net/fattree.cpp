@@ -235,10 +235,11 @@ Route FatTree::route(int src_host, int dst_host, int path, int to_host) const {
   return r;
 }
 
-// HERMES_SHARDED: the one barrier-time routine allowed to move state
-// across shards — everything goes through the mailbox API (Outbox ->
-// Inbox merge); destination switches are only touched later, by the
-// inbox delivery event running inside their own shard.
+// The one barrier-time routine allowed to move state across shards. It
+// runs on the calling thread between rounds; everything goes through the
+// mailbox API (Outbox -> Inbox merge), and destination switches are only
+// touched later, by the inbox delivery event running inside their own
+// shard.
 std::uint64_t FatTree::exchange_boundary() {
   const int S = num_shards();
   std::uint64_t moved = 0;

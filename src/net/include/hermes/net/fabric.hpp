@@ -249,11 +249,11 @@ class Fabric {
   }
 
   LinkConfig link_;
-  // HERMES_SHARD_OWNED one simulator per shard; index only by shard id
+  // one simulator per shard; index only by shard id
   std::vector<sim::Simulator*> sims_;
   /// Declared before the devices: their ports keep references into the
   /// arenas, so the arenas must outlive them (members destroy in reverse).
-  // HERMES_SHARD_OWNED one arena per shard; index only by shard id
+  // one arena per shard; index only by shard id
   std::vector<std::unique_ptr<PacketArena>> arenas_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;  ///< tier order

@@ -161,10 +161,10 @@ class FatTree final : public Fabric {
   FatTreeConfig config_;
   int half_ = 0;  ///< k/2
   std::vector<std::unique_ptr<Portal>> portals_;
-  // HERMES_SHARD_OWNED S*S mailbox grid, only cross pairs used; indices
+  // S*S mailbox grid, only cross pairs used; indices
   // derive from (src_shard, dst_shard)
   std::vector<Outbox> outboxes_;
-  // HERMES_SHARD_OWNED per destination shard
+  // per destination shard
   std::vector<Inbox> inboxes_;
   std::uint64_t boundary_packets_ = 0;
 };

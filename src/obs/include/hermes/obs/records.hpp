@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 namespace hermes::obs {
 
@@ -78,7 +79,6 @@ inline constexpr std::uint8_t kPathCondNone = 255;
   return "?";
 }
 
-// HERMES_POD_RECORD
 /// Payload of a RecordKind::kPacket record.
 struct PacketPayload {
   std::uint64_t packet_id;
@@ -90,14 +90,12 @@ struct PacketPayload {
   std::uint8_t retransmit;
 };
 
-// HERMES_POD_RECORD
 /// Payload of a RecordKind::kQueue record.
 struct QueuePayload {
   std::uint32_t backlog_bytes;
   std::uint32_t backlog_packets;
 };
 
-// HERMES_POD_RECORD
 /// Payload of a RecordKind::kFault record. `action` mirrors
 /// faults::FaultAction's numeric value; `onset` is 1 for a fault turning
 /// on (blackhole install, link cut, drop-rate set) and 0 for recovery.
@@ -109,7 +107,6 @@ struct FaultPayload {
   std::uint8_t onset;
 };
 
-// HERMES_POD_RECORD
 /// Payload of a RecordKind::kDecision record: Algorithm 2's inputs at the
 /// moment of the decision. delta_rtt/delta_ecn are (current - chosen),
 /// i.e. positive means the chosen path looked better; both are zero when
@@ -129,7 +126,6 @@ struct DecisionPayload {
   std::uint8_t pad;
 };
 
-// HERMES_POD_RECORD
 /// One fixed-size flight-recorder record. Strictly POD: no pointers, no
 /// heap-owning members — records are memcpy'd into the ring and dumped
 /// raw to disk (trace format schema v1). The union payload is selected
@@ -153,6 +149,10 @@ struct TraceRecord {
 };
 
 static_assert(sizeof(TraceRecord) == 64, "trace format schema v1 pins 64-byte records");
+// The payloads sit in TraceRecord's union, so a heap-owning member in
+// any of them deletes the record's copy and fails this too.
+static_assert(std::is_trivially_copyable_v<TraceRecord>,
+              "records are memcpy'd into the ring and dumped raw");
 
 /// Zeroed record (padding included, so dumped bytes are reproducible),
 /// with the common header filled in.

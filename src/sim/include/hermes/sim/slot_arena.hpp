@@ -9,6 +9,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace hermes::sim {
 
 /// Handle into a SlotArena: 22 bits of slot index, 10 bits of slot
@@ -62,6 +66,11 @@ class ArenaHandle {
 /// is constructed when its chunk is, so a chunk sized in slots alone
 /// would have a small run construct (and fault in) hundreds of kilobytes
 /// of blocks it never uses.
+///
+/// Under ASan a free slot is poisoned (from chunk growth until alloc(),
+/// and again from free()), so a `T&` kept past free() reports
+/// use-after-poison at its first use, where the generation check only
+/// sees handles.
 template <typename T>
 class SlotArena {
  public:
@@ -74,6 +83,12 @@ class SlotArena {
   SlotArena() = default;
   SlotArena(const SlotArena&) = delete;
   SlotArena& operator=(const SlotArena&) = delete;
+#if defined(__SANITIZE_ADDRESS__)
+  // Destroying a chunk runs every slot's destructor, free slots included.
+  ~SlotArena() {
+    for (const auto& c : chunks_) ASAN_UNPOISON_MEMORY_REGION(c.get(), sizeof(Chunk));
+  }
+#endif
 
   /// Take a slot and move `v` into it. Grows by one chunk when the
   /// free-list is empty; otherwise allocation-free.
@@ -92,6 +107,9 @@ class SlotArena {
     const std::uint32_t slot = free_.back();
     free_.pop_back();
     ++live_;
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(&slot_ref(slot), sizeof(T));
+#endif
     return Handle{slot, gens_[slot]};
   }
 
@@ -99,6 +117,9 @@ class SlotArena {
   /// handle to it; the slot goes to the back of the LIFO free-list.
   void free(Handle h) {
     assert(valid(h) && "freeing a stale or foreign arena handle");
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(&slot_ref(h.slot()), sizeof(T));
+#endif
     gens_[h.slot()] = (gens_[h.slot()] + 1) & Handle::kGenMask;
     free_.push_back(h.slot());
     --live_;
@@ -138,6 +159,9 @@ class SlotArena {
   void grow() {
     assert(size_ + kChunkSlots <= Handle::kMaxSlots && "SlotArena exhausted its 22-bit slot space");
     chunks_.push_back(std::make_unique<Chunk>());
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(chunks_.back().get(), sizeof(Chunk));
+#endif
     gens_.resize(size_ + kChunkSlots, 0);
     free_.reserve(size_ + kChunkSlots);
     // Push descending so the LIFO hands out ascending slot numbers —

@@ -19,6 +19,10 @@
 #include "hermes/sim/simulator.hpp"
 #include "hermes/sim/slot_arena.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace hermes {
 namespace {
 
@@ -86,6 +90,24 @@ TEST(SlotArenaTest, AddressesStableAcrossGrowth) {
   EXPECT_EQ(arena[first], 0xABCDull);
   EXPECT_GE(arena.capacity(), kAllocs + 1);
   for (std::uint64_t i = 0; i < handles.size(); ++i) EXPECT_EQ(arena[handles[i]], i);
+}
+
+TEST(SlotArenaTest, FreedSlotIsPoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  sim::SlotArena<std::uint64_t> arena;
+  const auto h = arena.alloc(7);
+  const std::uint64_t* slot = &arena[h];
+  EXPECT_EQ(__asan_address_is_poisoned(slot), 0);
+  arena.free(h);
+  // A reference kept past free() now faults at its first read.
+  EXPECT_NE(__asan_address_is_poisoned(slot), 0);
+  const auto again = arena.alloc(8);
+  ASSERT_EQ(again.slot(), h.slot());
+  EXPECT_EQ(__asan_address_is_poisoned(slot), 0);
+  EXPECT_EQ(arena[again], 8u);
+#else
+  GTEST_SKIP() << "slot poisoning is compiled in only under AddressSanitizer";
+#endif
 }
 
 TEST(SlotArenaTest, SlotSequenceIsDeterministic) {

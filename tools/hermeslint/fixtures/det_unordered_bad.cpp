@@ -1,5 +1,6 @@
 // Fixture: determinism.unordered-iter triggers. Never compiled.
 #include <cstdint>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,4 +19,8 @@ std::vector<int> leak_hash_order(const Holder& h) {
     out.push_back(m);
   }
   return out;
+}
+
+double sum_in_hash_order(const Holder& h) {
+  return std::accumulate(h.members_.begin(), h.members_.end(), 0.0);  // float adds in hash order
 }

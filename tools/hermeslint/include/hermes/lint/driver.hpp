@@ -12,7 +12,6 @@ namespace hermes::lint {
 struct DriveOptions {
   std::string root = ".";           ///< tree root; result paths are relative to it
   std::vector<std::string> paths;   ///< files or directories, relative to root
-  std::string today;                ///< ISO date for expires() checks; empty = off
 };
 
 struct DriveResult {

@@ -9,42 +9,20 @@
 
 namespace hermes::lint {
 
-/// The layering DAG, bottom-up. A file in module A may include a header
-/// of module B only when A == B or rank(B) < rank(A); same-rank sibling
-/// modules may not include each other. Derived from DESIGN.md §2/§13:
-///
-///   rank 0: sim, obs, lint          (foundations; no hermes deps)
-///   rank 1: net                     (sim, obs)
-///   rank 2: lb                      (net, sim)
-///   rank 3: core, transport, faults (lb and below)
-///   rank 4: stats, workload         (transport and below)
-///   rank 5: harness                 (everything below)
-///   rank 6: bench, tests, examples, tools (anything)
-///
-/// Returns -1 for modules outside the DAG (unknown paths are exempt).
-int layer_rank(std::string_view module);
-
-/// Layering module of a repo-relative path: "src/<m>/..." -> m,
-/// "tools/hermeslint/..." -> "lint", "tools/..." -> "tools",
-/// "bench|tests|examples/..." -> that name, anything else -> "".
-std::string module_of_path(std::string_view path);
-
-/// Layering module of an include target: "hermes/<m>/..." -> m (with
-/// "hermes/lint/..." -> "lint"); system and third-party headers -> "".
-std::string module_of_include(std::string_view include);
-
-/// Shortest legal dependency chain from module `from` down to module
-/// `to` (each hop strictly descends in rank). Empty when no legal chain
-/// exists (same rank, unknown module, or `to` above `from`). Used to
-/// phrase layering findings: an illegal edge A -> B is reported together
-/// with legal_path(B, A), the direction the dependency must flow.
-std::vector<std::string> legal_path(std::string_view from, std::string_view to);
+/// The namespaces whose symbols header.direct-include indexes, spelled in
+/// full. A use qualifies a symbol by the last component (`obs::X`), and
+/// the component before it (`hermes::obs::X`, `faults::fuzz::Y`) tells
+/// ours apart from another scope with the same tail.
+inline constexpr std::string_view kIndexedNamespaces[] = {
+    "hermes::obs",
+    "hermes::faults::fuzz",
+    "hermes::lint",
+};
 
 /// Namespace-scope symbols exported by a lexed header. Tracks namespace
 /// and brace nesting so class members are not collected; records classes,
 /// structs, enums, using-aliases, constants, and free-function names
-/// declared while the innermost open scope is one of the indexed
-/// namespaces (obs, faults::fuzz, lint).
+/// declared while the innermost open scope is one of kIndexedNamespaces.
 std::vector<SymbolDef> exported_symbols(const std::string& path, const std::vector<Line>& lines);
 
 /// The include path other files must name to get `path`'s symbols:

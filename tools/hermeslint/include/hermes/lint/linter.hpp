@@ -20,14 +20,12 @@ struct Finding {
 
 /// A finding silenced by an in-source allow directive (the syntax is
 /// `allow(<rule>) <reason>` after the tool's own name and a colon); kept
-/// so reports can audit every suppression, its reason, and its optional
-/// `expires(YYYY-MM-DD)` deadline.
+/// so reports can audit every suppression and its reason.
 struct Suppression {
   std::string file;
   int line = 0;
   std::string rule;
   std::string reason;
-  std::string expires;  ///< ISO date; empty when the allow never expires
 };
 
 struct LintResult {
@@ -47,19 +45,15 @@ bool is_known_rule(std::string_view id);
 
 /// Project-specific static analysis over a set of C++ sources.
 ///
-/// v2 is two-phase: summarize() collects a file's cross-TU facts (includes,
-/// unordered names, shard-owned members, exported symbols) from its
-/// lexed lines; build_context() folds all summaries into the
-/// GlobalContext; lint_file() runs every rule pass for one file under
-/// that context. Callers add_file() everything, then run().
+/// Two-phase: summarize() collects a file's cross-TU facts (unordered
+/// names, exported symbols) from its lexed lines; build_context() folds
+/// all summaries into the GlobalContext; lint_file() runs every rule pass
+/// for one file under that context. Callers add_file() everything, then
+/// run().
 class Linter {
  public:
   /// `path` is used verbatim in findings; `source` is the file contents.
   void add_file(std::string path, std::string source);
-
-  /// ISO date (YYYY-MM-DD) used to judge `expires(...)` clauses on allow
-  /// directives; unset (empty) disables expiry checking.
-  void set_today(std::string iso_date);
 
   /// Findings and suppressions of every added file, in (file, line,
   /// rule) order.
@@ -67,8 +61,7 @@ class Linter {
 
  private:
   static FileSummary summarize(const std::string& path, const std::vector<Line>& lines);
-  static GlobalContext build_context(const std::vector<const FileSummary*>& summaries,
-                                     std::string today);
+  static GlobalContext build_context(const std::vector<const FileSummary*>& summaries);
   static void lint_file(const std::string& path, const std::vector<Line>& lines,
                         const FileSummary& summary, const GlobalContext& ctx, LintResult& out);
 
@@ -79,12 +72,6 @@ class Linter {
   };
 
   std::vector<File> files_;
-  std::string today_;
 };
-
-/// Serialize a result as the machine-readable report (schema v2):
-/// {"tool","schema_version":2,"findings":[{file,line,rule,message,snippet}],
-///  "suppressed":[{file,line,rule,reason,expires}],"files_scanned","clean"}.
-std::string to_json(const LintResult& result);
 
 }  // namespace hermes::lint

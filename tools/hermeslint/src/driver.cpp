@@ -54,7 +54,6 @@ DriveResult drive(const DriveOptions& options) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   Linter linter;
-  linter.set_today(options.today);
   for (const fs::path& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {

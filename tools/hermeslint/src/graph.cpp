@@ -12,36 +12,6 @@ namespace hermes::lint {
 
 namespace {
 
-struct ModuleRank {
-  std::string_view module;
-  int rank;
-};
-
-constexpr ModuleRank kRanks[] = {
-    {"engine", 0},   {"sim", 0},      {"obs", 0},    {"lint", 0},   {"net", 1},
-    {"lb", 2},       {"transport", 3}, {"faults", 3},
-    {"stats", 4},    {"workload", 4}, {"harness", 5},
-    {"bench", 6},    {"tests", 6},    {"examples", 6},  {"tools", 6},
-};
-
-/// Namespaces whose symbols are indexed for header.direct-include. The
-/// short tail is how uses qualify them (`obs::X`); the full path is what
-/// the namespace stack must spell.
-struct IndexedNamespace {
-  std::string_view tail;
-  std::vector<std::string_view> full;
-};
-
-const std::vector<IndexedNamespace>& indexed_namespaces() {
-  static const std::vector<IndexedNamespace> kNs = {
-      {"engine", {"hermes", "engine"}},
-      {"obs", {"hermes", "obs"}},
-      {"fuzz", {"hermes", "faults", "fuzz"}},
-      {"lint", {"hermes", "lint"}},
-  };
-  return kNs;
-}
-
 bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
@@ -75,49 +45,6 @@ bool is_keyword(std::string_view id) {
 
 }  // namespace
 
-int layer_rank(std::string_view module) {
-  for (const ModuleRank& m : kRanks) {
-    if (m.module == module) return m.rank;
-  }
-  return -1;
-}
-
-std::string module_of_path(std::string_view path) {
-  // Normalize a leading "./".
-  if (path.rfind("./", 0) == 0) path.remove_prefix(2);
-  if (path.rfind("src/", 0) == 0) {
-    std::string_view rest = path.substr(4);
-    const std::size_t slash = rest.find('/');
-    if (slash != std::string_view::npos) return std::string(rest.substr(0, slash));
-    return {};
-  }
-  if (path.rfind("tools/hermeslint/", 0) == 0) return "lint";
-  for (const std::string_view top : {std::string_view{"bench"}, std::string_view{"tests"},
-                                     std::string_view{"examples"}, std::string_view{"tools"}}) {
-    if (path.rfind(top, 0) == 0 && path.size() > top.size() && path[top.size()] == '/') {
-      return std::string(top);
-    }
-  }
-  return {};
-}
-
-std::string module_of_include(std::string_view include) {
-  if (include.rfind("hermes/", 0) != 0) return {};
-  std::string_view rest = include.substr(7);
-  const std::size_t slash = rest.find('/');
-  if (slash == std::string_view::npos) return {};
-  return std::string(rest.substr(0, slash));
-}
-
-std::vector<std::string> legal_path(std::string_view from, std::string_view to) {
-  const int rf = layer_rank(from);
-  const int rt = layer_rank(to);
-  if (rf < 0 || rt < 0 || rt >= rf) return {};
-  // Every strictly-descending hop is a legal edge, so the shortest chain
-  // is always the direct one.
-  return {std::string(from), std::string(to)};
-}
-
 std::string include_path_of(std::string_view path) {
   const std::size_t at = path.rfind("include/");
   if (at == std::string_view::npos) return {};
@@ -139,16 +66,14 @@ std::vector<SymbolDef> exported_symbols(const std::string& path, const std::vect
   auto current_tail = [&]() -> std::string_view {
     // The innermost scope must itself be a namespace (symbols inside a
     // class body or function are not exported), and the flattened
-    // namespace path must match one of the indexed namespaces.
-    std::vector<std::string_view> flat;
+    // namespace path must be one of the indexed namespaces.
+    std::string flat;
     for (const Scope& s : stack) {
       if (!s.is_namespace) return {};
-      for (const std::string& n : s.names) flat.push_back(n);
+      for (const std::string& n : s.names) flat += (flat.empty() ? "" : "::") + n;
     }
-    for (const IndexedNamespace& ns : indexed_namespaces()) {
-      if (flat.size() == ns.full.size() && std::equal(flat.begin(), flat.end(), ns.full.begin())) {
-        return ns.tail;
-      }
+    for (const std::string_view ns : kIndexedNamespaces) {
+      if (flat == ns) return ns.substr(ns.rfind("::") + 2);
     }
     return {};
   };

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "hermes/lint/dataflow.hpp"
 #include "hermes/lint/graph.hpp"
 #include "hermes/lint/summary.hpp"
 
@@ -48,11 +47,6 @@ constexpr std::string_view kHotFileMember = "hotpath.hot-file-member";
 constexpr std::string_view kHdrPragmaOnce = "header.pragma-once";
 constexpr std::string_view kHdrUsingNamespace = "header.using-namespace";
 constexpr std::string_view kHdrDirectInclude = "header.direct-include";
-constexpr std::string_view kObsPodRecord = "obs.pod-record";
-constexpr std::string_view kSimShardRace = "sim.shard-race";
-constexpr std::string_view kCoreArenaLifetime = "core.arena-lifetime";
-constexpr std::string_view kSimFloatOrder = "sim.float-order";
-constexpr std::string_view kArchLayering = "arch.layering";
 constexpr std::string_view kMetaSuppression = "meta.suppression";
 
 const std::vector<RuleInfo> kCatalogue = {
@@ -62,8 +56,8 @@ const std::vector<RuleInfo> kCatalogue = {
      "wall clocks (system/steady/high_resolution_clock, time()) banned; use "
      "sim::Simulator::now() / SimTime"},
     {kDetUnorderedIter,
-     "range-for over a std::unordered_* container feeds hash order into results; "
-     "iterate a sorted view instead"},
+     "range-for or .begin()/.cbegin() over a std::unordered_* container feeds hash order "
+     "into results; iterate a sorted view instead"},
     {kHotAlloc,
      "HERMES_HOT regions must not heap-allocate (new, make_shared/make_unique, "
      "std::function)"},
@@ -79,28 +73,9 @@ const std::vector<RuleInfo> kCatalogue = {
     {kHdrDirectInclude,
      "curated std:: symbols and indexed hermes namespace symbols require a direct "
      "#include, not a transitive one"},
-    {kObsPodRecord,
-     "HERMES_POD_RECORD structs are memcpy'd into the flight-recorder ring and dumped "
-     "raw; heap-owning members (std::string, containers, smart pointers) are banned"},
-    {kSimShardRace,
-     "HERMES_SHARDED barrier code must not touch another shard's state: Port/Host "
-     "pointer dereferences (including escaped aliases) and subscripts of "
-     "HERMES_SHARD_OWNED state without shard provenance race the owning shard's event "
-     "stream"},
-    {kCoreArenaLifetime,
-     "an ArenaHandle (and any Packet reference derived from it) is dead once the arena "
-     "frees the slot or resets; later uses read recycled bytes, and handles cached "
-     "across a barrier round outlive their slot"},
-    {kSimFloatOrder,
-     "floating-point accumulation over unordered-container iteration sums in hash "
-     "order; iterate a sorted view or accumulate integers"},
-    {kArchLayering,
-     "module includes must respect the layering DAG (sim/obs at the bottom, then net, "
-     "lb, core/transport/faults, stats/workload, harness, bench/tools); every edge "
-     "points strictly down-rank"},
     {kMetaSuppression,
-     "allow directives must name known rules (once each per line), carry a written "
-     "reason, and any expires(YYYY-MM-DD) clause must be well-formed and in the future"},
+     "allow directives must name known rules (once each per line) and carry a written "
+     "reason"},
 };
 
 /// Wall-entropy free functions (determinism.rand).
@@ -164,34 +139,6 @@ constexpr SymbolHeader kSymbolHeaders[] = {
     {"int64_t", "cstdint"},
     {"size_t", "cstddef"},
     {"byte", "cstddef"},
-};
-
-/// Namespaces whose exported symbols are collected into the computed
-/// cross-TU symbol index (header.direct-include). The `parent` is the
-/// enclosing namespace a fully-qualified use spells before the tail
-/// (`hermes::obs::X`, `faults::fuzz::Y`): any other scope with the same
-/// tail name is not ours.
-struct NsScope {
-  std::string_view tail;
-  std::string_view parent;
-};
-constexpr NsScope kIndexedNs[] = {
-    {"obs", "hermes"},
-    {"fuzz", "faults"},
-    {"lint", "hermes"},
-};
-
-/// Member types banned inside HERMES_POD_RECORD structs (obs.pod-record):
-/// anything that owns heap memory or is not trivially copyable. Records
-/// are written to the ring with operator= on a raw 64-byte struct and
-/// fwrite'n to disk, so a heap-owning member is silent corruption.
-constexpr std::string_view kHeapOwningTypes[] = {
-    "string",        "vector",        "deque",         "list",
-    "forward_list",  "map",           "multimap",      "set",
-    "multiset",      "unordered_map", "unordered_multimap",
-    "unordered_set", "unordered_multiset",
-    "function",      "unique_ptr",    "shared_ptr",    "weak_ptr",
-    "any",
 };
 
 /// Keywords after which `ident(` is a call, not a declaration `Type ident(...)`.
@@ -269,7 +216,6 @@ bool member_style_decl_after(std::string_view code, std::size_t pos) {
 struct Directives {
   std::map<std::size_t, std::set<std::string, std::less<>>> allow;  ///< line -> rules
   std::map<std::size_t, std::string> allow_reason;                  ///< line -> reason
-  std::map<std::size_t, std::string> allow_expires;                 ///< line -> ISO date
   std::set<std::size_t> reserve_audited;                            ///< audited lines
 };
 
@@ -283,17 +229,8 @@ std::size_t directive_target(const std::vector<Line>& lines, std::size_t i) {
   return i;
 }
 
-/// True when `date` is a well-formed YYYY-MM-DD.
-bool is_iso_date(std::string_view date) {
-  if (date.size() != 10 || date[4] != '-' || date[7] != '-') return false;
-  for (const std::size_t i : {0U, 1U, 2U, 3U, 5U, 6U, 8U, 9U}) {
-    if (std::isdigit(static_cast<unsigned char>(date[i])) == 0) return false;
-  }
-  return true;
-}
-
 Directives parse_directives(const std::string& path, const std::vector<Line>& lines,
-                            std::string_view today, std::vector<Finding>& meta) {
+                            std::vector<Finding>& meta) {
   Directives d;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string& c = lines[i].comment;
@@ -350,28 +287,6 @@ Directives parse_directives(const std::string& path, const std::vector<Line>& li
                           std::string(trim(c))});
         } else {
           d.allow_reason[target] = reason;
-          // Optional expiry clause inside the reason: expires(YYYY-MM-DD).
-          const std::size_t exp = reason.find("expires(");
-          if (exp != std::string::npos) {
-            const std::size_t eclose = reason.find(')', exp);
-            const std::string_view date =
-                eclose == std::string::npos
-                    ? std::string_view{}
-                    : trim(std::string_view{reason}.substr(exp + 8, eclose - exp - 8));
-            if (!is_iso_date(date)) {
-              meta.push_back({path, line_no, std::string(kMetaSuppression),
-                              "malformed expires clause: want expires(YYYY-MM-DD)",
-                              std::string(trim(c))});
-            } else {
-              d.allow_expires[target] = std::string(date);
-              if (!today.empty() && today > date) {
-                meta.push_back({path, line_no, std::string(kMetaSuppression),
-                                "suppression expired on " + std::string(date) +
-                                    "; re-audit the site and renew or fix it",
-                                std::string(trim(c))});
-              }
-            }
-          }
         }
       } else if (rest.rfind("reserve-audited(", 0) == 0) {
         const std::size_t close = rest.find(')');
@@ -394,20 +309,20 @@ Directives parse_directives(const std::string& path, const std::vector<Line>& li
   return d;
 }
 
-/// Marks the lines covered by `// <tag>` comments: a tag before any code
-/// covers the whole file (when `file_scope` is allowed); a tag elsewhere
-/// covers the next brace block (i.e. the function or struct that follows
-/// it). Only a comment that *starts* with the tag counts — prose that
-/// merely mentions the marker is not a tag.
-std::vector<char> tag_mask(const std::vector<Line>& lines, std::string_view tag,
-                           bool file_scope) {
+/// Marks the lines covered by `// HERMES_HOT` comments: a tag before any
+/// code covers the whole file; a tag elsewhere covers the next brace
+/// block (i.e. the function or struct that follows it). Only a comment
+/// that *starts* with the tag counts — prose that merely mentions the
+/// marker is not a tag.
+std::vector<char> hot_mask(const std::vector<Line>& lines) {
+  constexpr std::string_view tag = "HERMES_HOT";
   std::vector<char> hot(lines.size(), 0);
   bool code_seen = false;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string_view ctext = trim(lines[i].comment);
     const bool tagged = ctext.rfind(tag, 0) == 0 &&
                         (ctext.size() == tag.size() || !is_ident_char(ctext[tag.size()]));
-    if (tagged && file_scope && !code_seen && is_blank(lines[i].code)) {
+    if (tagged && !code_seen && is_blank(lines[i].code)) {
       std::fill(hot.begin(), hot.end(), 1);
       return hot;
     }
@@ -487,70 +402,13 @@ std::string range_expr_name(std::string_view expr) {
   return std::string(e.substr(b, end - b));
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Names of variables lexically declared as `Port*` / `Host*` (any
-/// qualification; `net::Port* p`, `Port *p`, `Port* const p`) anywhere in
-/// the file. sim.shard-race flags dereferences of these names (and their
-/// escaped aliases) inside HERMES_SHARDED regions: barrier-time code must
-/// not reach into another shard's switches or hosts directly.
-std::vector<std::string> boundary_pointer_names(const std::vector<Line>& lines) {
-  std::vector<std::string> names;
+/// The direct #include targets of a file. Parsed from the raw line: the
+/// lexer strips string literals out of `code`, which would erase the
+/// path of quoted ("hermes/...") includes.
+std::set<std::string, std::less<>> include_targets(const std::vector<Line>& lines) {
+  std::set<std::string, std::less<>> out;
   for (const Line& line : lines) {
-    const std::string& code = line.code;
-    for (const std::string_view type : {std::string_view{"Port"}, std::string_view{"Host"}}) {
-      for (std::size_t pos = find_identifier(code, type); pos != std::string_view::npos;
-           pos = find_identifier(code, type, pos + 1)) {
-        std::size_t p = pos + type.size();
-        while (p < code.size() && std::isspace(static_cast<unsigned char>(code[p])) != 0) ++p;
-        if (p >= code.size() || code[p] != '*') continue;
-        ++p;
-        while (p < code.size() && (std::isspace(static_cast<unsigned char>(code[p])) != 0 ||
-                                   code[p] == '*')) {
-          ++p;
-        }
-        if (matches_identifier_at(code, p, "const")) {
-          p += 5;
-          while (p < code.size() && std::isspace(static_cast<unsigned char>(code[p])) != 0) ++p;
-        }
-        std::size_t end = p;
-        while (end < code.size() && is_ident_char(code[end])) ++end;
-        if (end > p) names.emplace_back(code.substr(p, end - p));
-      }
-    }
-  }
-  return names;
-}
-
-/// The direct #include targets of a file with the 0-based line of each.
-/// Parsed from the raw line: the lexer strips string literals out of
-/// `code`, which would erase the path of quoted ("hermes/...") includes.
-std::vector<std::pair<std::string, std::size_t>> include_targets(const std::vector<Line>& lines) {
-  std::vector<std::pair<std::string, std::size_t>> out;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string_view code = trim(lines[i].raw);
+    const std::string_view code = trim(line.raw);
     if (code.rfind("#", 0) != 0) continue;
     std::string_view rest = trim(code.substr(1));
     if (rest.rfind("include", 0) != 0) continue;
@@ -559,7 +417,7 @@ std::vector<std::pair<std::string, std::size_t>> include_targets(const std::vect
     const char close = rest.front() == '<' ? '>' : (rest.front() == '"' ? '"' : '\0');
     if (close == '\0') continue;
     const std::size_t end = rest.find(close, 1);
-    if (end != std::string_view::npos) out.emplace_back(std::string(rest.substr(1, end - 1)), i);
+    if (end != std::string_view::npos) out.emplace(rest.substr(1, end - 1));
   }
   return out;
 }
@@ -581,14 +439,10 @@ void Linter::add_file(std::string path, std::string source) {
   files_.push_back(std::move(f));
 }
 
-void Linter::set_today(std::string iso_date) { today_ = std::move(iso_date); }
-
 FileSummary Linter::summarize(const std::string& path, const std::vector<Line>& lines) {
   FileSummary s;
   s.path = path;
-  s.module = module_of_path(path);
   s.is_header = ends_with(path, ".hpp") || ends_with(path, ".h");
-  for (const auto& inc : include_targets(lines)) s.includes.push_back(inc.first);
 
   // Unordered-container variable names (cross-file: iteration over them is
   // flagged wherever it happens, not just in the declaring file).
@@ -627,43 +481,19 @@ FileSummary Linter::summarize(const std::string& path, const std::vector<Line>& 
     }
   }
 
-  // HERMES_SHARD_OWNED annotations: the tagged member declaration names a
-  // per-shard container whose subscripts need shard provenance.
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string_view ctext = trim(lines[i].comment);
-    constexpr std::string_view kTag = "HERMES_SHARD_OWNED";
-    const bool tagged = ctext.rfind(kTag, 0) == 0 &&
-                        (ctext.size() == kTag.size() || !is_ident_char(ctext[kTag.size()]));
-    if (!tagged) continue;
-    const std::size_t target = directive_target(lines, i);
-    const std::string decl = joined_code(lines, target, 4);
-    const std::size_t semi = decl.find(';');
-    if (semi == std::string::npos) continue;
-    std::size_t e = semi;
-    while (e > 0 && !is_ident_char(decl[e - 1])) --e;
-    const std::string_view name = ident_before(decl, e);
-    if (!name.empty() && std::isdigit(static_cast<unsigned char>(name.front())) == 0) {
-      s.shard_owned.emplace_back(name);
-    }
-  }
-
   s.symbols = exported_symbols(path, lines);
   return s;
 }
 
-GlobalContext Linter::build_context(const std::vector<const FileSummary*>& summaries,
-                                    std::string today) {
+GlobalContext Linter::build_context(const std::vector<const FileSummary*>& summaries) {
   GlobalContext ctx;
-  ctx.today = std::move(today);
   // Deterministic regardless of discovery order: fold by sorted path.
   std::vector<const FileSummary*> sorted = summaries;
   std::sort(sorted.begin(), sorted.end(),
             [](const FileSummary* a, const FileSummary* b) { return a->path < b->path; });
   std::set<std::string> unordered;
-  std::set<std::string> owned;
   for (const FileSummary* s : sorted) {
     unordered.insert(s->unordered_names.begin(), s->unordered_names.end());
-    owned.insert(s->shard_owned.begin(), s->shard_owned.end());
     if (s->symbols.empty()) continue;
     const std::string header = include_path_of(s->path);
     if (header.empty()) continue;
@@ -673,7 +503,6 @@ GlobalContext Linter::build_context(const std::vector<const FileSummary*>& summa
     }
   }
   ctx.unordered_names.assign(unordered.begin(), unordered.end());
-  ctx.shard_owned.assign(owned.begin(), owned.end());
   return ctx;
 }
 
@@ -681,7 +510,7 @@ LintResult Linter::run() const {
   std::vector<const FileSummary*> sums;
   sums.reserve(files_.size());
   for (const File& f : files_) sums.push_back(&f.summary);
-  const GlobalContext ctx = build_context(sums, today_);
+  const GlobalContext ctx = build_context(sums);
   LintResult out;
   out.files_scanned = static_cast<int>(files_.size());
   for (const File& f : files_) {
@@ -701,26 +530,18 @@ LintResult Linter::run() const {
 void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
                        const FileSummary& summary, const GlobalContext& ctx, LintResult& out) {
   std::vector<Finding> meta;
-  const Directives dir = parse_directives(path, lines, ctx.today, meta);
+  const Directives dir = parse_directives(path, lines, meta);
   for (Finding& m : meta) out.findings.push_back(std::move(m));
-  const std::vector<char> hot = tag_mask(lines, "HERMES_HOT", /*file_scope=*/true);
-  const std::vector<char> pod = tag_mask(lines, "HERMES_POD_RECORD", /*file_scope=*/false);
-  const std::vector<char> sharded = tag_mask(lines, "HERMES_SHARDED", /*file_scope=*/true);
+  const std::vector<char> hot = hot_mask(lines);
   const bool hot_file = std::any_of(hot.begin(), hot.end(), [](char h) { return h != 0; });
-  const bool sharded_any =
-      std::any_of(sharded.begin(), sharded.end(), [](char s) { return s != 0; });
-  const std::vector<std::string> shard_ptrs =
-      sharded_any ? boundary_pointer_names(lines) : std::vector<std::string>{};
 
   // Routes a raw finding through the suppression table.
   auto emit = [&](std::string_view rule, std::size_t line0, std::string message) {
     const auto it = dir.allow.find(line0);
     if (it != dir.allow.end() && it->second.find(rule) != it->second.end()) {
       const auto reason = dir.allow_reason.find(line0);
-      const auto expires = dir.allow_expires.find(line0);
       out.suppressed.push_back({path, static_cast<int>(line0 + 1), std::string(rule),
-                                reason != dir.allow_reason.end() ? reason->second : "",
-                                expires != dir.allow_expires.end() ? expires->second : ""});
+                                reason != dir.allow_reason.end() ? reason->second : ""});
       return;
     }
     out.findings.push_back({path, static_cast<int>(line0 + 1), std::string(rule),
@@ -728,42 +549,7 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
                             line0 < lines.size() ? std::string(trim(lines[line0].raw)) : ""});
   };
 
-  const std::vector<std::pair<std::string, std::size_t>> includes_at = include_targets(lines);
-  std::set<std::string, std::less<>> includes;
-  for (const auto& [inc, line0] : includes_at) includes.insert(inc);
-
-  // ---- arch.layering ----
-  // Cross-TU: the file's module may only include hermes headers of
-  // strictly lower rank (or its own module). Computed from the include
-  // graph, not a hand-curated map.
-  const int my_rank = layer_rank(summary.module);
-  if (!summary.module.empty() && my_rank >= 0) {
-    for (const auto& [inc, line0] : includes_at) {
-      const std::string target = module_of_include(inc);
-      if (target.empty() || target == summary.module) continue;
-      const int target_rank = layer_rank(target);
-      if (target_rank < 0 || target_rank < my_rank) continue;
-      std::string msg = "layering violation: module '" + summary.module + "' (rank " +
-                        std::to_string(my_rank) + ") must not include \"" + inc +
-                        "\" (module '" + target + "', rank " + std::to_string(target_rank) +
-                        "); edges point strictly down-rank";
-      const std::vector<std::string> legal = legal_path(target, summary.module);
-      if (!legal.empty()) {
-        msg += " — the legal direction is ";
-        for (std::size_t k = 0; k < legal.size(); ++k) {
-          if (k > 0) msg += " -> ";
-          msg += legal[k];
-        }
-        msg += "; invert the dependency or move the shared piece below rank " +
-               std::to_string(my_rank);
-      } else {
-        msg += " — same-rank modules are siblings; factor the shared piece into a lower "
-               "layer instead of coupling them";
-      }
-      emit(kArchLayering, line0, std::move(msg));
-    }
-  }
-
+  const std::set<std::string, std::less<>> includes = include_targets(lines);
   std::set<std::string, std::less<>> reported_symbols;
 
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -849,6 +635,27 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
                  "before feeding results");
       }
     }
+    // The same walk through an iterator pair: std::accumulate(m.begin(),
+    // m.end(), 0.0) sums in hash order just as a range-for does.
+    for (const std::string_view fn : {std::string_view{"begin"}, std::string_view{"cbegin"}}) {
+      for (std::size_t pos = find_identifier(code, fn); pos != std::string_view::npos;
+           pos = find_identifier(code, fn, pos + 1)) {
+        if (qualifier_before(code, pos) != Qualifier::kMember ||
+            !followed_by_call(code, pos + fn.size())) {
+          continue;
+        }
+        std::size_t dot = pos;
+        while (std::isspace(static_cast<unsigned char>(code[dot - 1])) != 0) --dot;
+        dot -= code[dot - 1] == '>' ? 2 : 1;  // back over the '.' or '->'
+        const std::string name = range_expr_name(std::string_view(code).substr(0, dot));
+        if (std::binary_search(ctx.unordered_names.begin(), ctx.unordered_names.end(), name)) {
+          emit(kDetUnorderedIter, i,
+               "'" + name + "." + std::string(fn) +
+                   "()' walks an unordered container in hash order; iterate sorted keys "
+                   "(or a sorted snapshot) before feeding results");
+        }
+      }
+    }
 
     // ---- hotpath rules ----
     if (hot[i] != 0) {
@@ -923,21 +730,6 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
       }
     }
 
-    // ---- obs.pod-record ----
-    if (pod[i] != 0) {
-      for (std::size_t pos = code.find("std::"); pos != std::string::npos;
-           pos = code.find("std::", pos + 1)) {
-        if (pos > 0 && (is_ident_char(code[pos - 1]) || code[pos - 1] == ':')) continue;
-        for (const std::string_view banned : kHeapOwningTypes) {
-          if (!matches_identifier_at(code, pos + 5, banned)) continue;
-          emit(kObsPodRecord, i,
-               "std::" + std::string(banned) + " in a HERMES_POD_RECORD struct owns heap "
-               "memory; trace records are memcpy'd and dumped raw, so members must be "
-               "fixed-size trivially-copyable scalars (intern strings via obs::StringTable)");
-        }
-      }
-    }
-
     // ---- header.direct-include (std:: symbols) ----
     for (std::size_t pos = code.find("std::"); pos != std::string::npos;
          pos = code.find("std::", pos + 1)) {
@@ -957,8 +749,11 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
     // The symbol index is computed from the lexed tree (exported_symbols
     // over every header), not hand-curated: any namespace-scope symbol of
     // an indexed namespace resolves to the header that defines it.
-    for (const NsScope& ns : kIndexedNs) {
-      const std::string pat = std::string(ns.tail) + "::";
+    for (const std::string_view full : kIndexedNamespaces) {
+      const std::size_t sep = full.rfind("::");
+      const std::string_view tail = full.substr(sep + 2);
+      const std::string_view parent = ident_before(full, sep);
+      const std::string pat = std::string(tail) + "::";
       for (std::size_t pos = code.find(pat); pos != std::string::npos;
            pos = code.find(pat, pos + 1)) {
         if (pos > 0) {
@@ -966,7 +761,7 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
           if (is_ident_char(prev)) continue;
           if (prev == ':') {
             // Accept only <parent>::<tail>:: — some_other_ns::obs:: is not ours.
-            if (pos < 2 || code[pos - 2] != ':' || ident_before(code, pos - 2) != ns.parent) {
+            if (pos < 2 || code[pos - 2] != ':' || ident_before(code, pos - 2) != parent) {
               continue;
             }
           }
@@ -976,13 +771,14 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
         while (e < code.size() && is_ident_char(code[e])) ++e;
         if (e == b) continue;
         const std::string sym = code.substr(b, e - b);
-        const auto it = ctx.symbol_headers.find(std::string(ns.tail) + "::" + sym);
+        const std::string key = std::string(tail) + "::" + sym;
+        const auto it = ctx.symbol_headers.find(key);
         if (it == ctx.symbol_headers.end()) continue;
         if (includes.find(it->second) != includes.end()) continue;
         if (include_path_of(path) == it->second) continue;  // the defining header itself
-        if (!reported_symbols.insert(std::string(ns.tail) + "::" + sym).second) continue;
+        if (!reported_symbols.insert(key).second) continue;
         emit(kHdrDirectInclude, i,
-             std::string(ns.tail) + "::" + sym + " needs a direct #include \"" + it->second +
+             key + " needs a direct #include \"" + it->second +
                  "\" (transitive includes are not guaranteed)");
       }
     }
@@ -1003,52 +799,6 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
            "header must start with #pragma once");
     }
   }
-
-  // ---- dataflow rules: sim.shard-race / core.arena-lifetime /
-  // ---- sim.float-order ----
-  // One per-function token CFG serves all three analyses.
-  const std::vector<Function> functions = extract_functions(lines);
-  for (const Function& fn : functions) {
-    check_arena_lifetime(fn, sharded, [&](int line0, const std::string& msg) {
-      emit(kCoreArenaLifetime, static_cast<std::size_t>(line0), msg);
-    });
-    check_shard_indexing(fn, ctx.shard_owned, [&](int line0, const std::string& msg) {
-      emit(kSimShardRace, static_cast<std::size_t>(line0), msg);
-    });
-    if (sharded_any) {
-      check_shard_ptr_escape(fn, sharded, shard_ptrs, [&](int line0, const std::string& msg) {
-        emit(kSimShardRace, static_cast<std::size_t>(line0), msg);
-      });
-    }
-    check_float_order(fn, ctx.unordered_names, [&](int line0, const std::string& msg) {
-      emit(kSimFloatOrder, static_cast<std::size_t>(line0), msg);
-    });
-  }
-}
-
-std::string to_json(const LintResult& r) {
-  std::string s = "{\n  \"tool\": \"hermeslint\",\n  \"schema_version\": 2,\n";
-  s += "  \"files_scanned\": " + std::to_string(r.files_scanned) + ",\n";
-  s += "  \"clean\": " + std::string(r.findings.empty() ? "true" : "false") + ",\n";
-  s += "  \"findings\": [";
-  for (std::size_t i = 0; i < r.findings.size(); ++i) {
-    const Finding& f = r.findings[i];
-    s += i == 0 ? "\n" : ",\n";
-    s += "    {\"file\": \"" + json_escape(f.file) + "\", \"line\": " + std::to_string(f.line) +
-         ", \"rule\": \"" + json_escape(f.rule) + "\", \"message\": \"" + json_escape(f.message) +
-         "\", \"snippet\": \"" + json_escape(f.snippet) + "\"}";
-  }
-  s += r.findings.empty() ? "],\n" : "\n  ],\n";
-  s += "  \"suppressed\": [";
-  for (std::size_t i = 0; i < r.suppressed.size(); ++i) {
-    const Suppression& sp = r.suppressed[i];
-    s += i == 0 ? "\n" : ",\n";
-    s += "    {\"file\": \"" + json_escape(sp.file) + "\", \"line\": " + std::to_string(sp.line) +
-         ", \"rule\": \"" + json_escape(sp.rule) + "\", \"reason\": \"" + json_escape(sp.reason) +
-         "\", \"expires\": \"" + json_escape(sp.expires) + "\"}";
-  }
-  s += r.suppressed.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return s;
 }
 
 }  // namespace hermes::lint

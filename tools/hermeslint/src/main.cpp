@@ -1,12 +1,11 @@
 // hermeslint — project-specific static analysis for the Hermes tree.
 //
-// Enforces the invariants the compiler cannot see (DESIGN.md "Static
-// analysis & invariants"): fixed-seed determinism, HERMES_HOT allocation
-// freedom, header hygiene, the layering DAG, shard-race and
-// arena-lifetime dataflow. Token/AST-lite pass; no libclang.
+// Enforces the invariants the compiler, the tests and the sanitizers
+// cannot see (DESIGN.md "Static analysis & invariants"): fixed-seed
+// determinism, HERMES_HOT allocation freedom and header hygiene.
+// Token-level pass; no libclang.
 //
-//   hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE]
-//              [--today=YYYY-MM-DD] [--list-rules]
+//   hermeslint [--root=DIR] [--sarif=FILE] [--list-rules]
 //              [--suppressions] [paths...]
 //
 // Paths default to src bench tests examples tools; directories are walked
@@ -34,9 +33,7 @@ bool write_file(const std::string& path, const std::string& body) {
 
 int main(int argc, char** argv) {
   hermes::lint::DriveOptions opts;
-  std::string json_path;
   std::string sarif_path;
-  bool want_json = false;
   bool want_sarif = false;
   bool want_suppressions = false;
 
@@ -44,16 +41,9 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a.rfind("--root=", 0) == 0) {
       opts.root = a.substr(7);
-    } else if (a == "--json") {
-      want_json = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      want_json = true;
-      json_path = a.substr(7);
     } else if (a.rfind("--sarif=", 0) == 0) {
       want_sarif = true;
       sarif_path = a.substr(8);
-    } else if (a.rfind("--today=", 0) == 0) {
-      opts.today = a.substr(8);
     } else if (a == "--suppressions") {
       want_suppressions = true;
     } else if (a == "--list-rules") {
@@ -63,8 +53,7 @@ int main(int argc, char** argv) {
       return 0;
     } else if (a == "--help" || a == "-h") {
       std::printf(
-          "usage: hermeslint [--root=DIR] [--json[=FILE]] [--sarif=FILE]\n"
-          "                  [--today=YYYY-MM-DD] [--list-rules]\n"
+          "usage: hermeslint [--root=DIR] [--sarif=FILE] [--list-rules]\n"
           "                  [--suppressions] [paths...]\n");
       return 0;
     } else if (a.rfind("--", 0) == 0) {
@@ -87,33 +76,19 @@ int main(int argc, char** argv) {
   }
   const hermes::lint::LintResult& result = drive.result;
 
-  // With --json (no =FILE) the JSON owns stdout; the report moves to
-  // stderr so `hermeslint --json | jq` just works.
-  std::FILE* report = want_json && json_path.empty() ? stderr : stdout;
   for (const auto& f : result.findings) {
-    std::fprintf(report, "%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
-                 f.message.c_str());
-    if (!f.snippet.empty()) std::fprintf(report, "    %s\n", f.snippet.c_str());
+    std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(), f.message.c_str());
+    if (!f.snippet.empty()) std::printf("    %s\n", f.snippet.c_str());
   }
   if (want_suppressions) {
     for (const auto& s : result.suppressed) {
-      const std::string tail = s.expires.empty() ? "" : " (expires " + s.expires + ")";
-      std::fprintf(report, "%s:%d: [suppressed %s] %s%s\n", s.file.c_str(), s.line,
-                   s.rule.c_str(), s.reason.c_str(), tail.c_str());
+      std::printf("%s:%d: [suppressed %s] %s\n", s.file.c_str(), s.line, s.rule.c_str(),
+                  s.reason.c_str());
     }
   }
-  std::fprintf(report, "hermeslint: %zu finding(s), %zu suppression(s), %d file(s) scanned\n",
-               result.findings.size(), result.suppressed.size(), result.files_scanned);
+  std::printf("hermeslint: %zu finding(s), %zu suppression(s), %d file(s) scanned\n",
+              result.findings.size(), result.suppressed.size(), result.files_scanned);
 
-  if (want_json) {
-    const std::string json = hermes::lint::to_json(result);
-    if (json_path.empty()) {
-      std::fputs(json.c_str(), stdout);
-    } else if (!write_file(json_path, json)) {
-      std::fprintf(stderr, "hermeslint: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-  }
   if (want_sarif && !write_file(sarif_path, hermes::lint::to_sarif(result))) {
     std::fprintf(stderr, "hermeslint: cannot write %s\n", sarif_path.c_str());
     return 2;
