@@ -1,8 +1,8 @@
 // Microbenchmarks of the simulator substrate: event-queue throughput
 // with packet-hop-sized callback captures, cancellable-timer churn, the
 // event queue's retained memory under bursty probe ticks, its due run
-// under lockstep ports, DRE updates, route construction, and the
-// end-to-end packet pipeline rate.
+// under lockstep ports, the engine's decisions and probe-fed memory, DRE
+// updates, route construction, and the end-to-end packet pipeline rate.
 // These bound how much simulated traffic the experiment harness can push
 // per wall-clock second.
 //
@@ -519,6 +519,55 @@ bool bench_engine_decide(int n) {
   return true;
 }
 
+/// The engine's probe-fed state at the k=16 shard shape: 8 source groups
+/// each probing 128 others (1,024 rack pairs) over 64 paths a pair, and
+/// no pair sending. Every pair stays compact, a 16-byte Sensing slot and
+/// one sampled bit per path, until it sends (PathSet::promote). Reports
+/// the heap the engine holds per probe-only path once every path has a
+/// sample, and the allocations of later sampling rounds, which must be
+/// none. Both are deterministic, so check_bench_regress.py gates them
+/// tightly.
+void bench_engine_probe_feed(int rounds) {
+  constexpr int kSources = 8;
+  constexpr int kGroups = kSources + 128;
+  constexpr int kPaths = 64;
+  const std::size_t heap0 = heap_in_use_bytes();
+  std::vector<int> owned(kSources);
+  for (int a = 0; a < kSources; ++a) owned[static_cast<std::size_t>(a)] = a;
+  auto eng = std::make_unique<engine::Engine>(engine::Config{}, kGroups, owned, 42);
+  for (int a = 0; a < kSources; ++a) {
+    for (int b = kSources; b < kGroups; ++b) eng->path_set(a, b).ensure(kPaths);
+  }
+  std::uint64_t samples = 0;
+  const auto round = [&](int r) {
+    for (int a = 0; a < kSources; ++a) {
+      for (int b = kSources; b < kGroups; ++b) {
+        for (int li = 0; li < kPaths; ++li) {
+          eng->feed_probe_sample(a, b, li, engine::usec(30 + (li + r) % 17), (li + r) % 5 == 0);
+          ++samples;
+        }
+      }
+    }
+  };
+  round(0);  // every path sampled once: the compact form's full size
+  const double per_path = static_cast<double>(heap_in_use_bytes() - heap0) /
+                          (kSources * 128.0 * kPaths);
+  const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t samples0 = samples;
+  const auto t0 = Clock::now();
+  for (int r = 1; r <= rounds; ++r) round(r);
+  const double dt = seconds_since(t0);
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  const auto steady = static_cast<double>(samples - samples0);
+  g_sink += static_cast<std::uint64_t>(eng->sampled_paths(0, kSources));
+  record("engine_probe_feed", "ns_per_sample", dt * 1e9 / steady);
+  record("engine_probe_feed", "heap_bytes_per_probe_only_path", per_path);
+  record("engine_probe_feed", "allocs_per_sample_steady", static_cast<double>(allocs) / steady);
+  std::printf("engine_probe_feed     %6.1f ns/sample  %.1f heap bytes/probe-only path  %" PRIu64
+              " allocs (steady)\n",
+              dt * 1e9 / steady, per_path, allocs);
+}
+
 void bench_dre(int n) {
   engine::Dre<engine::kLinkDre> dre;
   engine::TimeNs t = 0;
@@ -614,6 +663,7 @@ int main(int argc, char** argv) {
   ok = bench_recorder_append(smoke ? 10'000 : 5'000'000) && ok;
   ok = bench_obs_pipeline() && ok;
   ok = bench_engine_decide(smoke ? 20'000 : 5'000'000) && ok;
+  bench_engine_probe_feed(smoke ? 2 : 40);
   bench_dre(smoke ? 10'000 : 20'000'000);
   bench_route(smoke ? 10'000 : 10'000'000);
   if (!json_path.empty()) write_json(json_path, smoke);

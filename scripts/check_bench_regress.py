@@ -21,6 +21,11 @@ packet pipeline regresses:
     <= 200 (wheel storage follows the peak number of stored events:
     169 bytes per event at the bench's 2048-event peak, where per-bucket
     high-water storage retained 29,129), and
+  * engine_probe_feed.heap_bytes_per_probe_only_path must stay <= 24 and
+    its allocs_per_sample_steady must be exactly 0 (a rack pair that
+    probes reach but that never sends holds a 16-byte Sensing slot and
+    one sampled bit per path, ~18 bytes with its PathSet; a full 72-byte
+    PathState per path read 73), and
   * packet_pipeline_10mb.packets_per_sec and engine_decide.decisions_per_sec
     must not drop more than 50% below the committed baseline, judged on
     the better of the raw ratio and a machine-speed-normalized ratio.
@@ -58,6 +63,7 @@ import sys
 
 ALLOC_BUDGET = 0.01
 BURSTY_BYTES_BUDGET = 200
+PROBE_ONLY_PATH_BYTES_BUDGET = 24
 MAX_REGRESSION = 0.50
 MIN_SPEEDUP = 1.5
 
@@ -190,6 +196,25 @@ def main(argv):
         print(
             f"perf guard: event_queue_bursty retains {bursty:,.0f} heap bytes per "
             f"peak stored event (budget {BURSTY_BYTES_BUDGET})"
+        )
+
+    probe_bytes = metric(current, "engine_probe_feed", "heap_bytes_per_probe_only_path")
+    probe_allocs = metric(current, "engine_probe_feed", "allocs_per_sample_steady")
+    if probe_bytes is None or probe_allocs is None:
+        failures.append(
+            "current run has no engine_probe_feed.heap_bytes_per_probe_only_path or "
+            "allocs_per_sample_steady metric — bench binary predates compact sensing slots?"
+        )
+    elif probe_bytes > PROBE_ONLY_PATH_BYTES_BUDGET or probe_allocs != 0:
+        failures.append(
+            f"engine holds {probe_bytes:.1f} heap bytes per probe-only path (budget "
+            f"{PROBE_ONLY_PATH_BYTES_BUDGET}) and allocates {probe_allocs:.6f} per probe "
+            "sample (budget 0) — pairs that never send must keep compact sensing slots"
+        )
+    else:
+        print(
+            f"perf guard: engine_probe_feed {probe_bytes:.1f} heap bytes per probe-only "
+            f"path (budget {PROBE_ONLY_PATH_BYTES_BUDGET}), steady allocs/sample 0 (budget 0)"
         )
 
     base_dps = metric(baseline, "engine_decide", "decisions_per_sec")

@@ -37,7 +37,7 @@
 #      thousands; this is the per-change canary that both fuzz loops
 #      still work and the first seeds stay clean.
 #   6. hermesd smoke: the standalone decision daemon (links only
-#      hermes::engine) replays both shipped traces end-to-end — the
+#      hermes::engine) replays every shipped trace end-to-end — the
 #      fig17 blackhole trace additionally paced at 10x wall-clock —
 #      with every `expect` assertion holding.
 #   7. Benchmark smoke: hermes_e2e/run.py --smoke builds the repo
@@ -94,6 +94,7 @@ echo "== [6/8] hermesd trace replay smoke =="
 ./build/tools/hermesd/hermesd tools/hermesd/traces/smoke.trace --speed=0
 ./build/tools/hermesd/hermesd tools/hermesd/traces/fig17_blackhole.trace --speed=10 \
   --json=build/hermesd_fig17.json
+./build/tools/hermesd/hermesd tools/hermesd/traces/congestion_reroute.trace --speed=0
 
 echo "== [7/8] benchmark build + smoke (hermes_e2e) =="
 python3 hermes_e2e/run.py --smoke --build=build-bench

@@ -19,10 +19,12 @@ namespace hermes::engine {
 ///
 /// The engine knows only locality *groups* (racks in the paper, localities
 /// in a serving mesh) and, per ordered group pair, a PathSet of sensing
-/// slots. It never reads a clock, never touches a socket, and holds no
-/// per-flow state: every entry point takes `now` and a FlowView from the
-/// embedder. Three embedders exist in this repo — the simulator adapter
-/// (lb::HermesLb), the conformance suite, and the hermesd replay daemon.
+/// slots: compact until the pair first sends (PathSet::promote), so a
+/// pair that only probes reach costs 16 bytes a path. It never reads a
+/// clock, never touches a socket, and holds no per-flow state: every
+/// entry point takes `now` and a FlowView from the embedder. Three
+/// embedders exist in this repo — the simulator adapter (lb::HermesLb),
+/// the conformance suite, and the hermesd replay daemon.
 ///
 /// On top of the paper's sensed path conditions the engine layers
 /// *declared* membership (HostSet): per-path weights and administrative
@@ -82,10 +84,11 @@ class Engine {
   [[nodiscard]] const PathSet& path_set(int src_group, int dst_group) const {
     return sets_[set_index(src_group, dst_group)];
   }
-  /// Push declared membership into a pair's PathSet (PathSet::sync): path
-  /// i backs hosts.host(i). Paths whose backing host id changed are reset
-  /// (sensing state restarts); paths that kept their host retain RTT/ECN
-  /// estimates, rate and failure latches across weight/health updates.
+  /// Push declared membership into a pair's PathSet (PathSet::sync, which
+  /// promotes it): path i backs hosts.host(i). Paths whose backing host id
+  /// changed are reset (sensing state restarts); paths that kept their
+  /// host retain RTT/ECN estimates, rate and failure latches across
+  /// weight/health updates.
   void sync_pair(int src_group, int dst_group, const HostSet& hosts) {
     path_set(src_group, dst_group).sync(hosts);
   }
@@ -94,8 +97,9 @@ class Engine {
   [[nodiscard]] int num_groups() const { return num_groups_; }
   /// The source groups this engine keeps rows for, ascending.
   [[nodiscard]] const std::vector<int>& owned_groups() const { return owned_; }
-  /// One path's sensing state; throws std::out_of_range as path_set()
-  /// does, or for an index outside [0, size()) of the pair's PathSet.
+  /// One path's sensing state, promoting its pair; throws
+  /// std::out_of_range as path_set() does, or for an index outside
+  /// [0, size()) of the pair's PathSet.
   [[nodiscard]] PathState& path_state(int src_group, int dst_group, int local_idx);
   [[nodiscard]] PathType path_type(int src_group, int dst_group, int local_idx) {
     return path_state(src_group, dst_group, local_idx).characterize(config_);
@@ -107,6 +111,8 @@ class Engine {
   /// Number of distinct paths with at least one sample for a pair (the
   /// "visibility" a sender has, Table 6).
   [[nodiscard]] int sampled_paths(int src_group, int dst_group) const;
+  /// Number of pairs holding full PathStates: the pairs that sent.
+  [[nodiscard]] std::uint64_t promoted_pairs() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const DecisionStats& stats() const { return stats_; }
@@ -158,6 +164,13 @@ class Engine {
   }
   [[noreturn]] void throw_not_owned(int src_group, int dst_group) const;
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+  /// path_set() for the calls that read or write sending state: the
+  /// pair, promoted on first use (PathSet::promote allocates once).
+  PathSet& sending_set(int src_group, int dst_group) {
+    PathSet& ps = path_set(src_group, dst_group);
+    if (!ps.promoted()) [[unlikely]] ps.promote();
+    return ps;
+  }
 
   /// Is the hole latch live (expiring it in place when stale)? `flow`
   /// and `local_idx` locate the expiry for the decision stream.

@@ -206,6 +206,9 @@ void HermesLb::register_metrics(obs::MetricsRegistry& reg) {
   reg.counter_fn("lb.probes_sent", [this] { return probe_stats_.probes_sent; });
   reg.counter_fn("lb.probe_replies", [this] { return probe_stats_.replies_received; });
   reg.counter_fn("lb.probe_bytes", [this] { return probe_stats_.probe_bytes; });
+  // Rack pairs whose engine slots grew from probe-only to full state:
+  // engine memory follows this count, not the number of pairs probed.
+  reg.counter_fn("lb.promoted_pairs", [this] { return engine_.promoted_pairs(); });
   latch_hist_ = &reg.histogram("lb.latch_lifetime_us");
 }
 

@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hermes/faults/fault_plan.hpp"
@@ -373,6 +375,39 @@ TEST(Sharded, HermesShardKeepsRowsForItsOwnLeavesOnly) {
       EXPECT_THROW((void)shard_lb.blackholed(src_host, dst_host, 0), std::out_of_range);
     }
   }
+}
+
+TEST(Sharded, HermesPromotesOnlyPairsThatCarryData) {
+  // Probing reaches every rack pair a shard owns, but only the pairs
+  // that carry an inter-rack flow get full path state.
+  harness::ShardedScenario h{base_config(harness::Scheme::kHermes, 4, 2)};
+  const std::vector<transport::FlowSpec> flows = test_traffic(h.fabric(), 20);
+  h.add_flows(flows);
+  (void)h.run();
+  const net::Fabric& f = h.fabric();
+  std::set<std::pair<int, int>> carried;
+  for (const transport::FlowSpec& fl : flows) {
+    const int a = f.leaf_of(fl.src);
+    const int b = f.leaf_of(fl.dst);
+    if (a != b) carried.emplace(a, b);
+  }
+  ASSERT_FALSE(carried.empty());
+  std::uint64_t promoted = 0;
+  for (int s = 0; s < h.num_shards(); ++s) {
+    const engine::Engine& eng = h.hermes(s)->engine();
+    for (const int a : eng.owned_groups()) {
+      for (int b = 0; b < f.num_leaves(); ++b) {
+        if (a == b) continue;
+        EXPECT_GT(eng.sampled_paths(a, b), 0) << a << "->" << b << " was never probed";
+        const bool full = eng.path_set(a, b).promoted();
+        EXPECT_EQ(full, carried.count({a, b}) == 1) << a << "->" << b;
+        promoted += full ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(promoted, carried.size());
+  EXPECT_EQ(metric_value(h.metrics().snapshot_text(), "lb.promoted_pairs"),
+            static_cast<double>(carried.size()));
 }
 
 TEST(Sharded, FlowsStartingAfterTheCapCountAsUnfinished) {

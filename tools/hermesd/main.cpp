@@ -16,6 +16,10 @@
 // Trace grammar (one statement per line, '#' comments):
 //   groups <n>                          locality-group count
 //   thresholds <low_us> <high_us> <drtt_us>   sensing thresholds
+//   gates <R_mbps> <S_bytes>            Algorithm 2's reroute gates: a
+//                                       flow reroutes off a congested path
+//                                       only below rate R and past S sent
+//                                       bytes (default R 0: never)
 //   paths <a> <b> <n>                   pair a->b gets n unit-weight paths
 //   flow <id> <src> <dst> <a> <b>       declare a flow on pair a->b
 //   @<t_us> decide <flow> <bytes>       route one packet of the flow
@@ -151,11 +155,11 @@ struct Statement {
   bool event;
 };
 constexpr Statement kStatements[] = {
-    {"groups", "n", false},   {"thresholds", "nnn", false}, {"paths", "ggn", false},
-    {"flow", "nnngg", false}, {"expect", "wwn", false},     {"decide", "nn", true},
-    {"ack", "nnn", true},     {"timeout", "n", true},       {"retx", "n", true},
-    {"probe", "ggnnn", true}, {"health", "ggnh", true},     {"weight", "ggnn", true},
-    {"snapshot", "", true},
+    {"groups", "n", false},   {"thresholds", "nnn", false}, {"gates", "nn", false},
+    {"paths", "ggn", false},  {"flow", "nnngg", false},     {"expect", "wwn", false},
+    {"decide", "nn", true},   {"ack", "nnn", true},         {"timeout", "n", true},
+    {"retx", "n", true},      {"probe", "ggnnn", true},     {"health", "ggnh", true},
+    {"weight", "ggnn", true}, {"snapshot", "", true},
 };
 
 /// Check a statement (tok[0] is its keyword) against kStatements, dying
@@ -267,6 +271,9 @@ int main(int argc, char** argv) {
       cfg.t_rtt_low = usec(std::atoll(tok[1].c_str()));
       cfg.t_rtt_high = usec(std::atoll(tok[2].c_str()));
       cfg.delta_rtt = usec(std::atoll(tok[3].c_str()));
+    } else if (tok[0] == "gates") {
+      cfg.reroute_rate_limit_bps = 1e6 * static_cast<double>(parse_uint(tok[1], line_no));
+      cfg.sent_threshold_bytes = static_cast<std::uint64_t>(parse_uint(tok[2], line_no));
     } else if (tok[0] == "paths" || tok[0] == "flow") {
       if (tok[0] == "paths") {
         if (parse_uint(tok[3], line_no) > kMaxPaths) die(line_no, "at most 32768 paths per pair");

@@ -23,6 +23,7 @@ struct FileSummary {
   std::string path;
   bool is_header = false;
   std::vector<std::string> unordered_names;  ///< declared unordered containers
+  std::vector<std::string> ordered_names;    ///< declared with any other std:: template
   std::vector<SymbolDef> symbols;            ///< exported namespace-scope symbols
 };
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -444,40 +445,43 @@ FileSummary Linter::summarize(const std::string& path, const std::vector<Line>& 
   s.path = path;
   s.is_header = ends_with(path, ".hpp") || ends_with(path, ".h");
 
-  // Unordered-container variable names (cross-file: iteration over them is
-  // flagged wherever it happens, not just in the declaring file).
+  // Names declared as `T<...> name`. An unordered container's name is a
+  // cross-file fact: iterating it is flagged wherever that happens. A name
+  // declared with any other std:: template iterates in a fixed order, and
+  // a file that declares it so sees that declaration, not another file's.
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    for (const std::string_view type : kUnorderedTypes) {
-      for (std::size_t pos = find_identifier(lines[i].code, type); pos != std::string_view::npos;
-           pos = find_identifier(lines[i].code, type, pos + 1)) {
-        // Join ahead so multi-line template argument lists still parse.
-        const std::string decl = joined_code(lines, i, 6);
-        const std::size_t at = find_identifier(decl, type);
-        if (at == std::string_view::npos) continue;
-        std::size_t open = at + type.size();
-        while (open < decl.size() && std::isspace(static_cast<unsigned char>(decl[open])) != 0)
-          ++open;
-        if (open >= decl.size() || decl[open] != '<') continue;
-        std::size_t after = skip_angles(decl, open);
-        if (after == std::string_view::npos) continue;
-        // Skip refs/pointers/cv noise between the type and the name.
-        while (after < decl.size()) {
-          const char ch = decl[after];
-          if (std::isspace(static_cast<unsigned char>(ch)) != 0 || ch == '&' || ch == '*') {
-            ++after;
-          } else if (matches_identifier_at(decl, after, "const")) {
-            after += 5;
-          } else {
-            break;
-          }
+    const std::string& code = lines[i].code;
+    std::string decl;  // joined ahead so wrapped template arguments parse
+    for (std::size_t open = code.find('<'); open != std::string::npos;
+         open = code.find('<', open + 1)) {
+      std::size_t type_end = open;
+      while (type_end > 0 && std::isspace(static_cast<unsigned char>(code[type_end - 1])) != 0)
+        --type_end;
+      std::size_t type_begin = type_end;
+      while (type_begin > 0 && is_ident_char(code[type_begin - 1])) --type_begin;
+      const std::string_view type = std::string_view(code).substr(type_begin, type_end - type_begin);
+      const bool unordered =
+          std::find(std::begin(kUnorderedTypes), std::end(kUnorderedTypes), type) !=
+          std::end(kUnorderedTypes);
+      if (!unordered && qualifier_before(code, type_begin) != Qualifier::kStd) continue;
+      if (decl.empty()) decl = joined_code(lines, i, 6);
+      std::size_t after = skip_angles(decl, open);
+      if (after == std::string_view::npos) continue;
+      // Skip refs/pointers/cv noise between the type and the name.
+      while (after < decl.size()) {
+        const char ch = decl[after];
+        if (std::isspace(static_cast<unsigned char>(ch)) != 0 || ch == '&' || ch == '*') {
+          ++after;
+        } else if (matches_identifier_at(decl, after, "const")) {
+          after += 5;
+        } else {
+          break;
         }
-        std::size_t end = after;
-        while (end < decl.size() && is_ident_char(decl[end])) ++end;
-        if (end > after) {
-          s.unordered_names.emplace_back(decl.substr(after, end - after));
-        }
-        break;  // one declaration per matched type occurrence is enough
       }
+      std::size_t end = after;
+      while (end < decl.size() && is_ident_char(decl[end])) ++end;
+      if (end == after) continue;
+      (unordered ? s.unordered_names : s.ordered_names).emplace_back(decl.substr(after, end - after));
     }
   }
 
@@ -551,6 +555,18 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
 
   const std::set<std::string, std::less<>> includes = include_targets(lines);
   std::set<std::string, std::less<>> reported_symbols;
+
+  // Does the declaration this file sees for `name` make it an unordered
+  // container? The file's own declaration wins; a name it does not
+  // declare resolves against every file's.
+  const auto declares = [](const std::vector<std::string>& names, const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  const auto unordered = [&](const std::string& name) {
+    if (declares(summary.unordered_names, name)) return true;
+    if (declares(summary.ordered_names, name)) return false;
+    return std::binary_search(ctx.unordered_names.begin(), ctx.unordered_names.end(), name);
+  };
 
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string& code = lines[i].code;
@@ -626,9 +642,7 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
       }
       if (classic || colon == std::string::npos || hclose == std::string::npos) continue;
       const std::string name = range_expr_name(std::string_view(head).substr(colon + 1, hclose - colon - 1));
-      if (!name.empty() &&
-          std::find(ctx.unordered_names.begin(), ctx.unordered_names.end(), name) !=
-              ctx.unordered_names.end()) {
+      if (!name.empty() && unordered(name)) {
         emit(kDetUnorderedIter, i,
              "range-for over unordered container '" + name +
                  "' leaks hash order; iterate sorted keys (or a sorted snapshot) "
@@ -648,7 +662,7 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
         while (std::isspace(static_cast<unsigned char>(code[dot - 1])) != 0) --dot;
         dot -= code[dot - 1] == '>' ? 2 : 1;  // back over the '.' or '->'
         const std::string name = range_expr_name(std::string_view(code).substr(0, dot));
-        if (std::binary_search(ctx.unordered_names.begin(), ctx.unordered_names.end(), name)) {
+        if (unordered(name)) {
           emit(kDetUnorderedIter, i,
                "'" + name + "." + std::string(fn) +
                    "()' walks an unordered container in hash order; iterate sorted keys "

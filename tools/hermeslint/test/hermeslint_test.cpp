@@ -376,6 +376,26 @@ TEST(HermeslintSarif, SuppressionsCarryInSourceKind) {
   EXPECT_NE(s.find("bench measures wall time"), std::string::npos) << s;
 }
 
+TEST(HermeslintRules, UnorderedIterReadsTheDeclarationTheFileSees) {
+  // src/ declares unordered containers named state_; the fixture declares
+  // a std::vector<int> state_ and walks it by range-for and by .begin().
+  namespace hl = hermes::lint;
+  hl::DriveOptions o;
+  o.root = std::string(HERMESLINT_FIXTURE_DIR) + "/../../..";
+  o.paths = {"src", "tools/hermeslint/fixtures/det_unordered_same_name_clean.cpp"};
+  const hl::DriveResult r = hl::drive(o);
+  ASSERT_FALSE(r.io_error);
+  EXPECT_GT(r.result.files_scanned, 50) << "src/ was not scanned";
+  EXPECT_EQ(count_rule(r.result, "determinism.unordered-iter"), 0) << dump(r.result);
+  // Without its own declaration, the same walk resolves against src/.
+  Linter linter;
+  linter.add_file("flowbender.hpp",
+                  "#include <unordered_map>\nstruct F { std::unordered_map<int, int> state_; };\n");
+  linter.add_file("user.cpp", "int n(const F& f) {\n  int s = 0;\n"
+                              "  for (const auto& kv : f.state_) s += kv.second;\n  return s;\n}\n");
+  EXPECT_EQ(count_rule(linter.run(), "determinism.unordered-iter"), 1);
+}
+
 // -------------------------------------------------------------------- driver
 
 TEST(HermeslintDriver, CrossFileContextChangeInvalidatesUntouchedFiles) {
