@@ -100,49 +100,40 @@ bool Engine::failed_for_flow(PathSet& ps, const FlowView& flow, int local_idx, T
 
 // HERMES_HOT: Algorithm 2 lines 3-12.
 int Engine::pick_fresh(PathSet& ps, const FlowView& flow, TimeNs now) {
-  const bool panic = ps.in_panic();
   // Lines 4-6: good paths, least local sending rate r_p first.
   // Lines 8-10: otherwise gray paths the same way. Near-equal rates are
   // tie-broken randomly so concurrent senders do not herd onto one path.
   for (PathType wanted : {PathType::kGood, PathType::kGray}) {
-    const int best = least_rate_path(ps, flow, wanted, -1, nullptr, panic, now);
+    const int best = least_rate_path(ps, flow, wanted, -1, nullptr, now);
     if (best >= 0) return best;
   }
-  // Line 12: a weighted-random path with no failure. Two passes (count
-  // eligible weight, then walk the draw down the same sequence) so the
-  // hot path allocates no candidate list; failure checks are idempotent
-  // at fixed `now`, so re-evaluating them is safe.
+  // Line 12: a uniformly random path with no failure. Two passes (count
+  // the non-failed paths, then walk the draw down the same sequence) so
+  // the hot path allocates no candidate list; failure checks are
+  // idempotent at fixed `now`, so re-evaluating them is safe.
   const int n = static_cast<int>(ps.size());
-  const PathSet::Members* m = ps.members();
-  // Path li's weight in the draw: 0 unless administratively eligible and
-  // not failed; an undeclared path weighs 1.
-  const auto draw_weight = [&](int li) -> std::uint32_t {
-    const Host* h = m != nullptr ? &m->hosts[static_cast<std::size_t>(li)] : nullptr;
-    if (h != nullptr && !fallback_eligible(*h, panic)) return 0;
-    if (failed_for_flow(ps, flow, li, now)) return 0;
-    return h != nullptr ? h->weight : 1;
-  };
-  std::uint64_t total = 0;
-  for (int li = 0; li < n; ++li) total += draw_weight(li);
-  if (total > 0) {
-    std::uint64_t draw = rng_.next(total);
+  std::uint64_t alive = 0;
+  for (int li = 0; li < n; ++li) {
+    if (!failed_for_flow(ps, flow, li, now)) ++alive;
+  }
+  if (alive > 0) {
+    std::uint64_t draw = rng_.next(alive);
     for (int li = 0; li < n; ++li) {
-      const std::uint32_t w = draw_weight(li);
-      if (draw < w) return li;
-      draw -= w;
+      if (failed_for_flow(ps, flow, li, now)) continue;
+      if (draw == 0) return li;
+      --draw;
     }
   }
   // Everything looks failed; we must still transmit somewhere.
-  return pick_any(ps);
+  return static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
 }
 
 // HERMES_HOT: Algorithm 2 lines 14-23.
 int Engine::pick_notably_better(PathSet& ps, const FlowView& flow, int cur_local, TimeNs now) {
   const PathState& cur = ps.state(static_cast<std::size_t>(cur_local));
-  const bool panic = ps.in_panic();
   // Lines 15-21: good paths notably better than the current one, then gray.
   for (PathType wanted : {PathType::kGood, PathType::kGray}) {
-    const int best = least_rate_path(ps, flow, wanted, cur_local, &cur, panic, now);
+    const int best = least_rate_path(ps, flow, wanted, cur_local, &cur, now);
     if (best >= 0) return best;
   }
   return -1;  // line 23: do not reroute
@@ -157,63 +148,32 @@ bool Engine::notably_better(const PathState& cur, const PathState& cand) const {
   return true;
 }
 
-// HERMES_HOT: argmin r_p with weighted reservoir sampling among
-// near-ties. With unit weights the reservoir accepts exactly when the
-// legacy unweighted `rng.next(ties) == 0` did, draw for draw.
+// HERMES_HOT: argmin r_p with reservoir sampling among near-ties: the
+// k-th tied path replaces the pick with probability 1/k.
 int Engine::least_rate_path(PathSet& ps, const FlowView& flow, PathType wanted, int exclude_local,
-                            const PathState* better_than, bool panic, TimeNs now) {
+                            const PathState* better_than, TimeNs now) {
   const int n = static_cast<int>(ps.size());
-  const PathSet::Members* m = ps.members();
   int best = -1;
   double best_rate = std::numeric_limits<double>::max();
-  std::uint64_t tie_weight = 0;
+  std::uint64_t ties = 0;
   for (int li = 0; li < n; ++li) {
     if (li == exclude_local) continue;
-    std::uint32_t w = 1;  // undeclared: healthy at weight 1
-    if (m != nullptr) {
-      // Declared-health gate: the ranked scans use healthy members only
-      // (panic mode waives this); zero weight means drained.
-      const Host& h = m->hosts[static_cast<std::size_t>(li)];
-      if (h.weight == 0 || (!panic && h.health != Health::kHealthy)) continue;
-      w = h.weight;
-    }
     if (failed_for_flow(ps, flow, li, now)) continue;
     const PathState& st = ps.state(static_cast<std::size_t>(li));
     if (st.characterize(config_) != wanted) continue;
     if (better_than != nullptr && !notably_better(*better_than, st)) continue;
     const double r = st.rate_bps(now);
-    // Rates within 1% (or both idle) count as tied; reservoir-sample
-    // proportionally to declared weight.
+    // Rates within 1% (or both idle) count as tied.
     if (best >= 0 && r <= best_rate * 1.01 + 1.0 && best_rate <= r * 1.01 + 1.0) {
-      tie_weight += w;
-      if (rng_.next(tie_weight) < w) best = li;
+      if (rng_.next(++ties) == 0) best = li;
       if (r < best_rate) best_rate = r;
     } else if (r < best_rate) {
       best_rate = r;
       best = li;
-      tie_weight = w;
+      ties = 1;
     }
   }
   return best;
-}
-
-// HERMES_HOT: weighted draw over every slot regardless of state — the
-// "must transmit somewhere" tail when everything looks failed.
-int Engine::pick_any(PathSet& ps) {
-  const int n = static_cast<int>(ps.size());
-  const PathSet::Members* m = ps.members();
-  // Undeclared paths weigh 1 each: the weighted draw is a uniform one.
-  if (m == nullptr) return static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
-  std::uint64_t total = 0;
-  for (const Host& h : m->hosts) total += h.weight;
-  if (total == 0) return static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
-  std::uint64_t draw = rng_.next(total);
-  for (int li = 0; li < n; ++li) {
-    const std::uint64_t w = m->hosts[static_cast<std::size_t>(li)].weight;
-    if (draw < w) return li;
-    draw -= w;
-  }
-  return n - 1;  // unreachable: draw < total by construction
 }
 
 // HERMES_HOT: Algorithm 2 — the per-packet decision. Allocation-free
@@ -226,7 +186,7 @@ int Engine::decide(FlowView& flow, std::uint32_t bytes, TimeNs now) {
   if (n == 0) return -1;
 
   int cur_local = flow.cur_local;
-  if (cur_local >= n) cur_local = -1;  // membership shrank under the flow
+  if (cur_local >= n) cur_local = -1;  // the flow names a path the pair lacks
   int chosen = cur_local;
 
   const bool fresh = !flow.has_sent || flow.timeout_pending ||
@@ -272,7 +232,8 @@ int Engine::decide(FlowView& flow, std::uint32_t bytes, TimeNs now) {
     }
   }
 
-  if (chosen < 0) chosen = pick_any(ps);
+  // An established flow on no path of the pair transmits anywhere.
+  if (chosen < 0) chosen = static_cast<int>(rng_.next(static_cast<std::uint64_t>(n)));
   ps.state(static_cast<std::size_t>(chosen)).add_send(bytes, now, config_);
   return chosen;
 }

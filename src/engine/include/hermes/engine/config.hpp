@@ -54,12 +54,4 @@ inline constexpr TimeNs kRetxEpoch = msec(10);          ///< tau
 inline constexpr double kRttEwmaGain = 0.5;
 inline constexpr double kEcnEwmaGain = 1.0 / 16.0;
 
-/// Envoy-style panic threshold over *administrative* path health: when
-/// the healthy fraction of a path set drops below this, health filtering
-/// is abandoned and traffic is spread over every member — sending to a
-/// possibly-unhealthy backend beats sending to none. Sensed failure
-/// latches (blackhole / random-drop detectors) are not affected; they
-/// keep their own always-transmit-somewhere fallback.
-inline constexpr double kPanicThreshold = 0.5;
-
 }  // namespace hermes::engine

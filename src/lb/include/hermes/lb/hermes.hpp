@@ -164,8 +164,8 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
 
   // --- introspection (tests, traces, benches) ---------------------------
   [[nodiscard]] const HermesConfig& config() const { return config_; }
-  /// The embedded decision engine (tests drive conformance checks and
-  /// membership churn through it directly).
+  /// The embedded decision engine (tests read which source groups it
+  /// owns).
   [[nodiscard]] engine::Engine& engine() { return engine_; }
   /// A path's sensing state and type, promoting the pair to full state
   /// as Engine::path_state does; an index outside the pair's paths

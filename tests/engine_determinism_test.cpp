@@ -60,9 +60,7 @@ std::string run_script(std::uint64_t seed) {
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
       if (a == b) continue;
-      HostSet h;
-      for (int i = 0; i < 8; ++i) h.add(1000 * a + 10 * b + i);
-      e.sync_pair(a, b, h);
+      e.path_set(a, b).ensure(8);
     }
   }
 
