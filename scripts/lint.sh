@@ -15,7 +15,7 @@
 #
 # clang-tidy (config in .clang-tidy) runs as a second stage when the
 # binary exists; here it is advisory — the curated WarningsAsErrors
-# subset is gated by tier1.sh stage [2/8] and the CI lint job instead.
+# subset is gated by tier1.sh stage [2/7] and the CI lint job instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
