@@ -7,11 +7,11 @@
 namespace hermes::obs {
 
 /// What a flight-recorder record describes. Values are part of the trace
-/// file format (schema v1) — append only, never renumber.
+/// file format (schema v1) — append only, never renumber. 2 was a
+/// queue-backlog sample that nothing wrote; do not reuse it.
 enum class RecordKind : std::uint8_t {
   kNone = 0,
   kPacket = 1,    ///< packet lifecycle at a port (enqueue/transmit/drop)
-  kQueue = 2,     ///< periodic queue-backlog sample
   kFault = 3,     ///< injected fault onset/recovery transition
   kDecision = 4,  ///< Hermes Algorithm 2 decision (placement/reroute/latch)
 };
@@ -20,7 +20,6 @@ enum class RecordKind : std::uint8_t {
   switch (k) {
     case RecordKind::kNone: return "none";
     case RecordKind::kPacket: return "packet";
-    case RecordKind::kQueue: return "queue";
     case RecordKind::kFault: return "fault";
     case RecordKind::kDecision: return "decision";
   }
@@ -90,12 +89,6 @@ struct PacketPayload {
   std::uint8_t retransmit;
 };
 
-/// Payload of a RecordKind::kQueue record.
-struct QueuePayload {
-  std::uint32_t backlog_bytes;
-  std::uint32_t backlog_packets;
-};
-
 /// Payload of a RecordKind::kFault record. `action` mirrors
 /// faults::FaultAction's numeric value; `onset` is 1 for a fault turning
 /// on (blackhole install, link cut, drop-rate set) and 0 for recovery.
@@ -142,7 +135,6 @@ struct TraceRecord {
   std::uint8_t pad[3];
   union {
     PacketPayload packet;
-    QueuePayload queue;
     FaultPayload fault;
     DecisionPayload decision;
   } u;

@@ -57,7 +57,7 @@ TEST(FlightRecorder, RingKeepsLastRecordsInOrder) {
   FlightRecorder r{64};
   const auto name = r.intern("port");
   for (std::uint64_t i = 0; i < 100; ++i) {
-    r.append(obs::make_record(RecordKind::kQueue, /*time_ns=*/i, name, /*flow_id=*/0));
+    r.append(obs::make_record(RecordKind::kPacket, /*time_ns=*/i, name, /*flow_id=*/0));
   }
   EXPECT_EQ(r.total_appended(), 100u);
   EXPECT_EQ(r.size(), 64u);
