@@ -161,7 +161,8 @@ EventQueue::Handle EventQueue::schedule_at(SimTime t, Callback cb) {
   return Handle{this, slot, gen};
 }
 
-// HERMES_HOT: every ACK that re-arms an RTO cancels the previous timer.
+// HERMES_HOT: a flow's completion cancels its RTO timer; a fat-tree
+// inbox re-arm cancels the previous inbox timer.
 void EventQueue::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (slot >= slots_.size() || slots_[slot].gen != gen) return;  // already fired/cancelled
   // Physically remove wheel-bucket records (swap-remove: bucket order is

@@ -185,9 +185,10 @@ class EventQueue {
   /// counter invalidates stale Handles and stale queue entries when the
   /// slot is recycled through the free-list. The location fields track
   /// which wheel structure currently stores the slot's live event, so
-  /// cancel() can physically remove the record: per-packet RTO re-arms
-  /// would otherwise pile thousands of stale 112-byte records into far
-  /// level-1 buckets, to be cascaded and sorted for nothing.
+  /// cancel() can physically remove the record. Cancels are few: a TCP
+  /// sender cancels its RTO timer once, when the flow completes (it
+  /// re-arms lazily), a fat-tree inbox once per barrier that brings mail,
+  /// and a UDP source once, when it stops (DESIGN.md §5).
   struct TimerSlot {
     enum Where : std::uint8_t { kNowhere = 0, kInL0, kInL1, kInDue, kInOverflow };
     std::uint32_t gen = 0;
