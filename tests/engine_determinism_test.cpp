@@ -8,7 +8,7 @@
 //
 // The pinned hash ties the engine's decision sequence to this exact
 // script; the simulator-level twins (determinism_test.cpp kGoldenHash,
-// sharded_test.cpp kShardedGoldenHash) pin the same property through
+// sharded_test.cpp kShardedHermesGoldenHash) pin the same property through
 // the full stack. If an intentional engine-behavior change shifts this
 // hash, re-record it and say so in the commit message.
 
