@@ -7,8 +7,9 @@
 // min(4, hardware) threads over the per-pod shards. Reported per
 // configuration: completed/unfinished flows, events processed, wall
 // time and events/s for both thread counts, the multi-thread speedup,
-// and FCT stats (which must not depend on the thread count at all —
-// the sharded determinism contract; tests/sharded_test.cpp pins it).
+// FCT stats (which must not depend on the thread count at all — the
+// sharded determinism contract; tests/sharded_test.cpp pins it) and
+// Hermes' probe bytes as a fraction of flow bytes (the paper's ~3%).
 //
 // --smoke runs a k=4 fabric and doubles as a determinism self-check:
 // the T=1 and T=2 runs must produce byte-identical FCT CSV, and the
@@ -32,7 +33,9 @@
 
 #include "bench_util.hpp"
 #include "hermes/harness/sharded_scenario.hpp"
+#include "hermes/lb/hermes.hpp"
 #include "hermes/stats/csv.hpp"
+#include "hermes/transport/flow.hpp"
 
 namespace {
 
@@ -49,6 +52,7 @@ struct RunResult {
   std::size_t flows = 0;
   std::size_t unfinished = 0;
   stats::FctSummary fct;
+  double probe_bytes_frac = 0;  ///< probe bytes / flow bytes; 0 without Hermes
   std::uint64_t csv_hash = 0;
 };
 
@@ -74,8 +78,9 @@ RunResult run_once(const Config& c, unsigned threads) {
   tc.load = c.load;
   tc.num_flows = c.num_flows;
   tc.seed = 1;
-  s.add_flows(workload::generate_poisson_traffic(
-      s.fabric(), workload::SizeDist::web_search().scaled(0.1), tc));
+  const std::vector<transport::FlowSpec> flows = workload::generate_poisson_traffic(
+      s.fabric(), workload::SizeDist::web_search().scaled(0.1), tc);
+  s.add_flows(flows);
 
   const Clock::time_point t0 = Clock::now();
   const stats::FctCollector fct = s.run();
@@ -88,6 +93,15 @@ RunResult run_once(const Config& c, unsigned threads) {
   r.unfinished = fct.unfinished_flows();
   r.fct = fct.overall_with_unfinished();
   r.csv_hash = stats::fnv1a64(stats::to_csv(fct));
+  if (s.hermes() != nullptr) {
+    double probe_bytes = 0;
+    double flow_bytes = 0;
+    for (int shard = 0; shard < s.num_shards(); ++shard) {
+      probe_bytes += static_cast<double>(s.hermes(shard)->probe_stats().probe_bytes);
+    }
+    for (const transport::FlowSpec& f : flows) flow_bytes += static_cast<double>(f.size);
+    r.probe_bytes_frac = probe_bytes / flow_bytes;
+  }
   return r;
 }
 
@@ -137,14 +151,15 @@ void write_json(const std::string& path, bool smoke, const std::vector<Entry>& e
                  "      \"speedup\": %.3f,\n"
                  "      \"fct_mean_us\": %.1f,\n"
                  "      \"fct_p99_us\": %.1f,\n"
+                 "      \"probe_bytes_frac\": %.4f,\n"
                  "      \"deterministic\": %d\n"
                  "    }%s\n",
                  e.key.c_str(), e.k, e.k * e.k * e.k / 4, e.k, e.t1.flows, e.t1.unfinished,
                  static_cast<unsigned long long>(e.t1.events),
                  static_cast<unsigned long long>(e.t1.rounds), e.t1.wall_s, eps1,
                  e.tn.threads_used, e.tn.wall_s, epsn, eps1 > 0 ? epsn / eps1 : 0,
-                 e.t1.fct.mean_us, e.t1.fct.p99_us, e.deterministic ? 1 : 0,
-                 i + 1 < entries.size() ? "," : "");
+                 e.t1.fct.mean_us, e.t1.fct.p99_us, e.t1.probe_bytes_frac,
+                 e.deterministic ? 1 : 0, i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
@@ -198,10 +213,10 @@ int main(int argc, char** argv) {
     const double epsn = e.tn.wall_s > 0 ? static_cast<double>(e.tn.events) / e.tn.wall_s : 0;
     std::printf(
         "  T=1: %.2fs  %.0f ev/s | T=%u: %.2fs  %.0f ev/s | speedup %.2fx | "
-        "flows %zu (%zu unfinished) | FCT mean %.0fus p99 %.0fus | %s\n",
+        "flows %zu (%zu unfinished) | FCT mean %.0fus p99 %.0fus | probe bytes %.2f%% | %s\n",
         e.t1.wall_s, eps1, e.tn.threads_used, e.tn.wall_s, epsn, eps1 > 0 ? epsn / eps1 : 0,
         e.t1.flows, e.t1.unfinished, e.t1.fct.mean_us, e.t1.fct.p99_us,
-        e.deterministic ? "deterministic" : "HASH MISMATCH");
+        100 * e.t1.probe_bytes_frac, e.deterministic ? "deterministic" : "HASH MISMATCH");
     entries.push_back(e);
   }
 
