@@ -77,10 +77,23 @@ class Engine {
   /// throws std::out_of_range unless `src_group` is owned and `dst_group`
   /// is in [0, num_groups).
   [[nodiscard]] PathSet& path_set(int src_group, int dst_group) {
-    return sets_[set_index(src_group, dst_group)];
+    return sets_[pair_index(src_group, dst_group)];
   }
   [[nodiscard]] const PathSet& path_set(int src_group, int dst_group) const {
-    return sets_[set_index(src_group, dst_group)];
+    return sets_[pair_index(src_group, dst_group)];
+  }
+  /// A pair's index in [0, owned_groups().size() * num_groups()): one row
+  /// of num_groups() pairs per owned source group, in owned order, so an
+  /// embedder can keep its own per-pair table beside the engine's. Throws
+  /// std::out_of_range as path_set() does.
+  [[nodiscard]] std::size_t pair_index(int src_group, int dst_group) const {
+    const std::size_t row = src_group >= 0 && src_group < num_groups_
+                                ? row_of_[static_cast<std::size_t>(src_group)]
+                                : kNoRow;
+    if (row == kNoRow || dst_group < 0 || dst_group >= num_groups_) [[unlikely]] {
+      throw_not_owned(src_group, dst_group);
+    }
+    return row * static_cast<std::size_t>(num_groups_) + static_cast<std::size_t>(dst_group);
   }
 
   // --- introspection ------------------------------------------------------
@@ -142,16 +155,6 @@ class Engine {
     std::size_t operator()(const HoleKey& k) const;
   };
 
-  /// sets_ index of a pair (see path_set).
-  [[nodiscard]] std::size_t set_index(int src_group, int dst_group) const {
-    const std::size_t row = src_group >= 0 && src_group < num_groups_
-                                ? row_of_[static_cast<std::size_t>(src_group)]
-                                : kNoRow;
-    if (row == kNoRow || dst_group < 0 || dst_group >= num_groups_) [[unlikely]] {
-      throw_not_owned(src_group, dst_group);
-    }
-    return row * static_cast<std::size_t>(num_groups_) + static_cast<std::size_t>(dst_group);
-  }
   [[noreturn]] void throw_not_owned(int src_group, int dst_group) const;
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
   /// path_set() for the calls that read or write sending state: the

@@ -29,6 +29,9 @@ struct FlowCtx {
   /// Time of the last congestion-triggered reroute (Hermes cooldown).
   sim::SimTime last_reroute{};
   bool has_rerouted = false;
+  /// Set while Hermes counts the flow live on its rack pair, from the
+  /// first select_path it answers to on_flow_complete.
+  bool counted_live = false;
 
   engine::Dre<engine::kRateDre> rate_dre;  ///< flow sending rate r_f
 

@@ -56,7 +56,9 @@ class LoadBalancer {
   /// reroute, a loss on the old path is charged to the new one.
   virtual void on_retransmit(FlowCtx& flow, int path_id) { (void)flow, (void)path_id; }
 
-  /// Sender-side: the flow completed (all bytes acknowledged).
+  /// Sender-side: the flow completed (all bytes acknowledged). A source
+  /// that never completes (transport::UdpSource) never calls it, so its
+  /// flow stays live for schemes that count live flows.
   virtual void on_flow_complete(FlowCtx& flow) { (void)flow; }
 
   [[nodiscard]] virtual std::string_view name() const = 0;
