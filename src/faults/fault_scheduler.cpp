@@ -40,18 +40,18 @@ void FaultScheduler::install(const FaultPlan& plan) {
   const std::vector<FaultEvent> events = plan.sorted();
   for (const FaultEvent& e : events) (void)resolve_target(e, fabric_);
   // Events are stored on the scheduler and the queue carries only an
-  // index: the capture stays tiny (fits the inline event callback) and a
-  // FaultEvent's std::string/std::function members are never copied
-  // through the event queue.
+  // index, so a FaultEvent's std::string/std::function members are never
+  // copied through the event queue.
   for (const FaultEvent& e : events) {
     const std::size_t idx = installed_events_.size();
     installed_events_.push_back(e);
     if (owns(e.sw)) ++installed_;
-    simulator_.at(e.at, [this, idx] { apply(installed_events_[idx]); });
+    simulator_.at<&FaultScheduler::apply>(e.at, this, idx);
   }
 }
 
-void FaultScheduler::apply(const FaultEvent& e) {
+void FaultScheduler::apply(std::uint64_t idx) {
+  const FaultEvent& e = installed_events_[idx];
   if (is_link_action(e.action)) {
     apply_link(e, fabric_.uplink(e.sw, e.uplink));
   } else if (owns(e.sw)) {

@@ -76,7 +76,8 @@ class FaultScheduler {
   [[nodiscard]] net::Switch& switch_at(int sw) {
     return *fabric_.switches()[static_cast<std::size_t>(sw)];
   }
-  void apply(const FaultEvent& e);
+  /// Apply installed event `idx`.
+  void apply(std::uint64_t idx);
   void apply_link(const FaultEvent& e, const net::FabricLink& link);
   [[nodiscard]] std::string describe(const FaultEvent& e) const;
   void record_fault(const FaultEvent& e, bool onset);

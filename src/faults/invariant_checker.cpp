@@ -24,7 +24,7 @@ InvariantChecker::InvariantChecker(sim::Simulator& simulator, net::Fabric& fabri
     : simulator_{simulator}, fabric_{fabric}, config_{config} {
   install_hooks();
   if (config_.period > sim::SimTime::zero()) {
-    simulator_.after(config_.period, [this] { tick(); });
+    simulator_.after<&InvariantChecker::tick>(config_.period, this);
   }
 }
 
@@ -200,7 +200,7 @@ void InvariantChecker::on_fault_transition(const FaultEvent& e) {
 
 void InvariantChecker::tick() {
   check_now("periodic");
-  simulator_.after(config_.period, [this] { tick(); });
+  simulator_.after<&InvariantChecker::tick>(config_.period, this);
 }
 
 }  // namespace hermes::faults

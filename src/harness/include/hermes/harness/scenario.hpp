@@ -243,7 +243,8 @@ class Scenario {
   [[nodiscard]] std::unique_ptr<lb::LoadBalancer> make_balancer(int shard);
   void wire_faults();
   void wire_observability();
-  void start_flow(int shard, std::size_t index);
+  /// Start flow `index` of `shard`: the shard in the high 32 bits.
+  void start_flow(std::uint64_t shard_and_index);
   /// Run every shard to `t_end` (or the last completion).
   void advance(sim::SimTime t_end);
   /// Record the shard's unfinished flows at the time cap.

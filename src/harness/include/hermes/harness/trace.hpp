@@ -41,7 +41,7 @@ class QueueTrace {
  private:
   void tick() {
     samples_.emplace_back(simulator_.now().to_usec(), port_.backlog_bytes());
-    if (simulator_.now() < until_) simulator_.after(interval_, [this] { tick(); });
+    if (simulator_.now() < until_) simulator_.after<&QueueTrace::tick>(interval_, this);
   }
 
   sim::Simulator& simulator_;

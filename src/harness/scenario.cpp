@@ -318,14 +318,17 @@ void Scenario::add_flows(const std::vector<transport::FlowSpec>& flows) {
     st.scheduled.push_back(f);
     st.started.push_back(false);
     ++st.pending;
-    sims_[shard]->at(f.start, [this, shard, index] { start_flow(shard, index); });
+    sims_[shard]->at<&Scenario::start_flow>(f.start, this,
+                                            std::uint64_t{static_cast<std::uint32_t>(shard)} << 32 | index);
   }
   // Upper bound: every scheduled flow in flight at once. Sizing the maps
   // up front removes rehash churn from the middle of the run.
   for (ShardState& st : shard_states_) st.live.reserve(st.live.size() + st.pending);
 }
 
-void Scenario::start_flow(int shard, std::size_t index) {
+void Scenario::start_flow(std::uint64_t shard_and_index) {
+  const auto shard = static_cast<int>(shard_and_index >> 32);
+  const auto index = static_cast<std::uint32_t>(shard_and_index);
   ShardState& st = shard_states_[static_cast<std::size_t>(shard)];
   st.started[index] = true;
   const transport::FlowSpec& f = st.scheduled[index];

@@ -125,7 +125,7 @@ void HermesLb::on_flow_complete(FlowCtx& flow) {
 void HermesLb::enable_probing(std::function<void(int, net::Packet)> raw_send) {
   raw_send_ = std::move(raw_send);
   if (!config_.probing_enabled) return;
-  simulator_.after(config_.probe_interval, [this] { probe_tick(); });
+  simulator_.after<&HermesLb::probe_tick>(config_.probe_interval, this);
 }
 
 void HermesLb::probe_tick() {
@@ -154,7 +154,7 @@ void HermesLb::probe_tick() {
       }
     }
   }
-  simulator_.after(config_.probe_interval, [this] { probe_tick(); });
+  simulator_.after<&HermesLb::probe_tick>(config_.probe_interval, this);
 }
 
 void HermesLb::send_probe(PairProbing& target, int src_leaf, int dst_leaf, int path) {

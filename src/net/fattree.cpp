@@ -291,8 +291,8 @@ void FatTree::arm_inbox(int shard) {
   Inbox& ib = inboxes_[static_cast<std::size_t>(shard)];
   ib.timer.cancel();
   if (ib.head < ib.pending.size()) {
-    ib.timer = shard_sim(shard).timer_at(ib.pending[ib.head].deliver_at,
-                                         [this, shard] { deliver_inbox(shard); });
+    ib.timer = shard_sim(shard).timer_at<&FatTree::deliver_inbox>(ib.pending[ib.head].deliver_at,
+                                                                  this, shard);
   }
 }
 
@@ -304,8 +304,8 @@ void FatTree::deliver_inbox(int shard) {
     m.dst_sw->receive(std::move(m.pkt), m.dst_port);
   }
   if (ib.head < ib.pending.size()) {
-    ib.timer = shard_sim(shard).timer_at(ib.pending[ib.head].deliver_at,
-                                         [this, shard] { deliver_inbox(shard); });
+    ib.timer = shard_sim(shard).timer_at<&FatTree::deliver_inbox>(ib.pending[ib.head].deliver_at,
+                                                                  this, shard);
   } else {
     ib.pending.clear();
     ib.head = 0;

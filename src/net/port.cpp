@@ -112,16 +112,10 @@ void Port::try_transmit() {
   const auto tx = tx_time_cached(bytes);
   // The packet rides "the wire" until tx + propagation. Its delivery
   // deadline is recorded with the wire entry; the serialization-done
-  // continuation below schedules the batched drain. These hop
-  // continuations are THE event hot path: assert they stay within the
-  // inline callback storage so no per-packet heap allocation can sneak
-  // back in.
+  // event below schedules the batched drain.
   // hermeslint:reserve-audited(wire ring doubles geometrically; bounded by in-flight packets)
   wire_.push(h, bytes, simulator_.now() + tx + config_.prop_delay);
-  const auto finish = [this] { finish_transmit(); };
-  static_assert(sizeof(finish) <= sim::EventQueue::kInlineCallbackBytes,
-                "packet-hop lambda must fit the inline event callback");
-  simulator_.after(tx, finish);
+  simulator_.after<&Port::finish_transmit>(tx, this);
 }
 
 // HERMES_HOT: serialization-done continuation (one per packet). Schedules
@@ -134,10 +128,7 @@ void Port::finish_transmit() {
   const sim::SimTime due = simulator_.now() + config_.prop_delay;
   if (due != drain_scheduled_for_) {
     drain_scheduled_for_ = due;
-    const auto drain = [this] { drain_wire(); };
-    static_assert(sizeof(drain) <= sim::EventQueue::kInlineCallbackBytes,
-                  "packet-hop lambda must fit the inline event callback");
-    simulator_.after(config_.prop_delay, drain);
+    simulator_.after<&Port::drain_wire>(config_.prop_delay, this);
   }
   try_transmit();
 }

@@ -11,19 +11,18 @@ namespace hermes::sim {
 /// A move-only callable wrapper with *fixed* inline storage and no heap
 /// fallback: constructing it from a callable larger than `Capacity` (or
 /// over-aligned beyond `alignof(std::max_align_t)`) is a compile error,
-/// never a silent allocation. This is what makes the event and packet
-/// hot paths allocation-free — a `std::function` would heap-allocate for
-/// any capture past its small-buffer optimization (typically 16 bytes; a
-/// packet-hop lambda capturing a ~100-byte Packet always spills).
+/// never a silent allocation. Port and host hooks, and the event queue's
+/// closure-form events, hold their callables in it, so none of them
+/// allocates — a `std::function` would heap-allocate for any capture
+/// past its small-buffer optimization (typically 16 bytes).
 ///
 /// The per-callable dispatch table carries invoke / relocate / destroy.
-/// Trivially copyable captures — every packet-hop and timer lambda in
-/// the tree — publish null relocate/destroy entries, so moving an
-/// InlineCallable (events migrate between time-wheel buckets, and are
-/// sorted, by value) is an inline memcpy of the storage with no
-/// indirect call: profiled on the packet pipeline, the per-lambda-type
-/// relocate thunks were ~17% of total runtime purely in call dispatch.
-/// Non-trivial captures still relocate through their move constructor.
+/// Trivially copyable captures publish null relocate/destroy entries, so
+/// moving an InlineCallable is an inline memcpy of the storage with no
+/// indirect call. Non-trivial captures relocate through their move
+/// constructor. Event records do not hold one: the queue keeps a
+/// closure in a pooled slot that never moves, and its record names the
+/// slot.
 ///
 /// `Sig` is a function signature (`void()`, `void(const Packet&)`, ...).
 /// The nullary case keeps its historical name via the InlineFunction

@@ -62,7 +62,7 @@ class ArenaHandle {
 /// vector pop/push and a generation bump.
 ///
 /// A chunk holds about 32 KB (a power-of-two slot count, at least one):
-/// 256 packets, or 32 of the event queue's 904-byte blocks. Every slot
+/// 256 packets, or 64 of the event queue's 392-byte blocks. Every slot
 /// is constructed when its chunk is, so a chunk sized in slots alone
 /// would have a small run construct (and fault in) hundreds of kilobytes
 /// of blocks it never uses.

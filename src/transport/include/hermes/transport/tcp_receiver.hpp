@@ -57,11 +57,9 @@ class TcpReceiver {
 
   /// FIFO of data packets whose (duplicate) ACKs are held by the
   /// reorder mask. The hold is a constant, so the pending events fire
-  /// in push order and the event capture needs only `this` — a full
-  /// ~112-byte Packet capture would dominate the event-record size for
-  /// every event in the simulation (kInlineCallbackBytes is a global
-  /// budget). Grows to the reorder window's high-water mark, then
-  /// recycles.
+  /// in push order and each event needs only `this`: an event record
+  /// carries an object and one 64-bit argument, not a ~112-byte Packet.
+  /// Grows to the reorder window's high-water mark, then recycles.
   std::vector<net::Packet> held_;
   std::size_t held_head_ = 0;
 };

@@ -71,7 +71,7 @@ class UdpSource {
     ++packets_sent_;
 
     const auto gap = sim::SimTime::from_seconds((payload_ + net::kHeaderBytes) * 8.0 / rate_bps_);
-    timer_ = simulator_.timer_after(gap, [this] { emit(); });
+    timer_ = simulator_.timer_after<&UdpSource::emit>(gap, this);
   }
 
   sim::Simulator& simulator_;

@@ -57,7 +57,7 @@ void TcpReceiver::on_data(const net::Packet& p) {
   // a genuine loss still surfaces as dupACKs after the hold expires.
   // hermeslint:reserve-audited(held_ grows to the reorder window high-water mark once, then recycles)
   held_.push_back(p);
-  simulator_.after(config_.reorder_hold, [this] { fire_held_ack(); });
+  simulator_.after<&TcpReceiver::fire_held_ack>(config_.reorder_hold, this);
 }
 
 // Deferred duplicate ACK from the reorder mask. The hold delay is

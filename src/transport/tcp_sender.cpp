@@ -192,7 +192,7 @@ void TcpSender::arm_rto() {
   if (snd_una_ >= spec_.size) return;
   rto_deadline_ = simulator_.now() + rto_;
   if (!rto_timer_.pending()) {
-    rto_timer_ = simulator_.timer_after(rto_, [this] { on_rto_check(); });
+    rto_timer_ = simulator_.timer_after<&TcpSender::on_rto_check>(rto_, this);
   }
 }
 
@@ -202,7 +202,7 @@ void TcpSender::on_rto_check() {
   if (finished_) return;
   const sim::SimTime now = simulator_.now();
   if (now < rto_deadline_) {
-    rto_timer_ = simulator_.timer_after(rto_deadline_ - now, [this] { on_rto_check(); });
+    rto_timer_ = simulator_.timer_after<&TcpSender::on_rto_check>(rto_deadline_ - now, this);
     return;
   }
   on_rto();
