@@ -10,9 +10,12 @@
 
 #include "hermes/harness/experiment.hpp"
 #include "hermes/harness/scenario.hpp"
+#include "hermes/harness/sharded_scenario.hpp"
 #include "hermes/harness/trace.hpp"
 #include "hermes/lb/load_balancer.hpp"
+#include "hermes/transport/udp_source.hpp"
 #include "hermes/workload/flow_gen.hpp"
+#include "hermes/workload/size_dist.hpp"
 
 namespace hermes::harness {
 namespace {
@@ -195,6 +198,55 @@ TEST(QueueTraceTest, SamplesBacklogOverTime) {
   EXPECT_GT(trace.samples().size(), 100u);
   EXPECT_GT(trace.max_backlog(), 0u);  // slow start overshoots the NIC
   EXPECT_GE(trace.max_backlog(), trace.mean_backlog());
+}
+
+// Every schedule in src/ takes the direct form: a closure would cost a
+// pooled slot per event and, at flow start, setup time. So a run of
+// every src/ event kind reserves no closure slot on any queue: port
+// finish and drain, RTO and reorder hold, probe ticks, flow start, fault
+// apply, checker ticks, a UDP source, a queue trace and, sharded, the
+// fat-tree inbox.
+TEST(ScenarioEvents, SrcTakesNoClosurePath) {
+  ScenarioConfig cfg;
+  cfg.topo = small();
+  cfg.scheme = Scheme::kHermes;
+  cfg.check_invariants = true;
+  cfg.invariant_config.period = usec(200);
+  cfg.max_sim_time = sim::sec(5);
+  cfg.fault_plan.link_down(msec(1), 0, 1).link_up(msec(3), 0, 1);
+  Scenario s{cfg};
+  QueueTrace trace{s.simulator(), s.topology().host(0).nic(), usec(10)};
+  trace.start(msec(2));
+  transport::UdpSource udp{s.simulator(), s.topology(), s.balancer(), 99, 1, 3, 1e9, 1000,
+                           [&](net::Packet p) { s.stack(1).send_raw(std::move(p)); }};
+  udp.start();
+  s.add_flow(0, 2, 5'000'000, usec(0));
+  s.add_flow(3, 1, 5'000'000, usec(5));
+  s.run_for(msec(2));
+  udp.stop();
+  const auto fct = s.run();
+  EXPECT_EQ(fct.unfinished_flows(), 0u);
+  EXPECT_GT(s.fault_scheduler()->applied(), 0u);
+  EXPECT_GT(s.invariants()->checks_run(), 2u);
+  EXPECT_GT(trace.samples().size(), 100u);
+  EXPECT_GT(udp.packets_sent(), 0u);
+  EXPECT_EQ(s.simulator().events().reserved_closures(), 0u);
+
+  ShardedScenarioConfig sharded;
+  sharded.fabric.k = 4;
+  sharded.scheme = Scheme::kHermes;
+  sharded.num_shards = 2;
+  sharded.threads = 1;
+  ShardedScenario ft{sharded};
+  workload::TrafficConfig tc;
+  tc.load = 0.4;
+  tc.num_flows = 60;
+  ft.add_flows(workload::generate_poisson_traffic(ft.fabric(), workload::SizeDist::web_search(), tc));
+  EXPECT_EQ(ft.run().unfinished_flows(), 0u);
+  EXPECT_GT(ft.fabric().boundary_packets(), 0u);
+  for (int shard = 0; shard < ft.num_shards(); ++shard) {
+    EXPECT_EQ(ft.shard_sim(shard).events().reserved_closures(), 0u) << "shard " << shard;
+  }
 }
 
 }  // namespace
