@@ -13,14 +13,15 @@ packet pipeline regresses:
     extracted decision engine's HERMES_HOT decide() path is
     allocation-free; the binary asserts literal zero internally), and
   * event_queue_lockstep.allocs_per_event_steady must be exactly 0 (the
-    due run's record pool recycles fired records, so a long same-bucket
+    due run and the block pool keep their capacity, so a long same-bucket
     run allocates nothing once warm; a pool that stops recycling grows
     geometrically, which is O(log n) allocations, far below any per-event
     budget, so only zero sees it), and
   * event_queue_bursty.retained_heap_bytes_per_peak_event must stay
     <= 200 (wheel storage follows the peak number of stored events:
-    169 bytes per event at the bench's 2048-event peak, where per-bucket
-    high-water storage retained 29,129), and
+    86 bytes per 48-byte event at the bench's 2048-event peak, where
+    per-bucket high-water storage of 112-byte events retained 29,129),
+    and
   * engine_probe_feed.heap_bytes_per_probe_only_path must stay <= 24 and
     its allocs_per_sample_steady must be exactly 0 (a rack pair that
     probes reach but that never sends holds a 16-byte Sensing slot and
