@@ -536,14 +536,12 @@ bool bench_engine_decide(int n) {
   return true;
 }
 
-/// The engine's probe-fed state at the k=16 shard shape: 8 source groups
-/// each probing 128 others (1,024 rack pairs) over 64 paths a pair, and
-/// no pair sending. Every pair stays compact, a 16-byte Sensing slot and
-/// one sampled bit per path, until it sends (PathSet::promote). Reports
-/// the heap the engine holds per probe-only path once every path has a
-/// sample, and the allocations of later sampling rounds, which must be
-/// none. Both are deterministic, so check_bench_regress.py gates them
-/// tightly.
+/// The engine's probe-fed path state: 8 source groups, each with 128
+/// sized rack pairs of 64 paths, every path holding one PathState fed by
+/// probe replies. Reports the heap the engine holds per sized path once
+/// every path has a sample, and the allocations of later sampling
+/// rounds, which must be none. Both are deterministic, so
+/// check_bench_regress.py gates them tightly.
 void bench_engine_probe_feed(int rounds) {
   constexpr int kSources = 8;
   constexpr int kGroups = kSources + 128;
@@ -566,7 +564,7 @@ void bench_engine_probe_feed(int rounds) {
       }
     }
   };
-  round(0);  // every path sampled once: the compact form's full size
+  round(0);  // every path sampled once
   const double per_path = static_cast<double>(heap_in_use_bytes() - heap0) /
                           (kSources * 128.0 * kPaths);
   const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
@@ -578,9 +576,9 @@ void bench_engine_probe_feed(int rounds) {
   const auto steady = static_cast<double>(samples - samples0);
   g_sink += static_cast<std::uint64_t>(eng->sampled_paths(0, kSources));
   record("engine_probe_feed", "ns_per_sample", dt * 1e9 / steady);
-  record("engine_probe_feed", "heap_bytes_per_probe_only_path", per_path);
+  record("engine_probe_feed", "heap_bytes_per_sized_path", per_path);
   record("engine_probe_feed", "allocs_per_sample_steady", static_cast<double>(allocs) / steady);
-  std::printf("engine_probe_feed     %6.1f ns/sample  %.1f heap bytes/probe-only path  %" PRIu64
+  std::printf("engine_probe_feed     %6.1f ns/sample  %.1f heap bytes/sized path  %" PRIu64
               " allocs (steady)\n",
               dt * 1e9 / steady, per_path, allocs);
 }

@@ -22,11 +22,11 @@ packet pipeline regresses:
     86 bytes per 48-byte event at the bench's 2048-event peak, where
     per-bucket high-water storage of 112-byte events retained 29,129),
     and
-  * engine_probe_feed.heap_bytes_per_probe_only_path must stay <= 24 and
-    its allocs_per_sample_steady must be exactly 0 (a rack pair that
-    probes reach but that never sends holds a 16-byte Sensing slot and
-    one sampled bit per path, ~18 bytes with its PathSet; a full 72-byte
-    PathState per path read 73), and
+  * engine_probe_feed.heap_bytes_per_sized_path must stay <= 80 and its
+    allocs_per_sample_steady must be exactly 0 (each path of a sized rack
+    pair holds one 72-byte PathState, ~73 bytes with its share of the
+    PathSet table and the allocation header; a second copy of the state
+    or slack capacity per path would exceed 80), and
   * packet_pipeline_10mb.packets_per_sec and engine_decide.decisions_per_sec
     must not drop more than 50% below the committed baseline, judged on
     the better of the raw ratio and a machine-speed-normalized ratio.
@@ -64,7 +64,7 @@ import sys
 
 ALLOC_BUDGET = 0.01
 BURSTY_BYTES_BUDGET = 200
-PROBE_ONLY_PATH_BYTES_BUDGET = 24
+SIZED_PATH_BYTES_BUDGET = 80
 MAX_REGRESSION = 0.50
 MIN_SPEEDUP = 1.5
 
@@ -199,23 +199,24 @@ def main(argv):
             f"peak stored event (budget {BURSTY_BYTES_BUDGET})"
         )
 
-    probe_bytes = metric(current, "engine_probe_feed", "heap_bytes_per_probe_only_path")
+    path_bytes = metric(current, "engine_probe_feed", "heap_bytes_per_sized_path")
     probe_allocs = metric(current, "engine_probe_feed", "allocs_per_sample_steady")
-    if probe_bytes is None or probe_allocs is None:
+    if path_bytes is None or probe_allocs is None:
         failures.append(
-            "current run has no engine_probe_feed.heap_bytes_per_probe_only_path or "
-            "allocs_per_sample_steady metric — bench binary predates compact sensing slots?"
+            "current run has no engine_probe_feed.heap_bytes_per_sized_path or "
+            "allocs_per_sample_steady metric — bench binary predates the one-layout PathSet?"
         )
-    elif probe_bytes > PROBE_ONLY_PATH_BYTES_BUDGET or probe_allocs != 0:
+    elif path_bytes > SIZED_PATH_BYTES_BUDGET or probe_allocs != 0:
         failures.append(
-            f"engine holds {probe_bytes:.1f} heap bytes per probe-only path (budget "
-            f"{PROBE_ONLY_PATH_BYTES_BUDGET}) and allocates {probe_allocs:.6f} per probe "
-            "sample (budget 0) — pairs that never send must keep compact sensing slots"
+            f"engine holds {path_bytes:.1f} heap bytes per sized path (budget "
+            f"{SIZED_PATH_BYTES_BUDGET}) and allocates {probe_allocs:.6f} per probe "
+            "sample (budget 0) — a path must hold one PathState, and sampling a sized "
+            "pair must not allocate"
         )
     else:
         print(
-            f"perf guard: engine_probe_feed {probe_bytes:.1f} heap bytes per probe-only "
-            f"path (budget {PROBE_ONLY_PATH_BYTES_BUDGET}), steady allocs/sample 0 (budget 0)"
+            f"perf guard: engine_probe_feed {path_bytes:.1f} heap bytes per sized "
+            f"path (budget {SIZED_PATH_BYTES_BUDGET}), steady allocs/sample 0 (budget 0)"
         )
 
     base_dps = metric(baseline, "engine_decide", "decisions_per_sec")

@@ -51,7 +51,6 @@ PathState& Engine::path_state(int src_group, int dst_group, int local_idx) {
                             std::to_string(local_idx) + " (it has " +
                             std::to_string(ps.size()) + ")");
   }
-  ps.promote();
   return ps.state(static_cast<std::size_t>(local_idx));
 }
 
@@ -176,12 +175,11 @@ int Engine::least_rate_path(PathSet& ps, const FlowView& flow, PathType wanted, 
   return best;
 }
 
-// HERMES_HOT: Algorithm 2 — the per-packet decision. Allocation-free
-// once the pair's first decision has promoted it: candidate scans are
-// in-place, the event is stack-built, and the pair's PathSet was sized by
-// the embedder before this call.
+// HERMES_HOT: Algorithm 2 — the per-packet decision. Allocation-free:
+// candidate scans are in-place, the event is stack-built, and the pair's
+// PathSet was sized by the embedder before this call.
 int Engine::decide(FlowView& flow, std::uint32_t bytes, TimeNs now) {
-  PathSet& ps = sending_set(flow.src_group, flow.dst_group);
+  PathSet& ps = path_set(flow.src_group, flow.dst_group);
   const int n = static_cast<int>(ps.size());
   if (n == 0) return -1;
 
@@ -242,7 +240,7 @@ void Engine::on_ack(int src_group, int dst_group, int local_idx, std::int32_t fl
                     std::int32_t flow_dst, bool has_rtt, TimeNs rtt, bool ecn_marked) {
   PathSet& ps = path_set(src_group, dst_group);
   if (local_idx < 0 || local_idx >= static_cast<int>(ps.size())) return;
-  if (has_rtt) ps.add_sample(static_cast<std::size_t>(local_idx), rtt, ecn_marked);
+  if (has_rtt) ps.state(static_cast<std::size_t>(local_idx)).add_sample(rtt, ecn_marked);
   // ACK progress on this (pair, path): not a blackhole; reset the count.
   if (config_.failure_sensing && !holes_.empty()) {
     const auto it = holes_.find(HoleKey{src_group, dst_group, flow_src, flow_dst, local_idx});
@@ -256,7 +254,7 @@ void Engine::on_timeout(const FlowView& flow, TimeNs now) {
   // (source-destination pair, path). Once kBlackholeTimeouts timeouts
   // accrue with no packet of that pair ever ACKed on that path, the path
   // deterministically drops this pair's packets.
-  PathSet& ps = sending_set(flow.src_group, flow.dst_group);
+  PathSet& ps = path_set(flow.src_group, flow.dst_group);
   const int li = flow.cur_local;
   if (li >= static_cast<int>(ps.size())) return;
   // Every timeout is evidence; ACK progress on the (pair, path) resets
@@ -281,7 +279,7 @@ void Engine::on_timeout(const FlowView& flow, TimeNs now) {
 }
 
 void Engine::on_retransmit(int src_group, int dst_group, int local_idx, TimeNs now) {
-  PathSet& ps = sending_set(src_group, dst_group);
+  PathSet& ps = path_set(src_group, dst_group);
   if (local_idx < 0 || local_idx >= static_cast<int>(ps.size())) return;
   ps.state(static_cast<std::size_t>(local_idx)).add_retransmit(now, config_);
 }
@@ -290,12 +288,12 @@ void Engine::feed_probe_sample(int src_group, int dst_group, int local_idx, Time
                                bool ecn_marked) {
   PathSet& ps = path_set(src_group, dst_group);
   if (local_idx < 0 || local_idx >= static_cast<int>(ps.size())) return;
-  const auto li = static_cast<std::size_t>(local_idx);
-  ps.add_sample(li, rtt, ecn_marked);
+  PathState& st = ps.state(static_cast<std::size_t>(local_idx));
+  st.add_sample(rtt, ecn_marked);
   // Track the best observed path for the extra "memory" probe.
   const auto best = static_cast<std::size_t>(ps.best_idx);
-  if (ps.best_idx < 0 || best >= ps.size() || !ps.has_sample(best) ||
-      ps.sensing(li).rtt() < ps.sensing(best).rtt()) {
+  if (ps.best_idx < 0 || best >= ps.size() || !ps.state(best).has_sample() ||
+      st.rtt() < ps.state(best).rtt()) {
     ps.best_idx = local_idx;
   }
 }
@@ -319,14 +317,14 @@ int Engine::sampled_paths(int src_group, int dst_group) const {
   const PathSet& ps = path_set(src_group, dst_group);
   int n = 0;
   for (std::size_t i = 0; i < ps.size(); ++i)
-    if (ps.has_sample(i)) ++n;
+    if (ps.state(i).has_sample()) ++n;
   return n;
 }
 
-std::uint64_t Engine::promoted_pairs() const {
+std::uint64_t Engine::sized_pairs() const {
   std::uint64_t n = 0;
   for (const PathSet& ps : sets_)
-    if (ps.promoted()) ++n;
+    if (!ps.empty()) ++n;
   return n;
 }
 

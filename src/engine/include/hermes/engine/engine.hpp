@@ -18,9 +18,8 @@ namespace hermes::engine {
 /// rerouting (Algorithm 2), lifted out of any particular environment.
 ///
 /// The engine knows only locality *groups* (racks in the paper, localities
-/// in a serving mesh) and, per ordered group pair, a PathSet of sensing
-/// slots: compact until the pair first sends (PathSet::promote), so a
-/// pair that only probes reach costs 16 bytes a path. It never reads a
+/// in a serving mesh) and, per ordered group pair, a PathSet of path
+/// states, empty until the embedder sizes the pair. It never reads a
 /// clock, never touches a socket, and holds no per-flow state: every
 /// entry point takes `now` and a FlowView from the embedder. Three
 /// embedders exist in this repo — the simulator adapter (lb::HermesLb),
@@ -100,9 +99,8 @@ class Engine {
   [[nodiscard]] int num_groups() const { return num_groups_; }
   /// The source groups this engine keeps rows for, ascending.
   [[nodiscard]] const std::vector<int>& owned_groups() const { return owned_; }
-  /// One path's sensing state, promoting its pair; throws
-  /// std::out_of_range as path_set() does, or for an index outside
-  /// [0, size()) of the pair's PathSet.
+  /// One path's state; throws std::out_of_range as path_set() does, or
+  /// for an index outside [0, size()) of the pair's PathSet.
   [[nodiscard]] PathState& path_state(int src_group, int dst_group, int local_idx);
   [[nodiscard]] PathType path_type(int src_group, int dst_group, int local_idx) {
     return path_state(src_group, dst_group, local_idx).characterize(config_);
@@ -114,8 +112,8 @@ class Engine {
   /// Number of distinct paths with at least one sample for a pair (the
   /// "visibility" a sender has, Table 6).
   [[nodiscard]] int sampled_paths(int src_group, int dst_group) const;
-  /// Number of pairs holding full PathStates: the pairs that sent.
-  [[nodiscard]] std::uint64_t promoted_pairs() const;
+  /// Number of pairs the embedder has sized (non-empty PathSets).
+  [[nodiscard]] std::uint64_t sized_pairs() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const DecisionStats& stats() const { return stats_; }
@@ -157,13 +155,6 @@ class Engine {
 
   [[noreturn]] void throw_not_owned(int src_group, int dst_group) const;
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-  /// path_set() for the calls that read or write sending state: the
-  /// pair, promoted on first use (PathSet::promote allocates once).
-  PathSet& sending_set(int src_group, int dst_group) {
-    PathSet& ps = path_set(src_group, dst_group);
-    if (!ps.promoted()) [[unlikely]] ps.promote();
-    return ps;
-  }
 
   /// Is the hole latch live (expiring it in place when stale)? `flow`
   /// and `local_idx` locate the expiry for the decision stream.

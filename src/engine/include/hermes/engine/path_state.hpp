@@ -26,17 +26,17 @@ enum class PathType : std::uint8_t {
   return "?";
 }
 
-/// The probe-fed estimate of one path (§3.1.1): EWMAs of the RTT and
-/// of the ECN-marked fraction, fed by data ACKs and probe replies.
-/// Whether a path has a sample at all is kept beside it (a PathState's
-/// own flag, or one bit in a PathSet's compact form), so a path that
-/// only probes measure costs these 16 bytes.
-class Sensing {
+/// The state Hermes keeps per (source group, destination group, path):
+/// the RTT/ECN estimate fed by data ACKs and probe replies (§3.1.1), the
+/// aggregate local sending rate r_p, and the retransmission-rate failure
+/// detector (§3.1). Characterization is a pure function of this state and
+/// the thresholds (Algorithm 1), so it is evaluated on demand.
+class PathState {
  public:
-  /// Fold one RTT + ECN observation in; the `first` one seeds both
-  /// estimates directly.
-  void add_sample(TimeNs rtt, bool ecn_marked, bool first) {
-    if (first) {
+  /// Feed one RTT + ECN observation (from an ACK or a probe reply) into
+  /// the two EWMAs; the first one seeds both estimates directly.
+  void add_sample(TimeNs rtt, bool ecn_marked) {
+    if (!has_sample_) {
       rtt_ = rtt;
       ecn_frac_ = ecn_marked ? 1.0 : 0.0;
     } else {
@@ -44,33 +44,6 @@ class Sensing {
                                  kRttEwmaGain * static_cast<double>(rtt));
       ecn_frac_ = (1.0 - kEcnEwmaGain) * ecn_frac_ + kEcnEwmaGain * (ecn_marked ? 1 : 0);
     }
-  }
-
-  [[nodiscard]] TimeNs rtt() const { return rtt_; }
-  [[nodiscard]] double ecn_fraction() const { return ecn_frac_; }
-
- private:
-  TimeNs rtt_ = 0;
-  double ecn_frac_ = 0;
-};
-static_assert(sizeof(Sensing) == 16, "every path of a k=16 fat-tree's 16,256 rack pairs holds one");
-
-/// The full state Hermes keeps per (source group, destination group,
-/// path) once the pair sends: the RTT/ECN estimate, the aggregate local
-/// sending rate r_p, and the retransmission-rate failure detector (§3.1).
-/// Characterization is a pure function of this state and the thresholds
-/// (Algorithm 1), so it is evaluated on demand.
-class PathState {
- public:
-  PathState() = default;
-  /// A path that has sent nothing yet, carrying the estimate `sensing`
-  /// (sampled or not): what a PathSet promotes a compact slot into.
-  PathState(const Sensing& sensing, bool has_sample)
-      : sensing_{sensing}, has_sample_{has_sample} {}
-
-  /// Feed one RTT + ECN observation (from an ACK or a probe reply).
-  void add_sample(TimeNs rtt, bool ecn_marked) {
-    sensing_.add_sample(rtt, ecn_marked, !has_sample_);
     has_sample_ = true;
   }
 
@@ -129,9 +102,8 @@ class PathState {
   }
 
   [[nodiscard]] bool has_sample() const { return has_sample_; }
-  [[nodiscard]] const Sensing& sensing() const { return sensing_; }
-  [[nodiscard]] TimeNs rtt() const { return sensing_.rtt(); }
-  [[nodiscard]] double ecn_fraction() const { return sensing_.ecn_fraction(); }
+  [[nodiscard]] TimeNs rtt() const { return rtt_; }
+  [[nodiscard]] double ecn_fraction() const { return ecn_frac_; }
   [[nodiscard]] double retx_fraction() const { return retx_frac_; }
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] double rate_bps(TimeNs now) const { return rate_dre_.rate_bps(now); }
@@ -166,7 +138,8 @@ class PathState {
   static constexpr std::uint32_t kMinEpochSends = 25;
 
  private:
-  Sensing sensing_;
+  TimeNs rtt_ = 0;
+  double ecn_frac_ = 0;
   Dre<kRateDre> rate_dre_;
 
   std::uint32_t sends_in_epoch_ = 0;
@@ -179,6 +152,6 @@ class PathState {
   bool has_sample_ = false;
   bool failed_ = false;
 };
-static_assert(sizeof(PathState) <= 72, "every path of a rack pair that sends holds one");
+static_assert(sizeof(PathState) <= 72, "every path of every sized rack pair holds one");
 
 }  // namespace hermes::engine

@@ -36,7 +36,7 @@ engine::PathSet& HermesLb::pair(int src_leaf, int dst_leaf) {
 }
 
 engine::PathState& HermesLb::path_state(int src_leaf, int dst_leaf, int local_index) {
-  pair(src_leaf, dst_leaf);  // size the pair's slots from the fabric first
+  pair(src_leaf, dst_leaf);  // size the pair from the fabric first
   return engine_.path_state(src_leaf, dst_leaf, local_index);
 }
 
@@ -225,9 +225,9 @@ void HermesLb::register_metrics(obs::MetricsRegistry& reg) {
   reg.counter_fn("lb.probes_sent", [this] { return probe_stats_.probes_sent; });
   reg.counter_fn("lb.probe_replies", [this] { return probe_stats_.replies_received; });
   reg.counter_fn("lb.probe_bytes", [this] { return probe_stats_.probe_bytes; });
-  // Rack pairs whose engine slots grew from probe-only to full state:
-  // engine memory follows this count, not the number of pairs probed.
-  reg.counter_fn("lb.promoted_pairs", [this] { return engine_.promoted_pairs(); });
+  // Rack pairs the engine holds path state for: engine memory follows
+  // this count, not the number of rack pairs.
+  reg.counter_fn("lb.sized_pairs", [this] { return engine_.sized_pairs(); });
   latch_hist_ = &reg.histogram("lb.latch_lifetime_us");
 }
 

@@ -168,7 +168,7 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
     rec_ = rec;
     name_id_ = rec != nullptr ? rec->intern("hermes") : 0;
   }
-  /// Register "lb.*" decision/probe counters, the promoted-pair count and
+  /// Register "lb.*" decision/probe counters, the sized-pair count and
   /// the latch-lifetime histogram with the scenario's registry.
   void register_metrics(obs::MetricsRegistry& reg);
   [[nodiscard]] const engine::DecisionStats& decision_stats() const { return engine_.stats(); }
@@ -178,9 +178,8 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
   /// The embedded decision engine (tests read which source groups it
   /// owns).
   [[nodiscard]] engine::Engine& engine() { return engine_; }
-  /// A path's sensing state and type, promoting the pair to full state
-  /// as Engine::path_state does; an index outside the pair's paths
-  /// throws std::out_of_range.
+  /// A path's state and type, sizing the pair from the fabric first; an
+  /// index outside the pair's paths throws std::out_of_range.
   [[nodiscard]] engine::PathState& path_state(int src_leaf, int dst_leaf, int local_index);
   [[nodiscard]] engine::PathType path_type(int src_leaf, int dst_leaf, int local_index);
   [[nodiscard]] bool blackholed(std::int32_t src_host, std::int32_t dst_host,

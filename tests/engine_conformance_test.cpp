@@ -1,10 +1,10 @@
 // Conformance suite for hermes::engine::Engine as a *load balancer*:
-// placement, every branch of Algorithm 2 with its RNG draws, lazy
-// promotion, and the failure latch lifecycle — all driven through the
-// public engine API with no simulator attached (one test also checks
-// the simulator adapter's introspection bounds). These tests are also
-// run under TSan in tier 1 (two engines on concurrent threads must not
-// share hidden state).
+// placement, every branch of Algorithm 2 with its RNG draws, and the
+// failure latch lifecycle — all driven through the public engine API
+// with no simulator attached (one test also checks the simulator
+// adapter's introspection bounds). These tests are also run under TSan
+// in tier 1 (two engines on concurrent threads must not share hidden
+// state).
 
 #include <gtest/gtest.h>
 
@@ -223,80 +223,6 @@ TEST(EngineConformance, EveryAlgorithmTwoBranchDecidesAsPinned) {
   EXPECT_EQ(out.size(), 1829u);
   EXPECT_EQ(stats::fnv1a64(out), 0x65eb901d9f412308ULL) << out;
   EXPECT_NE(out.find("4:"), std::string::npos) << "script never latched a blackhole";
-}
-
-TEST(EngineConformance, LazyPromotionDecidesLikeEagerSlots) {
-  // One script, two engines with one seed: one promotes its pair up front
-  // (path_state), the other holds compact sensing slots until its first
-  // decision needs sending state. Probe and ACK estimates, the sampled
-  // flags and the probing memory cross promotion intact, so both make
-  // the same placement, congestion reroute, random-drop failure escape
-  // and timeout escape, and draw alike.
-  const auto run = [](bool eager) {
-    Config cfg = test_config();
-    cfg.reroute_rate_limit_bps = 1e12;  // R set: the rate gate is open
-    cfg.sent_threshold_bytes = 3000;
-    Engine e{cfg, 2, 42};
-    LogSink sink;
-    e.set_sink(&sink);
-    PathSet& ps = e.path_set(0, 1);
-    ps.ensure(8);
-    if (eager) (void)e.path_state(0, 1, 0);
-    // Probe samples: paths 0-2 good; 3 fast but ECN-marked (gray); 4
-    // congested; 5 between the thresholds; 6 and 7 never sampled.
-    for (int k = 0; k < 12; ++k) {
-      for (int li = 0; li < 3; ++li) e.feed_probe_sample(0, 1, li, usec(40 + 5 * li), false);
-      e.feed_probe_sample(0, 1, 3, usec(40), true);
-      e.feed_probe_sample(0, 1, 4, usec(250), true);
-      e.feed_probe_sample(0, 1, 5, usec(120), k % 2 == 0);
-    }
-    for (int li = 0; li < 3; ++li) e.on_ack(0, 1, li, 1, 2, true, usec(45), false);
-    std::string out = eager == ps.promoted() ? "" : "samples changed the form;";
-    out += "sampled=" + std::to_string(e.sampled_paths(0, 1)) + ";";
-
-    FlowView f = flow(1);
-    TimeNs t = usec(100);
-    const auto send = [&](int packets) {
-      for (int k = 0; k < packets; ++k) {
-        const int chosen = e.decide(f, 1500, t += usec(10));
-        out += std::to_string(chosen) + ",";
-        f.cur_local = chosen;
-        f.has_sent = true;
-        f.bytes_sent += 1500;
-      }
-    };
-    send(3);  // placement onto a good path
-    if (!ps.promoted()) out += "decide did not promote;";
-    for (int k = 0; k < 12; ++k) e.on_ack(0, 1, f.cur_local, 1, 2, true, usec(260), true);
-    send(1);  // the current path is congested and S is passed: reroute
-    for (int k = 0; k < 3; ++k) e.on_retransmit(0, 1, f.cur_local, t += usec(10));
-    send(30);
-    t = msec(11);  // the retransmission epoch closes with 3 of 30+ resent
-    e.on_retransmit(0, 1, f.cur_local, t);
-    send(2);  // failure escape off the latched path
-    f.timeout_pending = true;
-    e.on_timeout(f, t += usec(10));
-    send(2);  // timeout escape
-    for (const DecisionEvent& ev : sink.events) {
-      out += "e" + std::to_string(static_cast<int>(ev.kind)) + ":" + std::to_string(ev.from_path) +
-             ">" + std::to_string(ev.to_path) + "/" + std::to_string(ev.from_cond) + ">" +
-             std::to_string(ev.to_cond) + "/" + std::to_string(ev.delta_rtt_ns) + "/" +
-             std::to_string(ev.delta_ecn) + ";";
-    }
-    for (int li = 0; li < 8; ++li) {
-      const PathState& st = e.path_state(0, 1, li);
-      out += std::to_string(st.has_sample()) + ":" + std::to_string(st.rtt()) + ":" +
-             std::to_string(st.ecn_fraction()) + ":" + to_string(st.characterize(cfg)) + ";";
-    }
-    out += "best=" + std::to_string(ps.best_idx) + ";";
-    return out + "rng=" + std::to_string(e.rng().next(1U << 30));
-  };
-  const std::string eager = run(true);
-  EXPECT_EQ(eager, run(false));
-  for (const char* kind : {"e0:", "e3:", "e2:", "e1:"}) {
-    EXPECT_NE(eager.find(kind), std::string::npos)
-        << "script never made decision kind " << kind << " in " << eager;
-  }
 }
 
 TEST(EngineConformance, UnownedSourceGroupThrows) {

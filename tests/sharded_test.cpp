@@ -389,10 +389,10 @@ TEST(Sharded, HermesShardKeepsRowsForItsOwnLeavesOnly) {
   }
 }
 
-TEST(Sharded, HermesPromotesOnlyPairsThatCarryData) {
+TEST(Sharded, HermesSizesOnlyPairsThatCarryData) {
   // A fat-tree's rack pairs are probed only while they carry flows, so a
-  // pair has samples, and full path state, iff it carried an inter-rack
-  // flow; any other pair was never sized.
+  // pair is sized, and has samples, iff it carried an inter-rack flow;
+  // any other pair's PathSet stays empty.
   harness::ShardedScenario h{base_config(harness::Scheme::kHermes, 4, 2)};
   const std::vector<transport::FlowSpec> flows = test_traffic(h.fabric(), 20);
   h.add_flows(flows);
@@ -405,7 +405,7 @@ TEST(Sharded, HermesPromotesOnlyPairsThatCarryData) {
     if (a != b) carried.emplace(a, b);
   }
   ASSERT_FALSE(carried.empty());
-  std::uint64_t promoted = 0;
+  std::uint64_t sized = 0;
   int idle = 0;
   for (int s = 0; s < h.num_shards(); ++s) {
     const engine::Engine& eng = h.hermes(s)->engine();
@@ -413,21 +413,20 @@ TEST(Sharded, HermesPromotesOnlyPairsThatCarryData) {
       for (int b = 0; b < f.num_leaves(); ++b) {
         if (a == b) continue;
         const bool carries = carried.count({a, b}) == 1;
+        const bool is_sized = !eng.path_set(a, b).empty();
+        EXPECT_EQ(is_sized, carries) << a << "->" << b;
         if (carries) {
           EXPECT_GT(eng.sampled_paths(a, b), 0) << a << "->" << b << " has no samples";
         } else {
-          EXPECT_TRUE(eng.path_set(a, b).empty()) << a << "->" << b << " is idle but was sized";
           ++idle;
         }
-        const bool full = eng.path_set(a, b).promoted();
-        EXPECT_EQ(full, carries) << a << "->" << b;
-        promoted += full ? 1 : 0;
+        sized += is_sized ? 1 : 0;
       }
     }
   }
   EXPECT_GT(idle, 0);
-  EXPECT_EQ(promoted, carried.size());
-  EXPECT_EQ(metric_value(h.metrics().snapshot_text(), "lb.promoted_pairs"),
+  EXPECT_EQ(sized, carried.size());
+  EXPECT_EQ(metric_value(h.metrics().snapshot_text(), "lb.sized_pairs"),
             static_cast<double>(carried.size()));
 }
 
