@@ -34,9 +34,10 @@
 // Every statement is checked when the trace loads: its field count,
 // each number a decimal integer in [0, 2^31), 1 <= groups <= 1024 with
 // `groups` before any statement that names a group, every group index
-// in [0, groups), at most 32768 paths per `paths` line and one `paths`
-// line per pair. A malformed trace exits 2 with a "trace line N"
-// diagnostic before anything runs.
+// in [0, groups), at most 32768 paths per `paths` line, one `paths`
+// line per pair, one `flow` line per flow id, and every probe on a path
+// its pair's `paths` line declares. A malformed trace exits 2 with a
+// "trace line N" diagnostic before anything runs.
 
 #include <charconv>
 #include <cmath>
@@ -239,7 +240,8 @@ int main(int argc, char** argv) {
   std::string line;
   int line_no = 0;
   bool group_named = false;
-  std::set<std::pair<std::int64_t, std::int64_t>> declared_pairs;
+  std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> declared_pairs;  // -> paths
+  std::set<std::int64_t> declared_flows;
   while (std::getline(in, line)) {
     ++line_no;
     std::vector<std::string> tok = tokenize(line);
@@ -270,16 +272,33 @@ int main(int argc, char** argv) {
       cfg.sent_threshold_bytes = static_cast<std::uint64_t>(parse_uint(tok[2], line_no));
     } else if (tok[0] == "paths" || tok[0] == "flow") {
       if (tok[0] == "paths") {
-        if (parse_uint(tok[3], line_no) > kMaxPaths) die(line_no, "at most 32768 paths per pair");
-        if (!declared_pairs.emplace(parse_uint(tok[1], line_no), parse_uint(tok[2], line_no))
-                 .second) {
+        const std::int64_t n = parse_uint(tok[3], line_no);
+        if (n > kMaxPaths) die(line_no, "at most 32768 paths per pair");
+        const std::pair ab{parse_uint(tok[1], line_no), parse_uint(tok[2], line_no)};
+        if (!declared_pairs.try_emplace(ab, n).second) {
           die(line_no, "pair " + tok[1] + "->" + tok[2] + " already has its paths");
         }
+      } else if (!declared_flows.insert(parse_uint(tok[1], line_no)).second) {
+        die(line_no, "flow " + tok[1] + " is already declared");
       }
       setup.push_back(tok);
     } else {  // expect
       expects.push_back({tok[1], tok[2],
                          static_cast<std::uint64_t>(std::atoll(tok[3].c_str())), line_no});
+    }
+  }
+
+  // A probe the engine would drop (a pair without that path) is refused;
+  // `paths` lines apply before any event, wherever they sit in the file.
+  for (const TraceEvent& ev : events) {
+    if (ev.tok[0] != "probe") continue;
+    const std::string pair = "pair " + ev.tok[1] + "->" + ev.tok[2];
+    const auto it = declared_pairs.find(
+        {parse_uint(ev.tok[1], ev.line_no), parse_uint(ev.tok[2], ev.line_no)});
+    if (it == declared_pairs.end()) die(ev.line_no, pair + " has no paths line");
+    if (parse_uint(ev.tok[3], ev.line_no) >= it->second) {
+      die(ev.line_no, pair + " has no path " + ev.tok[3] + " (its paths line declares " +
+                          std::to_string(it->second) + ")");
     }
   }
 
@@ -332,9 +351,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(st.congestion_reroutes),
                 static_cast<unsigned long long>(st.blackhole_latches),
                 static_cast<unsigned long long>(st.latch_expiries));
-    for (const auto& [a64, b64] : declared_pairs) {
-      const auto a = static_cast<int>(a64);
-      const auto b = static_cast<int>(b64);
+    for (const auto& [ab, n] : declared_pairs) {
+      const auto a = static_cast<int>(ab.first);
+      const auto b = static_cast<int>(ab.second);
       std::printf("  pair %d->%d:", a, b);
       for (std::size_t i = 0; i < engine.path_set(a, b).size(); ++i)
         std::printf(" %s", to_string(engine.path_type(a, b, static_cast<int>(i))));
