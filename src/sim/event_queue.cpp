@@ -1,6 +1,8 @@
 #include "hermes/sim/event_queue.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -8,6 +10,23 @@
 #include <vector>
 
 namespace hermes::sim {
+namespace {
+
+/// One bit per nanosecond of a level-0 bucket.
+using SlotBitmap = std::array<std::uint64_t, 4>;
+
+/// Call `f(slot)` for each set bit of `occupied`, lowest (oldest
+/// nanosecond) first.
+template <typename F>
+void for_each_slot(const SlotBitmap& occupied, F&& f) {
+  for (std::uint32_t w = 0; w < occupied.size(); ++w) {
+    for (std::uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1) {
+      f(w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+}  // namespace
 
 // HERMES_HOT: one call per scheduled event; the bucket push must stay O(1)
 // and allocation-free in steady state.
@@ -15,10 +34,8 @@ void EventQueue::place(const Event& ev) {
   const std::int64_t i0 = ev.time.ns() >> kL0Shift;
   if (i0 <= cur_) {
     // The wheel already drained past this bucket (the event is due now or
-    // nearly now): merge the record into the newest-first due run, in
-    // front of every record that fires before it.
-    // hermeslint:reserve-audited(due_ keeps its high-water capacity across laps; the sorted insert shifts 48-byte records but reallocates only until the run's working-set peak)
-    due_.insert(std::upper_bound(due_.begin(), due_.end(), ev, Later{}), ev);
+    // nearly now): the record joins the side run.
+    push_side(ev);
     return;
   }
   if (i0 - cur_ <= kNumBuckets) {
@@ -62,27 +79,66 @@ void EventQueue::push(Bucket& b, const Event& ev) {
   ++b.size;
 }
 
+// HERMES_HOT: a fifth to two fifths of a loaded fabric's schedules land in
+// drained time.
+// The record's seq is the highest stored, so it belongs behind every
+// side-run record at its time or earlier: the walk from the newest end
+// passes only records that fire after it, and nearly every insert passes
+// none.
+void EventQueue::push_side(const Event& ev) {
+  if (side_size_ == side_.size()) grow_side();
+  const std::size_t mask = side_.size() - 1;
+  std::size_t at = side_head_ + side_size_;
+  while (at != side_head_ && ev.time < side_[(at - 1) & mask].time) {
+    side_[at & mask] = side_[(at - 1) & mask];
+    --at;
+  }
+  side_[at & mask] = ev;
+  ++side_size_;
+}
+
+// Doubles the side run's ring (a block's worth to start), unwrapped; its
+// size tracks the run's peak depth.
+void EventQueue::grow_side() {
+  std::vector<Event> grown(side_.empty() ? kBlockEvents : 2 * side_.size());
+  for (std::size_t i = 0; i < side_size_; ++i) {
+    grown[i] = side_[(side_head_ + i) & (side_.size() - 1)];
+  }
+  side_.swap(grown);
+  side_head_ = 0;
+}
+
+// HERMES_HOT: bucket walk (the drain's passes, and take_all). Stops
+// early when `f` returns false.
+template <typename F>
+void EventQueue::walk(const Bucket& b, F&& f) {
+  ArenaHandle h = b.head;
+  for (std::uint32_t left = b.size; left > 0;) {
+    const Block& blk = blocks_[h];
+    const ArenaHandle next = blk.next;
+    const std::uint32_t n = left < kBlockEvents ? left : kBlockEvents;
+    if (left > kBlockEvents) {
+      // A long bucket's blocks lie apart in the pool, out of the hardware
+      // prefetcher's reach: fetch the next block while this one drains.
+      const auto* ahead = reinterpret_cast<const char*>(&blocks_[next]);
+      for (std::size_t off = 0; off < sizeof(Block); off += 64) __builtin_prefetch(ahead + off);
+    }
+    if (!f(h, blk.ev, n)) return;
+    left -= n;
+    h = next;
+  }
+}
+
 // HERMES_HOT: bucket hand-off (drain and level-1 cascade). `f` may push
 // into other buckets; each block goes back to the pool only after its
 // records have been handed over.
 template <typename F>
 void EventQueue::take_all(Bucket& b, F&& f) {
-  ArenaHandle h = b.head;
-  for (std::uint32_t left = b.size; left > 0;) {
-    Block& blk = blocks_[h];
-    const std::uint32_t n = left < kBlockEvents ? left : kBlockEvents;
-    if (left > kBlockEvents) {
-      // A long bucket's blocks lie apart in the pool, out of the hardware
-      // prefetcher's reach: fetch the next block while this one drains.
-      const auto* ahead = reinterpret_cast<const char*>(&blocks_[blk.next]);
-      for (std::size_t off = 0; off < sizeof(Block); off += 64) __builtin_prefetch(ahead + off);
-    }
-    f(blk.ev, n);
-    left -= n;
-    const ArenaHandle next = blk.next;
+  walk(b, [this, &f](ArenaHandle h, const Event* ev, std::uint32_t n) {
+    f(ev, n);
     blocks_.free(h);
-    h = next;
-  }
+    return true;
+  });
   b = Bucket{};
 }
 
@@ -162,23 +218,97 @@ bool EventQueue::consume_slot(const Event& ev) {
 }
 
 // HERMES_HOT: bucket hand-off into the due run; its blocks return to
-// the block pool.
+// the block pool. The run is empty here (advance() runs only when both
+// runs are), and each record is written into it once.
 void EventQueue::drain_to_due(Bucket& bucket) {
-  l0_count_ -= bucket.size;
-  const auto base = static_cast<std::ptrdiff_t>(due_.size());
-  take_all(bucket, [this](const Event* ev, std::uint32_t n) {
-    // hermeslint:reserve-audited(due_ retains high-water capacity; popping records at dispatch never shrinks it)
-    due_.insert(due_.end(), ev, ev + n);
+  assert(due_size_ == 0 && side_size_ == 0);
+  const std::uint32_t n = bucket.size;
+  l0_count_ -= n;
+  if (due_.size() < n) {
+    // hermeslint:reserve-audited(due_ keeps its high-water size across drains; it grows only to the largest bucket drained)
+    due_.resize(n);
+  }
+  Event* const run = due_.data();
+  due_size_ = n;
+  // A one-block bucket, or one whose push order is already (time, seq)
+  // order (a bucket filled in time order, such as a one-instant burst):
+  // reversed push order is nearly or exactly newest first.
+  bool in_order = n > kBlockEvents;
+  if (in_order) {
+    const Event* prev = nullptr;
+    walk(bucket, [&](ArenaHandle, const Event* ev, std::uint32_t k) {
+      for (std::uint32_t i = 0; i < k && in_order; ++i) {
+        in_order = prev == nullptr || Earlier{}(*prev, ev[i]);
+        prev = &ev[i];
+      }
+      return in_order;
+    });
+  }
+  if (n <= kBlockEvents || in_order) {
+    std::uint32_t to = n;
+    take_all(bucket, [&](const Event* ev, std::uint32_t k) {
+      for (std::uint32_t i = 0; i < k; ++i) run[--to] = ev[i];
+    });
+    if (!in_order) restore_order(run, n);
+    return;
+  }
+  // Census: records per nanosecond of the bucket, a bitmap of the
+  // nanoseconds that hold any, and whether push order is seq order (no
+  // level-1 cascade landed behind a direct push).
+  static_assert(sizeof(SlotBitmap) * 8 == kSlots);
+  SlotBitmap occupied{};
+  std::uint64_t prev_seq = 0;
+  bool seq_order = true;
+  walk(bucket, [&](ArenaHandle, const Event* ev, std::uint32_t k) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const auto slot = static_cast<std::uint32_t>(ev[i].time.ns()) & kSlotMask;
+      ++slot_count_[slot];
+      occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+      seq_order &= prev_seq <= ev[i].seq;
+      prev_seq = ev[i].seq;
+    }
+    return true;
   });
-  // Records arrive in push order, rising seq: reversed, they are newest
-  // first when the bucket filled in time order. A bucket spans 256ns of
-  // simulated time, so it can hold events at different instants, and
-  // the run may already hold records (same-instant inserts made during
-  // the cascade): sort the whole run when it is out of order, as 90% of
-  // a loaded fat-tree's drains are.
-  std::reverse(due_.begin() + base, due_.end());
-  if (!std::is_sorted(due_.begin(), due_.end(), Later{})) {
-    std::sort(due_.begin(), due_.end(), Later{});
+  // Stable counting sort over the occupied slots only, the oldest
+  // nanosecond at the back: slot_count_ becomes one past each slot's
+  // range, and each record fills its range from the back, so later pushes
+  // sit nearer the front.
+  std::uint32_t end = n;
+  for_each_slot(occupied, [&](std::uint32_t slot) {
+    const std::uint32_t count = slot_count_[slot];
+    slot_count_[slot] = end;
+    end -= count;
+  });
+  take_all(bucket, [&](const Event* ev, std::uint32_t k) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      run[--slot_count_[static_cast<std::uint32_t>(ev[i].time.ns()) & kSlotMask]] = ev[i];
+    }
+  });
+  for_each_slot(occupied, [this](std::uint32_t slot) { slot_count_[slot] = 0; });
+  // Each instant's records now sit in reverse push order, which is
+  // newest first unless a cascade put a lower seq behind a higher one.
+  if (!seq_order) restore_order(run, n);
+}
+
+// HERMES_HOT: the drain's insertion pass over a nearly ordered run. Its
+// cost is quadratic in the out-of-order records, so past a budget of
+// moves std::sort finishes the run.
+void EventQueue::restore_order(Event* run, std::uint32_t n) {
+  std::uint32_t budget = kMovesPerRecord * n;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (!Later{}(run[i], run[i - 1])) continue;
+    const Event ev = run[i];
+    std::uint32_t j = i;
+    do {
+      run[j] = run[j - 1];
+      --j;
+    } while (j > 0 && Later{}(ev, run[j - 1]));
+    run[j] = ev;
+    if (i - j > budget) {
+      std::sort(run, run + n, Later{});
+      return;
+    }
+    budget -= i - j;
   }
 }
 
@@ -215,6 +345,9 @@ void EventQueue::advance() {
     const std::int64_t cur1 = cur_ >> kLevelBits;
     while (overflow_head_ < overflow_.size() &&
            (overflow_[overflow_head_].time.ns() >> kL1Shift) - cur1 < kNumBuckets) {
+      // Migrated records land in level 1, never in drained time: the side
+      // run holds only records scheduled after the last drain.
+      assert((overflow_[overflow_head_].time.ns() >> kL0Shift) > cur_);
       place(overflow_[overflow_head_++]);
     }
     if (overflow_head_ == overflow_.size() && !overflow_.empty()) {
@@ -223,20 +356,26 @@ void EventQueue::advance() {
     }
     Bucket& b1 = l1_[static_cast<std::size_t>(cur1 & kBucketMask)];
     if (b1.size != 0) {
+      // Every record belongs to a level-0 bucket of this span, the span's
+      // first included: it is drained below with the records pushed there
+      // directly, which hold higher seqs, so the drain repairs the order.
       l1_count_ -= b1.size;
+      l0_count_ += b1.size;
       take_all(b1, [this](const Event* ev, std::uint32_t n) {
-        for (std::uint32_t i = 0; i < n; ++i) place(ev[i]);  // all land in level 0 or due_
+        for (std::uint32_t i = 0; i < n; ++i) {
+          push(l0_[static_cast<std::size_t>((ev[i].time.ns() >> kL0Shift) & kBucketMask)], ev[i]);
+        }
       });
     }
     Bucket& b0 = l0_[static_cast<std::size_t>(cur_ & kBucketMask)];
     if (b0.size != 0) drain_to_due(b0);
-    if (!due_.empty()) return;
+    if (due_size_ != 0) return;
   }
 }
 
 // HERMES_HOT: called before every event pop.
-bool EventQueue::peek_due() {
-  while (due_.empty()) {
+bool EventQueue::peek() {
+  while (due_size_ == 0 && side_size_ == 0) {
     if (l0_count_ == 0 && l1_count_ == 0 && overflow_head_ == overflow_.size()) return false;
     advance();
   }
@@ -244,23 +383,26 @@ bool EventQueue::peek_due() {
 }
 
 std::size_t EventQueue::stored_events() const {
-  return due_.size() + l0_count_ + l1_count_ + (overflow_.size() - overflow_head_);
+  return due_size_ + side_size_ + l0_count_ + l1_count_ + (overflow_.size() - overflow_head_);
 }
 
 std::size_t EventQueue::reserved_events() const {
-  return blocks_.capacity() * kBlockEvents + due_.capacity() + overflow_.capacity();
+  return blocks_.capacity() * kBlockEvents + due_.capacity() + side_.capacity() +
+         overflow_.capacity();
 }
 
 // HERMES_HOT: the event dispatch loop (the bench inner loop).
 void EventQueue::dispatch(SimTime last) {
   stopped_ = false;
   while (!stopped_) {
-    if (!peek_due()) break;
-    // due_.back() is the global minimum, so one comparison bounds the run.
-    if (due_.back().time > last) break;
-    // Copied out before it runs: the callback may insert into the run.
-    const Event ev = due_.back();
-    due_.pop_back();
+    if (!peek()) break;
+    // The earlier head is the global minimum, so one comparison bounds
+    // the run.
+    const bool side = side_first();
+    if (head(side).time > last) break;
+    // Copied out before it runs: the callback may insert into the side run.
+    const Event ev = head(side);
+    pop(side);
     if (ev.slot != kNoSlot && !consume_slot(ev)) {  // cancelled: reclaim silently
       if (ev.fn == &fire_closure) drop_closure(ev.arg);
       continue;
@@ -286,11 +428,12 @@ void EventQueue::run_until_before(SimTime h) {
 SimTime EventQueue::next_event_time() {
   // Reclaim cancelled records at the head of the run first, as dispatch
   // would, so the sharded horizons see only live events.
-  while (peek_due()) {
-    const Event& ev = due_.back();
+  while (peek()) {
+    const bool side = side_first();
+    const Event& ev = head(side);
     if (ev.slot == kNoSlot || slots_[ev.slot].gen == ev.gen) return ev.time;
     if (ev.fn == &fire_closure) drop_closure(ev.arg);
-    due_.pop_back();
+    pop(side);
   }
   return SimTime::max();
 }

@@ -45,24 +45,41 @@ namespace hermes::sim {
 ///   level 1:  1024 buckets x ~262us  -> horizon ~268ms
 ///   overflow: sorted vector (time, seq) beyond ~268ms
 ///
-/// The due run: a drained level-0 bucket's records are copied into one
-/// vector, newest first, so the next event is the back record. Lockstep
-/// traffic makes same-bucket schedules common: 64 B frames finish 51 ns
-/// apart and sharded portals hand off with zero delay, so 53% of a k=16
-/// fat-tree Hermes run's placements (40% under ECMP, 20% on a loaded
-/// leaf-spine) land in the bucket being drained. Each of those is a
-/// sorted insert that shifts 48-byte records. Wider buckets would send
-/// more schedules there: with 4.096us buckets a loaded 10G fabric put
-/// ~70% of them into the current one.
+/// The due run: a drained level-0 bucket's records are written once
+/// into one vector, newest first, so the next event is the back record.
+/// The drain sorts with no comparison sort. A one-block bucket, or one
+/// already in (time, seq) order such as a one-instant burst, is copied
+/// reversed. Any other gets a stable counting sort on each record's
+/// nanosecond within the bucket, which visits only the nanoseconds a
+/// bitmap marks occupied (so its cost follows the record count) and
+/// scatters each record once. An instant's records then sit in reverse
+/// push order, which is newest first unless a level-1 cascade landed
+/// behind direct pushes. Then, and for a one-block bucket, an insertion
+/// pass restores exact (time, seq) order; past a budget of moves it
+/// hands the run to std::sort, so its cost stays bounded.
+///
+/// The side run: a schedule into time the wheel has already drained
+/// never shifts the due run. It joins a small ring kept in (time, seq)
+/// order, oldest first, and the next event is the earlier of the two
+/// heads: the due run's on a time tie, since every side-run record was
+/// scheduled after the drain and so holds the higher seq. Lockstep
+/// traffic makes such schedules common: 64 B frames finish 51 ns apart
+/// and sharded portals hand off with zero delay, so 40.8% of the 6.47M
+/// placements of a k=16 fat-tree Hermes run (20% on a loaded leaf-spine;
+/// seed 3) land in drained time. On the leaf-spine all but 0.2% of them
+/// land behind the whole side run, an append; a fat-tree insert passes
+/// about one later record. Wider buckets would send more schedules
+/// there: with 4.096us buckets a loaded 10G fabric put ~70% of them into
+/// the current one.
 ///
 /// Cancel is lazy: it bumps the timer slot's generation, and the record
 /// stays wherever it is stored until dispatch (or next_event_time())
 /// reaches it and skips it, releasing a closure's slot then.
 ///
-/// The total order is always (time, seq): a drained bucket's records are
-/// sorted when they arrive out of order, so the wheel is observably
-/// identical to a binary heap with a stable tiebreak — for a fixed
-/// seed, simulation output is byte-equal.
+/// The total order is always (time, seq): the drain and the side run
+/// each keep it, so the wheel is observably identical to a binary heap
+/// with a stable tiebreak — for a fixed seed, simulation output is
+/// byte-equal.
 class EventQueue {
  public:
   /// Inline storage for closure-form callbacks (the cold path). A
@@ -128,8 +145,9 @@ class EventQueue {
   /// lazy reclamation) — a diagnostics/test observer.
   [[nodiscard]] std::size_t stored_events() const;
   /// Event records the queue can hold without allocating: the block
-  /// pool's capacity plus the due run's and overflow list's. A
-  /// diagnostics/test observer; it tracks the peak of stored_events().
+  /// pool's capacity plus the due run's, the side run's and the overflow
+  /// list's. A diagnostics/test observer; it tracks the peak of
+  /// stored_events().
   [[nodiscard]] std::size_t reserved_events() const;
   /// Closure slots the queue has ever reserved: 0 while every event took
   /// the direct form. A diagnostics/test observer.
@@ -165,6 +183,13 @@ class EventQueue {
   /// pointer per event.
   static constexpr std::uint32_t kBlockEvents = 8;
   static constexpr std::uint32_t kBlockMask = kBlockEvents - 1;
+  /// The drain's counting sort keys a record on its nanosecond within
+  /// the level-0 bucket.
+  static constexpr std::uint32_t kSlots = 1u << kL0Shift;
+  static constexpr std::uint32_t kSlotMask = kSlots - 1;
+  /// Insertion-pass record moves allowed per drained record before the
+  /// drain falls back to std::sort.
+  static constexpr std::uint32_t kMovesPerRecord = 4;
 
   struct Event {
     SimTime time;
@@ -176,7 +201,8 @@ class EventQueue {
     std::uint32_t gen = 0;         ///< slot generation at scheduling time
   };
   static_assert(sizeof(Event) <= 48 && std::is_trivially_copyable_v<Event>,
-                "the due run shifts and sorts records; keep them small and memcpy-able");
+                "buckets, the drain's scatter and the side run copy records; "
+                "keep them small and memcpy-able");
   /// A pool block: a run of a bucket's records in push order, linked
   /// toward the bucket's tail. The tail's `next` is stale (walks stop by
   /// record count).
@@ -236,14 +262,38 @@ class EventQueue {
   Handle schedule(SimTime t, Fn fn, void* obj, std::uint64_t arg);
   void place(const Event& ev);
   void push(Bucket& b, const Event& ev);
+  /// Insert a record scheduled into drained time into the side run.
+  void push_side(const Event& ev);
+  void grow_side();
+  /// Show the records of `b` to `f(block, records, count)`, a block's
+  /// run at a time in push order, until `f` returns false.
+  template <typename F>
+  void walk(const Bucket& b, F&& f);
   /// Hand every record of `b` to `f`, a block's run at a time in push
   /// order, returning the blocks.
   template <typename F>
   void take_all(Bucket& b, F&& f);
   void advance();
   void drain_to_due(Bucket& bucket);
-  /// Ensure due_ holds the globally next event; false if storage empty.
-  bool peek_due();
+  /// Put a nearly newest-first run into exact newest-first order.
+  void restore_order(Event* run, std::uint32_t n);
+  /// Ensure a run holds the globally next event; false if storage empty.
+  bool peek();
+  /// True when the side run's head fires before the due run's.
+  [[nodiscard]] bool side_first() const {
+    return side_size_ != 0 && (due_size_ == 0 || side_[side_head_].time < due_[due_size_ - 1].time);
+  }
+  [[nodiscard]] const Event& head(bool side) const {
+    return side ? side_[side_head_] : due_[due_size_ - 1];
+  }
+  void pop(bool side) {
+    if (side) {
+      side_head_ = (side_head_ + 1) & (side_.size() - 1);
+      --side_size_;
+    } else {
+      --due_size_;
+    }
+  }
   /// The one dispatch loop: fire events in (time, seq) order while the
   /// next is at or before `last`, until stop() or the queue drains.
   void dispatch(SimTime last);
@@ -253,9 +303,18 @@ class EventQueue {
     return slot < slots_.size() && slots_[slot].gen == gen;
   }
 
-  // Records already pulled in front of the wheel, newest first: back()
-  // fires next.
+  // The due run: the last drained bucket's unfired records, newest
+  // first in due_[0, due_size_); due_[due_size_ - 1] fires next. due_
+  // keeps its high-water size, so a drain writes no record twice.
   std::vector<Event> due_;
+  std::size_t due_size_ = 0;
+  // The side run: records scheduled into drained time, oldest first in
+  // a ring of power-of-two size starting at side_[side_head_].
+  std::vector<Event> side_;
+  std::size_t side_head_ = 0;
+  std::size_t side_size_ = 0;
+  /// The drain's per-nanosecond record counts; all zero between drains.
+  std::array<std::uint32_t, kSlots> slot_count_{};
   SlotArena<Block> blocks_;
   std::array<Bucket, kNumBuckets> l0_{};
   std::array<Bucket, kNumBuckets> l1_{};
@@ -266,7 +325,8 @@ class EventQueue {
   std::vector<Event> overflow_;
   std::size_t overflow_head_ = 0;
   /// Absolute level-0 bucket index the wheel has drained through: every
-  /// event with (time >> kL0Shift) <= cur_ lives in the due run (or fired).
+  /// event with (time >> kL0Shift) <= cur_ lives in the due or side run
+  /// (or fired).
   std::int64_t cur_ = -1;
 
   std::vector<TimerSlot> slots_;

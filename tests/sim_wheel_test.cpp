@@ -4,9 +4,10 @@
 // semantics of run_until across empty spans, randomized stress tests
 // against sorted reference models (direct-form and closure events
 // interleaved, scheduling from outside and from inside callbacks, and a
-// lockstep due run hundreds deep cut by round horizons), lazy cancel of
-// wheel records and of closures, and wheel storage that follows live
-// events.
+// lockstep due run hundreds deep cut by round horizons), a drain that
+// a level-1 cascade leaves out of seq order beside side-run ties, lazy
+// cancel of wheel records and of closures, and wheel storage that
+// follows live events.
 //
 // Wheel geometry (see event_queue.hpp): level-0 buckets are 256ns, the
 // level-0 horizon is ~262us, the level-1 horizon is ~268ms, and
@@ -163,6 +164,50 @@ TEST(TimeWheel, EmptyIsConstAndCountsCancellations) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.events_processed(), 6u);
   EXPECT_EQ(q.stored_events(), 0u);
+}
+
+// A level-1 cascade lands behind direct pushes: A is posted first, ~300us
+// ahead, so it waits in level 1; B and C, posted at ~100us at A's
+// instant and one nanosecond before it, go straight to level 0 (M, due
+// at 100us, holds the cursor there: a run with nothing nearer would
+// walk ahead and drain A's bucket). The drain must fire C, A, B: exact
+// (time, seq) order, not time order alone. C's callback then posts D at
+// A's instant into the side run, and arms and stops on E, a zero-delay
+// timer at the side run's head. With E cancelled, next_event_time() must
+// skip it, and D must lose its tie with A and B, whose lower seqs sit in
+// the due run. Run once with the bucket in one pool block and once with
+// eight more records after A's instant, which take the counting sort.
+TEST(TimeWheel, CascadeDrainOrderAndSideRunTies) {
+  for (const int extra : {0, 8}) {
+    SCOPED_TRACE(extra);
+    EventQueue q;
+    Log log;
+    const SimTime t = usec(300);
+    q.post_at<&Log::on>(t, &log, 1);          // A: beyond the level-0 horizon
+    q.post_at<&Log::on>(usec(100), &log, 6);  // M
+    q.run_until_before(usec(100));
+    q.post_at<&Log::on>(t, &log, 2);  // B
+    EventQueue::Handle e;
+    q.post_at(t - nsec(1), [&] {  // C
+      log.fired.push_back(3);
+      e = q.schedule_at<&Log::on>(q.now(), &log, 5);  // E: side-run head
+      q.post_at<&Log::on>(t, &log, 4);                // D: ties with A and B
+      q.stop();
+    });
+    std::vector<int> expected{6, 3, 1, 2, 4};
+    for (int i = 1; i <= extra; ++i) {
+      q.post_at<&Log::on>(t + nsec(i), &log, static_cast<std::uint64_t>(9 + i));
+      expected.push_back(9 + i);
+    }
+    q.run();
+    EXPECT_EQ(log.fired, (std::vector<int>{6, 3}));
+    EXPECT_TRUE(e.pending());
+    e.cancel();
+    EXPECT_EQ(q.next_event_time(), t);
+    q.run();
+    EXPECT_EQ(log.fired, expected);
+    EXPECT_EQ(q.stored_events(), 0u);
+  }
 }
 
 // Randomized stress: interleaved scheduling phases, cancellations and
