@@ -35,9 +35,11 @@
 // each number a decimal integer in [0, 2^31), 1 <= groups <= 1024 with
 // `groups` before any statement that names a group, every group index
 // in [0, groups), at most 32768 paths per `paths` line, one `paths`
-// line per pair, one `flow` line per flow id, and every probe on a path
-// its pair's `paths` line declares. A malformed trace exits 2 with a
-// "trace line N" diagnostic before anything runs.
+// line per pair, one `flow` line per flow id, every flow on a pair that
+// has a `paths` line, every flow event on a declared flow, every probe
+// on a path its pair's `paths` line declares, and every `expect` on a
+// known counter with ==, >= or <=. A malformed trace exits 2 with a
+// "trace line N" diagnostic before anything runs: stdout stays empty.
 
 #include <charconv>
 #include <cmath>
@@ -92,6 +94,8 @@ struct StdoutSink final : DecisionSink {
   }
 };
 
+/// A trace statement: its tokens (keyword first) and line, and an
+/// event's time.
 struct TraceEvent {
   TimeNs t = 0;
   std::vector<std::string> tok;
@@ -182,6 +186,21 @@ bool check_statement(const std::vector<std::string>& tok, bool event, int num_gr
   return names_group;
 }
 
+/// The counters an `expect` line may name, with their values after a
+/// replay.
+std::map<std::string, std::uint64_t> counters_of(const DecisionStats& st,
+                                                 std::uint64_t decisions) {
+  return {
+      {"decisions", decisions},
+      {"initial_placements", st.initial_placements},
+      {"timeout_escapes", st.timeout_escapes},
+      {"failure_escapes", st.failure_escapes},
+      {"congestion_reroutes", st.congestion_reroutes},
+      {"blackhole_latches", st.blackhole_latches},
+      {"latch_expiries", st.latch_expiries},
+  };
+}
+
 double flow_rate_fn(const void* ctx, TimeNs now) {
   return static_cast<const Dre<kRateDre>*>(ctx)->rate_bps(now);
 }
@@ -235,7 +254,7 @@ int main(int argc, char** argv) {
   std::vector<TraceEvent> events;
   std::vector<Expect> expects;
   // Deferred pair/flow setup (must apply after the engine exists).
-  std::vector<std::vector<std::string>> setup;
+  std::vector<TraceEvent> setup;
 
   std::string line;
   int line_no = 0;
@@ -281,24 +300,39 @@ int main(int argc, char** argv) {
       } else if (!declared_flows.insert(parse_uint(tok[1], line_no)).second) {
         die(line_no, "flow " + tok[1] + " is already declared");
       }
-      setup.push_back(tok);
+      setup.push_back({0, tok, line_no});
     } else {  // expect
+      if (!counters_of({}, 0).contains(tok[1])) die(line_no, "unknown counter '" + tok[1] + "'");
+      if (tok[2] != "==" && tok[2] != ">=" && tok[2] != "<=") {
+        die(line_no, "unknown operator '" + tok[2] + "' (want ==, >= or <=)");
+      }
       expects.push_back({tok[1], tok[2],
                          static_cast<std::uint64_t>(std::atoll(tok[3].c_str())), line_no});
     }
   }
 
-  // A probe the engine would drop (a pair without that path) is refused;
-  // `paths` lines apply before any event, wherever they sit in the file.
+  // What the engine would drop or the replay could not resolve is
+  // refused: a flow on a pair without paths (it would route nothing), a
+  // flow event on an undeclared flow, a probe on a path its pair lacks.
+  // `paths` and `flow` lines apply before any event, wherever they sit.
+  const auto pair_paths = [&](const std::string& a, const std::string& b, int at) {
+    const auto it = declared_pairs.find({parse_uint(a, at), parse_uint(b, at)});
+    if (it == declared_pairs.end()) die(at, "pair " + a + "->" + b + " has no paths line");
+    return it->second;
+  };
+  for (const TraceEvent& st : setup) {
+    if (st.tok[0] == "flow") pair_paths(st.tok[4], st.tok[5], st.line_no);
+  }
   for (const TraceEvent& ev : events) {
-    if (ev.tok[0] != "probe") continue;
-    const std::string pair = "pair " + ev.tok[1] + "->" + ev.tok[2];
-    const auto it = declared_pairs.find(
-        {parse_uint(ev.tok[1], ev.line_no), parse_uint(ev.tok[2], ev.line_no)});
-    if (it == declared_pairs.end()) die(ev.line_no, pair + " has no paths line");
-    if (parse_uint(ev.tok[3], ev.line_no) >= it->second) {
-      die(ev.line_no, pair + " has no path " + ev.tok[3] + " (its paths line declares " +
-                          std::to_string(it->second) + ")");
+    if (ev.tok[0] == "probe") {
+      const std::int64_t n = pair_paths(ev.tok[1], ev.tok[2], ev.line_no);
+      if (parse_uint(ev.tok[3], ev.line_no) >= n) {
+        die(ev.line_no, "pair " + ev.tok[1] + "->" + ev.tok[2] + " has no path " + ev.tok[3] +
+                            " (its paths line declares " + std::to_string(n) + ")");
+      }
+    } else if (ev.tok[0] != "snapshot" &&
+               !declared_flows.contains(parse_uint(ev.tok[1], ev.line_no))) {
+      die(ev.line_no, "unknown flow " + ev.tok[1]);
     }
   }
 
@@ -309,7 +343,8 @@ int main(int argc, char** argv) {
 
   std::map<std::uint64_t, FlowState> flows;
 
-  for (const auto& tok : setup) {
+  for (const TraceEvent& st : setup) {
+    const std::vector<std::string>& tok = st.tok;
     if (tok[0] == "paths") {
       engine.path_set(std::atoi(tok.at(1).c_str()), std::atoi(tok.at(2).c_str()))
           .ensure(static_cast<std::size_t>(std::atoll(tok.at(3).c_str())));
@@ -369,11 +404,9 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_until(target);
     }
     const std::string& what = ev.tok[0];
+    // The load phase refused events on undeclared flows.
     const auto flow_of = [&](std::size_t i) -> FlowState& {
-      const auto id = static_cast<std::uint64_t>(std::atoll(ev.tok.at(i).c_str()));
-      const auto it = flows.find(id);
-      if (it == flows.end()) die(ev.line_no, "unknown flow " + ev.tok.at(i));
-      return it->second;
+      return flows.at(static_cast<std::uint64_t>(std::atoll(ev.tok.at(i).c_str())));
     };
     if (what == "decide") {
       FlowState& f = flow_of(1);
@@ -417,28 +450,15 @@ int main(int argc, char** argv) {
       std::chrono::duration<double, std::milli>(WallClock::now() - wall0).count();
 
   // ---- summary + expectations -----------------------------------------
-  const DecisionStats& st = engine.stats();
-  const std::map<std::string, std::uint64_t> counters = {
-      {"decisions", decisions},
-      {"initial_placements", st.initial_placements},
-      {"timeout_escapes", st.timeout_escapes},
-      {"failure_escapes", st.failure_escapes},
-      {"congestion_reroutes", st.congestion_reroutes},
-      {"blackhole_latches", st.blackhole_latches},
-      {"latch_expiries", st.latch_expiries},
-  };
+  const std::map<std::string, std::uint64_t> counters = counters_of(engine.stats(), decisions);
   std::printf("hermesd: replayed %zu events (%llu decisions) in %.1fms wall\n", events.size(),
               static_cast<unsigned long long>(decisions), wall_ms);
 
   int failures = 0;
   for (const Expect& e : expects) {
-    const auto it = counters.find(e.counter);
-    if (it == counters.end()) die(e.line_no, "unknown counter '" + e.counter + "'");
-    const std::uint64_t got = it->second;
-    const bool ok = e.op == "==" ? got == e.value
-                    : e.op == ">=" ? got >= e.value
-                    : e.op == "<=" ? got <= e.value
-                                   : (die(e.line_no, "unknown operator '" + e.op + "'"), false);
+    // The load phase checked the counter and the operator.
+    const std::uint64_t got = counters.at(e.counter);
+    const bool ok = e.op == "==" ? got == e.value : e.op == ">=" ? got >= e.value : got <= e.value;
     if (!ok) {
       std::fprintf(stderr, "hermesd: EXPECT FAILED (line %d): %s = %llu, wanted %s %llu\n",
                    e.line_no, e.counter.c_str(), static_cast<unsigned long long>(got),
