@@ -1,7 +1,7 @@
 // Microbenchmarks of the simulator substrate: event-queue throughput in
 // the direct form every src/ schedule uses and, for the cold path, with
 // the largest closure capture, cancellable-timer churn, the event queue's
-// retained memory under bursty probe ticks, its due run under lockstep
+// retained memory under bursty probe ticks, its side run under lockstep
 // ports, the engine's decisions and probe-fed memory, DRE updates, route
 // construction, and the end-to-end packet pipeline rate.
 // These bound how much simulated traffic the experiment harness can push
@@ -258,13 +258,15 @@ void bench_event_queue_bursty(int ticks) {
               dt * 1e9 / static_cast<double>(t->fired), t->peak, per_peak);
 }
 
-/// The due run under lockstep ports: 256 posters fire together, and each
-/// firing re-posts itself 51 ns later (a 64 B frame at 10G) and posts one
-/// zero-delay hand-off (a sharded portal drain). Most schedules land in
-/// the level-0 bucket being drained, a sorted insert into the due run,
-/// which the benches above never reach: they schedule into future
-/// buckets. Rep 0 warms the pools and is excluded; the steady state must
-/// not allocate (check_bench_regress.py gates it).
+/// Drained time under lockstep ports: 256 posters fire together, and
+/// each firing re-posts itself 51 ns later (a 64 B frame at 10G) and
+/// posts one zero-delay hand-off (a sharded portal drain). Most schedules
+/// land in the level-0 bucket already drained, so in the event queue's
+/// side run, which the benches above never reach: they schedule into
+/// future buckets. Each hand-off lands in front of the re-posts made
+/// before it, so the side run is hundreds deep and its inserts shift
+/// records. Rep 0 warms the pools and is excluded; the steady state must
+/// not allocate, and check_bench_regress.py gates its throughput too.
 void bench_event_queue_lockstep(int reps, std::uint64_t events_per_rep) {
   constexpr int kPosters = 256;
   struct Lockstep {

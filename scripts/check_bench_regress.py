@@ -13,10 +13,10 @@ packet pipeline regresses:
     extracted decision engine's HERMES_HOT decide() path is
     allocation-free; the binary asserts literal zero internally), and
   * event_queue_lockstep.allocs_per_event_steady must be exactly 0 (the
-    due run and the block pool keep their capacity, so a long same-bucket
-    run allocates nothing once warm; a pool that stops recycling grows
-    geometrically, which is O(log n) allocations, far below any per-event
-    budget, so only zero sees it), and
+    due run, the side run and the block pool keep their high water, so a
+    long same-bucket run allocates nothing once warm; storage that stops
+    being reused grows geometrically, which is O(log n) allocations, far
+    below any per-event budget, so only zero sees it), and
   * event_queue_bursty.retained_heap_bytes_per_peak_event must stay
     <= 200 (wheel storage follows the peak number of stored events:
     86 bytes per 48-byte event at the bench's 2048-event peak, where
@@ -27,9 +27,10 @@ packet pipeline regresses:
     pair holds one 72-byte PathState, ~73 bytes with its share of the
     PathSet table and the allocation header; a second copy of the state
     or slack capacity per path would exceed 80), and
-  * packet_pipeline_10mb.packets_per_sec and engine_decide.decisions_per_sec
-    must not drop more than 50% below the committed baseline, judged on
-    the better of the raw ratio and a machine-speed-normalized ratio.
+  * packet_pipeline_10mb.packets_per_sec, event_queue_lockstep.events_per_sec
+    and engine_decide.decisions_per_sec must not drop more than 50% below
+    the committed baseline, judged on the better of the raw ratio and a
+    machine-speed-normalized ratio.
 
 The alloc budget is the hard invariant: allocation counts are
 deterministic, so any nonzero drift there is a real regression. The
@@ -74,6 +75,35 @@ def metric(doc, bench, name):
         return float(doc["metrics"][bench][name])
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def throughput_gate(baseline, current, bench, name, unit, failures, required=True):
+    """Holds bench.name within MAX_REGRESSION of the baseline on the better
+    of the raw and the canary-normalized ratio (see the module docstring).
+    Returns a status line when the gate passes; a missing metric fails it
+    only when `required`."""
+    base = metric(baseline, bench, name)
+    cur = metric(current, bench, name)
+    if base is None or cur is None:
+        if required:
+            side = "baseline" if base is None else "current run"
+            failures.append(f"{side} lacks {bench}.{name}")
+        return None
+    raw = cur / base
+    base_dre = metric(baseline, "dre_add_read", "ns_per_op")
+    cur_dre = metric(current, "dre_add_read", "ns_per_op")
+    normalized = raw * (cur_dre / base_dre) if base_dre and cur_dre else raw
+    if max(raw, normalized) < 1.0 - MAX_REGRESSION:
+        failures.append(
+            f"{bench} throughput {cur:,.0f} {unit} is {100 * (1 - raw):.1f}% below the "
+            f"committed baseline {base:,.0f} even after machine-speed normalization "
+            f"({100 * (1 - normalized):.1f}% below; max allowed {100 * MAX_REGRESSION:.0f}%)"
+        )
+        return None
+    return (
+        f"{bench} {cur:,.0f} {unit} vs baseline {base:,.0f} "
+        f"(raw {100 * (raw - 1):+.1f}%, normalized {100 * (normalized - 1):+.1f}%)"
+    )
 
 
 def check_fattree(baseline, current, failures):
@@ -171,15 +201,18 @@ def main(argv):
     if lockstep_allocs is None:
         failures.append(
             "current run has no event_queue_lockstep.allocs_per_event_steady "
-            "metric — bench binary predates the due-run pool?"
+            "metric — bench binary predates the lockstep bench?"
         )
     elif lockstep_allocs != 0:
         failures.append(
             f"event queue allocates {lockstep_allocs:.6f} per event under lockstep "
-            "ports (budget 0) — the due run's record pool stopped recycling"
+            "ports (budget 0) — the due run, the side run or the block pool grows "
+            "past its warm-up high water"
         )
-    else:
-        print("perf guard: event_queue_lockstep steady allocs/event 0 (budget 0)")
+    status = throughput_gate(baseline, current, "event_queue_lockstep", "events_per_sec",
+                             "events/s", failures)
+    if status and lockstep_allocs == 0:
+        print(f"perf guard: {status}, steady allocs/event 0 (budget 0)")
 
     bursty = metric(current, "event_queue_bursty", "retained_heap_bytes_per_peak_event")
     if bursty is None:
@@ -219,60 +252,21 @@ def main(argv):
             f"path (budget {SIZED_PATH_BYTES_BUDGET}), steady allocs/sample 0 (budget 0)"
         )
 
-    base_dps = metric(baseline, "engine_decide", "decisions_per_sec")
-    cur_dps = metric(current, "engine_decide", "decisions_per_sec")
-    if base_dps and cur_dps:
-        raw_d = cur_dps / base_dps
-        base_dre_c = metric(baseline, "dre_add_read", "ns_per_op")
-        cur_dre_c = metric(current, "dre_add_read", "ns_per_op")
-        norm_d = raw_d * (cur_dre_c / base_dre_c) if base_dre_c and cur_dre_c else raw_d
-        if max(raw_d, norm_d) < 1.0 - MAX_REGRESSION:
-            failures.append(
-                f"engine_decide throughput {cur_dps:,.0f} decisions/s is "
-                f"{100 * (1 - raw_d):.1f}% below the committed baseline "
-                f"{base_dps:,.0f} even after machine-speed normalization "
-                f"({100 * (1 - norm_d):.1f}% below; max allowed "
-                f"{100 * MAX_REGRESSION:.0f}%)"
-            )
-        else:
-            print(
-                f"perf guard: engine_decide {cur_dps:,.0f} decisions/s vs "
-                f"baseline {base_dps:,.0f} (raw {100 * (raw_d - 1):+.1f}%), "
-                f"steady allocs/decision "
-                f"{eng_allocs if eng_allocs is not None else float('nan'):.4f}"
-            )
-
-    base_pps = metric(baseline, "packet_pipeline_10mb", "packets_per_sec")
-    cur_pps = metric(current, "packet_pipeline_10mb", "packets_per_sec")
-    if base_pps is None:
-        failures.append(f"baseline {argv[1]} lacks packet_pipeline_10mb.packets_per_sec")
-    elif cur_pps is None:
-        failures.append("current run lacks packet_pipeline_10mb.packets_per_sec")
-    else:
-        raw = cur_pps / base_pps
-        # Machine-speed normalization via the dre_add_read canary (see
-        # module docstring); fall back to the raw ratio if either run
-        # lacks the canary metric.
-        base_dre = metric(baseline, "dre_add_read", "ns_per_op")
-        cur_dre = metric(current, "dre_add_read", "ns_per_op")
-        normalized = (
-            raw * (cur_dre / base_dre) if base_dre and cur_dre else raw
+    status = throughput_gate(baseline, current, "engine_decide", "decisions_per_sec",
+                             "decisions/s", failures, required=False)
+    if status:
+        print(
+            f"perf guard: {status}, steady allocs/decision "
+            f"{eng_allocs if eng_allocs is not None else float('nan'):.4f}"
         )
-        best = max(raw, normalized)
-        if best < 1.0 - MAX_REGRESSION:
-            failures.append(
-                f"packet_pipeline_10mb throughput {cur_pps:,.0f} pkts/s is "
-                f"{100 * (1 - raw):.1f}% below the committed baseline "
-                f"{base_pps:,.0f} pkts/s even after machine-speed "
-                f"normalization ({100 * (1 - normalized):.1f}% below; "
-                f"max allowed {100 * MAX_REGRESSION:.0f}%)"
-            )
-        else:
-            print(
-                f"perf guard: {cur_pps:,.0f} pkts/s vs baseline {base_pps:,.0f} "
-                f"(raw {100 * (raw - 1):+.1f}%, normalized {100 * (normalized - 1):+.1f}%), "
-                f"steady allocs/pkt {allocs if allocs is not None else float('nan'):.4f}"
-            )
+
+    status = throughput_gate(baseline, current, "packet_pipeline_10mb", "packets_per_sec",
+                             "pkts/s", failures)
+    if status:
+        print(
+            f"perf guard: {status}, steady allocs/pkt "
+            f"{allocs if allocs is not None else float('nan'):.4f}"
+        )
 
     if failures:
         for msg in failures:

@@ -25,9 +25,9 @@
 #      <= 200 heap bytes per peak stored event under bursty probe
 #      ticks, the engine must hold <= 80 heap bytes per path of a sized
 #      rack pair and allocate nothing per steady probe sample, and
-#      packet_pipeline_10mb / engine_decide throughput within 50% of
-#      the committed BENCH_core.json baseline (full numbers live there;
-#      see EXPERIMENTS.md).
+#      packet_pipeline_10mb / event_queue_lockstep / engine_decide
+#      throughput within 50% of the committed BENCH_core.json baseline
+#      (full numbers live there; see EXPERIMENTS.md).
 #   4. Sharded smoke: bench_ext_fattree_scale --smoke runs a k=4
 #      fat-tree under the sharded executor at 1 and 2 threads, asserts
 #      byte-identical FCT output internally, and the regression guard
