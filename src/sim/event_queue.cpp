@@ -38,14 +38,17 @@ void EventQueue::place(const Event& ev) {
     push_side(ev);
     return;
   }
-  if (i0 - cur_ <= kNumBuckets) {
+  const std::int64_t i1 = ev.time.ns() >> kL1Shift;
+  const std::int64_t cur1 = cur_ >> kLevelBits;
+  if (i1 == cur1) {
+    // Level 0 holds only the cursor's level-1 span. A record for a later
+    // span waits in level 1, so that span's cascade fills its level-0
+    // buckets before any direct push can reach them.
     const auto b = static_cast<std::uint32_t>(i0 & kBucketMask);
     push(l0_[b], ev);
     ++l0_count_;
     return;
   }
-  const std::int64_t i1 = ev.time.ns() >> kL1Shift;
-  const std::int64_t cur1 = cur_ >> kLevelBits;
   if (i1 - cur1 < kNumBuckets) {
     const auto b = static_cast<std::uint32_t>(i1 & kBucketMask);
     push(l1_[b], ev);
@@ -108,8 +111,7 @@ void EventQueue::grow_side() {
   side_head_ = 0;
 }
 
-// HERMES_HOT: bucket walk (the drain's passes, and take_all). Stops
-// early when `f` returns false.
+// HERMES_HOT: bucket walk (the drain's census, and take_all).
 template <typename F>
 void EventQueue::walk(const Bucket& b, F&& f) {
   ArenaHandle h = b.head;
@@ -123,7 +125,7 @@ void EventQueue::walk(const Bucket& b, F&& f) {
       const auto* ahead = reinterpret_cast<const char*>(&blocks_[next]);
       for (std::size_t off = 0; off < sizeof(Block); off += 64) __builtin_prefetch(ahead + off);
     }
-    if (!f(h, blk.ev, n)) return;
+    f(h, blk.ev, n);
     left -= n;
     h = next;
   }
@@ -137,7 +139,6 @@ void EventQueue::take_all(Bucket& b, F&& f) {
   walk(b, [this, &f](ArenaHandle h, const Event* ev, std::uint32_t n) {
     f(ev, n);
     blocks_.free(h);
-    return true;
   });
   b = Bucket{};
 }
@@ -230,49 +231,37 @@ void EventQueue::drain_to_due(Bucket& bucket) {
   }
   Event* const run = due_.data();
   due_size_ = n;
-  // A one-block bucket, or one whose push order is already (time, seq)
-  // order (a bucket filled in time order, such as a one-instant burst):
-  // reversed push order is nearly or exactly newest first.
-  bool in_order = n > kBlockEvents;
-  if (in_order) {
-    const Event* prev = nullptr;
-    walk(bucket, [&](ArenaHandle, const Event* ev, std::uint32_t k) {
-      for (std::uint32_t i = 0; i < k && in_order; ++i) {
-        in_order = prev == nullptr || Earlier{}(*prev, ev[i]);
-        prev = &ev[i];
-      }
-      return in_order;
-    });
-  }
-  if (n <= kBlockEvents || in_order) {
+  // Within every instant a bucket's push order is seq order (see place()),
+  // so reversed push order is newest first within each instant.
+  if (n <= kBlockEvents) {
+    // One block, copied reversed with an insertion by time alone: each
+    // record passes toward the back only the records pushed before it
+    // that fire later (at most 28 moves for 8 records).
     std::uint32_t to = n;
     take_all(bucket, [&](const Event* ev, std::uint32_t k) {
-      for (std::uint32_t i = 0; i < k; ++i) run[--to] = ev[i];
+      for (std::uint32_t i = 0; i < k; ++i) {
+        std::uint32_t at = --to;
+        for (; at + 1 < n && ev[i].time < run[at + 1].time; ++at) run[at] = run[at + 1];
+        run[at] = ev[i];
+      }
     });
-    if (!in_order) restore_order(run, n);
     return;
   }
-  // Census: records per nanosecond of the bucket, a bitmap of the
-  // nanoseconds that hold any, and whether push order is seq order (no
-  // level-1 cascade landed behind a direct push).
+  // Census: records per nanosecond of the bucket, and a bitmap of the
+  // nanoseconds that hold any.
   static_assert(sizeof(SlotBitmap) * 8 == kSlots);
   SlotBitmap occupied{};
-  std::uint64_t prev_seq = 0;
-  bool seq_order = true;
   walk(bucket, [&](ArenaHandle, const Event* ev, std::uint32_t k) {
     for (std::uint32_t i = 0; i < k; ++i) {
       const auto slot = static_cast<std::uint32_t>(ev[i].time.ns()) & kSlotMask;
       ++slot_count_[slot];
       occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      seq_order &= prev_seq <= ev[i].seq;
-      prev_seq = ev[i].seq;
     }
-    return true;
   });
   // Stable counting sort over the occupied slots only, the oldest
   // nanosecond at the back: slot_count_ becomes one past each slot's
   // range, and each record fills its range from the back, so later pushes
-  // sit nearer the front.
+  // (higher seqs) sit nearer the front.
   std::uint32_t end = n;
   for_each_slot(occupied, [&](std::uint32_t slot) {
     const std::uint32_t count = slot_count_[slot];
@@ -285,39 +274,15 @@ void EventQueue::drain_to_due(Bucket& bucket) {
     }
   });
   for_each_slot(occupied, [this](std::uint32_t slot) { slot_count_[slot] = 0; });
-  // Each instant's records now sit in reverse push order, which is
-  // newest first unless a cascade put a lower seq behind a higher one.
-  if (!seq_order) restore_order(run, n);
-}
-
-// HERMES_HOT: the drain's insertion pass over a nearly ordered run. Its
-// cost is quadratic in the out-of-order records, so past a budget of
-// moves std::sort finishes the run.
-void EventQueue::restore_order(Event* run, std::uint32_t n) {
-  std::uint32_t budget = kMovesPerRecord * n;
-  for (std::uint32_t i = 1; i < n; ++i) {
-    if (!Later{}(run[i], run[i - 1])) continue;
-    const Event ev = run[i];
-    std::uint32_t j = i;
-    do {
-      run[j] = run[j - 1];
-      --j;
-    } while (j > 0 && Later{}(ev, run[j - 1]));
-    run[j] = ev;
-    if (i - j > budget) {
-      std::sort(run, run + n, Later{});
-      return;
-    }
-    budget -= i - j;
-  }
 }
 
 // HERMES_HOT: wheel cursor walk between non-empty buckets.
 void EventQueue::advance() {
   for (;;) {
-    // First bucket index of the next level-1 span.
-    const std::int64_t span_end = ((cur_ >> kLevelBits) + 1) << kLevelBits;
     if (l0_count_ > 0) {
+      // Level 0 holds only the cursor's span, so a bucket past the cursor
+      // and inside the span holds the next records.
+      const std::int64_t span_end = ((cur_ >> kLevelBits) + 1) << kLevelBits;
       for (std::int64_t i = cur_ + 1; i < span_end; ++i) {
         Bucket& bucket = l0_[static_cast<std::size_t>(i & kBucketMask)];
         if (bucket.size != 0) {
@@ -327,27 +292,26 @@ void EventQueue::advance() {
         }
       }
     }
-    if (l0_count_ == 0 && l1_count_ == 0) {
-      if (overflow_head_ == overflow_.size()) {
-        cur_ = span_end - 1;
-        return;  // nothing stored anywhere; caller observes due_ unchanged
-      }
-      // Only far-future overflow remains: fast-forward the cursor so the
-      // next span entry brings the overflow head inside the level-1
-      // window, instead of walking every empty span up to it.
+    assert(l0_count_ == 0);
+    if (l1_count_ == 0) {
+      // Only far-future overflow remains (peek() calls this only while
+      // something is stored): fast-forward the cursor so the next span
+      // entry brings the overflow head inside the level-1 window, instead
+      // of walking every empty span up to it.
+      assert(overflow_head_ < overflow_.size());
       const std::int64_t oi1 = overflow_[overflow_head_].time.ns() >> kL1Shift;
       const std::int64_t jump_cur1 = oi1 - (kNumBuckets - 1);
       if (jump_cur1 > (cur_ >> kLevelBits) + 1) cur_ = (jump_cur1 << kLevelBits) - 1;
     }
     // Enter the next level-1 bucket: pull newly-in-horizon overflow
-    // events, then cascade the bucket's events down into level 0 / due.
+    // events, then cascade the bucket's events down into level 0.
     cur_ = ((cur_ >> kLevelBits) + 1) << kLevelBits;
     const std::int64_t cur1 = cur_ >> kLevelBits;
     while (overflow_head_ < overflow_.size() &&
            (overflow_[overflow_head_].time.ns() >> kL1Shift) - cur1 < kNumBuckets) {
-      // Migrated records land in level 1, never in drained time: the side
-      // run holds only records scheduled after the last drain.
-      assert((overflow_[overflow_head_].time.ns() >> kL0Shift) > cur_);
+      // Migrated records land in level 1, past this span: the previous
+      // entry took every nearer one.
+      assert((overflow_[overflow_head_].time.ns() >> kL1Shift) > cur1);
       place(overflow_[overflow_head_++]);
     }
     if (overflow_head_ == overflow_.size() && !overflow_.empty()) {
@@ -357,8 +321,9 @@ void EventQueue::advance() {
     Bucket& b1 = l1_[static_cast<std::size_t>(cur1 & kBucketMask)];
     if (b1.size != 0) {
       // Every record belongs to a level-0 bucket of this span, the span's
-      // first included: it is drained below with the records pushed there
-      // directly, which hold higher seqs, so the drain repairs the order.
+      // first included, and lands in it before any direct push: the
+      // buckets are empty, and place() has sent nothing of this span to
+      // level 0 yet.
       l1_count_ -= b1.size;
       l0_count_ += b1.size;
       take_all(b1, [this](const Event* ev, std::uint32_t n) {

@@ -41,22 +41,25 @@ namespace hermes::sim {
 /// Blocks of 8 keep drains sequential; the chunked arena never relocates
 /// a block, so a pool that grows costs no copies.
 ///
-///   level 0:  1024 buckets x 256ns   -> horizon ~262us
+///   level 0:  1024 buckets x 256ns   -> the cursor's ~262us span
 ///   level 1:  1024 buckets x ~262us  -> horizon ~268ms
 ///   overflow: sorted vector (time, seq) beyond ~268ms
 ///
+/// Level 0 holds only the cursor's level-1 span. A record for the next
+/// span waits in level 1, and at span entry the cascade fills that span's
+/// level-0 buckets before any direct push can reach them. Overflow
+/// migration and cascades keep push order, so within every instant a
+/// bucket's push order is seq order.
+///
 /// The due run: a drained level-0 bucket's records are written once
 /// into one vector, newest first, so the next event is the back record.
-/// The drain sorts with no comparison sort. A one-block bucket, or one
-/// already in (time, seq) order such as a one-instant burst, is copied
-/// reversed. Any other gets a stable counting sort on each record's
-/// nanosecond within the bucket, which visits only the nanoseconds a
-/// bitmap marks occupied (so its cost follows the record count) and
-/// scatters each record once. An instant's records then sit in reverse
-/// push order, which is newest first unless a level-1 cascade landed
-/// behind direct pushes. Then, and for a one-block bucket, an insertion
-/// pass restores exact (time, seq) order; past a budget of moves it
-/// hands the run to std::sort, so its cost stays bounded.
+/// The drain sorts with no comparison sort. A one-block bucket is copied
+/// reversed and insertion-sorted by time alone (at most 28 moves). Any
+/// other gets a stable counting sort on each record's nanosecond within
+/// the bucket, which visits only the nanoseconds a bitmap marks occupied
+/// (so its cost follows the record count) and scatters each record once.
+/// Either way an instant's records sit in reverse push order, which is
+/// newest first.
 ///
 /// The side run: a schedule into time the wheel has already drained
 /// never shifts the due run. It joins a small ring kept in (time, seq)
@@ -187,9 +190,6 @@ class EventQueue {
   /// the level-0 bucket.
   static constexpr std::uint32_t kSlots = 1u << kL0Shift;
   static constexpr std::uint32_t kSlotMask = kSlots - 1;
-  /// Insertion-pass record moves allowed per drained record before the
-  /// drain falls back to std::sort.
-  static constexpr std::uint32_t kMovesPerRecord = 4;
 
   struct Event {
     SimTime time;
@@ -211,7 +211,7 @@ class EventQueue {
     Event ev[kBlockEvents];
   };
   /// A wheel bucket: a chain of pool blocks; only the tail is partly full.
-  /// The bucket's records are (time, seq)-sorted when it drains.
+  /// Within each instant its push order is seq order.
   struct Bucket {
     ArenaHandle head;
     ArenaHandle tail;
@@ -224,19 +224,11 @@ class EventQueue {
     std::uint32_t gen = 0;
   };
   /// The total event order: nondecreasing time, FIFO (sequence) within a
-  /// time. seq values are unique, so this is a strict total order and
-  /// plain std::sort is deterministic.
+  /// time. seq values are unique, so this is a strict total order.
   struct Earlier {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time < b.time;
       return a.seq < b.seq;
-    }
-  };
-  /// The reverse order, for the newest-first due run.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
     }
   };
 
@@ -266,7 +258,7 @@ class EventQueue {
   void push_side(const Event& ev);
   void grow_side();
   /// Show the records of `b` to `f(block, records, count)`, a block's
-  /// run at a time in push order, until `f` returns false.
+  /// run at a time in push order.
   template <typename F>
   void walk(const Bucket& b, F&& f);
   /// Hand every record of `b` to `f`, a block's run at a time in push
@@ -275,8 +267,6 @@ class EventQueue {
   void take_all(Bucket& b, F&& f);
   void advance();
   void drain_to_due(Bucket& bucket);
-  /// Put a nearly newest-first run into exact newest-first order.
-  void restore_order(Event* run, std::uint32_t n);
   /// Ensure a run holds the globally next event; false if storage empty.
   bool peek();
   /// True when the side run's head fires before the due run's.

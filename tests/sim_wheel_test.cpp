@@ -4,10 +4,10 @@
 // semantics of run_until across empty spans, randomized stress tests
 // against sorted reference models (direct-form and closure events
 // interleaved, scheduling from outside and from inside callbacks, and a
-// lockstep due run hundreds deep cut by round horizons), a drain that
-// a level-1 cascade leaves out of seq order beside side-run ties, lazy
-// cancel of wheel records and of closures, and wheel storage that
-// follows live events.
+// lockstep due run hundreds deep cut by round horizons), a level-1
+// cascade that fills a bucket before any direct push, beside side-run
+// ties, lazy cancel of wheel records and of closures, and wheel storage
+// that follows live events.
 //
 // Wheel geometry (see event_queue.hpp): level-0 buckets are 256ns, the
 // level-0 horizon is ~262us, the level-1 horizon is ~268ms, and
@@ -166,17 +166,20 @@ TEST(TimeWheel, EmptyIsConstAndCountsCancellations) {
   EXPECT_EQ(q.stored_events(), 0u);
 }
 
-// A level-1 cascade lands behind direct pushes: A is posted first, ~300us
-// ahead, so it waits in level 1; B and C, posted at ~100us at A's
-// instant and one nanosecond before it, go straight to level 0 (M, due
-// at 100us, holds the cursor there: a run with nothing nearer would
-// walk ahead and drain A's bucket). The drain must fire C, A, B: exact
-// (time, seq) order, not time order alone. C's callback then posts D at
-// A's instant into the side run, and arms and stops on E, a zero-delay
-// timer at the side run's head. With E cancelled, next_event_time() must
-// skip it, and D must lose its tie with A and B, whose lower seqs sit in
-// the due run. Run once with the bucket in one pool block and once with
-// eight more records after A's instant, which take the counting sort.
+// A level-1 cascade fills a bucket before any direct push: A is posted
+// first, ~300us ahead in the next level-1 span, so it waits in level 1.
+// B and C, posted at ~100us at A's instant and one nanosecond before it,
+// are for A's span too, so they wait in level 1 behind A (M, due at
+// 100us, holds the cursor in the first span: a run with nothing nearer
+// would walk ahead and drain A's bucket). Were level 0 a sliding window,
+// B and C would go straight to it and the cascade would land A behind
+// them. The drain must fire C, A, B: exact (time, seq) order, not time
+// order alone. C's callback then posts D at A's instant into the side
+// run, and arms and stops on E, a zero-delay timer at the side run's
+// head. With E cancelled, next_event_time() must skip it, and D must
+// lose its tie with A and B, whose lower seqs sit in the due run. Run
+// once with the bucket in one pool block and once with eight more
+// records after A's instant, which take the counting sort.
 TEST(TimeWheel, CascadeDrainOrderAndSideRunTies) {
   for (const int extra : {0, 8}) {
     SCOPED_TRACE(extra);
