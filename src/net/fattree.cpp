@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,19 +27,26 @@ namespace hermes::net {
 /// barrier, inside its own shard.
 class FatTree::Portal final : public Device {
  public:
-  Portal(PacketArena& arena, sim::Simulator& sim, Outbox& box, sim::SimTime delay, Switch* dst_sw,
-         std::uint8_t dst_port)
-      : arena_{arena}, sim_{sim}, box_{box}, delay_{delay}, dst_sw_{dst_sw}, dst_port_{dst_port} {}
+  Portal(PacketArena& arena, sim::Simulator& sim, int src_shard, Outbox& box, sim::SimTime delay,
+         Switch* dst_sw, std::uint8_t dst_port)
+      : arena_{arena},
+        sim_{sim},
+        src_shard_{static_cast<std::uint32_t>(src_shard)},
+        box_{box},
+        delay_{delay},
+        dst_sw_{dst_sw},
+        dst_port_{dst_port} {}
 
   void receive(PacketHandle h, int /*in_port*/) override {
-    Packet p = std::move(arena_[h]);
+    box_.push_back(Mail{sim_.now() + delay_, src_shard_, static_cast<std::uint32_t>(box_.size()),
+                        dst_sw_, dst_port_, std::move(arena_[h])});
     arena_.free(h);
-    box_.push(sim_.now() + delay_, dst_sw_, dst_port_, std::move(p));
   }
 
  private:
   PacketArena& arena_;
   sim::Simulator& sim_;
+  std::uint32_t src_shard_;
   Outbox& box_;
   sim::SimTime delay_;
   Switch* dst_sw_;
@@ -146,7 +154,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
         } else {
           const int src = shard_of_pod(pod);
           portals_.push_back(std::make_unique<Portal>(
-              shard_arena(src), shard_sim(src), outbox(src, shard_of_core(c)), kLinkDelay,
+              shard_arena(src), shard_sim(src), src, outbox(src, shard_of_core(c)), kLinkDelay,
               &spine(c), static_cast<std::uint8_t>(pod)));
           up = ag->add_port(fab_portal_pc, portals_.back().get(), 0);
         }
@@ -168,7 +176,7 @@ FatTree::FatTree(std::vector<sim::Simulator*> shard_sims, FatTreeConfig config)
       } else {
         const int src = shard_of_core(c);
         portals_.push_back(std::make_unique<Portal>(
-            shard_arena(src), shard_sim(src), outbox(src, shard_of_pod(pod)), kLinkDelay,
+            shard_arena(src), shard_sim(src), src, outbox(src, shard_of_pod(pod)), kLinkDelay,
             ag, static_cast<std::uint8_t>(uplink_port(j))));
         down = core->add_port(fab_portal_pc, portals_.back().get(), 0);
       }
@@ -238,7 +246,7 @@ Route FatTree::route(int src_host, int dst_host, int path, int to_host) const {
 
 // The one barrier-time routine allowed to move state across shards. It
 // runs on the calling thread between rounds; everything goes through the
-// mailbox API (Outbox -> Inbox merge), and destination switches are only
+// mailbox API (Outbox -> Inbox), and destination switches are only
 // touched later, by the inbox delivery event running inside their own
 // shard.
 std::uint64_t FatTree::exchange_boundary() {
@@ -246,7 +254,7 @@ std::uint64_t FatTree::exchange_boundary() {
   std::uint64_t moved = 0;
   for (int d = 0; d < S; ++d) {
     Inbox& ib = inboxes_[d];
-    // Compact the delivered prefix before merging new mail.
+    // Compact the delivered prefix before taking new mail.
     if (ib.head > 0) {
       ib.pending.erase(ib.pending.begin(),
                        ib.pending.begin() + static_cast<std::ptrdiff_t>(ib.head));
@@ -256,31 +264,23 @@ std::uint64_t FatTree::exchange_boundary() {
     for (int s = 0; s < S; ++s) {
       if (s == d) continue;
       Outbox& ob = outbox(s, d);
-      const std::size_t n = ob.size();
-      if (n == 0) continue;
-      for (std::size_t i = 0; i < n; ++i) {
-        ib.pending.push_back(Mail{ob.deliver_at[i], static_cast<std::uint32_t>(s),
-                                  static_cast<std::uint32_t>(i), ob.dst_sw[i], ob.dst_port[i],
-                                  std::move(ob.pkts[i])});
-      }
-      moved += n;
+      moved += ob.size();
+      ib.pending.insert(ib.pending.end(), std::make_move_iterator(ob.begin()),
+                        std::make_move_iterator(ob.end()));
       ob.clear();
     }
     if (ib.pending.size() == old_size) continue;  // no fresh mail: timer stays armed
     // Total order (deliver_at, src_shard, seq): unique keys, so the sort
-    // and merge are deterministic. Mail staged in different rounds never
-    // ties (each round's mail lands strictly after the previous round's;
-    // DESIGN.md §12), so merging new mail behind the old is exact.
-    const auto earlier = [](const Mail& a, const Mail& b) {
+    // is deterministic. Each round's mail lands strictly after the
+    // previous round's (DESIGN.md §12.2), so the new mail sorts behind
+    // whatever is still pending and only it needs sorting.
+    const auto fresh = ib.pending.begin() + static_cast<std::ptrdiff_t>(old_size);
+    std::sort(fresh, ib.pending.end(), [](const Mail& a, const Mail& b) {
       if (a.deliver_at != b.deliver_at) return a.deliver_at < b.deliver_at;
       if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
       return a.seq < b.seq;
-    };
-    std::sort(ib.pending.begin() + static_cast<std::ptrdiff_t>(old_size), ib.pending.end(),
-              earlier);
-    std::inplace_merge(ib.pending.begin(),
-                       ib.pending.begin() + static_cast<std::ptrdiff_t>(old_size),
-                       ib.pending.end(), earlier);
+    });
+    assert(old_size == 0 || ib.pending[old_size - 1].deliver_at < fresh->deliver_at);
     arm_inbox(d);
   }
   boundary_packets_ += moved;

@@ -77,9 +77,9 @@ class FatTree final : public Fabric {
   [[nodiscard]] sim::SimTime lookahead() const { return kLinkDelay; }
 
   /// Barrier step for the sharded executor: move every outbox's packets
-  /// into the destination shards' pending inboxes (merged in
-  /// (deliver_at, src_shard, seq) order) and (re-)arm each inbox's
-  /// delivery timer. Single-threaded by contract — call only from the
+  /// into the destination shards' pending inboxes, behind the mail already
+  /// there and sorted by (deliver_at, src_shard, seq), and (re-)arm each
+  /// inbox's delivery timer. Single-threaded by contract — call only from the
   /// executor's barrier callback. Returns packets moved this call.
   std::uint64_t exchange_boundary();
   /// Total boundary packets moved across all barriers so far.
@@ -95,33 +95,8 @@ class FatTree final : public Fabric {
  private:
   class Portal;
 
-  /// One cross-shard mailbox direction (src shard -> dst shard), struct
-  /// of arrays: delivery metadata separate from payloads so the barrier
-  /// merge scans hot 16-byte records and only the delivered packets are
-  /// ever touched. Entry order is push order; an entry's index is its
-  /// sequence number within the (src, dst) pair.
-  struct Outbox {
-    std::vector<sim::SimTime> deliver_at;
-    std::vector<Switch*> dst_sw;
-    std::vector<std::uint8_t> dst_port;
-    std::vector<Packet> pkts;
-
-    void push(sim::SimTime at, Switch* sw, std::uint8_t port, Packet&& p) {
-      deliver_at.push_back(at);
-      dst_sw.push_back(sw);
-      dst_port.push_back(port);
-      pkts.push_back(std::move(p));
-    }
-    [[nodiscard]] std::size_t size() const { return deliver_at.size(); }
-    void clear() {
-      deliver_at.clear();
-      dst_sw.clear();
-      dst_port.clear();
-      pkts.clear();
-    }
-  };
-
-  /// A boundary packet staged for delivery inside its destination shard.
+  /// A boundary packet, stamped by the source shard's portal with its
+  /// arrival time, its source shard and its index in the outbox.
   struct Mail {
     sim::SimTime deliver_at;
     std::uint32_t src_shard;
@@ -131,9 +106,13 @@ class FatTree final : public Fabric {
     Packet pkt;
   };
 
-  /// Per-destination-shard pending mail, kept sorted by the total order
-  /// (deliver_at, src_shard, seq) — unique keys, so merges are stable
-  /// and delivery order is independent of thread count.
+  /// One cross-shard mailbox direction (src shard -> dst shard), in push
+  /// order.
+  using Outbox = std::vector<Mail>;
+
+  /// Per-destination-shard pending mail, sorted by the total order
+  /// (deliver_at, src_shard, seq): unique keys, so delivery order is
+  /// independent of thread count.
   struct Inbox {
     std::vector<Mail> pending;
     std::size_t head = 0;
