@@ -124,8 +124,7 @@ int main(int argc, char** argv) {
         std::map<std::uint64_t, std::int64_t> una0;
         std::map<std::uint64_t, std::int32_t> srcs;
         s.simulator().at(t2 - msec(10), [&] {
-          for (const std::uint64_t id : s.sorted_active_ids()) {
-            const transport::FlowSpec& spec = s.active_flows().at(id);
+          for (const auto& [id, spec] : s.active_flows()) {
             una0[id] = una_of(id, spec.src);
             srcs[id] = spec.src;
           }

@@ -3,9 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hermes/lb/hermes.hpp"
@@ -201,16 +201,13 @@ class Scenario {
   /// Run for a fixed simulated duration (microbenchmarks / traces).
   void run_for(sim::SimTime duration);
 
-  /// Flows of a shard currently in flight (visibility sampling, Table 2).
-  [[nodiscard]] const std::unordered_map<std::uint64_t, transport::FlowSpec>& active_flows(
+  /// Flows of a shard currently in flight, in ascending flow-id order, so
+  /// anything that feeds results or reports can iterate it directly.
+  [[nodiscard]] const std::map<std::uint64_t, transport::FlowSpec>& active_flows(
       int shard = 0) const {
     return shard_states_[static_cast<std::size_t>(shard)].live;
   }
   [[nodiscard]] std::uint64_t next_flow_id() { return next_flow_id_++; }
-
-  /// A shard's in-flight flow ids in ascending order — the deterministic
-  /// view of active_flows() for anything that feeds results or reports.
-  [[nodiscard]] std::vector<std::uint64_t> sorted_active_ids(int shard = 0) const;
 
   /// Executor facts from the last run() (multi-shard runs only).
   [[nodiscard]] const sim::ShardedExecutor::Stats& executor_stats() const { return exec_stats_; }
@@ -234,7 +231,7 @@ class Scenario {
     std::size_t pending = 0;  ///< scheduled, not yet completed
     std::vector<transport::FlowSpec> scheduled;
     std::vector<bool> started;
-    std::unordered_map<std::uint64_t, transport::FlowSpec> live;
+    std::map<std::uint64_t, transport::FlowSpec> live;
     stats::FctCollector collector;  ///< completed, then harvested at the cap
   };
 

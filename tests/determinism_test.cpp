@@ -123,13 +123,13 @@ TEST(Determinism, ObservabilityOnReproducesGoldenHash) {
          "instrumentation site is consuming RNG or mutating model state";
 }
 
-// Unfinished flows are emitted from Scenario::active_, an unordered_map.
-// Before sorted_active_ids() the emission inherited libstdc++'s hash
-// order, so the record stream (and any CSV diff, golden hash, or
-// downstream join on it) silently depended on the standard library.
-// This pins the fix: cap the run so most flows never finish, and the
-// unfinished tail must come out in ascending flow-id order with
-// byte-identical CSV on a re-run.
+// Unfinished flows are emitted from Scenario::active_flows(). When it was
+// an unordered_map, the emission once inherited libstdc++'s hash order,
+// so the record stream (and any CSV diff, golden hash, or downstream
+// join on it) silently depended on the standard library; it is an
+// ordered map now. This pins the order: cap the run so most flows never
+// finish, and the unfinished tail must come out in ascending flow-id
+// order with byte-identical CSV on a re-run.
 TEST(Determinism, UnfinishedFlowEmissionIsFlowIdOrdered) {
   const auto run_truncated = [] {
     harness::ScenarioConfig cfg;
