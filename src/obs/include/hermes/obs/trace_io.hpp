@@ -27,9 +27,8 @@ struct LoadedTrace {
   std::vector<std::string> names;  ///< index = id - 1, as written
   std::uint64_t overwritten = 0;   ///< records lost to ring wrap before dump
 
-  /// Ranges in ascending flow-id order (binary-searchable). Written at
-  /// dump time for schema >= 2 traces; rebuilt in memory when loading a
-  /// v1 trace, so callers never need to care which schema they read.
+  /// Ranges in ascending flow-id order (binary-searchable), built in
+  /// memory at load whatever the file's schema version.
   std::vector<FlowRange> flow_ranges;
   /// Record indices grouped by flow (see FlowRange).
   std::vector<std::uint32_t> flow_perm;
@@ -46,30 +45,23 @@ struct LoadedTrace {
   [[nodiscard]] std::vector<std::uint64_t> flow_ids() const;
 };
 
-/// Build the flow index for a record stream: `perm` becomes the record
-/// indices stably grouped by flow id (chronological within each flow),
-/// `ranges` the ascending per-flow slices. Shared by the trace writer
-/// (dump-time index) and the v1 reader (in-memory rebuild).
-void build_flow_index(const std::vector<TraceRecord>& records,
-                      std::vector<LoadedTrace::FlowRange>& ranges,
-                      std::vector<std::uint32_t>& perm);
-
 /// Dump the recorder's held records and string table to `path` in trace
-/// format schema v2 (little-endian, 64-byte records, flow-index footer).
-/// Returns false on I/O failure.
+/// format schema v1 (little-endian, 64-byte records). Returns false on
+/// I/O failure.
 bool write_trace(const std::string& path, const FlightRecorder& rec);
 
-/// Merge per-shard recorders into one schema-v2 trace: snapshots are
-/// concatenated, stably sorted by (time_ns, shard id), and written with a
-/// rebuilt flow index. All recorders must share one StringTable (the
-/// sharded harness constructs them that way); returns false otherwise,
-/// on an empty recorder list, or on I/O failure.
+/// Merge per-shard recorders into one schema-v1 trace: snapshots are
+/// concatenated and stably sorted by (time_ns, shard id). All recorders
+/// must share one StringTable (the sharded harness constructs them that
+/// way); returns false otherwise, on an empty recorder list, or on I/O
+/// failure.
 bool write_merged_trace(const std::string& path, const std::vector<const FlightRecorder*>& shards);
 
-/// Load a schema v1 or v2 trace file. Returns false (and leaves `out`
-/// empty) on I/O failure, bad magic, version/record-size mismatch, or a
-/// truncated/corrupt body — partial input never yields partial output;
-/// `err` (when non-null) receives a one-line reason.
+/// Load a trace file: schema v1, or v2 as older builds wrote it, whose
+/// flow-index footer after the records is ignored. Returns false (and
+/// leaves `out` empty) on I/O failure, bad magic, version/record-size
+/// mismatch, or a truncated/corrupt body — partial input never yields
+/// partial output; `err` (when non-null) receives a one-line reason.
 bool read_trace(const std::string& path, LoadedTrace& out, std::string* err = nullptr);
 
 }  // namespace hermes::obs

@@ -16,27 +16,23 @@ namespace hermes::obs {
 
 namespace {
 
-// Trace format schema v2:
+// Trace format schema v1:
 //   char[4]  magic "HTRC"
-//   u32      version (2)
+//   u32      version (1)
 //   u32      record_size (64)
 //   u32      name_count
 //   u64      record_count
 //   u64      overwritten
 //   name_count × { u32 len; char[len] }   (ids 1..name_count in order)
 //   record_count × TraceRecord            (raw little-endian structs)
-//   char[4]  index magic "HIDX"           (footer, v2 only)
-//   u32      flow_count
-//   flow_count × { u64 flow_id; u64 begin; u64 count }   (ascending flow_id)
-//   record_count × u32                    (flow-grouped record indices)
 //
-// v1 is the same file without the footer; the reader accepts both and
-// rebuilds the index in memory for v1, so `hermestrace --flow/--diff`
-// and any other per-flow query stay O(log n) regardless of schema.
+// Older builds wrote version 2: the same file with a flow-index footer
+// after the records. The reader accepts both and ignores whatever follows
+// the records; it builds the flow index in memory for every file, so
+// `hermestrace --flow/--diff` and any other per-flow query stay O(log n).
 constexpr char kMagic[4] = {'H', 'T', 'R', 'C'};
-constexpr char kIndexMagic[4] = {'H', 'I', 'D', 'X'};
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kOldestReadable = 1;
+constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kNewestReadable = 2;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -86,6 +82,11 @@ std::vector<std::uint64_t> LoadedTrace::flow_ids() const {
   return ids;
 }
 
+namespace {
+
+/// Build the flow index of a record stream: `perm` becomes the record
+/// indices stably grouped by flow id (chronological within each flow),
+/// `ranges` the ascending per-flow slices.
 void build_flow_index(const std::vector<TraceRecord>& records,
                       std::vector<LoadedTrace::FlowRange>& ranges,
                       std::vector<std::uint32_t>& perm) {
@@ -105,8 +106,6 @@ void build_flow_index(const std::vector<TraceRecord>& records,
     i = j;
   }
 }
-
-namespace {
 
 bool write_records(const std::string& path, const StringTable& names,
                    const std::vector<TraceRecord>& records, std::uint64_t overwritten) {
@@ -128,21 +127,6 @@ bool write_records(const std::string& path, const StringTable& names,
   }
   if (!records.empty() &&
       std::fwrite(records.data(), sizeof(TraceRecord), records.size(), fp) != records.size()) {
-    return false;
-  }
-
-  // Flow-index footer: built once at dump time so readers of multi-GB
-  // traces answer per-flow queries without a full scan.
-  std::vector<LoadedTrace::FlowRange> ranges;
-  std::vector<std::uint32_t> perm;
-  build_flow_index(records, ranges, perm);
-  if (std::fwrite(kIndexMagic, 1, 4, fp) != 4) return false;
-  if (!put_u32(fp, static_cast<std::uint32_t>(ranges.size()))) return false;
-  for (const LoadedTrace::FlowRange& r : ranges) {
-    if (!put_u64(fp, r.flow_id) || !put_u64(fp, r.begin) || !put_u64(fp, r.count)) return false;
-  }
-  if (!perm.empty() &&
-      std::fwrite(perm.data(), sizeof(std::uint32_t), perm.size(), fp) != perm.size()) {
     return false;
   }
   return std::fflush(fp) == 0;
@@ -201,7 +185,7 @@ bool read_trace(const std::string& path, LoadedTrace& out, std::string* err) {
       !get_u64(fp, record_count) || !get_u64(fp, out.overwritten)) {
     return fail(err, "truncated header");
   }
-  if (version < kOldestReadable || version > kVersion) {
+  if (version < kVersion || version > kNewestReadable) {
     return fail(err, "unsupported trace version");
   }
   if (record_size != sizeof(TraceRecord)) return fail(err, "record size mismatch");
@@ -232,52 +216,7 @@ bool read_trace(const std::string& path, LoadedTrace& out, std::string* err) {
     return fail(err, "truncated record section (short record tail)");
   }
 
-  if (version < 2) {
-    // v1 has no footer; rebuild the index so every caller sees one.
-    build_flow_index(out.records, out.flow_ranges, out.flow_perm);
-    return true;
-  }
-
-  char idx_magic[4];
-  if (std::fread(idx_magic, 1, 4, fp) != 4 || std::memcmp(idx_magic, kIndexMagic, 4) != 0) {
-    out = LoadedTrace{};
-    return fail(err, "missing flow-index footer");
-  }
-  std::uint32_t flow_count = 0;
-  if (!get_u32(fp, flow_count) || flow_count > record_count) {
-    out = LoadedTrace{};
-    return fail(err, "corrupt flow index");
-  }
-  out.flow_ranges.resize(flow_count);
-  std::uint64_t total = 0;
-  std::uint64_t prev_flow = 0;
-  for (std::uint32_t i = 0; i < flow_count; ++i) {
-    LoadedTrace::FlowRange& r = out.flow_ranges[i];
-    if (!get_u64(fp, r.flow_id) || !get_u64(fp, r.begin) || !get_u64(fp, r.count) ||
-        r.begin != total || r.count == 0 || r.count > record_count - total ||
-        (i != 0 && r.flow_id <= prev_flow)) {
-      out = LoadedTrace{};
-      return fail(err, "corrupt flow index");
-    }
-    prev_flow = r.flow_id;
-    total += r.count;
-  }
-  if (total != record_count) {
-    out = LoadedTrace{};
-    return fail(err, "corrupt flow index");
-  }
-  out.flow_perm.resize(record_count);
-  if (record_count != 0 && std::fread(out.flow_perm.data(), sizeof(std::uint32_t), record_count,
-                                      fp) != record_count) {
-    out = LoadedTrace{};
-    return fail(err, "truncated flow index");
-  }
-  for (const std::uint32_t idx : out.flow_perm) {
-    if (idx >= record_count) {
-      out = LoadedTrace{};
-      return fail(err, "corrupt flow index");
-    }
-  }
+  build_flow_index(out.records, out.flow_ranges, out.flow_perm);
   return true;
 }
 

@@ -241,7 +241,7 @@ TEST(FuzzRunner, ShardedRejectsGlobalStateSchemes) {
                std::invalid_argument);
 }
 
-// --- flow index (trace schema v2) ---------------------------------------
+// --- flow index (built at load) -----------------------------------------
 
 TEST(TraceIndex, PerFlowLookupIsChronologicalAndComplete) {
   obs::FlightRecorder rec{256};

@@ -2,9 +2,11 @@
 // string interning, the flight-recorder ring, trace dump/load round
 // trips, metrics snapshots, and the Hermes decision records a fig17
 // blackhole post-mortem is built from (see EXPERIMENTS.md).
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -123,6 +125,78 @@ TEST(TraceIo, DumpLoadRoundTrip) {
   EXPECT_EQ(last.flow_id, 1u);
   EXPECT_EQ(last.u.decision.from_path, 3);
   std::remove(path.c_str());
+}
+
+// Older builds, and the fuzz artifacts they dumped, wrote version 2: the
+// version-1 layout plus a flow-index footer after the records. Write one
+// by hand, footer included, and it must load with the same records, names
+// and per-flow index as the version-1 write of the same recorder.
+TEST(TraceIo, OlderV2FileWithFooterLoadsLikeV1) {
+  FlightRecorder rec{64};
+  const auto port = rec.intern("leaf0.up1");
+  const auto lb = rec.intern("hermes");
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    rec.append(obs::make_record(RecordKind::kPacket, i * 100, port, /*flow_id=*/(i * 7) % 5));
+  }
+  rec.append(obs::make_record(RecordKind::kDecision, 4'100, lb, /*flow_id=*/3));
+  const std::string v1_path = testing::TempDir() + "obs_v1.htrc";
+  ASSERT_TRUE(obs::write_trace(v1_path, rec));
+  std::uint32_t written_version = 0;
+  std::FILE* in = std::fopen(v1_path.c_str(), "rb");
+  ASSERT_NE(in, nullptr);
+  std::fseek(in, 4, SEEK_SET);
+  ASSERT_EQ(std::fread(&written_version, sizeof written_version, 1, in), 1u);
+  std::fclose(in);
+  EXPECT_EQ(written_version, 1u) << "the writer writes the layout every reader accepts";
+  obs::LoadedTrace v1;
+  std::string err;
+  ASSERT_TRUE(obs::read_trace(v1_path, v1, &err)) << err;
+  ASSERT_EQ(v1.flow_ranges.size(), 5u);
+
+  const std::string v2_path = testing::TempDir() + "obs_v2.htrc";
+  std::FILE* f = std::fopen(v2_path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const auto put = [f](const auto& v) { std::fwrite(&v, sizeof v, 1, f); };
+  std::fwrite("HTRC", 1, 4, f);
+  put(std::uint32_t{2});
+  put(static_cast<std::uint32_t>(sizeof(TraceRecord)));
+  put(std::uint32_t{2});
+  put(static_cast<std::uint64_t>(rec.size()));
+  put(rec.overwritten());
+  for (const char* name : {"leaf0.up1", "hermes"}) {
+    const std::string s{name};
+    put(static_cast<std::uint32_t>(s.size()));
+    std::fwrite(s.data(), 1, s.size(), f);
+  }
+  const std::vector<TraceRecord> records = rec.snapshot();
+  std::fwrite(records.data(), sizeof(TraceRecord), records.size(), f);
+  std::fwrite("HIDX", 1, 4, f);
+  put(static_cast<std::uint32_t>(v1.flow_ranges.size()));
+  for (const obs::LoadedTrace::FlowRange& r : v1.flow_ranges) {
+    put(r.flow_id);
+    put(r.begin);
+    put(r.count);
+  }
+  std::fwrite(v1.flow_perm.data(), sizeof(std::uint32_t), v1.flow_perm.size(), f);
+  std::fclose(f);
+
+  obs::LoadedTrace v2;
+  ASSERT_TRUE(obs::read_trace(v2_path, v2, &err)) << err;
+  ASSERT_EQ(v2.records.size(), v1.records.size());
+  for (std::size_t i = 0; i < v1.records.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&v2.records[i], &v1.records[i], sizeof(TraceRecord)), 0) << i;
+  }
+  EXPECT_EQ(v2.names, v1.names);
+  EXPECT_EQ(v2.overwritten, v1.overwritten);
+  EXPECT_EQ(v2.flow_perm, v1.flow_perm);
+  ASSERT_EQ(v2.flow_ids(), v1.flow_ids());
+  for (const std::uint64_t id : v1.flow_ids()) {
+    const auto a = v1.flow_records(id);
+    const auto b = v2.flow_records(id);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "flow " << id;
+  }
+  std::remove(v1_path.c_str());
+  std::remove(v2_path.c_str());
 }
 
 TEST(TraceIo, RejectsGarbageAndMissingFiles) {

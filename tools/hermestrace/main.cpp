@@ -1,7 +1,7 @@
 // hermestrace — offline analysis of Hermes flight-recorder traces.
 //
-// Loads a trace dumped by harness::Scenario::dump_trace() (schema v2, or
-// an older v1 file) and answers the questions trace-driven debugging
+// Loads a trace dumped by harness::Scenario::dump_trace() (schema v1, or
+// a v2 file from an older build) and answers the questions trace-driven debugging
 // needs (EXPERIMENTS.md):
 //
 //   hermestrace FILE --summary            what happened, at a glance
