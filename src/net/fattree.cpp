@@ -254,12 +254,10 @@ std::uint64_t FatTree::exchange_boundary() {
   std::uint64_t moved = 0;
   for (int d = 0; d < S; ++d) {
     Inbox& ib = inboxes_[d];
-    // Compact the delivered prefix before taking new mail.
-    if (ib.head > 0) {
-      ib.pending.erase(ib.pending.begin(),
-                       ib.pending.begin() + static_cast<std::ptrdiff_t>(ib.head));
-      ib.head = 0;
-    }
+    // A delivered prefix [0, head) waits for deliver_inbox to clear the
+    // whole inbox. A round's mail is stamped within one lookahead of its
+    // horizon, so the next round delivers all of it unless a run's end
+    // caps that round.
     const std::size_t old_size = ib.pending.size();
     for (int s = 0; s < S; ++s) {
       if (s == d) continue;

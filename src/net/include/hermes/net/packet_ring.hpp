@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "hermes/net/packet_arena.hpp"
-#include "hermes/sim/time.hpp"
 
 namespace hermes::net {
 
@@ -68,80 +67,6 @@ class PacketRing {
   std::vector<PacketHandle> handles_;
   std::vector<std::uint32_t> bytes_;
   std::size_t mask_ = static_cast<std::size_t>(-1);  ///< cap-1; all-ones when empty
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-};
-
-/// The wire ring: packets that finished serialization and are
-/// propagating toward the peer. Same SoA layout as PacketRing plus a
-/// parallel array of delivery deadlines, so one drain event can deliver
-/// every packet that is due (batched link delivery) while packets still
-/// in flight stay queued. Deadlines are nondecreasing in FIFO order
-/// (serialization finishes in order; propagation delay is constant).
-class WireRing {
- public:
-  [[nodiscard]] bool empty() const { return head_ == tail_; }
-  [[nodiscard]] std::size_t size() const { return tail_ - head_; }
-
-  void push(PacketHandle h, std::uint32_t bytes, sim::SimTime due) {
-    if (tail_ - head_ == handles_.size()) [[unlikely]] grow();
-    const std::size_t i = tail_ & mask_;
-    handles_[i] = h;
-    bytes_[i] = bytes;
-    due_[i] = due;
-    ++tail_;
-  }
-
-  [[nodiscard]] PacketHandle front_handle() const {
-    assert(!empty());
-    return handles_[head_ & mask_];
-  }
-  [[nodiscard]] std::uint32_t front_bytes() const {
-    assert(!empty());
-    return bytes_[head_ & mask_];
-  }
-  [[nodiscard]] sim::SimTime front_due() const {
-    assert(!empty());
-    return due_[head_ & mask_];
-  }
-  void pop() {
-    assert(!empty());
-    ++head_;
-  }
-
-  /// Sum of queued wire sizes (invariant accounting; off the hot path).
-  [[nodiscard]] std::uint64_t total_bytes() const {
-    std::uint64_t b = 0;
-    for (std::size_t i = head_; i != tail_; ++i) b += bytes_[i & mask_];
-    return b;
-  }
-
- private:
-  void grow() {
-    const std::size_t old_cap = handles_.size();
-    const std::size_t new_cap = old_cap == 0 ? kInitialCapacity : old_cap * 2;
-    std::vector<PacketHandle> nh(new_cap);
-    std::vector<std::uint32_t> nb(new_cap);
-    std::vector<sim::SimTime> nd(new_cap);
-    for (std::size_t i = 0; i < tail_ - head_; ++i) {
-      nh[i] = handles_[(head_ + i) & mask_];
-      nb[i] = bytes_[(head_ + i) & mask_];
-      nd[i] = due_[(head_ + i) & mask_];
-    }
-    tail_ -= head_;
-    head_ = 0;
-    handles_.swap(nh);
-    bytes_.swap(nb);
-    due_.swap(nd);
-    mask_ = new_cap - 1;
-  }
-
-  static constexpr std::size_t kInitialCapacity = 16;
-
-  std::vector<PacketHandle> handles_;
-  std::vector<std::uint32_t> bytes_;
-  std::vector<sim::SimTime> due_;
-  std::size_t mask_ = static_cast<std::size_t>(-1);
   std::size_t head_ = 0;
   std::size_t tail_ = 0;
 };

@@ -60,10 +60,12 @@ struct PortStats {
 /// enqueue when the backlog exceeds the threshold (DCTCP step marking).
 /// The port also maintains a DRE so CONGA can read per-link utilization.
 ///
-/// Queues are SoA rings of arena handles (PacketRing/WireRing): the port
-/// never copies a Packet, it moves 32-bit handles between index rings.
-/// Link delivery is batched — every wire entry carries its delivery
-/// deadline, and one drain event delivers every packet that is due.
+/// Queues are SoA rings of arena handles (PacketRing): the port never
+/// copies a Packet, it moves 32-bit handles between index rings. Each
+/// packet costs two events, as an ns-3 point-to-point link's does: a
+/// transmit-done event at the end of serialization, and a delivery event
+/// one propagation delay later that hands it to the peer. Both carry the
+/// packet's handle and size in their 64-bit argument.
 class Port {
  public:
   /// Per-packet observer hook. Fixed inline storage, no heap fallback:
@@ -117,9 +119,8 @@ class Port {
   void set_link_up(bool up) { link_up_ = up; }
   [[nodiscard]] bool link_up() const { return link_up_; }
 
-  /// Bytes transmitted but still propagating (invariant accounting).
-  [[nodiscard]] std::uint64_t wire_bytes() const { return wire_.total_bytes(); }
-  [[nodiscard]] std::size_t wire_packets() const { return wire_.size(); }
+  /// Bytes transmitted but not yet delivered (invariant accounting).
+  [[nodiscard]] std::uint64_t wire_bytes() const { return wire_bytes_; }
   /// True when admission goes through a shared BufferPool instead of the
   /// static per-port capacity (invariant checker picks the right bound).
   [[nodiscard]] bool pooled() const { return pool_ != nullptr; }
@@ -151,8 +152,8 @@ class Port {
 
  private:
   void try_transmit();
-  void finish_transmit();
-  void drain_wire();
+  void finish_transmit(std::uint64_t arg);
+  void deliver(std::uint64_t arg);
   [[nodiscard]] sim::SimTime tx_time_cached(std::uint32_t bytes);
   void record_packet(obs::PacketEvent ev, const Packet& p);
 
@@ -165,16 +166,10 @@ class Port {
 
   PacketRing hi_;
   PacketRing lo_;
-  WireRing wire_;  ///< transmitted, awaiting propagation delivery
   std::uint32_t backlog_bytes_ = 0;
+  std::uint64_t wire_bytes_ = 0;  ///< from transmit start to delivery
   bool busy_ = false;
   bool link_up_ = true;
-  /// Delivery deadline of the most recently scheduled drain event. When a
-  /// new wire entry lands on exactly this deadline the already-scheduled
-  /// drain will deliver it too (equal-time batch), so no second event is
-  /// needed. Deadlines are nondecreasing, so equality is the only
-  /// coalescible case.
-  sim::SimTime drain_scheduled_for_ = sim::nsec(-1);
 
   /// Two-entry memo of tx_time keyed by size: fabric traffic is almost
   /// entirely {MSS data, 64B ACK}, so this removes the per-packet double

@@ -7,6 +7,19 @@
 #include "hermes/obs/records.hpp"
 
 namespace hermes::net {
+namespace {
+
+/// A port event's argument: the packet's handle in the low half, its
+/// wire size in the high half.
+std::uint64_t wire_arg(PacketHandle h, std::uint32_t bytes) {
+  return std::uint64_t{bytes} << 32 | h.bits();
+}
+PacketHandle handle_of(std::uint64_t arg) {
+  const auto bits = static_cast<std::uint32_t>(arg);
+  return PacketHandle{bits >> PacketHandle::kGenBits, bits};
+}
+
+}  // namespace
 
 Port::Port(sim::Simulator& simulator, PacketArena& arena, std::string name, PortConfig config,
            Device* peer, int peer_in_port)
@@ -110,43 +123,25 @@ void Port::try_transmit() {
   stats_.tx_bytes += bytes;
   if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kTransmit, arena_[h]);
   const auto tx = tx_time_cached(bytes);
-  // The packet rides "the wire" until tx + propagation. Its delivery
-  // deadline is recorded with the wire entry; the serialization-done
-  // event below schedules the batched drain.
-  // hermeslint:reserve-audited(wire ring doubles geometrically; bounded by in-flight packets)
-  wire_.push(h, bytes, simulator_.now() + tx + config_.prop_delay);
-  simulator_.after<&Port::finish_transmit>(tx, this);
+  wire_bytes_ += bytes;
+  simulator_.after<&Port::finish_transmit>(tx, this, wire_arg(h, bytes));
 }
 
-// HERMES_HOT: serialization-done continuation (one per packet). Schedules
-// the wire drain for this packet's delivery deadline — unless a drain is
-// already scheduled for exactly that time, in which case the pending
-// drain will deliver this packet too (equal-deadline batch; deadlines
-// are nondecreasing, so equality is the only coalescible case).
-void Port::finish_transmit() {
+// HERMES_HOT: serialization-done continuation (one per packet). The
+// packet now propagates, and its delivery event fires one propagation
+// delay later. The delay is the port's own constant and equal-time
+// events fire in schedule order, so packets arrive in the order they
+// left.
+void Port::finish_transmit(std::uint64_t arg) {
   busy_ = false;
-  const sim::SimTime due = simulator_.now() + config_.prop_delay;
-  if (due != drain_scheduled_for_) {
-    drain_scheduled_for_ = due;
-    simulator_.after<&Port::drain_wire>(config_.prop_delay, this);
-  }
+  simulator_.after<&Port::deliver>(config_.prop_delay, this, arg);
   try_transmit();
 }
 
-// HERMES_HOT: propagation-done continuation — delivers every wire packet
-// whose deadline has arrived (usually one; more when serialization was
-// fast enough that several packets share a delivery time).
-void Port::drain_wire() {
-  const sim::SimTime now = simulator_.now();
-  while (!wire_.empty() && wire_.front_due() <= now) {
-    const PacketHandle h = wire_.front_handle();
-    wire_.pop();
-    peer_->receive(h, peer_in_port_);
-  }
-  // Every remaining entry's (strictly future) deadline has its own drain
-  // pending; once the wire empties, drop the coalescing watermark so a
-  // deadline landing exactly on a fired drain's time reschedules.
-  if (wire_.empty()) drain_scheduled_for_ = sim::nsec(-1);
+// HERMES_HOT: propagation-done continuation (one per packet).
+void Port::deliver(std::uint64_t arg) {
+  wire_bytes_ -= arg >> 32;
+  peer_->receive(handle_of(arg), peer_in_port_);
 }
 
 }  // namespace hermes::net

@@ -1,8 +1,8 @@
 // Tests for the zero-alloc packet pipeline building blocks: SlotArena
 // handle lifecycle (reuse, generation safety, address stability), the
-// SoA PacketRing/WireRing queues against a deque reference model, the
-// Route::push bounds guard, and equal-time FIFO delivery under the
-// port's batched wire drain.
+// SoA PacketRing queue against a deque reference model, the Route::push
+// bounds guard, and the port's per-packet wire delivery: equal-time
+// FIFO, and the wire byte count from transmit to delivery.
 
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -133,7 +133,7 @@ TEST(SlotArenaTest, SlotSequenceIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-// --- PacketRing / WireRing --------------------------------------------------
+// --- PacketRing -------------------------------------------------------------
 
 TEST(PacketRingTest, FifoOrderPreservedAcrossGrowth) {
   net::PacketRing ring;
@@ -171,22 +171,6 @@ TEST(PacketRingTest, MatchesDequeReferenceUnderChurn) {
   }
 }
 
-TEST(WireRingTest, TotalBytesTracksQueuedEntries) {
-  net::WireRing wire;
-  EXPECT_EQ(wire.total_bytes(), 0u);
-  wire.push(ArenaHandle{0, 0}, 1500, usec(1));
-  wire.push(ArenaHandle{1, 0}, 64, usec(2));
-  wire.push(ArenaHandle{2, 0}, 1500, usec(3));
-  EXPECT_EQ(wire.total_bytes(), 3064u);
-  EXPECT_EQ(wire.front_due(), usec(1));
-  wire.pop();
-  EXPECT_EQ(wire.total_bytes(), 1564u);
-  wire.pop();
-  wire.pop();
-  EXPECT_TRUE(wire.empty());
-  EXPECT_EQ(wire.total_bytes(), 0u);
-}
-
 // --- Route bounds guard -----------------------------------------------------
 
 TEST(RouteGuardTest, PushWithinCapacityWorks) {
@@ -205,7 +189,7 @@ TEST(RouteGuardDeathTest, PushPastCapacityAborts) {
   EXPECT_DEATH(r.push(99), "Route::push past");
 }
 
-// --- batched wire delivery --------------------------------------------------
+// --- wire delivery ----------------------------------------------------------
 
 class OrderSink : public net::Device {
  public:
@@ -226,8 +210,9 @@ class OrderSink : public net::Device {
 
 TEST(BatchedDeliveryTest, EqualTimeDeliveriesKeepFifoOrder) {
   // A link so fast that serialization rounds to zero: every packet sent
-  // at t0 becomes due at exactly t0 + prop_delay. The coalesced drain
-  // must deliver all of them in one firing, in send (FIFO) order.
+  // at t0 becomes due at exactly t0 + prop_delay. Each has its own
+  // delivery event, and equal-time events fire in schedule order, so
+  // they arrive in send (FIFO) order.
   sim::Simulator simulator{1};
   net::PacketArena arena;
   OrderSink sink{arena, simulator};
@@ -246,11 +231,13 @@ TEST(BatchedDeliveryTest, EqualTimeDeliveriesKeepFifoOrder) {
   EXPECT_EQ(sink.ids, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
   for (const auto t : sink.times) EXPECT_EQ(t, usec(2));
   EXPECT_EQ(arena.live(), 0u);  // every slot returned after delivery
+  // Five transmit-done events and five deliveries.
+  EXPECT_EQ(simulator.events().events_processed(), 10u);
 }
 
 TEST(BatchedDeliveryTest, DistinctDueTimesDeliverSeparately) {
   // Normal-rate link: dues strictly increase, so each packet arrives at
-  // its own serialization-spaced instant — batching must not lump them.
+  // its own serialization-spaced instant.
   sim::Simulator simulator{1};
   net::PacketArena arena;
   OrderSink sink{arena, simulator};
@@ -270,6 +257,35 @@ TEST(BatchedDeliveryTest, DistinctDueTimesDeliverSeparately) {
   EXPECT_EQ(sink.times[1], usec(26));
   EXPECT_EQ(sink.times[2], usec(38));
   EXPECT_EQ(arena.live(), 0u);
+}
+
+// wire_bytes() counts a packet from its transmit start to its delivery:
+// the bytes the invariant checker adds to the queued backlog. Packets
+// leave at 0, 12 and 24us and arrive 14us after each leaves.
+TEST(PortWireTest, WireBytesSpanTransmitToDelivery) {
+  struct WireSampler {
+    const net::Port& port;
+    std::vector<std::uint64_t> bytes{};
+    void sample() { bytes.push_back(port.wire_bytes()); }
+  };
+  sim::Simulator simulator{1};
+  net::PacketArena arena;
+  OrderSink sink{arena, simulator};
+  net::PortConfig c;
+  c.rate_bps = 1e9;  // 12us per 1500B
+  c.prop_delay = usec(2);
+  net::Port port{simulator, arena, "wire", c, &sink, 0};
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    net::Packet p;
+    p.id = i;
+    p.size = 1500;
+    port.send(std::move(p));
+  }
+  WireSampler wire{port};
+  for (const auto t : {usec(13), usec(15), usec(27)}) simulator.at<&WireSampler::sample>(t, &wire);
+  simulator.run();
+  EXPECT_EQ(wire.bytes, (std::vector<std::uint64_t>{3000, 1500, 1500}));
+  EXPECT_EQ(port.wire_bytes(), 0u);
 }
 
 TEST(BatchedDeliveryTest, DropFreesArenaSlot) {
