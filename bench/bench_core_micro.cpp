@@ -1,9 +1,8 @@
-// Microbenchmarks of the simulator substrate: event-queue throughput in
-// the direct form every src/ schedule uses and, for the cold path, with
-// the largest closure capture, cancellable-timer churn, the event queue's
-// retained memory under bursty probe ticks, its side run under lockstep
-// ports, the engine's decisions and probe-fed memory, DRE updates, route
-// construction, and the end-to-end packet pipeline rate.
+// Microbenchmarks of the simulator substrate: event-queue throughput,
+// cancellable-timer churn, the event queue's retained memory under
+// bursty probe ticks, its side run under lockstep ports, the engine's
+// decisions and probe-fed memory, DRE updates, route construction, and
+// the end-to-end packet pipeline rate.
 // These bound how much simulated traffic the experiment harness can push
 // per wall-clock second.
 //
@@ -108,29 +107,17 @@ void record(const char* bench, const char* name, double value) {
   metrics().push_back({bench, name, value});
 }
 
-/// The largest capture the closure path admits: kInlineCallbackBytes
-/// bounds a closure-form event's capture, and the closure bench fills it.
-struct HopPayload {
-  std::uint64_t words[(sim::EventQueue::kInlineCallbackBytes - sizeof(void*)) /
-                      sizeof(std::uint64_t)] = {};
-};
-static_assert(sizeof(HopPayload) + sizeof(void*) <= sim::EventQueue::kInlineCallbackBytes);
-
 std::uint64_t g_sink = 0;
 
-/// A direct-form event target: the record carries the object and one
-/// 64-bit argument, as a port's or a TCP sender's events do.
+/// An event target: the record carries the object and one 64-bit
+/// argument, as a port's or a TCP sender's events do.
 struct Sink {
   void hit(std::uint64_t v) { g_sink += v; }
 };
 
 /// Event-queue throughput: schedule `n` events at pseudo-random times in
 /// a ~2ms window (spanning level-0 buckets) and drain. This is the
-/// simulator's innermost loop. `event_queue_hot` schedules in the direct
-/// form every src/ schedule uses; `event_queue_closure` schedules a
-/// closure with a HopPayload capture, the cold path that tests, benches
-/// and examples take, so its cost and memory stay on record.
-template <bool kClosure>
+/// simulator's innermost loop.
 void bench_event_queue(const char* name, int reps, int n) {
   sim::EventQueue q;
   Sink sink;
@@ -150,13 +137,7 @@ void bench_event_queue(const char* name, int reps, int n) {
     for (int i = 0; i < n; ++i) {
       lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
       const sim::SimTime t = base + sim::nsec(static_cast<std::int64_t>(lcg % 2'000'000));
-      if constexpr (kClosure) {
-        HopPayload payload;
-        payload.words[0] = lcg;
-        q.post_at(t, [payload] { g_sink += payload.words[0]; });
-      } else {
-        q.post_at<&Sink::hit>(t, &sink, lcg);
-      }
+      q.post_at<&Sink::hit>(t, &sink, lcg);
     }
     if (rep == 0) {
       heap_per_event = static_cast<double>(heap_in_use_bytes() - heap0) / n;
@@ -669,8 +650,7 @@ int main(int argc, char** argv) {
 #endif
   // Iteration counts: sized for stable numbers in a Release build
   // (~10s total); --smoke only proves the paths run.
-  bench_event_queue<false>("event_queue_hot", smoke ? 1 : 40, smoke ? 2000 : 100'000);
-  bench_event_queue<true>("event_queue_closure", smoke ? 1 : 40, smoke ? 2000 : 100'000);
+  bench_event_queue("event_queue_hot", smoke ? 1 : 40, smoke ? 2000 : 100'000);
   bench_timer_churn(smoke ? 1 : 40, smoke ? 2000 : 100'000);
   // Same size in --smoke: the retained-bytes figure is gated from the
   // smoke JSON too, and it depends on the burst shape, not on timing.

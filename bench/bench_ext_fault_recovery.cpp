@@ -25,13 +25,84 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "hermes/faults/fault_plan.hpp"
 
+namespace {
+
+using namespace hermes;
+
+struct Row {
+  double base_mean = 0, fault_mean = 0;
+  std::size_t stalled_t2 = 0, unfinished = 0;
+  double detect_ms = -1, unlatch_ms = -1;
+  std::uint64_t bh_drops = 0;
+  bool inv_ok = false;
+  std::uint64_t checks = 0;
+};
+
+/// Stalled flows at outage end: snapshot() records ACK progress 10ms
+/// before t2, and count() counts the flows that made none by t2.
+struct StallCount {
+  harness::Scenario& s;
+  Row& row;
+  // Ordered maps: the t2 sweep below iterates them, and the stall
+  // count must not depend on hash order if it ever turns into a
+  // per-flow report.
+  std::map<std::uint64_t, std::int64_t> una0{};
+  std::map<std::uint64_t, std::int32_t> srcs{};
+
+  std::int64_t una_of(std::uint64_t id, std::int32_t src) {
+    if (transport::TcpSender* snd = s.stack(src).sender(id))
+      return static_cast<std::int64_t>(snd->snd_una());
+    return -1;
+  }
+  void snapshot() {
+    for (const auto& [id, spec] : s.active_flows()) {
+      una0[id] = una_of(id, spec.src);
+      srcs[id] = spec.src;
+    }
+  }
+  void count() {
+    for (const auto& [id, prev] : una0) {
+      if (prev < 0) continue;
+      const auto it = s.active_flows().find(id);
+      if (it == s.active_flows().end()) continue;  // finished: not stalled
+      if (una_of(id, srcs[id]) == prev) ++row.stalled_t2;
+    }
+  }
+};
+
+/// Hermes latch introspection, polled for onset detection and for
+/// release after recovery: is the affected pairs' blackholed path
+/// latched?
+struct LatchPoll {
+  harness::Scenario& s;
+  Row& row;
+  const std::vector<std::pair<std::int32_t, std::int32_t>>& pairs;
+  sim::SimTime t1, t2;
+  int failed_local = -1;  ///< the blackholed path's index for the pair
+
+  bool any_latched() {
+    for (const auto& [src, dst] : pairs)
+      if (s.hermes()->blackholed(src, dst, failed_local)) return true;
+    return false;
+  }
+  void poll() {
+    const sim::SimTime at = s.simulator().now();
+    const bool latched = any_latched();
+    if (row.detect_ms < 0 && latched) row.detect_ms = (at - t1).to_usec() / 1000.0;
+    if (at >= t2 && row.detect_ms >= 0 && row.unlatch_ms < 0 && !latched)
+      row.unlatch_ms = (at - t2).to_usec() / 1000.0;
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace hermes;
   using harness::Scheme;
   using sim::msec;
   const double scale = bench::parse_scale(argc, argv);
@@ -51,14 +122,6 @@ int main(int argc, char** argv) {
   const Scheme schemes[] = {Scheme::kHermes, Scheme::kEcmp, Scheme::kConga};
   const int bg_flows = bench::scaled(300, scale);
 
-  struct Row {
-    double base_mean = 0, fault_mean = 0;
-    std::size_t stalled_t2 = 0, unfinished = 0;
-    double detect_ms = -1, unlatch_ms = -1;
-    std::uint64_t bh_drops = 0;
-    bool inv_ok = false;
-    std::uint64_t checks = 0;
-  };
   std::vector<Row> rows;
   bool all_invariants_ok = true;
 
@@ -103,56 +166,21 @@ int main(int argc, char** argv) {
       s.add_flows(workload::generate_poisson_traffic(
           s.topology(), workload::SizeDist::web_search(), tc));
 
+      // The probes outlive the run: their events fire inside s.run().
+      StallCount stalls{s, row};
+      LatchPoll latch{s, row, pairs, t1, t2};
       if (faulted) {
         // The blackholed path's index for the affected leaf pair.
-        int failed_local = -1;
         const auto paths = s.topology().paths_between_leaves(src_leaf, dst_leaf);
         for (std::size_t i = 0; i < paths.size(); ++i) {
-          if (paths[i].spine == failed_spine) failed_local = static_cast<int>(i);
+          if (paths[i].spine == failed_spine) latch.failed_local = static_cast<int>(i);
         }
-
-        // Stalled flows at outage end: snapshot ACK progress 10ms before
-        // t2 and count flows that made none by t2.
-        auto una_of = [&s](std::uint64_t id, std::int32_t src) -> std::int64_t {
-          if (transport::TcpSender* snd = s.stack(src).sender(id))
-            return static_cast<std::int64_t>(snd->snd_una());
-          return -1;
-        };
-        // Ordered maps: the t2 sweep below iterates them, and the stall
-        // count must not depend on hash order if it ever turns into a
-        // per-flow report.
-        std::map<std::uint64_t, std::int64_t> una0;
-        std::map<std::uint64_t, std::int32_t> srcs;
-        s.simulator().at(t2 - msec(10), [&] {
-          for (const auto& [id, spec] : s.active_flows()) {
-            una0[id] = una_of(id, spec.src);
-            srcs[id] = spec.src;
-          }
-        });
-        s.simulator().at(t2, [&] {
-          for (const auto& [id, prev] : una0) {
-            if (prev < 0) continue;
-            const auto it = s.active_flows().find(id);
-            if (it == s.active_flows().end()) continue;  // finished: not stalled
-            if (una_of(id, srcs[id]) == prev) ++row.stalled_t2;
-          }
-        });
-
-        // Hermes latch introspection: poll every 500us for onset
-        // detection and for release after recovery.
-        if (s.hermes() && failed_local >= 0) {
-          auto any_latched = [&, failed_local] {
-            for (const auto& [src, dst] : pairs)
-              if (s.hermes()->blackholed(src, dst, failed_local)) return true;
-            return false;
-          };
+        s.simulator().at<&StallCount::snapshot>(t2 - msec(10), &stalls);
+        s.simulator().at<&StallCount::count>(t2, &stalls);
+        // Poll every 500us.
+        if (s.hermes() && latch.failed_local >= 0) {
           for (sim::SimTime at = t1; at < sim::sec(1); at += sim::usec(500)) {
-            s.simulator().at(at, [&, at] {
-              const bool latched = any_latched();
-              if (row.detect_ms < 0 && latched) row.detect_ms = (at - t1).to_usec() / 1000.0;
-              if (at >= t2 && row.detect_ms >= 0 && row.unlatch_ms < 0 && !latched)
-                row.unlatch_ms = (at - t2).to_usec() / 1000.0;
-            });
+            s.simulator().at<&LatchPoll::poll>(at, &latch);
           }
         }
       }

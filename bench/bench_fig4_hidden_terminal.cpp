@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -22,8 +21,42 @@
 #include "hermes/harness/trace.hpp"
 #include "hermes/transport/flow.hpp"
 
+namespace {
+
+using namespace hermes;
+
+constexpr int kBursts = 20;
+constexpr std::uint64_t kBurstBytes = 12'500'000;  // ~10ms at 10G
+constexpr sim::SimTime kPause = sim::msec(3);
+
+int spine_of(harness::Scenario& s, int src, int dst, int path) {
+  return s.topology().paths_between_hosts(src, dst)[static_cast<std::size_t>(path)].spine;
+}
+
+/// Flow A: a serialized burst train L0 (host 0) -> L2 (host 5); the next
+/// burst starts 3ms after the previous one completes.
+struct BurstTrain {
+  harness::Scenario& s;
+  std::vector<int> spines{};  ///< the spine each burst was placed on
+  int done = 0;
+
+  void start() {
+    transport::FlowSpec spec;
+    spec.id = 100 + static_cast<std::uint64_t>(done);
+    spec.src = 0;
+    spec.dst = 5;
+    spec.size = kBurstBytes;
+    spec.start = s.simulator().now();
+    auto& sender = s.stack(0).start_flow(spec, [this](const transport::FlowRecord&) {
+      if (++done < kBursts) s.simulator().after<&BurstTrain::start>(kPause, this);
+    });
+    spines.push_back(spine_of(s, 0, 5, sender.ctx().current_path));
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace hermes;
   using harness::Scheme;
   (void)bench::parse_scale(argc, argv);
 
@@ -31,10 +64,6 @@ int main(int argc, char** argv) {
       "Figure 4 (Example 4): hidden terminal — flapping from stale information",
       "CONGA flips flow A's spine on (nearly) every burst with stale metrics; "
       "queue spikes whenever A lands on B's spine");
-
-  constexpr int kBursts = 20;
-  constexpr std::uint64_t kBurstBytes = 12'500'000;  // ~10ms at 10G
-  const auto kPause = sim::msec(3);
 
   stats::Table t({"scheme", "A spine flips (of 19)", "bursts on B's spine",
                   "B-spine queue max", "B-spine queue mean"});
@@ -50,38 +79,20 @@ int main(int argc, char** argv) {
     // Flow B: long-running, from L1 (host 2) to L2 (host 4).
     const auto b_id = s.add_flow(2, 4, 2'000'000'000, sim::usec(0));
     s.run_for(sim::msec(1));
-    const auto spine_of = [&s](int src, int dst, int path) {
-      return s.topology().paths_between_hosts(src, dst)[static_cast<std::size_t>(path)].spine;
-    };
-    const int b_spine = spine_of(2, 4, s.stack(2).sender(b_id)->ctx().current_path);
+    const int b_spine = spine_of(s, 2, 4, s.stack(2).sender(b_id)->ctx().current_path);
 
     harness::QueueTrace trace{s.simulator(), s.topology().spine_downlink(b_spine, 2),
                               sim::usec(50)};
     trace.start(sim::msec(400));
 
-    // Flow A: a serialized burst train L0 (host 0) -> L2 (host 5); the
-    // next burst starts 3ms after the previous one completes.
-    std::vector<int> burst_spines;
-    int bursts_done = 0;
-    std::function<void()> start_burst = [&] {
-      transport::FlowSpec spec;
-      spec.id = 100 + static_cast<std::uint64_t>(bursts_done);
-      spec.src = 0;
-      spec.dst = 5;
-      spec.size = kBurstBytes;
-      spec.start = s.simulator().now();
-      auto& sender = s.stack(0).start_flow(spec, [&](const transport::FlowRecord&) {
-        if (++bursts_done < kBursts) s.simulator().after(kPause, [&] { start_burst(); });
-      });
-      burst_spines.push_back(spine_of(0, 5, sender.ctx().current_path));
-    };
-    start_burst();
+    BurstTrain train{s};
+    train.start();
     s.run_for(sim::msec(800));
 
     int flips = 0, on_b_spine = 0;
-    for (std::size_t i = 0; i < burst_spines.size(); ++i) {
-      if (burst_spines[i] == b_spine) ++on_b_spine;
-      if (i > 0 && burst_spines[i] != burst_spines[i - 1]) ++flips;
+    for (std::size_t i = 0; i < train.spines.size(); ++i) {
+      if (train.spines[i] == b_spine) ++on_b_spine;
+      if (i > 0 && train.spines[i] != train.spines[i - 1]) ++flips;
     }
     t.add_row({harness::to_string(scheme), std::to_string(flips), std::to_string(on_b_spine),
                stats::Table::num(trace.max_backlog() / 1e3, 1) + " KB",

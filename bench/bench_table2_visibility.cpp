@@ -10,6 +10,29 @@
 
 #include "bench_util.hpp"
 
+namespace {
+
+/// Flows per pair per path, summed over samples of the active flows.
+struct Visibility {
+  hermes::harness::Scenario& s;
+  int leaves;
+  int hosts;  ///< per leaf
+  int paths;  ///< per leaf pair
+  double switch_vis = 0, host_vis = 0;
+  int samples = 0;
+
+  void sample() {
+    double active = static_cast<double>(s.active_flows().size());
+    // Every active flow sits between exactly one ordered leaf pair
+    // and one host pair; visibility = flows per pair per path.
+    switch_vis += active / (leaves * (leaves - 1)) / paths;
+    host_vis += active / (static_cast<double>(leaves * hosts) * (leaves - 1) * hosts) / paths;
+    ++samples;
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace hermes;
   const double scale = bench::parse_scale(argc, argv);
@@ -42,28 +65,17 @@ int main(int argc, char** argv) {
     const auto specs = workload::generate_poisson_traffic(s.topology(), cell.dist, tc);
     s.add_flows(specs);
 
-    const int L = cfg.topo.num_leaves;
-    const int H = cfg.topo.hosts_per_leaf;
-    const int n_paths = cfg.topo.num_spines;
-    double switch_vis = 0, host_vis = 0;
-    int samples = 0;
+    Visibility vis{s, cfg.topo.num_leaves, cfg.topo.hosts_per_leaf, cfg.topo.num_spines};
     // Sample only while the arrival process is live (the paper measures
     // a continuously offered load); afterwards the fabric just drains.
     const auto span = specs.back().start;
     for (int i = 1; i <= 200; ++i) {
-      s.simulator().at(span / 5 + (span * 4 / 5) * i / 200, [&] {
-        double active = static_cast<double>(s.active_flows().size());
-        // Every active flow sits between exactly one ordered leaf pair
-        // and one host pair; visibility = flows per pair per path.
-        switch_vis += active / (L * (L - 1)) / n_paths;
-        host_vis += active / (static_cast<double>(L * H) * (L - 1) * H) / n_paths;
-        ++samples;
-      });
+      s.simulator().at<&Visibility::sample>(span / 5 + (span * 4 / 5) * i / 200, &vis);
     }
     auto fct = s.run();
     (void)fct;
-    switch_vis /= samples;
-    host_vis /= samples;
+    const double switch_vis = vis.switch_vis / vis.samples;
+    const double host_vis = vis.host_vis / vis.samples;
     t.add_row({cell.workload, stats::Table::num(cell.load, 1),
                stats::Table::num(switch_vis, 3), stats::Table::num(host_vis, 4),
                stats::Table::num(host_vis > 0 ? switch_vis / host_vis : 0, 0)});

@@ -12,6 +12,7 @@
 // counters, and the FCT consequences.
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 
 #include "hermes/engine/path_state.hpp"
@@ -20,8 +21,28 @@
 #include "hermes/harness/scenario.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
+namespace {
+
+using namespace hermes;
+
+/// Prints what Hermes believes about the rack0 -> rack7 paths at `ms`.
+struct PathReport {
+  harness::Scenario& s;
+  void print(std::uint64_t ms) {
+    std::printf("t=%3dms  [%d fault(s) active]  rack0->rack7 path types:", static_cast<int>(ms),
+                s.fault_scheduler()->active_faults());
+    const auto& paths = s.topology().paths_between_leaves(0, 7);
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      std::printf(" s%d:%s", paths[i].spine,
+                  to_string(s.hermes()->path_type(0, 7, static_cast<int>(i))));
+    }
+    std::printf("\n");
+  }
+};
+
+}  // namespace
+
 int main() {
-  using namespace hermes;
   using sim::msec;
 
   harness::ScenarioConfig cfg;
@@ -56,17 +77,9 @@ int main() {
 
   // Periodically report what Hermes believes about rack0 -> rack7 paths:
   // detection while the faults are live, release after they heal.
+  PathReport report{s};
   for (int ms : {5, 20, 80, 200, 300, 450}) {
-    s.simulator().at(msec(ms), [&s, ms] {
-      std::printf("t=%3dms  [%d fault(s) active]  rack0->rack7 path types:", ms,
-                  s.fault_scheduler()->active_faults());
-      const auto& paths = s.topology().paths_between_leaves(0, 7);
-      for (std::size_t i = 0; i < paths.size(); ++i) {
-        std::printf(" s%d:%s", paths[i].spine,
-                    to_string(s.hermes()->path_type(0, 7, static_cast<int>(i))));
-      }
-      std::printf("\n");
-    });
+    s.simulator().at<&PathReport::print>(msec(ms), &report, static_cast<std::uint64_t>(ms));
   }
 
   auto fct = s.run();

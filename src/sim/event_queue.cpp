@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace hermes::sim {
@@ -166,35 +165,6 @@ EventQueue::Handle EventQueue::schedule(SimTime t, Fn fn, void* obj, std::uint64
   ++live_;
   place(Event{t < now_ ? now_ : t, next_seq_++, fn, obj, arg, slot, gen});
   return Handle{this, slot, gen};
-}
-
-void EventQueue::post_at(SimTime t, Callback cb) { post(t, &fire_closure, this, stash(std::move(cb))); }
-
-EventQueue::Handle EventQueue::schedule_at(SimTime t, Callback cb) {
-  return schedule(t, &fire_closure, this, stash(std::move(cb)));
-}
-
-std::uint64_t EventQueue::stash(Callback&& cb) {
-  const ArenaHandle h = closures_.alloc(std::move(cb));
-  return std::uint64_t{h.slot()} << 32 | h.gen();
-}
-
-ArenaHandle EventQueue::closure_of(std::uint64_t arg) {
-  return ArenaHandle{static_cast<std::uint32_t>(arg >> 32), static_cast<std::uint32_t>(arg)};
-}
-
-void EventQueue::drop_closure(std::uint64_t arg) {
-  closures_[closure_of(arg)].reset();
-  closures_.free(closure_of(arg));
-}
-
-void EventQueue::fire_closure(void* queue, std::uint64_t arg) {
-  auto& q = *static_cast<EventQueue*>(queue);
-  // Called in place: the arena never relocates a slot, and this one is
-  // released only after the closure returns, so closures it schedules
-  // cannot reuse it.
-  q.closures_[closure_of(arg)]();
-  q.drop_closure(arg);
 }
 
 // HERMES_HOT: a flow's completion cancels its RTO timer; a fat-tree
@@ -368,10 +338,7 @@ void EventQueue::dispatch(SimTime last) {
     // Copied out before it runs: the callback may insert into the side run.
     const Event ev = head(side);
     pop(side);
-    if (ev.slot != kNoSlot && !consume_slot(ev)) {  // cancelled: reclaim silently
-      if (ev.fn == &fire_closure) drop_closure(ev.arg);
-      continue;
-    }
+    if (ev.slot != kNoSlot && !consume_slot(ev)) continue;  // cancelled: reclaim silently
     assert(live_ > 0);
     --live_;
     now_ = ev.time;
@@ -397,7 +364,6 @@ SimTime EventQueue::next_event_time() {
     const bool side = side_first();
     const Event& ev = head(side);
     if (ev.slot == kNoSlot || slots_[ev.slot].gen == ev.gen) return ev.time;
-    if (ev.fn == &fire_closure) drop_closure(ev.arg);
     pop(side);
   }
   return SimTime::max();

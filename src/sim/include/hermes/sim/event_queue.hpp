@@ -4,10 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "hermes/sim/inline_function.hpp"
 #include "hermes/sim/slot_arena.hpp"
 #include "hermes/sim/time.hpp"
 
@@ -17,19 +15,16 @@ namespace hermes::sim {
 /// equal-time events fire in the order they were scheduled (stable FIFO),
 /// which keeps packet pipelines deterministic.
 ///
-/// post_at/post_in are fire-and-forget (the packet hot path);
-/// schedule_at/schedule_in return a cancellable Handle (timers). The
-/// direct form, `post_at<&T::f>(t, obj, arg)` or `schedule_at<&T::f>`,
-/// stores a plain 48-byte record whose `fn` is a trampoline calling
-/// `obj->f()` or `obj->f(arg)`; every schedule in src/ uses it. The
-/// closure form, for tests, benches, examples and tools, parks a Callback
-/// in a pooled side arena and stores a record whose `arg` names its slot.
-/// Both share one order, one dispatch loop and one queue.
+/// post_at is fire-and-forget (the packet hot path); schedule_at returns
+/// a cancellable Handle (timers). Both take one form,
+/// `post_at<&T::f>(t, obj, arg)`, and store a plain 48-byte record whose
+/// `fn` is a trampoline calling `obj->f()` or `obj->f(arg)`, so `fn` is
+/// also the event's kind.
 ///
 /// Implementation: a two-level bucketed time wheel (calendar queue)
 /// keyed on SimTime, with a sorted overflow list for the far future.
 /// Steady state is allocation-free: records are trivially copyable (every
-/// move is a memcpy, nothing is destroyed), and closures and
+/// move is a memcpy, nothing is destroyed), and
 /// cancellable-timer slots come from pooled free-lists with generation
 /// counters instead of shared_ptr state. Wheel buckets own no storage of
 /// their own: each is a chain of fixed 8-record blocks drawn from one
@@ -77,7 +72,7 @@ namespace hermes::sim {
 ///
 /// Cancel is lazy: it bumps the timer slot's generation, and the record
 /// stays wherever it is stored until dispatch (or next_event_time())
-/// reaches it and skips it, releasing a closure's slot then.
+/// reaches it and skips it.
 ///
 /// The total order is always (time, seq): the drain and the side run
 /// each keep it, so the wheel is observably identical to a binary heap
@@ -85,10 +80,6 @@ namespace hermes::sim {
 /// byte-equal.
 class EventQueue {
  public:
-  /// Inline storage for closure-form callbacks (the cold path). A
-  /// closure larger than this fails to compile (see InlineFunction).
-  static constexpr std::size_t kInlineCallbackBytes = 64;
-  using Callback = InlineFunction<kInlineCallbackBytes>;
   /// What an event record calls: a plain function of the object and the
   /// 64-bit argument it was scheduled with.
   using Fn = void (*)(void* obj, std::uint64_t arg);
@@ -121,22 +112,18 @@ class EventQueue {
     std::uint32_t gen_ = 0;
   };
 
-  /// Fire-and-forget scheduling (fast path, no cancellation). The
-  /// direct form calls `obj->*Method`, with `arg` when it takes one.
+  /// Fire-and-forget scheduling (fast path, no cancellation): at `t`,
+  /// call `obj->*Method`, with `arg` when it takes one.
   template <auto Method, typename T>
   void post_at(SimTime t, T* obj, std::uint64_t arg = 0) {
     post(t, &call<Method, T>, obj, arg);
   }
-  void post_at(SimTime t, Callback cb);
-  void post_in(SimTime delay, Callback cb) { post_at(now_ + delay, std::move(cb)); }
 
   /// Cancellable scheduling (timers).
   template <auto Method, typename T>
   Handle schedule_at(SimTime t, T* obj, std::uint64_t arg = 0) {
     return schedule(t, &call<Method, T>, obj, arg);
   }
-  Handle schedule_at(SimTime t, Callback cb);
-  Handle schedule_in(SimTime delay, Callback cb) { return schedule_at(now_ + delay, std::move(cb)); }
 
   [[nodiscard]] SimTime now() const { return now_; }
   /// True when no runnable (non-cancelled) events remain. Const: a
@@ -152,9 +139,6 @@ class EventQueue {
   /// list's. A diagnostics/test observer; it tracks the peak of
   /// stored_events().
   [[nodiscard]] std::size_t reserved_events() const;
-  /// Closure slots the queue has ever reserved: 0 while every event took
-  /// the direct form. A diagnostics/test observer.
-  [[nodiscard]] std::size_t reserved_closures() const { return closures_.capacity(); }
 
   /// Run all events with time <= t, then advance the clock to t.
   void run_until(SimTime t);
@@ -232,7 +216,7 @@ class EventQueue {
     }
   };
 
-  /// The trampoline of a direct-form event.
+  /// The trampoline of an event.
   template <auto Method, typename T>
   static void call(void* obj, std::uint64_t arg) {
     T& self = *static_cast<T*>(obj);
@@ -242,14 +226,6 @@ class EventQueue {
       (self.*Method)(arg);
     }
   }
-  /// The trampoline of every closure-form event: `obj` is the queue and
-  /// `arg` the closure's slot, released once the closure returns.
-  static void fire_closure(void* queue, std::uint64_t arg);
-  /// Store a closure; returns the record argument naming its slot.
-  std::uint64_t stash(Callback&& cb);
-  static ArenaHandle closure_of(std::uint64_t arg);
-  /// Destroy a closure's capture and release its slot.
-  void drop_closure(std::uint64_t arg);
   void post(SimTime t, Fn fn, void* obj, std::uint64_t arg);
   Handle schedule(SimTime t, Fn fn, void* obj, std::uint64_t arg);
   void place(const Event& ev);
@@ -321,7 +297,6 @@ class EventQueue {
 
   std::vector<TimerSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  SlotArena<Callback> closures_;
 
   SimTime now_{};
   std::uint64_t next_seq_ = 0;

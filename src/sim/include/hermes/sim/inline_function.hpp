@@ -11,23 +11,19 @@ namespace hermes::sim {
 /// A move-only callable wrapper with *fixed* inline storage and no heap
 /// fallback: constructing it from a callable larger than `Capacity` (or
 /// over-aligned beyond `alignof(std::max_align_t)`) is a compile error,
-/// never a silent allocation. Port and host hooks, and the event queue's
-/// closure-form events, hold their callables in it, so none of them
-/// allocates — a `std::function` would heap-allocate for any capture
-/// past its small-buffer optimization (typically 16 bytes).
+/// never a silent allocation. Port and host hooks hold their callables in
+/// it, so installing one never allocates — a `std::function` would
+/// heap-allocate for any capture past its small-buffer optimization
+/// (typically 16 bytes).
 ///
 /// The per-callable dispatch table carries invoke / relocate / destroy.
 /// Trivially copyable captures publish null relocate/destroy entries, so
 /// moving an InlineCallable is an inline memcpy of the storage with no
 /// indirect call. Non-trivial captures relocate through their move
-/// constructor. Event records do not hold one: the queue keeps a
-/// closure in a pooled slot that never moves, and its record names the
-/// slot.
+/// constructor.
 ///
-/// `Sig` is a function signature (`void()`, `void(const Packet&)`, ...).
-/// The nullary case keeps its historical name via the InlineFunction
-/// alias below.
-template <std::size_t Capacity, typename Sig = void()>
+/// `Sig` is a function signature (`void(const Packet&)`, ...).
+template <std::size_t Capacity, typename Sig>
 class InlineCallable;  // primary template: only the R(Args...) form exists
 
 template <std::size_t Capacity, typename R, typename... Args>
@@ -51,8 +47,8 @@ class InlineCallable<Capacity, R(Args...)> {
     // Relocation (and therefore InlineCallable's move) is declared
     // noexcept: a capture whose move constructor actually throws would
     // terminate. Captures are value aggregates in practice; keeping the
-    // move noexcept is what lets vector growth in the scheduler relocate
-    // events instead of copying them.
+    // move noexcept is what lets vector growth relocate hooks instead of
+    // copying them.
     ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
     ops_ = &kOps<D>;
   }
@@ -131,9 +127,5 @@ class InlineCallable<Capacity, R(Args...)> {
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char buf_[Capacity];
 };
-
-/// The nullary event-callback form used by the event queue.
-template <std::size_t Capacity>
-using InlineFunction = InlineCallable<Capacity, void()>;
 
 }  // namespace hermes::sim

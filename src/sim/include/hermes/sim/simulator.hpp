@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <random>
-#include <utility>
 
 #include "hermes/sim/event_queue.hpp"
 #include "hermes/sim/time.hpp"
@@ -22,9 +21,9 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return queue_.now(); }
   [[nodiscard]] EventQueue& events() { return queue_; }
 
-  /// Fire-and-forget scheduling (packet pipeline hot path). The direct
-  /// form, `at<&T::f>(t, obj, arg)`, is what src/ uses; closures are for
-  /// tests, benches and examples (see EventQueue).
+  /// Fire-and-forget scheduling (packet pipeline hot path):
+  /// `at<&T::f>(t, obj, arg)` calls `obj->f()` or `obj->f(arg)` at `t`
+  /// (see EventQueue).
   template <auto Method, typename T>
   void at(SimTime t, T* obj, std::uint64_t arg = 0) {
     queue_.post_at<Method>(t, obj, arg);
@@ -33,10 +32,8 @@ class Simulator {
   void after(SimTime delay, T* obj, std::uint64_t arg = 0) {
     queue_.post_at<Method>(now() + delay, obj, arg);
   }
-  void at(SimTime t, EventQueue::Callback cb) { queue_.post_at(t, std::move(cb)); }
-  void after(SimTime delay, EventQueue::Callback cb) { queue_.post_in(delay, std::move(cb)); }
 
-  /// Cancellable timers (RTO, pacing), in the same two forms.
+  /// Cancellable timers (RTO, pacing).
   template <auto Method, typename T>
   EventQueue::Handle timer_at(SimTime t, T* obj, std::uint64_t arg = 0) {
     return queue_.schedule_at<Method>(t, obj, arg);
@@ -44,12 +41,6 @@ class Simulator {
   template <auto Method, typename T>
   EventQueue::Handle timer_after(SimTime delay, T* obj, std::uint64_t arg = 0) {
     return queue_.schedule_at<Method>(now() + delay, obj, arg);
-  }
-  EventQueue::Handle timer_at(SimTime t, EventQueue::Callback cb) {
-    return queue_.schedule_at(t, std::move(cb));
-  }
-  EventQueue::Handle timer_after(SimTime delay, EventQueue::Callback cb) {
-    return queue_.schedule_in(delay, std::move(cb));
   }
 
   void run() { queue_.run(); }

@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "event_log.hpp"
 #include "hermes/engine/rate.hpp"
 #include "hermes/harness/scenario.hpp"
 #include "hermes/lb/clove.hpp"
@@ -215,24 +216,24 @@ TEST(HostStackProbes, UdpSinkHookReceivesPayload) {
 
 TEST(EventInterleaving, PostAndTimerShareFifoOrder) {
   sim::EventQueue q;
-  std::vector<int> order;
-  q.post_at(usec(5), [&] { order.push_back(1); });
-  auto h = q.schedule_at(usec(5), [&] { order.push_back(2); });
-  q.post_at(usec(5), [&] { order.push_back(3); });
+  sim::Log log;
+  q.post_at<&sim::Log::on>(usec(5), &log, 1);
+  auto h = q.schedule_at<&sim::Log::on>(usec(5), &log, 2);
+  q.post_at<&sim::Log::on>(usec(5), &log, 3);
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1, 2, 3}));
   EXPECT_FALSE(h.pending());
 }
 
 TEST(EventInterleaving, CancelledTimerBetweenPostsKeepsOrder) {
   sim::EventQueue q;
-  std::vector<int> order;
-  q.post_at(usec(5), [&] { order.push_back(1); });
-  auto h = q.schedule_at(usec(5), [&] { order.push_back(99); });
-  q.post_at(usec(5), [&] { order.push_back(2); });
+  sim::Log log;
+  q.post_at<&sim::Log::on>(usec(5), &log, 1);
+  auto h = q.schedule_at<&sim::Log::on>(usec(5), &log, 99);
+  q.post_at<&sim::Log::on>(usec(5), &log, 2);
   h.cancel();
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1, 2}));
 }
 
 // --- DRE quantization sweep -----------------------------------------------------

@@ -200,12 +200,11 @@ TEST(QueueTraceTest, SamplesBacklogOverTime) {
   EXPECT_GE(trace.max_backlog(), trace.mean_backlog());
 }
 
-// Every schedule in src/ takes the direct form: a closure would cost a
-// pooled slot per event and, at flow start, setup time. So a run of
-// every src/ event kind reserves no closure slot on any queue: port
-// finish and drain, RTO and reorder hold, probe ticks, flow start, fault
-// apply, checker ticks, a UDP source, a queue trace and, sharded, the
-// fat-tree inbox.
+// Every src/ event kind runs in one scenario and does its job: port
+// finish and delivery, RTO and reorder hold, probe ticks, flow start,
+// fault apply, checker ticks, a UDP source, a queue trace and, sharded,
+// the fat-tree inbox. Each is a direct-form record, the only form the
+// event queue has.
 TEST(ScenarioEvents, SrcTakesNoClosurePath) {
   ScenarioConfig cfg;
   cfg.topo = small();
@@ -230,7 +229,6 @@ TEST(ScenarioEvents, SrcTakesNoClosurePath) {
   EXPECT_GT(s.invariants()->checks_run(), 2u);
   EXPECT_GT(trace.samples().size(), 100u);
   EXPECT_GT(udp.packets_sent(), 0u);
-  EXPECT_EQ(s.simulator().events().reserved_closures(), 0u);
 
   ShardedScenarioConfig sharded;
   sharded.fabric.k = 4;
@@ -244,9 +242,6 @@ TEST(ScenarioEvents, SrcTakesNoClosurePath) {
   ft.add_flows(workload::generate_poisson_traffic(ft.fabric(), workload::SizeDist::web_search(), tc));
   EXPECT_EQ(ft.run().unfinished_flows(), 0u);
   EXPECT_GT(ft.fabric().boundary_packets(), 0u);
-  for (int shard = 0; shard < ft.num_shards(); ++shard) {
-    EXPECT_EQ(ft.shard_sim(shard).events().reserved_closures(), 0u) << "shard " << shard;
-  }
 }
 
 }  // namespace

@@ -166,11 +166,12 @@ TEST(Integration, VisibilitySwitchPairVsHostPair) {
   s.add_flows(workload::generate_poisson_traffic(s.topology(),
                                                  workload::SizeDist::web_search(), tc));
 
-  double switch_vis = 0, host_vis = 0;
-  int samples = 0;
-  const int n_paths = 4;
-  for (int i = 1; i <= 40; ++i) {
-    s.simulator().at(msec(1) * i, [&] {
+  struct Visibility {
+    Scenario& s;
+    double switch_vis = 0, host_vis = 0;
+    int samples = 0;
+    void sample() {
+      const int n_paths = 4;
       const auto& active = s.active_flows();
       // flows per ordered leaf pair / paths, averaged over pairs.
       std::map<std::pair<int, int>, int> per_leaf_pair;
@@ -186,13 +187,15 @@ TEST(Integration, VisibilitySwitchPairVsHostPair) {
       for (auto& [k, v] : per_host_pair) hv += v;
       host_vis += hv / (16.0 * 12.0) / n_paths;
       ++samples;
-    });
-  }
+    }
+  };
+  Visibility vis{s};
+  for (int i = 1; i <= 40; ++i) s.simulator().at<&Visibility::sample>(msec(1) * i, &vis);
   auto fct = s.run();
   (void)fct;
-  ASSERT_GT(samples, 0);
-  switch_vis /= samples;
-  host_vis /= samples;
+  ASSERT_GT(vis.samples, 0);
+  const double switch_vis = vis.switch_vis / vis.samples;
+  const double host_vis = vis.host_vis / vis.samples;
   // Both views count the same flows; the ratio is the number of host
   // pairs per leaf pair = hosts_per_leaf^2 = 16 here (256 in the paper's
   // fabric, matching Table 2's ~5.86 vs ~0.022).

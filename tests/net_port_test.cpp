@@ -77,9 +77,14 @@ TEST_F(PortTest, SerializationPlusPropagationTiming) {
   sink.now = nullptr;
   bool delivered = false;
   sim::SimTime arrival{};
+  struct NothingDelivered {
+    const SinkDevice& sink;
+    void check() { EXPECT_TRUE(sink.packets.empty()); }
+  };
+  NothingDelivered at_13us{sink};
   // 1500B at 1Gbps = 12us serialization + 2us propagation = 14us.
   port.send(make_packet(1500));
-  simulator.after(usec(13), [&] { EXPECT_TRUE(sink.packets.empty()); });
+  simulator.after<&NothingDelivered::check>(usec(13), &at_13us);
   simulator.run();
   (void)delivered;
   (void)arrival;

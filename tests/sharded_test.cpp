@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "event_log.hpp"
 #include "hermes/faults/fault_plan.hpp"
 
 #include "hermes/harness/sharded_scenario.hpp"
@@ -56,27 +57,28 @@ std::string file_bytes(const std::string& path) {
 
 TEST(EventQueueRounds, RunUntilBeforeExcludesHorizonAndAdvancesClock) {
   sim::EventQueue q;
-  std::vector<int> fired;
-  q.post_at(sim::usec(1), [&] { fired.push_back(1); });
-  q.post_at(sim::usec(2), [&] { fired.push_back(2); });
-  q.post_at(sim::usec(2), [&] { fired.push_back(3); });  // exactly at horizon
-  q.post_at(sim::usec(5), [&] { fired.push_back(4); });
+  sim::Log log;
+  q.post_at<&sim::Log::on>(sim::usec(1), &log, 1);
+  q.post_at<&sim::Log::on>(sim::usec(2), &log, 2);
+  q.post_at<&sim::Log::on>(sim::usec(2), &log, 3);  // exactly at horizon
+  q.post_at<&sim::Log::on>(sim::usec(5), &log, 4);
 
   q.run_until_before(sim::usec(2));
-  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1}));
   EXPECT_EQ(q.now(), sim::usec(2)) << "clock must land exactly on the horizon";
 
   // Events at exactly the previous horizon run in the next round.
   q.run_until_before(sim::usec(5));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), sim::usec(5));
 }
 
 TEST(EventQueueRounds, NextEventTimeReportsEarliestStoredEvent) {
   sim::EventQueue q;
+  sim::Log log;
   EXPECT_EQ(q.next_event_time(), sim::SimTime::max());
-  q.post_at(sim::usec(7), [] {});
-  q.post_at(sim::usec(3), [] {});
+  q.post_at<&sim::Log::on>(sim::usec(7), &log, 7);
+  q.post_at<&sim::Log::on>(sim::usec(3), &log, 3);
   EXPECT_EQ(q.next_event_time(), sim::usec(3));
   q.run_until_before(sim::usec(4));
   EXPECT_EQ(q.next_event_time(), sim::usec(7));

@@ -1,11 +1,12 @@
 // Unit tests for the simulation core: time arithmetic, the event queue's
 // ordering/cancellation semantics, and deterministic RNG streams.
 
-#include <functional>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "event_log.hpp"
 #include "hermes/engine/rng.hpp"
 #include "hermes/sim/event_queue.hpp"
 #include "hermes/sim/simulator.hpp"
@@ -52,85 +53,94 @@ TEST(SimTime, ToStringPicksUnits) {
 
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(usec(30), [&] { order.push_back(3); });
-  q.schedule_at(usec(10), [&] { order.push_back(1); });
-  q.schedule_at(usec(20), [&] { order.push_back(2); });
+  Log log;
+  q.schedule_at<&Log::on>(usec(30), &log, 3);
+  q.schedule_at<&Log::on>(usec(10), &log, 1);
+  q.schedule_at<&Log::on>(usec(20), &log, 2);
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), usec(30));
 }
 
 TEST(EventQueue, EqualTimesFireFifo) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) q.schedule_at(usec(5), [&, i] { order.push_back(i); });
+  Log log;
+  for (int i = 0; i < 10; ++i) q.schedule_at<&Log::on>(usec(5), &log, static_cast<std::uint64_t>(i));
   q.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(log.fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
-  bool fired = false;
-  auto h = q.schedule_at(usec(10), [&] { fired = true; });
+  Log log;
+  auto h = q.schedule_at<&Log::on>(usec(10), &log, 1);
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
   q.run();
-  EXPECT_FALSE(fired);
+  EXPECT_TRUE(log.fired.empty());
 }
 
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
-  int count = 0;
-  auto h = q.schedule_at(usec(10), [&] { ++count; });
+  Log log;
+  auto h = q.schedule_at<&Log::on>(usec(10), &log, 1);
   q.run();
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(log.fired.size(), 1u);
   h.cancel();  // must not crash or double-count
   EXPECT_FALSE(h.pending());
 }
 
 TEST(EventQueue, RunUntilAdvancesClockPastLastEvent) {
   EventQueue q;
-  int fired = 0;
-  q.schedule_at(usec(10), [&] { ++fired; });
-  q.schedule_at(usec(50), [&] { ++fired; });
+  Log log;
+  q.schedule_at<&Log::on>(usec(10), &log, 1);
+  q.schedule_at<&Log::on>(usec(50), &log, 2);
   q.run_until(usec(20));
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(log.fired.size(), 1u);
   EXPECT_EQ(q.now(), usec(20));
   q.run_until(usec(100));
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(log.fired.size(), 2u);
   EXPECT_EQ(q.now(), usec(100));
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 5) q.schedule_in(usec(1), recurse);
+  struct Recurse {
+    EventQueue q;
+    int depth = 0;
+    void step() {
+      if (++depth < 5) q.schedule_at<&Recurse::step>(q.now() + usec(1), this);
+    }
   };
-  q.schedule_at(usec(0), recurse);
-  q.run();
-  EXPECT_EQ(depth, 5);
-  EXPECT_EQ(q.now(), usec(4));
+  Recurse r;
+  r.q.schedule_at<&Recurse::step>(usec(0), &r);
+  r.q.run();
+  EXPECT_EQ(r.depth, 5);
+  EXPECT_EQ(r.q.now(), usec(4));
 }
 
 TEST(EventQueue, StopHaltsRun) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(usec(1), [&] {
-    ++fired;
-    q.stop();
-  });
-  q.schedule_at(usec(2), [&] { ++fired; });
-  q.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(q.empty());
+  struct Stopper {
+    EventQueue q;
+    int fired = 0;
+    void fire() { ++fired; }
+    void fire_and_stop() {
+      ++fired;
+      q.stop();
+    }
+  };
+  Stopper s;
+  s.q.schedule_at<&Stopper::fire_and_stop>(usec(1), &s);
+  s.q.schedule_at<&Stopper::fire>(usec(2), &s);
+  s.q.run();
+  EXPECT_EQ(s.fired, 1);
+  EXPECT_FALSE(s.q.empty());
 }
 
 TEST(EventQueue, EmptyReflectsCancelledEvents) {
   EventQueue q;
-  auto h = q.schedule_at(usec(1), [] {});
+  Log log;
+  auto h = q.schedule_at<&Log::on>(usec(1), &log, 1);
   EXPECT_FALSE(q.empty());
   h.cancel();
   EXPECT_TRUE(q.empty());
@@ -138,7 +148,8 @@ TEST(EventQueue, EmptyReflectsCancelledEvents) {
 
 TEST(EventQueue, ProcessedCounter) {
   EventQueue q;
-  for (int i = 0; i < 7; ++i) q.schedule_at(usec(i), [] {});
+  Log log;
+  for (int i = 0; i < 7; ++i) q.schedule_at<&Log::on>(usec(i), &log, static_cast<std::uint64_t>(i));
   q.run();
   EXPECT_EQ(q.events_processed(), 7u);
 }
@@ -196,11 +207,11 @@ TEST(Rng, ChanceExtremes) {
 
 TEST(Simulator, SchedulingHelpers) {
   Simulator s{1};
-  int fired = 0;
-  s.after(usec(5), [&] { ++fired; });
-  s.at(usec(10), [&] { ++fired; });
+  Log log;
+  s.after<&Log::on>(usec(5), &log, 1);
+  s.at<&Log::on>(usec(10), &log, 2);
   s.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(log.fired, (std::vector<int>{1, 2}));
   EXPECT_EQ(s.now(), usec(10));
 }
 

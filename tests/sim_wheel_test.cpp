@@ -2,12 +2,11 @@
 // public API: equal-time FIFO across bucket boundaries, cancellation
 // surviving wheel rollover, far-future overflow handling, clock
 // semantics of run_until across empty spans, randomized stress tests
-// against sorted reference models (direct-form and closure events
-// interleaved, scheduling from outside and from inside callbacks, and a
-// lockstep due run hundreds deep cut by round horizons), a level-1
-// cascade that fills a bucket before any direct push, beside side-run
-// ties, lazy cancel of wheel records and of closures, and wheel storage
-// that follows live events.
+// against sorted reference models (posts and timers interleaved,
+// scheduling from outside and from inside callbacks, and a lockstep due
+// run hundreds deep cut by round horizons), a level-1 cascade that fills
+// a bucket before any direct push, beside side-run ties, lazy cancel of
+// wheel records, and wheel storage that follows live events.
 //
 // Wheel geometry (see event_queue.hpp): level-0 buckets are 256ns, the
 // level-0 horizon is ~262us, the level-1 horizon is ~268ms, and
@@ -26,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "event_log.hpp"
 #include "hermes/sim/event_queue.hpp"
 #include "hermes/sim/time.hpp"
 
@@ -38,60 +38,60 @@ constexpr SimTime kL1Horizon = nsec(1024LL << 18);   // ~268ms
 
 TEST(TimeWheel, EqualTimeFifoWithinAndAcrossBuckets) {
   EventQueue q;
-  std::vector<int> fired;
+  Log log;
   // Same instant, interleaved with neighbours in the same and in other
   // buckets; equal-time events must pop in scheduling order.
   const SimTime t = usec(100);
-  q.post_at(t, [&] { fired.push_back(0); });
-  q.post_at(t + kL0Span * 3, [&] { fired.push_back(10); });
-  q.post_at(t, [&] { fired.push_back(1); });
-  q.post_at(t - usec(50), [&] { fired.push_back(-1); });
-  q.post_at(t, [&] { fired.push_back(2); });
-  q.post_at(t + kL0Span * 3, [&] { fired.push_back(11); });
+  q.post_at<&Log::on>(t, &log, 1);
+  q.post_at<&Log::on>(t + kL0Span * 3, &log, 10);
+  q.post_at<&Log::on>(t, &log, 2);
+  q.post_at<&Log::on>(t - usec(50), &log, 0);
+  q.post_at<&Log::on>(t, &log, 3);
+  q.post_at<&Log::on>(t + kL0Span * 3, &log, 11);
   q.run();
-  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1, 2, 10, 11}));
+  EXPECT_EQ(log.fired, (std::vector<int>{0, 1, 2, 3, 10, 11}));
 }
 
 TEST(TimeWheel, SameBucketIndexDifferentLap) {
   EventQueue q;
-  std::vector<int> fired;
+  Log log;
   // Two events whose level-0 bucket indices are equal mod the wheel
   // size but a full lap apart: the wheel must not fire the far one on
   // the near one's drain.
   const SimTime near = usec(10);
   const SimTime far = near + kL0Horizon;  // same masked index, next lap
-  q.post_at(far, [&] { fired.push_back(2); });
-  q.post_at(near, [&] { fired.push_back(1); });
+  q.post_at<&Log::on>(far, &log, 2);
+  q.post_at<&Log::on>(near, &log, 1);
   q.run_until(near);
-  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1}));
   EXPECT_EQ(q.now(), near);
   q.run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(log.fired, (std::vector<int>{1, 2}));
   EXPECT_EQ(q.now(), far);
 }
 
 TEST(TimeWheel, FarFutureOverflowOrdering) {
   EventQueue q;
-  std::vector<int> fired;
+  Log log;
   // All three are beyond the ~268ms level-1 horizon at insert time and
   // arrive out of order; one more sits in the wheel proper.
-  q.post_at(sec(100), [&] { fired.push_back(3); });
-  q.post_at(sec(5), [&] { fired.push_back(1); });
-  q.post_at(sec(10), [&] { fired.push_back(2); });
-  q.post_at(msec(1), [&] { fired.push_back(0); });
+  q.post_at<&Log::on>(sec(100), &log, 3);
+  q.post_at<&Log::on>(sec(5), &log, 1);
+  q.post_at<&Log::on>(sec(10), &log, 2);
+  q.post_at<&Log::on>(msec(1), &log, 0);
   q.run();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(log.fired, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(q.now(), sec(100));
   EXPECT_EQ(q.events_processed(), 4u);
 }
 
 TEST(TimeWheel, CancellationSurvivesRollover) {
   EventQueue q;
-  int fired = 0;
+  Log log;
   // One timer in the level-1 range, one beyond the horizon (overflow).
-  auto h1 = q.schedule_at(msec(100), [&] { ++fired; });
-  auto h2 = q.schedule_at(sec(6), [&] { ++fired; });
-  auto keep = q.schedule_at(sec(7), [&] { ++fired; });
+  auto h1 = q.schedule_at<&Log::on>(msec(100), &log, 1);
+  auto h2 = q.schedule_at<&Log::on>(sec(6), &log, 2);
+  auto keep = q.schedule_at<&Log::on>(sec(7), &log, 3);
   h1.cancel();
   h2.cancel();
   EXPECT_FALSE(h1.pending());
@@ -101,7 +101,7 @@ TEST(TimeWheel, CancellationSurvivesRollover) {
   // even though the wheel cursor laps level 0 thousands of times and
   // level 1 more than once.
   q.run_until(sec(8));
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(log.fired, (std::vector<int>{3}));
   EXPECT_FALSE(keep.pending());
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.now(), sec(8));
@@ -109,16 +109,16 @@ TEST(TimeWheel, CancellationSurvivesRollover) {
 
 TEST(TimeWheel, SlotReuseDoesNotMisfireStaleHandles) {
   EventQueue q;
-  std::vector<int> fired;
-  auto a = q.schedule_at(usec(10), [&] { fired.push_back(1); });
+  Log log;
+  auto a = q.schedule_at<&Log::on>(usec(10), &log, 1);
   a.cancel();
   // b reuses a's pooled slot (it is the only free one). The stale
   // handle must stay inert against the new generation.
-  auto b = q.schedule_at(usec(20), [&] { fired.push_back(2); });
+  auto b = q.schedule_at<&Log::on>(usec(20), &log, 2);
   a.cancel();  // no-op: must not kill b
   EXPECT_TRUE(b.pending());
   q.run();
-  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(log.fired, (std::vector<int>{2}));
   // Cancelling after firing is a no-op too.
   b.cancel();
   EXPECT_EQ(q.events_processed(), 1u);
@@ -129,32 +129,27 @@ TEST(TimeWheel, RunUntilAdvancesClockAcrossEmptySpans) {
   // Nothing scheduled: the clock still advances to the target.
   q.run_until(msec(5));
   EXPECT_EQ(q.now(), msec(5));
-  int fired = 0;
-  q.post_at(sec(6), [&] { ++fired; });  // overflow-range event
+  Log log;
+  q.post_at<&Log::on>(sec(6), &log, 1);  // overflow-range event
   // Target short of the event: no firing, clock lands exactly on the
   // target even though the wheel has to skip many empty level-1 spans.
   q.run_until(sec(5));
-  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(log.fired.empty());
   EXPECT_EQ(q.now(), sec(5));
   q.run_until(sec(7));
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(log.fired, (std::vector<int>{1}));
   EXPECT_EQ(q.now(), sec(7));
 }
 
-/// A direct-form event target: records the argument it is called with.
-struct Log {
-  std::vector<int> fired;
-  void on(std::uint64_t id) { fired.push_back(static_cast<int>(id)); }
-};
-
 TEST(TimeWheel, EmptyIsConstAndCountsCancellations) {
   EventQueue q;
+  Log log;
   const EventQueue& cq = q;
   EXPECT_TRUE(cq.empty());  // const observer, no purge needed
   std::vector<EventQueue::Handle> hs;
   hs.reserve(10);
   for (int i = 0; i < 10; ++i)
-    hs.push_back(q.schedule_at(usec(10 + i), [] {}));
+    hs.push_back(q.schedule_at<&Log::on>(usec(10 + i), &log, static_cast<std::uint64_t>(i)));
   for (int i = 0; i < 4; ++i) hs[static_cast<std::size_t>(i)].cancel();
   EXPECT_FALSE(q.empty());
   // Cancel only bumps the timer slot's generation: the four records
@@ -181,22 +176,30 @@ TEST(TimeWheel, EmptyIsConstAndCountsCancellations) {
 // once with the bucket in one pool block and once with eight more
 // records after A's instant, which take the counting sort.
 TEST(TimeWheel, CascadeDrainOrderAndSideRunTies) {
+  // C: logs 3, arms E, posts D and stops the run.
+  struct SideRunTies {
+    EventQueue& q;
+    Log& log;
+    SimTime t;
+    EventQueue::Handle e{};
+    void c() {
+      log.on(3);
+      e = q.schedule_at<&Log::on>(q.now(), &log, 5);  // E: side-run head
+      q.post_at<&Log::on>(t, &log, 4);                // D: ties with A and B
+      q.stop();
+    }
+  };
   for (const int extra : {0, 8}) {
     SCOPED_TRACE(extra);
     EventQueue q;
     Log log;
     const SimTime t = usec(300);
+    SideRunTies c{q, log, t};
     q.post_at<&Log::on>(t, &log, 1);          // A: beyond the level-0 horizon
     q.post_at<&Log::on>(usec(100), &log, 6);  // M
     q.run_until_before(usec(100));
-    q.post_at<&Log::on>(t, &log, 2);  // B
-    EventQueue::Handle e;
-    q.post_at(t - nsec(1), [&] {  // C
-      log.fired.push_back(3);
-      e = q.schedule_at<&Log::on>(q.now(), &log, 5);  // E: side-run head
-      q.post_at<&Log::on>(t, &log, 4);                // D: ties with A and B
-      q.stop();
-    });
+    q.post_at<&Log::on>(t, &log, 2);              // B
+    q.post_at<&SideRunTies::c>(t - nsec(1), &c);  // C
     std::vector<int> expected{6, 3, 1, 2, 4};
     for (int i = 1; i <= extra; ++i) {
       q.post_at<&Log::on>(t + nsec(i), &log, static_cast<std::uint64_t>(9 + i));
@@ -204,8 +207,8 @@ TEST(TimeWheel, CascadeDrainOrderAndSideRunTies) {
     }
     q.run();
     EXPECT_EQ(log.fired, (std::vector<int>{6, 3}));
-    EXPECT_TRUE(e.pending());
-    e.cancel();
+    EXPECT_TRUE(c.e.pending());
+    c.e.cancel();
     EXPECT_EQ(q.next_event_time(), t);
     q.run();
     EXPECT_EQ(log.fired, expected);
@@ -215,9 +218,9 @@ TEST(TimeWheel, CascadeDrainOrderAndSideRunTies) {
 
 // Randomized stress: interleaved scheduling phases, cancellations and
 // partial drains across all three storage tiers, validated against a
-// stable-sorted reference model. Direct-form and closure events, posts
-// and timers, interleave. The wheel must fire exactly the non-cancelled
-// events in (time, scheduling-order) sequence.
+// stable-sorted reference model. Posts and timers interleave. The wheel
+// must fire exactly the non-cancelled events in (time, scheduling-order)
+// sequence.
 TEST(TimeWheel, StressMatchesReferenceModel) {
   std::mt19937 rng{20240807};
   EventQueue q;
@@ -228,9 +231,7 @@ TEST(TimeWheel, StressMatchesReferenceModel) {
   };
   std::vector<Ref> ref;
   std::vector<EventQueue::Handle> handles;
-  // Both forms write one log, so it holds the single firing order.
-  Log direct;
-  std::vector<int>& fired = direct.fired;
+  Log log;
   int next_id = 0;
   for (int phase = 0; phase < 12; ++phase) {
     const std::int64_t now_ns = q.now().ns();
@@ -241,17 +242,12 @@ TEST(TimeWheel, StressMatchesReferenceModel) {
       const std::int64_t t = now_ns + dt(rng) % (i % 7 == 0 ? 2'000 : 8'000'000'000);
       ref.push_back({t, id});
       this_phase.push_back(ref.size() - 1);
-      // Posts and timers, each in the direct form or as a closure.
       const auto uid = static_cast<std::uint64_t>(id);
       if (i % 3 == 0) {
-        handles.push_back(i % 2 == 0
-                              ? q.schedule_at(nsec(t), [&fired, id] { fired.push_back(id); })
-                              : q.schedule_at<&Log::on>(nsec(t), &direct, uid));
+        handles.push_back(q.schedule_at<&Log::on>(nsec(t), &log, uid));
         this_phase.back() |= std::size_t{1} << 63;  // mark cancellable
-      } else if (i % 2 == 0) {
-        q.post_at(nsec(t), [&fired, id] { fired.push_back(id); });
       } else {
-        q.post_at<&Log::on>(nsec(t), &direct, uid);
+        q.post_at<&Log::on>(nsec(t), &log, uid);
       }
     }
     // Cancel ~half of this phase's cancellable timers (none have fired:
@@ -278,8 +274,8 @@ TEST(TimeWheel, StressMatchesReferenceModel) {
                    [](const Ref& a, const Ref& b) { return a.time_ns < b.time_ns; });
   for (const Ref& r : sorted)
     if (!r.cancelled) expected.push_back(r.id);
-  ASSERT_EQ(fired.size(), expected.size());
-  EXPECT_EQ(fired, expected);
+  ASSERT_EQ(log.fired.size(), expected.size());
+  EXPECT_EQ(log.fired, expected);
 }
 
 // Cancel leaves a wheel record stored until dispatch reaches it. The
@@ -314,47 +310,6 @@ TEST(TimeWheel, CancelledWheelRecordKeepsHorizonsConservative) {
   EXPECT_EQ(q.stored_events(), 0u);
 }
 
-// A cancelled closure timer keeps its capture until dispatch reaches
-// the stale record: then the capture is destroyed and the closure's
-// arena slot is released for reuse.
-TEST(TimeWheel, CancelledClosureIsDestroyedWhenDispatchReclaimsIt) {
-  struct Counted {
-    int* destroyed;
-    explicit Counted(int* d) : destroyed{d} {}
-    Counted(Counted&& o) noexcept : destroyed{std::exchange(o.destroyed, nullptr)} {}
-    Counted(const Counted&) = delete;
-    Counted& operator=(const Counted&) = delete;
-    Counted& operator=(Counted&&) = delete;
-    ~Counted() {
-      if (destroyed != nullptr) ++*destroyed;
-    }
-  };
-  constexpr int kTimers = 300;  // more than one arena chunk
-  EventQueue q;
-  EXPECT_EQ(q.reserved_closures(), 0u);
-  int destroyed = 0;
-  int fired = 0;
-  std::vector<EventQueue::Handle> hs;
-  for (int i = 0; i < kTimers; ++i) {
-    hs.push_back(q.schedule_at(usec(10), [c = Counted{&destroyed}, &fired] { ++fired; }));
-  }
-  const std::size_t reserved = q.reserved_closures();
-  EXPECT_GE(reserved, static_cast<std::size_t>(kTimers));
-  for (auto& h : hs) h.cancel();
-  EXPECT_EQ(destroyed, 0);  // not at cancel
-  q.run_until(usec(20));
-  EXPECT_EQ(destroyed, kTimers);
-  EXPECT_EQ(fired, 0);
-  // The reclaimed slots serve the next closures: the arena does not grow.
-  for (int i = 0; i < kTimers; ++i) {
-    q.post_at(usec(30), [c = Counted{&destroyed}, &fired] { ++fired; });
-  }
-  EXPECT_EQ(q.reserved_closures(), reserved);
-  q.run();
-  EXPECT_EQ(fired, kTimers);
-  EXPECT_EQ(destroyed, 2 * kTimers);
-}
-
 // Lock-step reference model for scheduling from inside callbacks:
 // `pending` holds every armed, uncancelled timer as (time, id), ids in
 // scheduling order, so its minimum is the timer the wheel must fire next.
@@ -371,14 +326,16 @@ struct RearmModel {
     const int id = static_cast<int>(times.size());
     times.push_back(t_ns);
     pending.emplace(t_ns, id);
-    handles.push_back(q.schedule_at(nsec(t_ns), [this, id] { fire(id); }));
+    handles.push_back(q.schedule_at<&RearmModel::fire>(nsec(t_ns), this,
+                                                       static_cast<std::uint64_t>(id)));
     return id;
   }
   void cancel(int id) {
     handles[static_cast<std::size_t>(id)].cancel();
     pending.erase({times[static_cast<std::size_t>(id)], id});
   }
-  void fire(int id) {
+  void fire(std::uint64_t arg) {
+    const auto id = static_cast<int>(arg);
     expected.push_back(pending.empty() ? -1 : pending.begin()->second);
     if (!pending.empty()) pending.erase(pending.begin());
     fired.push_back(id);
@@ -507,18 +464,19 @@ TEST(TimeWheel, StorageBoundedByLiveEvents) {
     int ticks = 0;
     std::size_t fired = 0;
     std::size_t peak = 0;
+    void count() { ++fired; }
     void tick() {
       // First instant of level-0 bucket (ticks mod 1024) after now.
       const std::int64_t now = q.now().ns();
       std::int64_t t = now / kLap * kLap + (ticks % 1024) * 256;
       if (t <= now) t += kLap;
-      for (int i = 0; i < kBurst; ++i) q.post_at(nsec(t), [this] { ++fired; });
+      for (int i = 0; i < kBurst; ++i) q.post_at<&Ticker::count>(nsec(t), this);
       peak = std::max(peak, q.stored_events());
-      if (++ticks < kTicks) q.post_in(usec(500), [this] { tick(); });
+      if (++ticks < kTicks) q.post_at<&Ticker::tick>(q.now() + usec(500), this);
     }
   };
   Ticker k;
-  k.q.post_at(SimTime::zero(), [&k] { k.tick(); });
+  k.q.post_at<&Ticker::tick>(SimTime::zero(), &k);
   k.q.run();
   EXPECT_EQ(k.fired, static_cast<std::size_t>(kBurst) * kTicks);
   EXPECT_GE(k.peak, static_cast<std::size_t>(kBurst));

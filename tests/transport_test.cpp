@@ -88,17 +88,19 @@ TEST(TcpFlow, DctcpKeepsQueueNearThreshold) {
   s.add_flow(0, 1, 20'000'000, usec(0));
   // A single flow's first bottleneck is its own NIC (all links 10G);
   // sample that backlog during steady state.
+  struct BacklogMax {
+    const net::Port& port;
+    std::uint32_t seen = 0;
+    void sample() { seen = std::max(seen, port.backlog_bytes()); }
+  };
   auto& port = s.topology().host(0).nic();
-  std::uint32_t max_seen = 0;
-  for (int i = 0; i < 100; ++i) {
-    s.simulator().at(msec(2) + usec(50) * i,
-                     [&] { max_seen = std::max(max_seen, port.backlog_bytes()); });
-  }
+  BacklogMax max{port};
+  for (int i = 0; i < 100; ++i) s.simulator().at<&BacklogMax::sample>(msec(2) + usec(50) * i, &max);
   auto fct = s.run();
   EXPECT_EQ(fct.unfinished_flows(), 0u);
   // With step marking at K the backlog stays in the vicinity of K: far
   // below the 6x-K buffer, and it must have produced marks.
-  EXPECT_LT(max_seen, 3 * cfg.topo.ecn_bytes_for(10e9));
+  EXPECT_LT(max.seen, 3 * cfg.topo.ecn_bytes_for(10e9));
   EXPECT_GT(port.stats().ecn_marks, 0u);
 }
 

@@ -688,7 +688,7 @@ void Linter::lint_file(const std::string& path, const std::vector<Line>& lines,
            pos = find_identifier(code, "function", pos + 1)) {
         if (qualifier_before(code, pos) == Qualifier::kStd) {
           emit(kHotAlloc, i,
-               "std::function may heap-allocate its callable; use sim::InlineFunction "
+               "std::function may heap-allocate its callable; use sim::InlineCallable "
                "in HERMES_HOT code");
         }
       }
