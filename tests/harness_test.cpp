@@ -203,8 +203,8 @@ TEST(QueueTraceTest, SamplesBacklogOverTime) {
 // Every src/ event kind runs in one scenario and does its job: port
 // finish and delivery, RTO and reorder hold, probe ticks, flow start,
 // fault apply, checker ticks, a UDP source, a queue trace and, sharded,
-// the fat-tree inbox. Each is a direct-form record, the only form the
-// event queue has.
+// the fat-tree inbox. Each is a member-function record, the only form
+// the event queue has.
 TEST(ScenarioEvents, SrcTakesNoClosurePath) {
   ScenarioConfig cfg;
   cfg.topo = small();
